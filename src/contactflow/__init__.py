@@ -9,12 +9,10 @@ principal-symbol asymptotics, and phase-space holonomy.
 
 from .bundle import (ConnectionData, DiagramPoint, RelativisticScenario,
                      WaveDiagram, classify_characteristic,
-                     constant_field_potential, gauge_transform,
-                     hausdorff_distance, legendre_dual, lorentzian_metric,
-                     null_norm, ray_alpha, relativistic_scenario,
-                     strip_in_gauge, wave_diagram)
-from .charts import (Chart, Covector, PolyField, ScalarField, TangentVector,
-                     pair, random_polynomial)
+                     constant_field_potential, hausdorff_distance,
+                     legendre_dual, lorentzian_metric, null_norm, ray_alpha,
+                     relativistic_scenario, strip_in_gauge, wave_diagram)
+from .charts import Chart, PolyField, ScalarField, random_polynomial
 from .errors import (BoundaryError, ConfigError, ContactFlowError,
                      ContractViolation, CrossingError, DataQualityError,
                      DegeneracyError, EmptyDiagramError, FitQualityError,

@@ -8,29 +8,37 @@ diagrams are unit-level sections of the Monge cone by the plane alpha = 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import Chart, Covector, PolyField, ScalarField, TangentVector, fd_steps
+from .charts import Chart, PolyField, ScalarField, fd_gradient, fd_steps, scan_roots
 from .errors import (ContractViolation, EmptyDiagramError,
                      InternalConsistencyError)
-from .strips import (CharacteristicState, Fiber, PS_ZERO_TOL, Strip,
-                     SymbolSurface)
+from .strips import PS_ZERO_TOL, Strip, SymbolSurface
 
 #: rays whose alpha-value is below this (relative to the ray norm) are lightlike
 LIGHTLIKE_RTOL = 1e-9
+
+#: relative finite-difference step for the Jacobian of a callable potential
+CONNECTION_FD_STEP = 1e-6
+
+#: relative step of the value second differences behind the Hessian of a
+#: field without a gradient: ~eps**(1/4) balances truncation and rounding
+HESSIAN_FD_STEP = 1e-4
+
+#: radii scanned for on-shell momenta along each direction
+_RADII = np.linspace(1e-9, 20.0, 400)
 
 
 class ConnectionData:
     """Connection potential A on M and its curvature F = dA."""
 
-    def __init__(self, chart: Chart, A: Callable | Sequence, dA: Callable | None = None,
-                 fd_step: float = 1e-6):
+    def __init__(self, chart: Chart, A: Callable | Sequence, dA: Callable | None = None):
         self.chart = chart
-        self.fd_step = fd_step
         if callable(A):
             self._A = A
             self._components = None
@@ -55,61 +63,33 @@ class ConnectionData:
         x = np.asarray(x, float)
         if self._dA is not None:
             return np.asarray(self._dA(x), float)
-        m = self.chart.dim
-        if self._components is not None and all(
-                isinstance(c, PolyField) or hasattr(c, "poly") for c in self._components):
-            J = np.empty((m, m))
-            for j, c in enumerate(self._components):
-                poly = c if isinstance(c, PolyField) else c.poly
-                J[:, j] = poly.gradient(x)
-            return J
-        steps = fd_steps(x, self.fd_step)
-        J = np.empty((m, m))
-        for i in range(m):
-            xp = x.copy(); xp[i] += steps[i]
-            xm = x.copy(); xm[i] -= steps[i]
-            J[i] = (self.A(xp) - self.A(xm)) / (2 * steps[i])
-        return J
+        if self._components is not None:
+            return np.column_stack([c.gradient(x) for c in self._components])
+        return fd_gradient(self.A, x, fd_steps(x, CONNECTION_FD_STEP))
 
     def curvature(self, x) -> np.ndarray:
         """F_{mu nu} = d_mu A_nu - d_nu A_mu (antisymmetric by construction)."""
         J = self.jacobian(x)
         return J - J.T
 
-    def bianchi_residual(self, x, h: float | None = None) -> float:
+    def bianchi_residual(self, x) -> float:
         """Max cyclic-sum residual of dF over 3-axis combinations (0 for dim < 3)."""
         m = self.chart.dim
         if m < 3:
             return 0.0
-        x = np.asarray(x, float)
-        steps = fd_steps(x, h if h is not None else 1e-5)
-
-        def dF(i, mu, nu):
-            xp = x.copy(); xp[i] += steps[i]
-            xm = x.copy(); xm[i] -= steps[i]
-            return (self.curvature(xp)[mu, nu] - self.curvature(xm)[mu, nu]) / (2 * steps[i])
-
-        worst = 0.0
-        import itertools
-        for a, b, c in itertools.combinations(range(m), 3):
-            worst = max(worst, abs(dF(a, b, c) + dF(b, c, a) + dF(c, a, b)))
-        return worst
+        dF = fd_gradient(self.curvature, x, fd_steps(x))   # dF[i, mu, nu] = d_i F_mu,nu
+        return float(max(abs(dF[a, b, c] + dF[b, c, a] + dF[c, a, b])
+                         for a, b, c in itertools.combinations(range(m), 3)))
 
     def shifted(self, chi: PolyField | ScalarField) -> "ConnectionData":
         """Connection with potential A + d(chi)."""
         def A_new(x, old=self.A, chi=chi):
-            return old(x) + _grad_of(chi, x)
+            return old(x) + chi.gradient(x)
 
         def dA_new(x, oldJ=self.jacobian, chi=chi):
             return oldJ(x) + _hessian_of(chi, x)
 
-        return ConnectionData(self.chart, A_new, dA=dA_new, fd_step=self.fd_step)
-
-
-def _grad_of(chi, x):
-    if isinstance(chi, PolyField):
-        return chi.gradient(x)
-    return chi.gradient(np.asarray(x, float))
+        return ConnectionData(self.chart, A_new, dA=dA_new)
 
 
 def _hessian_of(chi, x):
@@ -123,13 +103,12 @@ def _hessian_of(chi, x):
             e[i] = 1
             H[i] = poly.derivative(e).gradient(x)
         return H
-    steps = fd_steps(x, 1e-5)
-    H = np.empty((m, m))
-    for i in range(m):
-        xp = x.copy(); xp[i] += steps[i]
-        xm = x.copy(); xm[i] -= steps[i]
-        H[i] = (_grad_of(chi, xp) - _grad_of(chi, xm)) / (2 * steps[i])
-    return H
+    if chi.grad is None:
+        # second differences of values; a central difference of the
+        # finite-difference gradient would amplify its rounding by 1 / h
+        steps = fd_steps(x, HESSIAN_FD_STEP)
+        return fd_gradient(lambda y: fd_gradient(chi.value, y, steps), x, steps)
+    return fd_gradient(chi.gradient, x, fd_steps(x))
 
 
 @dataclass
@@ -161,13 +140,9 @@ class WaveDiagram:
         return np.asarray([q.v for q in self.points])
 
 
-def _onshell_momenta_at(E: SymbolSurface, x, p_s: float, n_samples: int,
-                        p_max: float = 20.0) -> list[np.ndarray]:
-    """On-shell M-momenta at fixed p_s: radial bracket scan over directions."""
-    from scipy.optimize import brentq
-
+def _onshell_momenta_at(E: SymbolSurface, x, p_s: float, n_samples: int) -> list[np.ndarray]:
+    """On-shell M-momenta at fixed p_s: radial root scan over directions."""
     m = E.dim
-    out = []
     if m == 1:
         dirs = [np.array([1.0]), np.array([-1.0])]
     elif m == 2:
@@ -179,16 +154,8 @@ def _onshell_momenta_at(E: SymbolSurface, x, p_s: float, n_samples: int,
         for _ in range(n_samples):
             d = rng.standard_normal(m)
             dirs.append(d / np.linalg.norm(d))
-    rs = np.linspace(1e-9, p_max, 400)
-    for d in dirs:
-        vals = np.array([E.value(x, r * d, p_s) for r in rs])
-        for a, b, fa, fb in zip(rs[:-1], rs[1:], vals[:-1], vals[1:]):
-            if fa == 0.0:
-                out.append(a * d)
-            elif fa * fb < 0:
-                r = brentq(lambda r: E.value(x, r * d, p_s), a, b, xtol=1e-14)
-                out.append(r * d)
-    return out
+    return [r * d for d in dirs
+            for r in scan_roots(lambda r: E.value(x, r * d, p_s), _RADII)]
 
 
 def wave_diagram(E: SymbolSurface, conn: ConnectionData, x, n_samples: int = 64) -> WaveDiagram:
@@ -204,26 +171,13 @@ def wave_diagram(E: SymbolSurface, conn: ConnectionData, x, n_samples: int = 64)
     lightlike: list[np.ndarray] = []
     unreachable: list[np.ndarray] = []
 
-    sections = [(+1.0, +1), (-1.0, -1)]
-    for p_s, sign in sections:
-        for p in _onshell_momenta_at(E, x, p_s, n_samples):
-            if E.is_degenerate(x, p, p_s):
-                continue
-            _, gp, gps = E.gradient(x, p, p_s)
-            v_m, s_dot = gp, -gps
-            a = s_dot + float(np.dot(A, v_m))
-            norm = np.linalg.norm(np.append(v_m, s_dot))
-            if norm == 0.0:
-                continue
-            if abs(a) <= LIGHTLIKE_RTOL * norm:
-                lightlike.append(np.append(v_m, s_dot))
-            elif a < 0:
-                unreachable.append(np.append(v_m, s_dot))
-            else:
-                points.append(DiagramPoint(v_m / a, sign, np.append(p, p_s), s_dot / a))
+    rays = [(p, p_s, sign) for p_s, sign in ((1.0, 1), (-1.0, -1))
+            for p in _onshell_momenta_at(E, x, p_s, n_samples)
+            if not E.is_degenerate(x, p, p_s)]
     # the p_s = 0 class: scan directions on the unit momentum sphere
-    for p in _null_class_momenta(E, x, n_samples):
-        _, gp, gps = E.gradient(x, p, 0.0)
+    rays += [(p, 0.0, 0) for p in _null_class_momenta(E, x, n_samples)]
+    for p, p_s, sign in rays:
+        _, gp, gps = E.gradient(x, p, p_s)
         v_m, s_dot = gp, -gps
         a = s_dot + float(np.dot(A, v_m))
         norm = np.linalg.norm(np.append(v_m, s_dot))
@@ -234,7 +188,7 @@ def wave_diagram(E: SymbolSurface, conn: ConnectionData, x, n_samples: int = 64)
         elif a < 0:
             unreachable.append(np.append(v_m, s_dot))
         else:
-            points.append(DiagramPoint(v_m / a, 0, np.append(p, 0.0), s_dot / a))
+            points.append(DiagramPoint(v_m / a, sign, np.append(p, p_s), s_dot / a))
 
     if not points:
         if lightlike:
@@ -257,26 +211,19 @@ def ray_alpha(E: SymbolSurface, conn: ConnectionData, x, p, p_s: float) -> float
 
 def _null_class_momenta(E: SymbolSurface, x, n_samples: int) -> list[np.ndarray]:
     """Unit momenta p with G(x, p, 0) = 0 (homogeneous: a cone direction scan)."""
-    from scipy.optimize import brentq
+    if E.dim != 2:
+        return []
+    period = 2 * math.pi
 
-    m = E.dim
-    out = []
-    if m == 2:
-        thetas = np.linspace(0.0, 2 * math.pi, max(n_samples, 16), endpoint=False)
+    # g is exactly periodic, so the closing grid point 2 pi repeats t = 0 and
+    # a root reported there is the one at 0
+    def g(t):
+        t = t % period
+        return E.value(x, np.array([math.cos(t), math.sin(t)]), 0.0)
 
-        def g(t):
-            return E.value(x, np.array([math.cos(t), math.sin(t)]), 0.0)
-
-        vals = [g(t) for t in thetas]
-        closed = list(thetas) + [2 * math.pi]
-        vals_c = vals + [vals[0]]
-        for a, b, fa, fb in zip(closed[:-1], closed[1:], vals_c[:-1], vals_c[1:]):
-            if fa == 0.0:
-                out.append(np.array([math.cos(a), math.sin(a)]))
-            elif fa * fb < 0:
-                t = brentq(g, a, b, xtol=1e-14)
-                out.append(np.array([math.cos(t), math.sin(t)]))
-    return out
+    thetas = np.linspace(0.0, period, max(n_samples, 16), endpoint=False)
+    return [np.array([math.cos(t), math.sin(t)])
+            for t in scan_roots(g, np.append(thetas, period)) if t < period]
 
 
 def legendre_dual(samples: np.ndarray, ring_ordered: bool = True,
@@ -327,19 +274,11 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(da, db))
 
 
-def gauge_transform(E: SymbolSurface, conn: ConnectionData,
-                    chi: PolyField | ScalarField) -> tuple[SymbolSurface, ConnectionData]:
-    """Change of connection by chi: A -> A + d(chi).  E is untouched (it is
-    the invariant object); only derived Lagrangian data changes."""
-    return E, conn.shifted(chi)
-
-
 def strip_in_gauge(strip: Strip, chi: PolyField | ScalarField) -> Strip:
     """Re-express a strip in the trivialization matching A -> A + d(chi):
     s -> s + chi(x), p -> p + p_s * d(chi)."""
-    dchi = np.array([_grad_of(chi, strip.x[i]) for i in range(len(strip))])
-    chival = np.array([chi.value(strip.x[i]) if hasattr(chi, "value") else chi(strip.x[i])
-                       for i in range(len(strip))])
+    dchi = np.array([chi.gradient(strip.x[i]) for i in range(len(strip))])
+    chival = np.array([chi.value(strip.x[i]) for i in range(len(strip))])
     return Strip(strip.surface, strip.taus.copy(), strip.x.copy(),
                  strip.s + chival,
                  strip.p + strip.p_s[:, None] * dchi,

@@ -1,4 +1,4 @@
-"""Single-chart coordinate numerics: points, (co)vectors, scalar fields, finite differences.
+"""Single-chart coordinate numerics: points, scalar fields, finite differences, root scans.
 
 Everything in the engine lives in one global coordinate chart per scenario.
 Coordinates are dimensionless; axis names are labels only.
@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import BoundaryError, ContractViolation
 
@@ -80,53 +81,42 @@ class Chart:
         return rng.uniform(lo, hi)
 
 
-def _check_pairable(a, b):
-    if a.chart is not b.chart and a.chart != b.chart:
-        raise ContractViolation("covector and vector live on different charts")
-    if a.components.shape != b.components.shape:
-        raise ContractViolation("component length mismatch")
-
-
-@dataclass(frozen=True)
-class Covector:
-    chart: Chart
-    components: np.ndarray
-
-    def __init__(self, chart: Chart, components) -> None:
-        object.__setattr__(self, "chart", chart)
-        comp = np.asarray(components, dtype=float)
-        if comp.shape != (chart.dim,):
-            raise ContractViolation("covector length does not match chart dim")
-        object.__setattr__(self, "components", comp)
-
-    def __call__(self, v: "TangentVector") -> float:
-        return pair(self, v)
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    chart: Chart
-    components: np.ndarray
-
-    def __init__(self, chart: Chart, components) -> None:
-        object.__setattr__(self, "chart", chart)
-        comp = np.asarray(components, dtype=float)
-        if comp.shape != (chart.dim,):
-            raise ContractViolation("vector length does not match chart dim")
-        object.__setattr__(self, "components", comp)
-
-
-def pair(p: Covector, v: TangentVector) -> float:
-    """Natural pairing <p, v> = sum_i p_i v^i."""
-    _check_pairable(p, v)
-    return float(np.dot(p.components, v.components))
-
-
-def fd_steps(x, h: float | None = None) -> np.ndarray:
+def fd_steps(x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
     """Per-axis central-difference steps: h * max(1, |x_i|)."""
+    return h * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
+
+
+def fd_gradient(f: Callable, x, steps) -> np.ndarray:
+    """Central differences of a scalar- or array-valued f with per-axis steps.
+
+    Row i is (f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i), so for a
+    vector-valued f the result is J[i, j] = d f_j / d x_i.
+    """
     x = np.asarray(x, dtype=float)
-    h = DEFAULT_FD_STEP if h is None else float(h)
-    return h * np.maximum(1.0, np.abs(x))
+    rows = []
+    for i, hi in enumerate(steps):
+        xp = x.copy(); xp[i] += hi
+        xm = x.copy(); xm[i] -= hi
+        rows.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * hi))
+    return np.array(rows)
+
+
+def scan_roots(f: Callable, grid) -> list[float]:
+    """Ascending roots of a scalar f found by scanning a grid.
+
+    Each sign change between neighbouring grid values is polished by brentq;
+    a grid value that is exactly zero (the last one included) counts once.
+    """
+    vals = [f(t) for t in grid]
+    roots = []
+    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if fa == 0.0:
+            roots.append(float(a))
+        elif fa * fb < 0:
+            roots.append(float(brentq(f, a, b, xtol=1e-14)))
+    if vals[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return sorted(roots)
 
 
 class ScalarField:
@@ -136,12 +126,10 @@ class ScalarField:
     used (O(h^2) accurate for C^3 fields).
     """
 
-    def __init__(self, chart: Chart, fn: Callable, grad: Callable | None = None,
-                 fd_step: float = DEFAULT_FD_STEP):
+    def __init__(self, chart: Chart, fn: Callable, grad: Callable | None = None):
         self.chart = chart
         self.fn = fn
         self.grad = grad
-        self.fd_step = fd_step
 
     @property
     def grad_mode(self) -> str:
@@ -150,14 +138,15 @@ class ScalarField:
     def value(self, x) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
 
-    def gradient(self, x, h: float | None = None) -> np.ndarray:
+    def gradient(self, x) -> np.ndarray:
         x = self.chart.require_point(x)
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
-        return fd_gradient(self, x, h if h is not None else self.fd_step)
-
-    def gradient_covector(self, x, h: float | None = None) -> Covector:
-        return Covector(self.chart, self.gradient(x, h))
+        steps = fd_steps(x)
+        bounds = self.chart.bounds
+        if np.any(x - steps < bounds[:, 0]) or np.any(x + steps > bounds[:, 1]):
+            raise BoundaryError(f"point {x} closer than one step to the chart boundary")
+        return fd_gradient(self.value, x, steps)
 
     @classmethod
     def constant(cls, chart: Chart, c: float) -> "ScalarField":
@@ -168,21 +157,6 @@ class ScalarField:
         f = cls(poly.chart, poly.value, grad=poly.gradient)
         f.poly = poly
         return f
-
-
-def fd_gradient(f, x, h: float | None = None) -> np.ndarray:
-    """Central-difference gradient of a scalar field at an interior point."""
-    chart = f.chart
-    x = chart.require_point(x)
-    steps = fd_steps(x, h)
-    if np.any(x - steps < chart.bounds[:, 0]) or np.any(x + steps > chart.bounds[:, 1]):
-        raise BoundaryError(f"point {x} closer than one step to the chart boundary")
-    g = np.empty(chart.dim)
-    for i, hi in enumerate(steps):
-        xp = x.copy(); xp[i] += hi
-        xm = x.copy(); xm[i] -= hi
-        g[i] = (f.value(xp) - f.value(xm)) / (2.0 * hi)
-    return g
 
 
 class PolyField:

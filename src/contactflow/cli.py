@@ -231,7 +231,7 @@ def _run_noether(cfg, scen, args, report):
             raise ConfigError(f"bad symmetry block #{i}: missing {exc}") from exc
         sym = SymmetryField.build(scen.chart, v, f)
         res = {"symmetry": i,
-               "residual": check_symmetry(scen.surface, scen.connection, sym, rng=rng),
+               "residual": check_symmetry(scen.surface, sym, rng=rng),
                "drift": [conservation_drift(scen.surface, sym, s) for s in strips]}
         results.append(res)
     report["symmetries"] = results

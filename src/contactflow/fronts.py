@@ -10,27 +10,29 @@ finite-difference Jacobian of the projected front map (u, tau) -> x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .charts import Chart
+from .charts import Chart, scan_roots
 from .errors import ContractViolation, NoLiftError
-from .strips import (BatchItem, CharacteristicState, IntegratorConfig, Strip,
-                     SymbolSurface, batch_propagate)
+from .strips import (CharacteristicState, IntegratorConfig, SymbolSurface,
+                     batch_propagate)
 
-#: |det| below this counts as zero when scanning for caustic sign flips
+#: |det| below this times the largest |det| of its u sample counts as zero
+#: when scanning for caustic sign flips and tagging action branches
 CAUSTIC_DET_TOL = 1e-9
+
+#: conormal scales scanned for on-shell roots when lifting a front sample
+_LIFT_GRID = np.linspace(-20.0, 20.0, 801)
 
 
 class FrontSpec:
     """Parametrized initial hypersurface: u -> x(u) in M with initial action S0(u).
 
-    ``params`` is a 1D grid of front parameters (only codimension-1 fronts
-    with a single parameter are supported; the chart may have dim 2 or 3
-    with the remaining tangent direction supplied by ``extra_tangents``).
+    ``params`` is a 1D grid of front parameters: only codimension-1 fronts
+    with a single parameter are supported, so the chart must be 2D.
     """
 
     def __init__(self, chart: Chart, position: Callable, params: np.ndarray,
@@ -95,8 +97,8 @@ class LiftedSample:
     conormal: np.ndarray
 
 
-def legendre_lift(E: SymbolSurface, sigma: FrontSpec, branch: tuple[int, int] = (1, 0),
-                  scan_radius: float = 20.0) -> list[LiftedSample]:
+def legendre_lift(E: SymbolSurface, sigma: FrontSpec,
+                  branch: tuple[int, int] = (1, 0)) -> list[LiftedSample]:
     """Lift each front sample to an on-shell state.
 
     The momentum must annihilate the front tangent in the contact sense
@@ -124,7 +126,7 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec, branch: tuple[int, int] = 
         def g(lam, x=x, p_part=p_part, nrm=nrm):
             return E.value(x, p_part + lam * nrm, float(ps_sign))
 
-        roots = _scan_roots(g, scan_radius)
+        roots = scan_roots(g, _LIFT_GRID)
         if root_idx >= len(roots):
             failures.append((u, f"no on-shell root (found {len(roots)}, wanted index {root_idx})"))
             continue
@@ -133,11 +135,7 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec, branch: tuple[int, int] = 
         samples.append(LiftedSample(float(u), state, nrm))
     if not samples:
         raise NoLiftError(f"no front sample admitted a lift: {failures[:3]}")
-    if failures:
-        # partial failure is per-sample data, not fatal
-        for u, msg in failures:
-            samples.append(LiftedSample(float(u), None, np.empty(0)))  # type: ignore[arg-type]
-    return [s for s in samples if s.state is not None]
+    return samples
 
 
 def _conormal(t: np.ndarray) -> np.ndarray:
@@ -146,20 +144,6 @@ def _conormal(t: np.ndarray) -> np.ndarray:
         raise ContractViolation("conormal construction implemented for 2D charts")
     n = np.array([-t[1], t[0]])
     return n / np.linalg.norm(n)
-
-
-def _scan_roots(g, radius: float, n_grid: int = 801) -> list[float]:
-    lams = np.linspace(-radius, radius, n_grid)
-    vals = np.array([g(l) for l in lams])
-    roots = []
-    for a, b, fa, fb in zip(lams[:-1], lams[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            roots.append(float(a))
-        elif fa * fb < 0:
-            roots.append(float(brentq(g, a, b, xtol=1e-14)))
-    if vals[-1] == 0.0:
-        roots.append(float(lams[-1]))
-    return sorted(roots)
 
 
 @dataclass
@@ -256,25 +240,26 @@ def propagate_front(E: SymbolSurface, lift: Sequence[LiftedSample], taus,
                 raise ContractViolation("jacobian tracking implemented for 2D charts")
             J[i, j] = np.linalg.det(cols)
 
+    signs = _det_signs(J)
     events: list[CausticEvent] = []
     for i in range(nu):
         # compare consecutive *significant* signs so a grid point landing
         # exactly on det = 0 still registers as one flip
         last_sign, last_j = 0, -1
-        for j in range(nt):
-            d = J[i, j]
-            if np.isnan(d) or abs(d) <= CAUSTIC_DET_TOL * _det_scale(J[i]):
-                continue
-            sign = 1 if d > 0 else -1
-            if last_sign and sign != last_sign:
+        for j in np.flatnonzero(signs[i]):
+            if last_sign and signs[i, j] != last_sign:
                 events.append(CausticEvent(i, float(taus[last_j]), float(taus[j])))
-            last_sign, last_j = sign, j
+            last_sign, last_j = signs[i, j], j
     return FrontHistory(E, params, taus, X, S, P, PS, J, events, closed=closed)
 
 
-def _det_scale(row: np.ndarray) -> float:
-    finite = row[~np.isnan(row)]
-    return float(np.max(np.abs(finite))) if finite.size else 1.0
+def _det_signs(J: np.ndarray) -> np.ndarray:
+    """Significant signs of the (nu, nt) Jacobian determinants: 0 where det
+    is NaN or |det| <= CAUSTIC_DET_TOL times the largest finite |det| of its
+    row (one u sample over all taus)."""
+    absJ = np.where(np.isnan(J), 0.0, np.abs(J))
+    significant = absJ > CAUSTIC_DET_TOL * absJ.max(axis=1, keepdims=True)
+    return np.where(significant, np.sign(J), 0.0)
 
 
 @dataclass
@@ -291,19 +276,14 @@ def front_action_function(history: FrontHistory) -> list[ActionSlice]:
     Pre-caustic slices carry a single branch tag; after a caustic the samples
     are tagged by runs of constant Jacobian sign instead of failing.
     """
+    signs = _det_signs(history.jacobian_det)
     slices = []
     for j, tau in enumerate(history.taus):
-        det = history.jacobian_det[:, j]
-        branch = np.zeros(len(det), dtype=int)
-        tag = 0
-        prev = 0.0
-        for i, d in enumerate(det):
-            sign = 0.0 if (np.isnan(d) or abs(d) <= CAUSTIC_DET_TOL) else np.sign(d)
-            if i > 0 and sign != 0.0 and prev != 0.0 and sign != prev:
-                tag += 1
-            if sign != 0.0:
-                prev = sign
-            branch[i] = tag
+        # the tag counts sign flips between consecutive significant samples
+        nz = np.flatnonzero(signs[:, j])
+        flips = np.zeros(len(signs), dtype=int)
+        flips[nz[1:]] = signs[nz[1:], j] != signs[nz[:-1], j]
+        branch = np.cumsum(flips)
         slices.append(ActionSlice(float(tau), history.x[:, j, :].copy(),
                                   history.s[:, j].copy(), branch))
     return slices

@@ -4,11 +4,11 @@ and numerical verification of its conservation along strips."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .charts import Chart, PolyField, ScalarField, fd_steps
+from .charts import Chart, PolyField, ScalarField
 from .errors import ContractViolation
 from .strips import CharacteristicState, Strip, SymbolSurface, sample_onshell
 
@@ -31,20 +31,7 @@ class VectorField:
     def jacobian(self, x) -> np.ndarray:
         """J[i, j] = d v^j / d x^i."""
         x = np.asarray(x, float)
-        m = self.chart.dim
-        J = np.empty((m, m))
-        for j, c in enumerate(self.components):
-            if isinstance(c, PolyField):
-                J[:, j] = c.gradient(x)
-            elif c.grad is not None:
-                J[:, j] = c.gradient(x)
-            else:
-                steps = fd_steps(x)
-                for i in range(m):
-                    xp = x.copy(); xp[i] += steps[i]
-                    xm = x.copy(); xm[i] -= steps[i]
-                    J[i, j] = (c.value(xp) - c.value(xm)) / (2 * steps[i])
-        return J
+        return np.column_stack([c.gradient(x) for c in self.components])
 
 
 @dataclass
@@ -65,9 +52,7 @@ class SymmetryField:
         return cls(VectorField(chart, v_components), f)
 
     def f_gradient(self, x) -> np.ndarray:
-        if isinstance(self.f, PolyField):
-            return self.f.gradient(x)
-        return self.f.gradient(np.asarray(x, float))
+        return self.f.gradient(x)
 
     def __add__(self, other: "SymmetryField") -> "SymmetryField":
         chart = self.v.chart
@@ -110,15 +95,14 @@ def symmetry_residual(E: SymbolSurface, sym: SymmetryField, x, p, p_s: float) ->
     return float(-np.dot(v, gx) + np.dot(np.asarray(p) @ J.T, gp) + p_s * np.dot(df, gp))
 
 
-def check_symmetry(E: SymbolSurface, conn, sym: SymmetryField,
+def check_symmetry(E: SymbolSurface, sym: SymmetryField,
                    n_samples: int = 50, rng: np.random.Generator | None = None,
                    margin: float = 1.0, p_s: float = 1.0) -> float:
     """Max |dQ/dtau| over random on-shell samples, normalized by the local
     symbol scale.  A value <= 1e-6 declares the symmetry verified.
 
-    The connection argument is accepted for parity with the (Lagrangian,
-    field)-picture but is not needed: in the bundle picture f already
-    absorbs the vertical part.
+    No connection is needed: in the bundle picture f already absorbs the
+    vertical part.
     """
     rng = rng or np.random.default_rng(0)
     worst = 0.0
@@ -150,7 +134,7 @@ def gauge_shifted_symmetry(sym: SymmetryField, chi: PolyField | ScalarField) -> 
     chart = sym.v.chart
 
     def f_new(x, sym=sym, chi=chi):
-        dchi = chi.gradient(x) if not isinstance(chi, PolyField) else chi.gradient(x)
+        dchi = chi.gradient(x)
         return sym.f.value(x) - float(np.dot(dchi, sym.v.value(x)))
 
     def grad_new(x, sym=sym, chi=chi):

@@ -8,15 +8,16 @@ in the phase chart; its holonomy reproduces the symplectic area.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import BoundaryError, ContractViolation, CrossingError
-from .strips import (PS_ZERO_TOL, CharacteristicState, Fiber, SymbolSurface,
-                     _pack, _rhs, _unpack, characteristic_field)
+from .strips import (PS_ZERO_TOL, CharacteristicState, Fiber, IntegratorConfig,
+                     SymbolSurface, characteristic_field, flow_to_event)
+
+#: integrator settings of the flow to the section
+SECTION_INTEGRATOR = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,7 @@ def _branch_of(p_s: float, scale: float) -> str:
 
 
 def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec,
-             tau_budget: float = 50.0, rel_tol: float = 1e-11,
-             abs_tol: float = 1e-13) -> PhasePoint:
+             tau_budget: float = 50.0) -> PhasePoint:
     """Flow the characteristic through ``state`` to the section and reduce.
 
     Both tau directions are tried; the crossing nearest tau = 0 wins.  The
@@ -60,30 +60,22 @@ def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec,
     # integrate with the guard-free field: solver trial stages may sit
     # slightly off-shell and must not trip the contract check
     characteristic_field(E, state)
-    rhs = _rhs(E)
 
-    def crossing(tau, y):
+    def crossing(tau, y):   # y[:dim] is the base point
         return y[i_sec] - section.value
 
     crossing.terminal = True
-    y0 = _pack(state)
-    hits = []
-    if abs(crossing(0.0, y0)) <= 1e-13 * max(abs(section.value), 1.0):
-        hits.append((0.0, y0))
+    if abs(state.x[i_sec] - section.value) <= 1e-13 * max(abs(section.value), 1.0):
+        hits = [state]
     else:
-        for direction in (+1.0, -1.0):
-            sol = solve_ivp(rhs, (0.0, direction * tau_budget), y0, method="RK45",
-                            rtol=rel_tol, atol=abs_tol, events=crossing,
-                            dense_output=False)
-            if sol.t_events[0].size:
-                t_hit = float(sol.t_events[0][0])
-                hits.append((t_hit, sol.y_events[0][0]))
+        hits = [flow_to_event(E, state, direction * tau_budget, crossing, SECTION_INTEGRATOR)
+                for direction in (+1.0, -1.0)]
+        hits = [h for h in hits if h is not None]
     if not hits:
         raise CrossingError(
             f"characteristic does not cross {{{section.axis} = {section.value}}} "
             f"within |tau| <= {tau_budget}")
-    t_hit, y_hit = min(hits, key=lambda h: abs(h[0]))
-    end = _unpack(E, y_hit, t_hit)
+    end = min(hits, key=lambda h: abs(h.tau))
     scale = np.linalg.norm(end.covector())
     branch = _branch_of(end.p_s, scale)
     if branch == "lightlike-boundary":

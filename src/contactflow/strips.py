@@ -22,17 +22,24 @@ s grows by the Lagrangian integral along the projected extremal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .charts import Chart, fd_steps
+from .charts import Chart, fd_gradient, fd_steps, scan_roots
 from .errors import ContractViolation, DegeneracyError
 
 #: strips with |p_s| below this are treated as the lightlike class
 PS_ZERO_TOL = 1e-12
+
+#: relative finite-difference step for symbols given without a gradient
+SYMBOL_FD_STEP = 1e-6
+
+#: sample_onshell gives up after this many draws per requested sample
+SAMPLE_MAX_TRIES = 200
+_SAMPLE_GRID = np.linspace(-20.0, 20.0, 81)   # momentum offsets it scans for G = 0
 
 
 @dataclass(frozen=True)
@@ -64,14 +71,13 @@ class SymbolSurface:
 
     def __init__(self, chart: Chart, value: Callable, degree: int,
                  grad: Callable | None = None, fiber: Fiber = Fiber(),
-                 name: str = "", fd_step: float = 1e-6):
+                 name: str = ""):
         self.chart = chart
         self._value = value
         self._grad = grad
         self.degree = int(degree)
         self.fiber = fiber
         self.name = name
-        self.fd_step = fd_step
         if self.degree < 1:
             raise ContractViolation("homogeneity degree must be a positive integer")
 
@@ -93,20 +99,10 @@ class SymbolSurface:
 
     def _fd_gradient(self, x, p, p_s):
         m = self.dim
-        gx = np.empty(m)
-        gp = np.empty(m)
-        hx = fd_steps(x, self.fd_step)
-        hp = fd_steps(p, self.fd_step)
-        for i in range(m):
-            xp = x.copy(); xp[i] += hx[i]
-            xm = x.copy(); xm[i] -= hx[i]
-            gx[i] = (self.value(xp, p, p_s) - self.value(xm, p, p_s)) / (2 * hx[i])
-            pp = p.copy(); pp[i] += hp[i]
-            pm = p.copy(); pm[i] -= hp[i]
-            gp[i] = (self.value(x, pp, p_s) - self.value(x, pm, p_s)) / (2 * hp[i])
-        hs = self.fd_step * max(1.0, abs(p_s))
-        gps = (self.value(x, p, p_s + hs) - self.value(x, p, p_s - hs)) / (2 * hs)
-        return gx, gp, gps
+        q = np.concatenate([x, p, [p_s]])
+        g = fd_gradient(lambda q: self.value(q[:m], q[m:2 * m], q[2 * m]), q,
+                        fd_steps(q, SYMBOL_FD_STEP))
+        return g[:m], g[m:2 * m], float(g[2 * m])
 
     def euler_residual(self, x, p, p_s: float) -> float:
         """Euler homogeneity defect <q, dG/dq> - degree * G (should vanish)."""
@@ -308,7 +304,8 @@ def propagate(E: SymbolSurface, init: CharacteristicState, tau_span,
     if integ.method == "fixed":
         taus, ys, boundary = _integrate_fixed(E, _pack(init), t0, t1, integ.dt)
     elif integ.method == "adaptive":
-        taus, ys, boundary = _integrate_adaptive(E, _pack(init), t0, t1, tau_eval, integ)
+        taus, ys, stop = _integrate_adaptive(E, _pack(init), t0, t1, tau_eval, integ)
+        boundary = stop == "boundary"
     else:
         raise ContractViolation(f"unknown integrator method {integ.method!r}")
 
@@ -323,7 +320,13 @@ def propagate(E: SymbolSurface, init: CharacteristicState, tau_span,
     return Strip(E, np.asarray(taus), X, S, P, PS, G, boundary_exit=boundary)
 
 
-def _integrate_adaptive(E, y0, t0, t1, tau_eval, integ):
+def _integrate_adaptive(E, y0, t0, t1, tau_eval, integ, events=()):
+    """RK45 from y0 over (t0, t1), stopped by the chart boundary, a degenerate
+    point (raises DegeneracyError) or one of the extra terminal ``events``.
+
+    Returns (taus, ys, stop) with stop one of "span_end", "boundary" or
+    "event"; on a stop by an event the last sample is the event point.
+    """
     def bounds_event(tau, y):
         return E.chart.boundary_clearance(y[:E.dim])
 
@@ -338,28 +341,42 @@ def _integrate_adaptive(E, y0, t0, t1, tau_eval, integ):
 
     sol = solve_ivp(_rhs(E), (t0, t1), y0, method="RK45",
                     rtol=integ.rel_tol, atol=integ.abs_tol, max_step=integ.max_step,
-                    t_eval=tau_eval, events=[bounds_event, degeneracy_event])
+                    t_eval=tau_eval, events=[bounds_event, degeneracy_event, *events])
     if not sol.success and sol.status != 1:
         raise DegeneracyError(f"integration failed: {sol.message}",
                               state=_unpack(E, sol.y[:, -1] if sol.y.size else y0,
                                             sol.t[-1] if sol.t.size else t0))
-    boundary = False
+    stop = "span_end"
     taus = list(sol.t)
     ys = list(sol.y.T)
-    if sol.status == 1:  # an event fired
-        if sol.t_events[1].size:  # degeneracy
+    if sol.status == 1:  # a terminal event fired
+        k = next(k for k, t in enumerate(sol.t_events) if t.size)
+        if k == 1:
             last = (_unpack(E, ys[-1], taus[-1]) if ys
                     else _unpack(E, y0, t0))
             raise DegeneracyError(
                 f"degenerate (touching) point reached near tau = {sol.t_events[1][0]:.6g}",
                 state=last)
-        boundary = True
-        taus.append(float(sol.t_events[0][0]))
-        ys.append(sol.y_events[0][0])
+        stop = "boundary" if k == 0 else "event"
+        taus.append(float(sol.t_events[k][0]))
+        ys.append(sol.y_events[k][0])
     if not taus:
         taus = [t0]
         ys = [y0]
-    return np.asarray(taus), ys, boundary
+    return np.asarray(taus), ys, stop
+
+
+def flow_to_event(E: SymbolSurface, init: CharacteristicState, tau_end: float, event,
+                  integ: IntegratorConfig) -> CharacteristicState | None:
+    """Flow the strip through ``init`` from tau = 0 toward ``tau_end`` until the
+    terminal ``event(tau, y)`` fires, y = (x, s, p, p_s) stacked.
+
+    Returns the (unprojected) state at the event, or None when the span end
+    or the chart boundary comes first.
+    """
+    taus, ys, stop = _integrate_adaptive(E, _pack(init), 0.0, tau_end, None, integ,
+                                         events=(event,))
+    return _unpack(E, ys[-1], taus[-1]) if stop == "event" else None
 
 
 def _integrate_fixed(E, y0, t0, t1, dt):
@@ -418,41 +435,25 @@ def batch_propagate(E: SymbolSurface, inits: Sequence[CharacteristicState], tau_
 
 
 def sample_onshell(E: SymbolSurface, rng: np.random.Generator, n: int,
-                   p_s: float = 1.0, margin: float = 0.0,
-                   max_tries: int = 200) -> list[CharacteristicState]:
+                   p_s: float = 1.0, margin: float = 0.0) -> list[CharacteristicState]:
     """Draw random states on {G = 0} inside the chart (p_s gauge fixed).
 
     For each sample a random interior base point and a random momentum ray
-    are drawn and the momentum is slid along a random direction until G
-    changes sign; the root is then bracketed and polished by bisection.
+    are drawn and the momentum is slid along a random direction; the first
+    root of G along it comes from the shared grid scan.
     """
-    from scipy.optimize import brentq
-
     out: list[CharacteristicState] = []
     tries = 0
-    while len(out) < n and tries < max_tries * n:
+    while len(out) < n and tries < SAMPLE_MAX_TRIES * n:
         tries += 1
         x = E.chart.interior_sample(rng, margin)
         p0 = rng.standard_normal(E.dim)
         d = rng.standard_normal(E.dim)
         d /= np.linalg.norm(d)
-
-        def g(t):
-            return E.value(x, p0 + t * d, p_s)
-
-        ts = np.linspace(-20.0, 20.0, 81)
-        vals = [g(t) for t in ts]
-        root = None
-        for a, b, fa, fb in zip(ts[:-1], ts[1:], vals[:-1], vals[1:]):
-            if fa == 0.0:
-                root = a
-                break
-            if fa * fb < 0:
-                root = brentq(g, a, b, xtol=1e-14, rtol=1e-15)
-                break
-        if root is None:
+        roots = scan_roots(lambda t: E.value(x, p0 + t * d, p_s), _SAMPLE_GRID)
+        if not roots:
             continue
-        p = p0 + root * d
+        p = p0 + roots[0] * d
         state = CharacteristicState(x, 0.0, p, p_s)
         if E.is_degenerate(x, p, p_s):
             continue

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import contactflow as cf
+from contactflow import bundle
 
 
 def _plane_chart():
@@ -54,6 +55,29 @@ def test_bianchi_residual_vanishes_in_two_dims():
     conn = cf.ConnectionData(ch, [cf.PolyField(ch, {(1, 1): 1.0}),
                                   cf.PolyField.from_const(ch, 0.0)])
     assert conn.bianchi_residual([0.3, 0.2]) == 0.0
+
+
+def test_bianchi_residual_vanishes_for_polynomial_connection():
+    ch = cf.Chart(["a", "b", "c"], [(-5.0, 5.0)] * 3)
+    conn = cf.ConnectionData(ch, [cf.PolyField(ch, {(0, 2, 1): 1.0}),
+                                  cf.PolyField(ch, {(1, 0, 2): -0.5, (3, 0, 0): 0.2}),
+                                  cf.PolyField(ch, {(1, 1, 1): 0.7})])
+    pt = [0.3, -0.4, 1.1]
+    assert np.max(np.abs(conn.curvature(pt))) > 0.1
+    assert conn.bianchi_residual(pt) < 1e-7
+    # a curvature that is not closed (d_c F_ab = 1) must be caught
+    bad = cf.ConnectionData(ch, lambda x: np.zeros(3),
+                            dA=lambda x: np.array([[0.0, x[2], 0.0], [0.0] * 3, [0.0] * 3]))
+    assert bad.bianchi_residual(pt) == pytest.approx(1.0, abs=1e-7)
+
+
+def test_hessian_of_gradless_field_matches_analytic():
+    ch = _plane_chart()
+    chi = cf.ScalarField(ch, lambda x: math.sin(x[0]) * x[1] ** 2)
+    x, y = 0.7, -1.2
+    exact = [[-math.sin(x) * y ** 2, 2 * math.cos(x) * y],
+             [2 * math.cos(x) * y, 2 * math.sin(x)]]
+    assert np.allclose(bundle._hessian_of(chi, [x, y]), exact, rtol=0.0, atol=1e-7)
 
 
 def test_connection_component_count_checked():
@@ -174,13 +198,14 @@ def test_strip_in_gauge_transforms_s_and_p():
     assert np.allclose(back.p, strip.p, atol=1e-12)
 
 
-def test_gauge_transform_keeps_surface():
+def test_gauge_shift_adds_dchi_to_connection():
     sc = cf.builtin("free")
-    chi = cf.PolyField(sc.surface.chart, {(2, 0): 1.0})
-    E2, conn2 = cf.gauge_transform(sc.surface, sc.connection, chi)
-    assert E2 is sc.surface
+    chi = cf.PolyField(sc.surface.chart, {(2, 0): 1.0})   # d(chi) = (2 t, 0)
+    conn2 = sc.connection.shifted(chi)
     pt = np.array([0.4, -0.2])
     assert np.allclose(conn2.A(pt), sc.connection.A(pt) + chi.gradient(pt), atol=1e-12)
+    assert np.allclose(conn2.jacobian(pt), sc.connection.jacobian(pt) + [[2.0, 0.0], [0.0, 0.0]],
+                       atol=1e-12)
 
 
 # ------------------------------------------------------------- classification
@@ -215,3 +240,19 @@ def test_classify_detects_corrupted_p_s():
 def test_relativistic_scenario_rejects_bad_metric():
     with pytest.raises(cf.ContractViolation):
         cf.relativistic_scenario(1.0, 0.0, lambda x: np.zeros(2), np.eye(2))
+
+
+def test_null_class_scan_closes_the_angle_grid():
+    # G(x, p, 0) = sin(theta - a) on unit momenta: roots at a + pi and at
+    # 2 pi + a, which lies between the last grid angle and 2 pi
+    a = -0.01
+    E = cf.SymbolSurface(_plane_chart(),
+                         lambda x, p, ps: p[1] * math.cos(a) - p[0] * math.sin(a) - ps, 1)
+    dirs = bundle._null_class_momenta(E, np.zeros(2), 16)
+    angles = sorted(math.atan2(d[1], d[0]) % (2 * math.pi) for d in dirs)
+    assert np.allclose(angles, [math.pi + a, 2 * math.pi + a], rtol=0.0, atol=1e-12)
+    # free particle: G(x, p, 0) = p_x^2 / 2 is exactly 0 at theta = 0, the
+    # seam of the closed grid, and that root is reported once
+    free = cf.builtin("free").surface
+    dirs = bundle._null_class_momenta(free, np.zeros(2), 64)
+    assert len(dirs) == 1 and np.array_equal(dirs[0], [1.0, 0.0])

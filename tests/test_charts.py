@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contactflow as cf
-from contactflow.charts import Chart, Covector, PolyField, ScalarField, TangentVector, pair
+from contactflow.charts import Chart, PolyField, ScalarField, scan_roots
 
 
 def test_chart_validation():
@@ -31,18 +31,6 @@ def test_boundary_clearance():
 
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
-
-
-@given(a=finite, b=finite, lam=finite)
-@settings(max_examples=50, deadline=None)
-def test_pairing_bilinear(a, b, lam):
-    ch = Chart(["x", "y"], [(-10, 10), (-10, 10)])
-    p = Covector(ch, [a, b])
-    v = TangentVector(ch, [b, 1.0])
-    w = TangentVector(ch, [a, -2.0])
-    lhs = pair(p, TangentVector(ch, lam * v.components + w.components))
-    rhs = lam * pair(p, v) + pair(p, w)
-    assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
 def test_scalar_field_fd_gradient_matches_analytic():
@@ -83,3 +71,19 @@ def test_random_polynomial_gradient_consistency(deg, x0):
     pt = np.array([x0, -x0 / 2])
     sf = f.as_scalar_field()
     assert np.allclose(f.gradient(pt), sf.gradient(pt), atol=1e-12)
+
+
+# ------------------------------------------------------------------ root scan
+
+def test_scan_roots_of_cubic_come_back_ascending():
+    roots = scan_roots(lambda t: (t - 2.9) * (t + 0.4) * (t - 1.3), np.linspace(-5.0, 5.0, 77))
+    assert len(roots) == 3
+    assert np.allclose(roots, [-0.4, 1.3, 2.9], rtol=0.0, atol=1e-12)
+
+
+def test_scan_roots_counts_exact_grid_roots_once():
+    grid = np.linspace(-2.0, 2.0, 5)   # -2, -1, 0, 1, 2
+    assert scan_roots(lambda t: t, grid) == [0.0]
+    assert scan_roots(lambda t: t - 2.0, grid) == [2.0]   # the last grid point
+    assert scan_roots(lambda t: (t + 1.0) * (t - 2.0), grid) == [-1.0, 2.0]
+    assert scan_roots(lambda t: t * t + 1.0, grid) == []

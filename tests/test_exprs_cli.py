@@ -105,13 +105,23 @@ def test_cli_wavefront_reports_caustic(tmp_path):
     assert (out / "front.csv").exists()
 
 
-def test_cli_fixed_step_runs_are_byte_identical(tmp_path):
+@pytest.mark.parametrize("sub,config", [
+    ("propagate", "free.yaml"),
+    ("propagate", "oscillator.yaml"),
+    ("propagate", "relativistic.yaml"),
+    ("noether-check", "noether_free.yaml"),
+])
+def test_cli_fixed_step_runs_are_byte_identical(tmp_path, sub, config):
     outs = []
     for tag in ("a", "b"):
         out = tmp_path / tag
-        assert main(["propagate", "--config", _cfg("free.yaml"), "--out", str(out),
+        assert main([sub, "--config", _cfg(config), "--out", str(out),
                      "--fixed-step", "0.01"]) == 0
         outs.append(out)
+    reports = [json.loads((out / "report.json").read_text()) for out in outs]
+    for report in reports:
+        report["files"] = {os.path.basename(k): v for k, v in report["files"].items()}
+    assert reports[0] == reports[1]
     for name in os.listdir(outs[0]):
         if name.endswith(".csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

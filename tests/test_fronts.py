@@ -136,6 +136,18 @@ def test_front_action_function_branch_tags():
     assert np.max(np.abs(post.s - 1.3)) < 1e-6
 
 
+def test_front_action_function_scales_tolerance_per_sample():
+    # |det| = 1e-12 everywhere: below the absolute CAUSTIC_DET_TOL, but each
+    # u sample's largest |det| sets its scale, so the sign flip is a new branch
+    det = 1e-12 * np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0], [-1.0, -1.0]])
+    nu, nt = det.shape
+    hist = cf.FrontHistory(_eik().surface, np.arange(nu, dtype=float), np.array([0.0, 1.0]),
+                           np.zeros((nu, nt, 2)), np.zeros((nu, nt)), np.zeros((nu, nt, 2)),
+                           np.ones((nu, nt)), det, [])
+    for sl in cf.front_action_function(hist):
+        assert sl.branch.tolist() == [0, 0, 1, 1]
+
+
 def test_propagate_front_rejects_empty_lift():
     sc = _eik()
     with pytest.raises(cf.ContractViolation):

@@ -7,10 +7,10 @@ import contactflow as cf
 
 
 def test_free_translations_are_symmetries(free):
-    E, conn = free.surface, free.connection
+    E = free.surface
     for comps in ([1.0, 0.0], [0.0, 1.0]):      # time and space translations
         sym = cf.SymmetryField.build(E.chart, comps)
-        assert cf.check_symmetry(E, conn, sym) < 1e-10
+        assert cf.check_symmetry(E, sym) < 1e-10
 
 
 def test_free_momentum_conserved_along_strip(free):
@@ -25,7 +25,7 @@ def test_eikonal_rotation_symmetry(eikonal):
     chart = eikonal.chart
     rot = cf.SymmetryField.build(chart, [cf.PolyField(chart, {(0, 1): -1.0}),
                                          cf.PolyField(chart, {(1, 0): 1.0})])
-    assert cf.check_symmetry(eikonal.surface, eikonal.connection, rot) < 1e-8
+    assert cf.check_symmetry(eikonal.surface, rot) < 1e-8
     st0 = cf.CharacteristicState([1.0, 0.0], 0.0, [0.6, 0.8], 1.0)
     strip = cf.propagate(eikonal.surface, st0, (0.0, 2.0))
     assert cf.conservation_drift(eikonal.surface, rot, strip) < 1e-9
@@ -36,8 +36,7 @@ def test_oscillator_translation_broken_with_known_drift(oscillator):
     # along x = sin(tau), p_s = 1 the drift over [0, pi] is
     # max |cos(tau) - 1| = 2, equal to the impulse integral of the force
     sym = cf.SymmetryField.build(oscillator.chart, [0.0, 1.0])
-    assert cf.check_symmetry(oscillator.surface, oscillator.connection, sym,
-                             n_samples=25, margin=55.0) > 1e-3
+    assert cf.check_symmetry(oscillator.surface, sym, n_samples=25, margin=55.0) > 1e-3
 
     st0 = cf.CharacteristicState([0.0, 0.0], 0.0, [-0.5, 1.0], 1.0)
     strip = cf.propagate(oscillator.surface, st0, (0.0, np.pi),
@@ -57,13 +56,11 @@ def test_constant_field_translation_needs_fiber_completion():
     sc = cf.relativistic_scenario(1.0, e, cf.constant_field_potential(chart, E0),
                                   cf.lorentzian_metric(1.0), chart=chart)
     bare = cf.SymmetryField.build(chart, [0.0, 1.0])
-    assert cf.check_symmetry(sc.surface, sc.connection, bare,
-                             n_samples=25, margin=45.0) > 1e-3
+    assert cf.check_symmetry(sc.surface, bare, n_samples=25, margin=45.0) > 1e-3
 
     completed = cf.SymmetryField.build(chart, [0.0, 1.0],
                                        f=cf.PolyField(chart, {(1, 0): e * E0}))
-    assert cf.check_symmetry(sc.surface, sc.connection, completed,
-                             n_samples=25, margin=45.0) < 1e-9
+    assert cf.check_symmetry(sc.surface, completed, n_samples=25, margin=45.0) < 1e-9
 
     st0 = cf.CharacteristicState([0.0, 0.0], 0.0, [1.0, 0.0], 1.0)
     strip = cf.propagate(sc.surface, st0, (0.0, 1.5))
@@ -96,6 +93,15 @@ def test_gauge_shifted_symmetry_preserves_q(free):
 def test_vector_field_component_count_checked(free):
     with pytest.raises(cf.ContractViolation):
         cf.VectorField(free.chart, [cf.PolyField.from_const(free.chart, 1.0)])
+
+
+def test_vector_field_jacobian_with_gradless_component(free):
+    ch = free.chart
+    comp = cf.ScalarField(ch, lambda x: np.sin(x[0]) * x[1])
+    vf = cf.VectorField(ch, [comp, cf.PolyField(ch, {(1, 1): 2.0})])
+    t, x = 0.7, -1.2
+    exact = np.column_stack([[np.cos(t) * x, np.sin(t)], [2 * x, 2 * t]])
+    assert np.allclose(vf.jacobian([t, x]), exact, rtol=0.0, atol=1e-7)
 
 
 def test_conservation_drift_rejects_empty_strip(free):

@@ -149,6 +149,14 @@ def test_batch_propagate_carries_failures(free):
     assert isinstance(items[1].error, cf.ContractViolation)
 
 
+def test_fd_symbol_gradient_matches_analytic(oscillator):
+    E = oscillator.surface
+    fd = cf.SymbolSurface(E.chart, E.value, E.degree)   # no grad: central differences
+    for x, p, p_s in (([0.3, -0.7], [0.2, 0.9], 1.3), ([1.5, 2.0], [-1.0, 0.4], -0.6)):
+        for got, want in zip(fd.gradient(x, p, p_s), E.gradient(x, p, p_s)):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-7)
+
+
 def test_sample_onshell_lands_on_shell(free, rng):
     states = cf.sample_onshell(free.surface, rng, 20, margin=5.0)
     assert len(states) == 20
