@@ -12,7 +12,7 @@ from .bundle import (ConnectionData, DiagramPoint, RelativisticScenario,
                      constant_field_potential, hausdorff_distance,
                      legendre_dual, lorentzian_metric, null_norm, ray_alpha,
                      relativistic_scenario, strip_in_gauge, wave_diagram)
-from .charts import Chart, PolyField, ScalarField, random_polynomial
+from .charts import Chart, PolyField, ScalarField, VectorField, random_polynomial
 from .errors import (BoundaryError, ConfigError, ContactFlowError,
                      ContractViolation, CrossingError, DataQualityError,
                      DegeneracyError, EmptyDiagramError, FitQualityError,
@@ -20,7 +20,7 @@ from .errors import (BoundaryError, ConfigError, ContactFlowError,
 from .fronts import (CausticEvent, FrontHistory, FrontSpec, circle_front,
                      flat_front, front_action_function, legendre_lift,
                      propagate_front)
-from .noether import (SymmetryField, VectorField, check_symmetry,
+from .noether import (SymmetryField, check_symmetry,
                       conservation_drift, conservation_series,
                       conserved_quantity, gauge_shifted_symmetry,
                       symmetry_residual)

@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import Chart, PolyField, ScalarField, fd_gradient, fd_steps, scan_roots
+from .charts import (Chart, PolyField, ScalarField, VectorField, fd_gradient,
+                     fd_steps, scan_roots)
 from .errors import (ContractViolation, EmptyDiagramError,
                      InternalConsistencyError)
 from .strips import PS_ZERO_TOL, Strip, SymbolSurface
@@ -39,32 +40,20 @@ class ConnectionData:
 
     def __init__(self, chart: Chart, A: Callable | Sequence, dA: Callable | None = None):
         self.chart = chart
-        if callable(A):
-            self._A = A
-            self._components = None
-        else:
-            comps = list(A)
-            if len(comps) != chart.dim:
-                raise ContractViolation("connection potential needs one component per axis")
-            self._components = [c if isinstance(c, (PolyField, ScalarField))
-                                else PolyField.from_const(chart, float(c))
-                                for c in comps]
-            self._A = None
+        if not callable(A):
+            field = VectorField(chart, A)
+            A, dA = field.value, dA or field.jacobian
+        self._A = A
         self._dA = dA
 
     def A(self, x) -> np.ndarray:
-        x = np.asarray(x, float)
-        if self._A is not None:
-            return np.asarray(self._A(x), float)
-        return np.array([c.value(x) for c in self._components])
+        return np.asarray(self._A(np.asarray(x, float)), float)
 
     def jacobian(self, x) -> np.ndarray:
         """J[i, j] = d A_j / d x_i."""
         x = np.asarray(x, float)
         if self._dA is not None:
             return np.asarray(self._dA(x), float)
-        if self._components is not None:
-            return np.column_stack([c.gradient(x) for c in self._components])
         return fd_gradient(self.A, x, fd_steps(x, CONNECTION_FD_STEP))
 
     def curvature(self, x) -> np.ndarray:
@@ -94,15 +83,8 @@ class ConnectionData:
 
 def _hessian_of(chi, x):
     x = np.asarray(x, float)
-    m = len(x)
-    poly = chi if isinstance(chi, PolyField) else getattr(chi, "poly", None)
-    if poly is not None:
-        H = np.empty((m, m))
-        for i in range(m):
-            e = [0] * m
-            e[i] = 1
-            H[i] = poly.derivative(e).gradient(x)
-        return H
+    if isinstance(chi, PolyField):
+        return np.array([d.gradient(x) for d in chi.partials])
     if chi.grad is None:
         # second differences of values; a central difference of the
         # finite-difference gradient would amplify its rounding by 1 / h

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -62,12 +63,6 @@ class Chart:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ContractViolation(f"point shape {x.shape} does not match dim {self.dim}")
-        return x
-
-    def require_interior(self, x, margin: float = 0.0) -> np.ndarray:
-        x = self.require_point(x)
-        if np.any(x - self.bounds[:, 0] < margin) or np.any(self.bounds[:, 1] - x < margin):
-            raise BoundaryError(f"point {x} is within {margin} of the chart boundary")
         return x
 
     def boundary_clearance(self, x) -> float:
@@ -131,10 +126,6 @@ class ScalarField:
         self.fn = fn
         self.grad = grad
 
-    @property
-    def grad_mode(self) -> str:
-        return "analytic" if self.grad is not None else "finite-difference"
-
     def value(self, x) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
 
@@ -147,16 +138,6 @@ class ScalarField:
         if np.any(x - steps < bounds[:, 0]) or np.any(x + steps > bounds[:, 1]):
             raise BoundaryError(f"point {x} closer than one step to the chart boundary")
         return fd_gradient(self.value, x, steps)
-
-    @classmethod
-    def constant(cls, chart: Chart, c: float) -> "ScalarField":
-        return cls(chart, lambda x, c=c: c, grad=lambda x: np.zeros(chart.dim))
-
-    @classmethod
-    def from_poly(cls, poly: "PolyField") -> "ScalarField":
-        f = cls(poly.chart, poly.value, grad=poly.gradient)
-        f.poly = poly
-        return f
 
 
 class PolyField:
@@ -200,21 +181,41 @@ class PolyField:
     def deriv_value(self, multi: Sequence[int], x) -> float:
         return self.derivative(multi).value(x)
 
+    @cached_property
+    def partials(self) -> list["PolyField"]:
+        """The first partial derivatives, one per axis (built once)."""
+        dim = self.chart.dim
+        return [self.derivative([int(i == axis) for i in range(dim)]) for axis in range(dim)]
+
     def gradient(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        g = np.zeros(self.chart.dim)
-        for axis in range(self.chart.dim):
-            e = [0] * self.chart.dim
-            e[axis] = 1
-            g[axis] = self.derivative(e).value(x)
-        return g
-
-    def as_scalar_field(self) -> ScalarField:
-        return ScalarField.from_poly(self)
+        return np.array([d.value(x) for d in self.partials])
 
     @classmethod
     def from_const(cls, chart: Chart, c: float) -> "PolyField":
         return cls(chart, {tuple([0] * chart.dim): c})
+
+
+class VectorField:
+    """Vector field on a chart from one component per axis, with a Jacobian
+    (exact for polynomial components); constants become constant polynomials."""
+
+    def __init__(self, chart: Chart, components: Sequence):
+        self.chart = chart
+        self.components = [c if isinstance(c, (PolyField, ScalarField))
+                           else PolyField.from_const(chart, float(c))
+                           for c in components]
+        if len(self.components) != chart.dim:
+            raise ContractViolation("vector field needs one component per axis")
+
+    def value(self, x) -> np.ndarray:
+        x = np.asarray(x, float)
+        return np.array([c.value(x) for c in self.components])
+
+    def jacobian(self, x) -> np.ndarray:
+        """J[i, j] = d v^j / d x^i."""
+        x = np.asarray(x, float)
+        return np.column_stack([c.gradient(x) for c in self.components])
 
 
 def random_polynomial(chart: Chart, rng: np.random.Generator, max_degree: int = 2,

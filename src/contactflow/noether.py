@@ -8,30 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import Chart, PolyField, ScalarField
+from .charts import Chart, PolyField, ScalarField, VectorField
 from .errors import ContractViolation
 from .strips import CharacteristicState, Strip, SymbolSurface, sample_onshell
-
-
-class VectorField:
-    """Vector field on the M axes with a jacobian (exact for polynomial components)."""
-
-    def __init__(self, chart: Chart, components: Sequence):
-        self.chart = chart
-        self.components = [c if isinstance(c, (PolyField, ScalarField))
-                           else PolyField.from_const(chart, float(c))
-                           for c in components]
-        if len(self.components) != chart.dim:
-            raise ContractViolation("vector field needs one component per axis")
-
-    def value(self, x) -> np.ndarray:
-        x = np.asarray(x, float)
-        return np.array([c.value(x) for c in self.components])
-
-    def jacobian(self, x) -> np.ndarray:
-        """J[i, j] = d v^j / d x^i."""
-        x = np.asarray(x, float)
-        return np.column_stack([c.gradient(x) for c in self.components])
 
 
 @dataclass
@@ -53,27 +32,6 @@ class SymmetryField:
 
     def f_gradient(self, x) -> np.ndarray:
         return self.f.gradient(x)
-
-    def __add__(self, other: "SymmetryField") -> "SymmetryField":
-        chart = self.v.chart
-        comps = []
-        for a, b in zip(self.v.components, other.v.components):
-            if isinstance(a, PolyField) and isinstance(b, PolyField):
-                merged = dict(a.coeffs)
-                for k, c in b.coeffs.items():
-                    merged[k] = merged.get(k, 0.0) + c
-                comps.append(PolyField(chart, merged))
-            else:
-                comps.append(ScalarField(chart,
-                                         lambda x, a=a, b=b: a.value(x) + b.value(x)))
-        if isinstance(self.f, PolyField) and isinstance(other.f, PolyField):
-            fc = dict(self.f.coeffs)
-            for k, c in other.f.coeffs.items():
-                fc[k] = fc.get(k, 0.0) + c
-            f = PolyField(chart, fc)
-        else:
-            f = ScalarField(chart, lambda x: self.f.value(x) + other.f.value(x))
-        return SymmetryField(VectorField(chart, comps), f)
 
 
 def conserved_quantity(sym: SymmetryField, state: CharacteristicState) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DenseOutput, OdeSolver, solve_ivp
 
 from .charts import Chart, fd_gradient, fd_steps, scan_roots
 from .errors import ContractViolation, DegeneracyError
@@ -177,8 +177,7 @@ class IntegratorConfig:
     tol_onshell: float = 1e-8
     method: str = "adaptive"  # "adaptive" | "fixed"
     dt: float = 1e-2          # fixed-step size
-    max_step: float = np.inf
-    n_out: int = 201
+    n_out: int = 201          # adaptive-mode samples when no tau_eval is given
 
 
 @dataclass
@@ -199,9 +198,6 @@ class Strip:
 
     def state(self, i: int) -> CharacteristicState:
         return CharacteristicState(self.x[i], self.s[i], self.p[i], self.p_s[i], self.taus[i])
-
-    def states(self) -> list[CharacteristicState]:
-        return [self.state(i) for i in range(len(self))]
 
     def velocity(self, i: int) -> np.ndarray:
         """Strip velocity (dx/dtau, ds/dtau) at sample i."""
@@ -296,18 +292,11 @@ def propagate(E: SymbolSurface, init: CharacteristicState, tau_span,
                      y[None, E.dim + 1:2 * E.dim + 1], np.array([init.p_s]),
                      np.array([g0]))
 
-    if tau_eval is None:
-        tau_eval = np.linspace(t0, t1, integ.n_out)
-    else:
+    if tau_eval is not None:
         tau_eval = np.asarray(tau_eval, dtype=float)
-
-    if integ.method == "fixed":
-        taus, ys, boundary = _integrate_fixed(E, _pack(init), t0, t1, integ.dt)
-    elif integ.method == "adaptive":
-        taus, ys, stop = _integrate_adaptive(E, _pack(init), t0, t1, tau_eval, integ)
-        boundary = stop == "boundary"
-    else:
-        raise ContractViolation(f"unknown integrator method {integ.method!r}")
+    elif integ.method != "fixed":   # fixed mode returns its step grid
+        tau_eval = np.linspace(t0, t1, integ.n_out)
+    taus, ys, stop = _integrate(E, _pack(init), t0, t1, tau_eval, integ)
 
     m = E.dim
     n = len(taus)
@@ -317,16 +306,68 @@ def propagate(E: SymbolSurface, init: CharacteristicState, tau_span,
         y, g = _project_onshell(E, ys[i], integ.tol_onshell)
         X[i] = y[:m]; S[i] = y[m]; P[i] = y[m + 1:2 * m + 1]; PS[i] = y[2 * m + 1]
         G[i] = g
-    return Strip(E, np.asarray(taus), X, S, P, PS, G, boundary_exit=boundary)
+    return Strip(E, np.asarray(taus), X, S, P, PS, G, boundary_exit=stop == "boundary")
 
 
-def _integrate_adaptive(E, y0, t0, t1, tau_eval, integ, events=()):
-    """RK45 from y0 over (t0, t1), stopped by the chart boundary, a degenerate
-    point (raises DegeneracyError) or one of the extra terminal ``events``.
+class _RK4Dense(DenseOutput):
+    """Third-order continuous extension of one classic RK4 step."""
 
+    def __init__(self, t_old, t, h, y_old, K):
+        super().__init__(t_old, t)
+        self.h, self.y_old, self.K = h, y_old, K
+
+    def _call_impl(self, t):
+        th = (np.asarray(t) - self.t_old) / self.h
+        b23 = th**2 - 2.0 * th**3 / 3.0
+        B = np.array([th - 1.5 * th**2 + 2.0 * th**3 / 3.0, b23, b23,
+                      -0.5 * th**2 + 2.0 * th**3 / 3.0])
+        y = self.y_old if B.ndim == 1 else self.y_old[:, None]
+        return y + self.h * (self.K.T @ B)
+
+
+class _RK4(OdeSolver):
+    """Classic RK4 in round(|t1 - t0| / dt) equal steps, the last landing
+    exactly on t1; bitwise reproducible."""
+
+    def __init__(self, fun, t0, y0, t_bound, vectorized, dt):
+        super().__init__(fun, t0, y0, t_bound, vectorized)
+        self.n_steps = max(1, int(round(abs(t_bound - t0) / dt)))
+        self.h = (t_bound - t0) / self.n_steps
+        self.t_start = t0
+        self.k = 0
+
+    def _step_impl(self):
+        f, h, tau, y = self.fun, self.h, self.t, self.y
+        k1 = f(tau, y)
+        k2 = f(tau + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(tau + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(tau + h, y + h * k3)
+        self.y_old, self.K = y, np.array([k1, k2, k3, k4])
+        self.y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        self.k += 1
+        self.t = self.t_bound if self.k == self.n_steps else self.t_start + self.k * h
+        return True, None
+
+    def _dense_output_impl(self):
+        return _RK4Dense(self.t_old, self.t, self.h, self.y_old, self.K)
+
+
+def _integrate(E, y0, t0, t1, tau_eval, integ, events=()):
+    """Integrate from y0 over (t0, t1), sampled at ``tau_eval`` (None: at the
+    solver steps), stopped by the chart boundary, a degenerate point (raises
+    DegeneracyError) or one of the extra terminal ``events``.
+
+    ``integ.method`` picks RK45 at (rel_tol, abs_tol) or RK4 at step dt.
     Returns (taus, ys, stop) with stop one of "span_end", "boundary" or
     "event"; on a stop by an event the last sample is the event point.
     """
+    if integ.method == "adaptive":
+        method, options = "RK45", {"rtol": integ.rel_tol, "atol": integ.abs_tol}
+    elif integ.method == "fixed":
+        method, options = _RK4, {"dt": integ.dt}
+    else:
+        raise ContractViolation(f"unknown integrator method {integ.method!r}")
+
     def bounds_event(tau, y):
         return E.chart.boundary_clearance(y[:E.dim])
 
@@ -339,9 +380,8 @@ def _integrate_adaptive(E, y0, t0, t1, tau_eval, integ, events=()):
 
     degeneracy_event.terminal = True
 
-    sol = solve_ivp(_rhs(E), (t0, t1), y0, method="RK45",
-                    rtol=integ.rel_tol, atol=integ.abs_tol, max_step=integ.max_step,
-                    t_eval=tau_eval, events=[bounds_event, degeneracy_event, *events])
+    sol = solve_ivp(_rhs(E), (t0, t1), y0, method=method, t_eval=tau_eval,
+                    events=[bounds_event, degeneracy_event, *events], **options)
     if not sol.success and sol.status != 1:
         raise DegeneracyError(f"integration failed: {sol.message}",
                               state=_unpack(E, sol.y[:, -1] if sol.y.size else y0,
@@ -358,8 +398,10 @@ def _integrate_adaptive(E, y0, t0, t1, tau_eval, integ, events=()):
                 f"degenerate (touching) point reached near tau = {sol.t_events[1][0]:.6g}",
                 state=last)
         stop = "boundary" if k == 0 else "event"
-        taus.append(float(sol.t_events[k][0]))
-        ys.append(sol.y_events[k][0])
+        t_event = float(sol.t_events[k][0])
+        if not taus or taus[-1] != t_event:   # on the step grid it is there already
+            taus.append(t_event)
+            ys.append(sol.y_events[k][0])
     if not taus:
         taus = [t0]
         ys = [y0]
@@ -374,34 +416,9 @@ def flow_to_event(E: SymbolSurface, init: CharacteristicState, tau_end: float, e
     Returns the (unprojected) state at the event, or None when the span end
     or the chart boundary comes first.
     """
-    taus, ys, stop = _integrate_adaptive(E, _pack(init), 0.0, tau_end, None, integ,
-                                         events=(event,))
+    taus, ys, stop = _integrate(E, _pack(init), 0.0, tau_end, None, integ,
+                                events=(event,))
     return _unpack(E, ys[-1], taus[-1]) if stop == "event" else None
-
-
-def _integrate_fixed(E, y0, t0, t1, dt):
-    """Classic fixed-step RK4; used for bitwise-reproducible runs."""
-    f = _rhs(E)
-    n_steps = max(1, int(round(abs(t1 - t0) / dt)))
-    h = (t1 - t0) / n_steps
-    taus = [t0]
-    ys = [y0]
-    y = y0
-    tau = t0
-    for k in range(n_steps):
-        k1 = f(tau, y)
-        k2 = f(tau + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(tau + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(tau + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau = t0 + (k + 1) * h
-        if not E.chart.contains(y[:E.dim]):
-            taus.append(tau)
-            ys.append(y)
-            return np.asarray(taus), ys, True
-        taus.append(tau)
-        ys.append(y)
-    return np.asarray(taus), ys, False
 
 
 def action_increment(strip: Strip) -> float:

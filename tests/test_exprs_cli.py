@@ -1,5 +1,6 @@
 """Expression parsing and the command-line runner, end to end."""
 
+import hashlib
 import json
 import os
 
@@ -109,6 +110,7 @@ def test_cli_wavefront_reports_caustic(tmp_path):
     ("propagate", "free.yaml"),
     ("propagate", "oscillator.yaml"),
     ("propagate", "relativistic.yaml"),
+    ("wavefront", "eikonal_front.yaml"),
     ("noether-check", "noether_free.yaml"),
 ])
 def test_cli_fixed_step_runs_are_byte_identical(tmp_path, sub, config):
@@ -125,6 +127,22 @@ def test_cli_fixed_step_runs_are_byte_identical(tmp_path, sub, config):
     for name in os.listdir(outs[0]):
         if name.endswith(".csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    if sub == "wavefront":   # the adaptive run's caustics (0.975 is a grid tau)
+        assert len(reports[0]["caustics"]) == 48
+        assert reports[0]["first_caustic_tau"] == pytest.approx(0.975, abs=1e-12)
+        assert reports[0]["contact_residual"] <= 1e-6
+
+
+@pytest.mark.parametrize("config,prefix", [
+    ("free.yaml", "84efdd56bf0c"),
+    ("oscillator.yaml", "c5ab7482f2db"),
+    ("relativistic.yaml", "57df2a6446b8"),
+])
+def test_cli_fixed_step_csv_digests_are_pinned(tmp_path, config, prefix):
+    assert main(["propagate", "--config", _cfg(config), "--out", str(tmp_path),
+                 "--seed", "7", "--fixed-step", "0.01"]) == 0
+    digest = hashlib.sha256((tmp_path / "strip_0.csv").read_bytes()).hexdigest()
+    assert digest.startswith(prefix)
 
 
 def test_cli_config_error_exit_code(tmp_path):

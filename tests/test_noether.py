@@ -67,16 +67,6 @@ def test_constant_field_translation_needs_fiber_completion():
     assert cf.conservation_drift(sc.surface, completed, strip) < 1e-8
 
 
-def test_symmetry_addition_is_linear_in_q(free):
-    chart = free.chart
-    a = cf.SymmetryField.build(chart, [1.0, 0.0], f=cf.PolyField(chart, {(0, 1): 2.0}))
-    b = cf.SymmetryField.build(chart, [0.0, 3.0], f=cf.PolyField(chart, {(1, 0): -1.0}))
-    st = cf.CharacteristicState([0.3, -0.4], 0.1, [-0.245, 0.7], 1.0)
-    qa = cf.conserved_quantity(a, st)
-    qb = cf.conserved_quantity(b, st)
-    assert cf.conserved_quantity(a + b, st) == pytest.approx(qa + qb, rel=1e-12)
-
-
 def test_gauge_shifted_symmetry_preserves_q(free):
     chart = free.chart
     sym = cf.SymmetryField.build(chart, [0.5, 1.0], f=cf.PolyField(chart, {(1, 0): 0.2}))

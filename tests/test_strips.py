@@ -69,10 +69,13 @@ def test_zero_span_is_identity(free):
     assert strip.s[0] == st0.s
 
 
-def test_boundary_exit_terminates(free):
+@pytest.mark.parametrize("method", ["adaptive", "fixed"])
+def test_boundary_exit_terminates(free, method):
     small = cf.Chart(["t", "x"], [(-2.0, 2.0), (-2.0, 2.0)])
     E = cf.SymbolSurface(small, free.surface._value, 2, grad=free.surface._grad)
-    strip = cf.propagate(E, free.initial_states[0], (0.0, 10.0))
+    # x_t = tau reaches the boundary at tau = 2, between two fixed steps
+    strip = cf.propagate(E, free.initial_states[0], (0.0, 10.0),
+                         cf.IntegratorConfig(method=method, dt=0.03))
     assert strip.boundary_exit
     assert strip.taus[-1] < 10.0
     assert abs(small.boundary_clearance(strip.x[-1])) < 1e-7
@@ -129,6 +132,13 @@ def test_fixed_step_matches_adaptive(oscillator):
     cfg = cf.IntegratorConfig(method="fixed", dt=1e-3)
     b = cf.propagate(oscillator.surface, st0, (0.0, 5.0), cfg)
     assert abs(a.x[-1, 1] - b.x[-1, 1]) < 1e-8
+    # a requested grid on a span that is not a whole number of steps comes
+    # back exactly, end point included
+    grid = np.linspace(0.0, 0.8211, 37)
+    c = cf.propagate(oscillator.surface, st0, (0.0, 0.8211),
+                     cf.IntegratorConfig(method="fixed", dt=1e-2), tau_eval=grid)
+    assert np.array_equal(c.taus, grid)
+    assert np.max(np.abs(c.x[:, 1] - np.sin(grid))) < 1e-8
 
 
 def test_fixed_step_deterministic(oscillator):
