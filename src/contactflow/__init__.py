@@ -36,6 +36,6 @@ from .exprs import connection_components, momentum_names, scalar_field, symbol_s
 from .scenarios import Scenario, builtin
 from .strips import (BatchItem, CharacteristicState, Fiber, IntegratorConfig,
                      Strip, SymbolSurface, action_increment, batch_propagate,
-                     characteristic_field, propagate, sample_onshell)
+                     propagate, sample_onshell)
 
 __version__ = "0.1.0"

@@ -208,21 +208,21 @@ def _null_class_momenta(E: SymbolSurface, x, n_samples: int) -> list[np.ndarray]
             for t in scan_roots(g, np.append(thetas, period)) if t < period]
 
 
-def legendre_dual(samples: np.ndarray, ring_ordered: bool = True,
-                  k_neighbors: int | None = None) -> np.ndarray:
+def legendre_dual(samples: np.ndarray) -> np.ndarray:
     """Supporting-hyperplane (polar) dual of a sampled convex hypersurface.
 
     For each sample v with estimated tangent plane T the unique covector p
-    with p(v) = 1 and p|_T = 0 is returned.  For ring-ordered 2D samples the
-    tangent is the symmetric chord through the neighbours; otherwise a local
-    least-squares plane over k = 2*dim nearest samples is used.
+    with p(v) = 1 and p|_T = 0 is returned.  2D samples are taken as a ring
+    in order and the tangent is the symmetric chord through the neighbours;
+    in higher dimensions it is a local least-squares plane over the
+    2*dim nearest samples.
     """
     samples = np.asarray(samples, float)
     n, m = samples.shape
     if n < m + 1:
         raise ContractViolation("need at least dim+1 samples to estimate tangent planes")
     duals = np.full_like(samples, np.nan)
-    if ring_ordered and m == 2:
+    if m == 2:
         for i in range(n):
             t = samples[(i + 1) % n] - samples[(i - 1) % n]
             nrm = np.array([-t[1], t[0]])
@@ -231,10 +231,9 @@ def legendre_dual(samples: np.ndarray, ring_ordered: bool = True,
                 continue  # degenerate tangent estimate: skip with NaN marker
             duals[i] = nrm / denom
     else:
-        k = k_neighbors or 2 * m
         d2 = np.sum((samples[None, :, :] - samples[:, None, :]) ** 2, axis=-1)
         for i in range(n):
-            idx = np.argsort(d2[i])[1:k + 1]
+            idx = np.argsort(d2[i])[1:2 * m + 1]
             rel = samples[idx] - samples[i]
             _, sv, vt = np.linalg.svd(rel, full_matrices=True)
             nrm = vt[-1]

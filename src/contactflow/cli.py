@@ -24,7 +24,7 @@ from .noether import SymmetryField, check_symmetry, conservation_drift
 from .operators import (LinearDiffOperator, eikonal_residual, poly_phase,
                         symbol_scaling_check)
 from .phase import SectionSpec, holonomy, square_loop, to_phase
-from .scenarios import Scenario, builtin
+from .scenarios import Scenario, _zero_connection, builtin
 from .strips import (CharacteristicState, Fiber, IntegratorConfig, SymbolSurface,
                      propagate)
 
@@ -83,14 +83,9 @@ def _scenario_from(cfg: dict) -> Scenario:
         E = symbol_surface(sym["expression"], chart, int(sym["degree"]),
                            constants=constants, fiber=_fiber_from(cfg),
                            name=spec.get("name", "custom"))
-        conn_exprs = cfg.get("connection")
-        if conn_exprs:
-            conn = ConnectionData(chart, connection_components(conn_exprs, chart, constants))
-        else:
-            conn = ConnectionData(chart, [0.0] * chart.dim)
-        scen = Scenario(spec.get("name", "custom"), E, conn)
+        scen = Scenario(spec.get("name", "custom"), E, _zero_connection(chart))
     conn_exprs = cfg.get("connection")
-    if conn_exprs and sources[0] == "builtin":
+    if conn_exprs:
         scen.connection = ConnectionData(
             scen.chart, connection_components(conn_exprs, scen.chart, constants))
     return scen
@@ -138,7 +133,7 @@ def _tau_span(cfg: dict):
     return float(span[0]), float(span[1])
 
 
-def _poly_from_spec(chart: Chart, spec, constants) -> PolyField:
+def _poly_from_spec(chart: Chart, spec) -> PolyField:
     """spec: list of {powers: {axis: int}, c: number} entries."""
     coeffs = {}
     for ent in spec:
@@ -248,14 +243,13 @@ def _operator_from(cfg) -> LinearDiffOperator:
         raise ConfigError("the symbol run needs an 'operator' block "
                           "or the schrodinger builtin")
     chart = _chart_from(cfg)
-    constants = cfg.get("constants") or {}
     terms = {}
     for ent in spec.get("terms", []):
         mono = [0] * chart.dim
         for ax, k in (ent.get("multi") or {}).items():
             mono[chart.axis_index(ax)] = int(k)
         c = ent["coeff"]
-        coeff = (_poly_from_spec(chart, c, constants)
+        coeff = (_poly_from_spec(chart, c)
                  if isinstance(c, list) else float(c))
         terms[tuple(mono)] = coeff
     return LinearDiffOperator(chart, terms, s_axis=spec.get("s_axis", "s"))
@@ -269,7 +263,7 @@ def _run_symbol(cfg, scen_unused, args, report):
         raise ConfigError("key 'phases' is required for the symbol run")
     results = []
     for i, ph in enumerate(phases):
-        poly = _poly_from_spec(D.chart, ph.get("poly", []), None)
+        poly = _poly_from_spec(D.chart, ph.get("poly", []))
         if ph.get("s_weight"):
             poly = poly_phase(D.chart, poly.coeffs, s_weight=float(ph["s_weight"]))
         x0 = np.asarray(ph.get("at", [0.0] * D.dim), float)

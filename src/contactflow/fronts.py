@@ -24,6 +24,9 @@ from .strips import (CharacteristicState, IntegratorConfig, SymbolSurface,
 #: when scanning for caustic sign flips and tagging action branches
 CAUSTIC_DET_TOL = 1e-9
 
+#: central-difference step of the front tangent and dS0/du
+FRONT_FD_STEP = 1e-6
+
 #: conormal scales scanned for on-shell roots when lifting a front sample
 _LIFT_GRID = np.linspace(-20.0, 20.0, 801)
 
@@ -36,27 +39,22 @@ class FrontSpec:
     """
 
     def __init__(self, chart: Chart, position: Callable, params: np.ndarray,
-                 s0: Callable | None = None, tangent: Callable | None = None,
-                 s0_du: Callable | None = None, closed: bool = False):
+                 s0: Callable | None = None, closed: bool = False):
         self.chart = chart
         self.position = position
         self.params = np.asarray(params, float)
         self.s0 = s0 or (lambda u: 0.0)
-        self._tangent = tangent
-        self._s0_du = s0_du
         self.closed = closed
 
     def x(self, u) -> np.ndarray:
         return np.asarray(self.position(u), float)
 
-    def tangent(self, u, h: float = 1e-6) -> np.ndarray:
-        if self._tangent is not None:
-            return np.asarray(self._tangent(u), float)
+    def tangent(self, u) -> np.ndarray:
+        h = FRONT_FD_STEP
         return (self.x(u + h) - self.x(u - h)) / (2 * h)
 
-    def s0_du(self, u, h: float = 1e-6) -> float:
-        if self._s0_du is not None:
-            return float(self._s0_du(u))
+    def s0_du(self, u) -> float:
+        h = FRONT_FD_STEP
         return (float(self.s0(u + h)) - float(self.s0(u - h))) / (2 * h)
 
 
@@ -94,7 +92,6 @@ def circle_front(chart: Chart, radius: float, n: int, center=(0.0, 0.0)) -> Fron
 class LiftedSample:
     u: float
     state: CharacteristicState
-    conormal: np.ndarray
 
 
 def legendre_lift(E: SymbolSurface, sigma: FrontSpec,
@@ -132,7 +129,7 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec,
             continue
         p = p_part + roots[root_idx] * nrm
         state = CharacteristicState(x, float(sigma.s0(u)), p, float(ps_sign))
-        samples.append(LiftedSample(float(u), state, nrm))
+        samples.append(LiftedSample(float(u), state))
     if not samples:
         raise NoLiftError(f"no front sample admitted a lift: {failures[:3]}")
     return samples
@@ -175,27 +172,29 @@ class FrontHistory:
 
     def contact_residual(self) -> float:
         """Max |<p, dx/du> - p_s ds/du| over the interior grid (Legendre condition)."""
-        worst = 0.0
-        nu = len(self.params)
-        rng = range(nu) if self.closed else range(1, nu - 1)
-        for j in range(len(self.taus)):
-            for i in rng:
-                ip, im = (i + 1) % nu, (i - 1) % nu
-                du = _param_gap(self.params, i, self.closed)
-                dx = (self.x[ip, j] - self.x[im, j]) / du
-                ds = (self.s[ip, j] - self.s[im, j]) / du
-                res = abs(np.dot(self.p[i, j], dx) - self.p_s[i, j] * ds)
-                scale = max(np.linalg.norm(self.p[i, j]) * np.linalg.norm(dx), 1.0)
-                worst = max(worst, res / scale)
-        return worst
+        dx = _u_derivative(self.x, self.params, self.closed)
+        ds = _u_derivative(self.s, self.params, self.closed)
+        res = np.abs(np.sum(self.p * dx, axis=-1) - self.p_s * ds)
+        scale = np.maximum(np.linalg.norm(self.p, axis=-1) * np.linalg.norm(dx, axis=-1), 1.0)
+        r = res / scale
+        return float(np.max(r, where=~np.isnan(r), initial=0.0))
 
 
-def _param_gap(params, i, closed):
+def _u_derivative(A: np.ndarray, params: np.ndarray, closed: bool) -> np.ndarray:
+    """Centered differences of a (nu, nt, ...) array along the front parameter.
+
+    A closed front is taken as uniformly sampled over its period; on an open
+    front the two end samples have no centered difference and are NaN.
+    """
     n = len(params)
+    d = np.full(A.shape, np.nan)
+    np.subtract(A[2:], A[:-2], out=d[1:-1])
     if closed:
-        span = params[-1] - params[0] + (params[1] - params[0])
-        return 2.0 * span / n
-    return params[(i + 1) % n] - params[(i - 1) % n]
+        d[0], d[-1] = A[1] - A[-1], A[0] - A[-2]
+        d /= 2.0 * (params[-1] - params[0] + (params[1] - params[0])) / n
+    else:
+        d[1:-1] /= (params[2:] - params[:-2]).reshape((-1,) + (1,) * (A.ndim - 1))
+    return d
 
 
 def propagate_front(E: SymbolSurface, lift: Sequence[LiftedSample], taus,
@@ -203,13 +202,15 @@ def propagate_front(E: SymbolSurface, lift: Sequence[LiftedSample], taus,
                     closed: bool = False) -> FrontHistory:
     """Propagate every lifted sample and track the projection Jacobian.
 
-    The Jacobian column along tau uses the exact strip velocity; the columns
-    along u use centered differences across neighbouring samples.  A caustic
+    The Jacobian column along tau uses the exact strip velocity; the column
+    along u uses centered differences across neighbouring samples.  A caustic
     event is recorded wherever the determinant changes sign between
     consecutive tau samples.
     """
     if not lift:
         raise ContractViolation("empty lift")
+    if E.dim != 2:
+        raise ContractViolation("jacobian tracking implemented for 2D charts")
     taus = np.asarray(taus, float)
     inits = [ls.state for ls in lift]
     results = batch_propagate(E, inits, (taus[0], taus[-1]), integ, tau_eval=taus)
@@ -218,27 +219,18 @@ def propagate_front(E: SymbolSurface, lift: Sequence[LiftedSample], taus,
         raise ContractViolation(
             f"{len(bad)} front samples failed to propagate over the full grid "
             f"(first failure at u index {bad[0]})")
-    nu, nt, m = len(lift), len(taus), E.dim
-    X = np.empty((nu, nt, m)); S = np.empty((nu, nt))
-    P = np.empty((nu, nt, m)); PS = np.empty((nu, nt))
-    for i, r in enumerate(results):
-        X[i] = r.strip.x; S[i] = r.strip.s; P[i] = r.strip.p; PS[i] = r.strip.p_s
-
+    X, S, P, PS = (np.stack([getattr(r.strip, k) for r in results])
+                   for k in ("x", "s", "p", "p_s"))
+    nu, nt, m = X.shape
     params = np.array([ls.u for ls in lift])
-    J = np.zeros((nu, nt))
-    for j in range(nt):
-        for i in range(nu):
-            if not closed and (i == 0 or i == nu - 1):
-                J[i, j] = np.nan
-                continue
-            ip, im = (i + 1) % nu, (i - 1) % nu
-            du = _param_gap(params, i, closed)
-            col_u = (X[ip, j] - X[im, j]) / du
-            _, gp, _ = E.gradient(X[i, j], P[i, j], PS[i, j])
-            cols = np.column_stack([col_u, gp]) if m == 2 else None
-            if cols is None:
-                raise ContractViolation("jacobian tracking implemented for 2D charts")
-            J[i, j] = np.linalg.det(cols)
+
+    cols = np.empty((nu, nt, m, 2))   # Jacobian columns dx/du and dx/dtau = dG/dp
+    cols[..., 0] = _u_derivative(X, params, closed)
+    for ij in np.ndindex(nu, nt):
+        cols[ij][:, 1] = E.gradient(X[ij], P[ij], PS[ij])[1]
+    J = np.full((nu, nt), np.nan)
+    rows = slice(None) if closed else slice(1, -1)   # open-front ends have no u column
+    J[rows] = np.linalg.det(cols[rows])
 
     signs = _det_signs(J)
     events: list[CausticEvent] = []

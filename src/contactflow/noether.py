@@ -75,7 +75,7 @@ def conservation_drift(E: SymbolSurface, sym: SymmetryField, strip: Strip) -> fl
     """max_tau |Q(tau) - Q(0)| along an integrated strip."""
     if len(strip) == 0:
         raise ContractViolation("empty strip")
-    q = np.array([conserved_quantity(sym, strip.state(i)) for i in range(len(strip))])
+    q = conservation_series(sym, strip)
     return float(np.max(np.abs(q - q[0])))
 
 

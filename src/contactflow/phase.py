@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import BoundaryError, ContractViolation, CrossingError
 from .strips import (PS_ZERO_TOL, CharacteristicState, Fiber, IntegratorConfig,
-                     SymbolSurface, characteristic_field, flow_to_event)
+                     SymbolSurface, check_start, flow_to_event)
 
 #: integrator settings of the flow to the section
 SECTION_INTEGRATOR = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
@@ -56,10 +56,7 @@ def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec,
     keep = [i for i in range(E.dim) if i != i_sec]
     names = tuple(E.chart.axis_names[i] for i in keep)
 
-    # validate once at the entry state (on-shell, non-degenerate), then
-    # integrate with the guard-free field: solver trial stages may sit
-    # slightly off-shell and must not trip the contract check
-    characteristic_field(E, state)
+    check_start(E, state, SECTION_INTEGRATOR.tol_onshell)
 
     def crossing(tau, y):   # y[:dim] is the base point
         return y[i_sec] - section.value

@@ -205,22 +205,22 @@ class Strip:
         return np.append(gp, -gps)
 
 
-def characteristic_field(E: SymbolSurface, state: CharacteristicState) -> np.ndarray:
-    """Strip velocity (dx, ds, dp, dp_s)/dtau at an on-shell state."""
-    g = E.value(state.x, state.p, state.p_s)
-    scale = _onshell_scale(E, state.p, state.p_s)
-    if abs(g) > 1e-6 * scale:
-        raise ContractViolation(f"state is off-shell: G = {g:.3e}")
-    if E.is_degenerate(state.x, state.p, state.p_s):
-        raise DegeneracyError(
-            f"momentum gradient is radial at x={state.x}, (p,p_s)={state.covector()}",
-            state=state)
-    gx, gp, gps = E.gradient(state.x, state.p, state.p_s)
-    return np.concatenate([gp, [-gps], -gx, [0.0]])
-
-
 def _onshell_scale(E: SymbolSurface, p, p_s) -> float:
     return max(np.linalg.norm(np.append(p, p_s)) ** E.degree, 1e-300)
+
+
+def check_start(E: SymbolSurface, state: CharacteristicState, tol_onshell: float) -> float:
+    """Require a start state on shell (|G| <= tol_onshell * max(1, |(p, p_s)|^degree)),
+    inside the chart and not degenerate; returns G there."""
+    g = E.value(state.x, state.p, state.p_s)
+    if abs(g) > tol_onshell * max(1.0, _onshell_scale(E, state.p, state.p_s)):
+        raise ContractViolation(f"initial state is off-shell: G = {g:.3e}")
+    if not E.chart.contains(state.x):
+        raise ContractViolation(f"initial point {state.x} outside chart bounds")
+    if E.is_degenerate(state.x, state.p, state.p_s):
+        raise DegeneracyError("initial state is a degenerate (touching) point",
+                              state=state)
+    return g
 
 
 def _pack(state: CharacteristicState) -> np.ndarray:
@@ -277,14 +277,7 @@ def propagate(E: SymbolSurface, init: CharacteristicState, tau_span,
     t0, t1 = float(tau_span[0]), float(tau_span[1])
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ContractViolation("tau_span must be finite")
-    g0 = E.value(init.x, init.p, init.p_s)
-    if abs(g0) > integ.tol_onshell * max(1.0, _onshell_scale(E, init.p, init.p_s)):
-        raise ContractViolation(f"initial state is off-shell: G = {g0:.3e}")
-    if not E.chart.contains(init.x):
-        raise ContractViolation(f"initial point {init.x} outside chart bounds")
-    if E.is_degenerate(init.x, init.p, init.p_s):
-        raise DegeneracyError("initial state is a degenerate (touching) point",
-                              state=init)
+    g0 = check_start(E, init, integ.tol_onshell)
 
     if t0 == t1:
         y = _pack(init)

@@ -166,6 +166,20 @@ def test_legendre_biduality_circle():
     assert cf.hausdorff_distance(samples, dd) < 1e-10
 
 
+def test_legendre_dual_of_sphere_uses_nearest_neighbour_planes():
+    # 3D samples carry no ring order: the tangent planes are least-squares
+    # fits over the nearest samples, and the unit sphere is its own dual
+    n = 600
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * k
+    r = np.sqrt(1.0 - z**2)
+    samples = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    dual = cf.legendre_dual(samples)
+    assert len(dual) == n
+    assert np.max(np.abs(np.linalg.norm(dual, axis=1) - 1.0)) < 1e-2
+
+
 def test_legendre_dual_needs_enough_samples():
     with pytest.raises(cf.ContractViolation):
         cf.legendre_dual(np.array([[1.0, 0.0], [0.0, 1.0]]))

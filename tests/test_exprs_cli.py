@@ -133,15 +133,20 @@ def test_cli_fixed_step_runs_are_byte_identical(tmp_path, sub, config):
         assert reports[0]["contact_residual"] <= 1e-6
 
 
-@pytest.mark.parametrize("config,prefix", [
-    ("free.yaml", "84efdd56bf0c"),
-    ("oscillator.yaml", "c5ab7482f2db"),
-    ("relativistic.yaml", "57df2a6446b8"),
-])
-def test_cli_fixed_step_csv_digests_are_pinned(tmp_path, config, prefix):
-    assert main(["propagate", "--config", _cfg(config), "--out", str(tmp_path),
+_PINNED_FIXED_STEP = [
+    ("propagate", "free.yaml", "strip_0.csv", "84efdd56bf0c"),
+    ("propagate", "oscillator.yaml", "strip_0.csv", "c5ab7482f2db"),
+    ("propagate", "relativistic.yaml", "strip_0.csv", "57df2a6446b8"),
+    ("wavefront", "eikonal_front.yaml", "front.csv", "36ad2a63b487"),
+]
+
+
+@pytest.mark.parametrize("sub,config,csv,prefix", [
+    pytest.param(*case, id=f"{case[1]}-{case[3]}") for case in _PINNED_FIXED_STEP])
+def test_cli_fixed_step_csv_digests_are_pinned(tmp_path, sub, config, csv, prefix):
+    assert main([sub, "--config", _cfg(config), "--out", str(tmp_path),
                  "--seed", "7", "--fixed-step", "0.01"]) == 0
-    digest = hashlib.sha256((tmp_path / "strip_0.csv").read_bytes()).hexdigest()
+    digest = hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest()
     assert digest.startswith(prefix)
 
 

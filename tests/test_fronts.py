@@ -163,3 +163,17 @@ def test_flat_front_open_ends_have_nan_jacobian():
     assert np.all(np.isnan(hist.jacobian_det[-1]))
     assert np.all(np.isfinite(hist.jacobian_det[1:-1]))
     assert hist.first_caustic_tau() is None
+
+
+def test_open_front_with_nonuniform_params():
+    # tilted action S0 = 0.3 u on the line x = 0: every ray moves along
+    # p = (sqrt(0.91), 0.3), so x_u = (0, 1), dG/dp = p and det = -sqrt(0.91)
+    sc = _eik()
+    params = np.array([-1.0, -0.7, -0.55, -0.1, 0.0, 0.35, 0.4, 0.9])
+    front = cf.FrontSpec(sc.chart, lambda u: np.array([0.0, u]), params,
+                         s0=lambda u: 0.3 * u)
+    lift = cf.legendre_lift(sc.surface, front, branch=(1, 0))
+    hist = cf.propagate_front(sc.surface, lift, np.linspace(0.0, 0.5, 6))
+    assert np.all(np.isnan(hist.jacobian_det[[0, -1]]))
+    assert np.max(np.abs(hist.jacobian_det[1:-1] + math.sqrt(0.91))) < 1e-9
+    assert hist.contact_residual() < 1e-9

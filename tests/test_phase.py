@@ -44,6 +44,18 @@ def test_to_phase_antiparticle_branch(free):
     assert pt.coords[1] == pytest.approx(-0.5)   # p_x / p_s flips sign
 
 
+@pytest.mark.parametrize("x,p_t,section", [
+    ([0.0, 0.0], -0.245 + 1e-7, 0.0),   # |G| = 1e-7: off shell for propagate too
+    ([70.0, 7.0], -0.245, 65.0),        # t = 70 lies outside the +-60 chart
+], ids=["off-shell", "outside-chart"])
+def test_to_phase_rejects_start_that_propagate_rejects(free, x, p_t, section):
+    st = cf.CharacteristicState(x, 0.0, [p_t, 0.7], 1.0)
+    with pytest.raises(cf.ContractViolation):
+        cf.propagate(free.surface, st, (0.0, 1.0))
+    with pytest.raises(cf.ContractViolation):
+        cf.to_phase(free.surface, st, cf.SectionSpec("t", section))
+
+
 def test_to_phase_no_crossing_raises(oscillator):
     # oscillator characteristics advance t at unit rate: a section far outside
     # the reachable window is never hit within the budget

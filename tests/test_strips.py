@@ -88,7 +88,7 @@ def test_degenerate_state_rejected_by_field():
     st0 = cf.CharacteristicState([0.0, 0.0], 0.0, [0.0, 1.0], 1.0)
     assert E.is_degenerate(st0.x, st0.p, st0.p_s)
     with pytest.raises(cf.DegeneracyError):
-        cf.characteristic_field(E, st0)
+        cf.to_phase(E, st0, cf.SectionSpec("x", 1.0))
 
 
 def test_degenerate_initial_state_rejected_by_propagate():
