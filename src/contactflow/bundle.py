@@ -47,14 +47,19 @@ class ConnectionData:
         self._dA = dA
 
     def A(self, x) -> np.ndarray:
-        return np.asarray(self._A(np.asarray(x, float)), float)
+        """A at a point x of shape (m,), or at stacked points (..., m)."""
+        x = np.asarray(x, float)
+        a = np.asarray(self._A(x), float)
+        return a if a.shape == x.shape else np.broadcast_to(a, x.shape)
 
     def jacobian(self, x) -> np.ndarray:
-        """J[i, j] = d A_j / d x_i."""
+        """J[..., i, j] = d A_j / d x_i."""
         x = np.asarray(x, float)
-        if self._dA is not None:
-            return np.asarray(self._dA(x), float)
-        return fd_gradient(self.A, x, fd_steps(x, CONNECTION_FD_STEP))
+        if self._dA is None:
+            return fd_gradient(self.A, x, fd_steps(x, CONNECTION_FD_STEP))
+        J = np.asarray(self._dA(x), float)
+        shape = x.shape + x.shape[-1:]
+        return J if J.shape == shape else np.broadcast_to(J, shape)
 
     def curvature(self, x) -> np.ndarray:
         """F_{mu nu} = d_mu A_nu - d_nu A_mu (antisymmetric by construction)."""
@@ -84,7 +89,7 @@ class ConnectionData:
 def _hessian_of(chi, x):
     x = np.asarray(x, float)
     if isinstance(chi, PolyField):
-        return np.array([d.gradient(x) for d in chi.partials])
+        return np.stack([d.gradient(x) for d in chi.partials], axis=-2)
     if chi.grad is None:
         # second differences of values; a central difference of the
         # finite-difference gradient would amplify its rounding by 1 / h
@@ -137,7 +142,7 @@ def _onshell_momenta_at(E: SymbolSurface, x, p_s: float, n_samples: int) -> list
             d = rng.standard_normal(m)
             dirs.append(d / np.linalg.norm(d))
     return [r * d for d in dirs
-            for r in scan_roots(lambda r: E.value(x, r * d, p_s), _RADII)]
+            for r in scan_roots(lambda r: E.value(x, np.multiply.outer(r, d), p_s), _RADII)]
 
 
 def wave_diagram(E: SymbolSurface, conn: ConnectionData, x, n_samples: int = 64) -> WaveDiagram:
@@ -201,7 +206,7 @@ def _null_class_momenta(E: SymbolSurface, x, n_samples: int) -> list[np.ndarray]
     # a root reported there is the one at 0
     def g(t):
         t = t % period
-        return E.value(x, np.array([math.cos(t), math.sin(t)]), 0.0)
+        return E.value(x, np.stack([np.cos(t), np.sin(t)], axis=-1), 0.0)
 
     thetas = np.linspace(0.0, period, max(n_samples, 16), endpoint=False)
     return [np.array([math.cos(t), math.sin(t)])
@@ -336,17 +341,18 @@ def relativistic_scenario(mass: float, charge: float, em_potential,
         em = ConnectionData(chart, em_potential)
     e = float(charge)
 
+    # stacked matmul and vecdot round like the 1-D `@` and np.dot
     def value(x, p, ps):
-        k = p - e * ps * em.A(x)
-        return float(k @ ginv @ k - fiber_coeff * ps * ps)
+        k = p - (e * ps)[..., None] * em.A(x)
+        return np.vecdot(_matvec(ginv, k), k) - fiber_coeff * ps * ps
 
     def grad(x, p, ps):
         A = em.A(x)
-        k = p - e * ps * A
-        w = 2.0 * (ginv @ k)
-        J = em.jacobian(x)          # J[i, j] = d A_j / d x_i
-        gx = -e * ps * (J @ w)
-        gps = float(-e * np.dot(A, w) - 2.0 * fiber_coeff * ps)
+        k = p - (e * ps)[..., None] * A
+        w = 2.0 * _matvec(ginv, k)
+        J = em.jacobian(x)          # J[..., i, j] = d A_j / d x_i
+        gx = (-e * ps)[..., None] * _matvec(J, w)
+        gps = -e * np.vecdot(A, w) - 2.0 * fiber_coeff * ps
         return gx, w, gps
 
     surface = SymbolSurface(chart, value, degree=2, grad=grad, name="relativistic")
@@ -359,6 +365,11 @@ def relativistic_scenario(mass: float, charge: float, em_potential,
 
     conn = ConnectionData(chart, A_conn, dA=dA_conn)
     return RelativisticScenario(surface, conn, g, mass, e, float(fiber_coeff), em)
+
+
+def _matvec(M, v):
+    """M @ v over stacks: M of shape (..., m, m) or (m, m), v of shape (..., m)."""
+    return np.matmul(M, v[..., None])[..., 0]
 
 
 def constant_field_potential(chart: Chart, field_strength: float) -> ConnectionData:

@@ -84,39 +84,91 @@ def fd_steps(x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
 def fd_gradient(f: Callable, x, steps) -> np.ndarray:
     """Central differences of a scalar- or array-valued f with per-axis steps.
 
-    Row i is (f(x + h_i e_i) - f(x - h_i e_i)) / (2 h_i), so for a
-    vector-valued f the result is J[i, j] = d f_j / d x_i.
+    At one point x of shape (n,), row i is (f(x + h_i e_i) - f(x - h_i e_i))
+    / (2 h_i), so for a vector-valued f the result is J[i, j] = d f_j / d x_i.
+    At stacked points x of shape (..., n), f is called on the whole stack and
+    the row index i sits after the stack axes: J[..., i] or J[..., i, j].
     """
     x = np.asarray(x, dtype=float)
+    steps = np.broadcast_to(steps, x.shape)
     rows = []
-    for i, hi in enumerate(steps):
-        xp = x.copy(); xp[i] += hi
-        xm = x.copy(); xm[i] -= hi
-        rows.append((np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * hi))
-    return np.array(rows)
+    for i in range(x.shape[-1]):
+        hi = steps[..., i]
+        xp = x.copy(); xp[..., i] += hi
+        xm = x.copy(); xm[..., i] -= hi
+        d = np.asarray(f(xp)) - np.asarray(f(xm))
+        rows.append(d / (2.0 * hi).reshape(hi.shape + (1,) * (d.ndim - hi.ndim)))
+    return np.stack(rows, axis=x.ndim - 1)
 
 
 def scan_roots(f: Callable, grid) -> list[float]:
     """Ascending roots of a scalar f found by scanning a grid.
 
-    Each sign change between neighbouring grid values is polished by brentq;
-    a grid value that is exactly zero (the last one included) counts once.
+    f is called once on the whole grid array, and on single floats by the
+    brentq polish of each sign change between neighbouring grid values; a
+    grid value that is exactly zero (the last one included) counts once.
     """
-    vals = [f(t) for t in grid]
-    roots = []
-    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            roots.append(float(a))
-        elif fa * fb < 0:
-            roots.append(float(brentq(f, a, b, xtol=1e-14)))
+    grid = np.asarray(grid, dtype=float)
+    vals = np.asarray(f(grid), dtype=float)
+    lo, hi = vals[:-1], vals[1:]
+    roots = [float(grid[i]) if lo[i] == 0.0
+             else float(brentq(f, grid[i], grid[i + 1], xtol=1e-14))
+             for i in np.flatnonzero((lo == 0.0) | (lo * hi < 0))]
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     return sorted(roots)
 
 
+def components(a) -> list:
+    """The components of a along its last axis: floats for one point of
+    shape (n,), arrays of shape (...) for stacked points of shape (..., n)."""
+    return a.tolist() if a.ndim == 1 else [a[..., i] for i in range(a.shape[-1])]
+
+
+def stack_last(parts) -> np.ndarray:
+    """Inverse of ``components``: equal-shape parts stacked on a new last axis."""
+    out = np.array(parts, dtype=float)
+    return out if out.ndim == 1 else out.transpose(*range(1, out.ndim), 0)
+
+
+def libm_pow(a, b):
+    """a ** b elementwise through the C library's pow, on floats or on arrays
+    that broadcast.
+
+    This is the rounding a single float gets.  numpy squares arrays by
+    multiplication instead, which differs from pow in the last bit on about
+    0.1% of inputs, so stacked and single evaluations would disagree.
+    """
+    if isinstance(b, (int, float)):
+        if isinstance(a, float):
+            return a ** b
+        if b == 0:
+            return 1.0
+        if b == 1:
+            return a
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return np.fromiter(map(math.pow, a.ravel().tolist(), b.ravel().tolist()),
+                       float, a.size).reshape(a.shape)
+
+
+def libm_hypot(a, b):
+    """math.hypot elementwise on floats (an np.float64 comes back) or on
+    arrays that broadcast.
+
+    np.hypot differs from math.hypot in the last bit on about 0.5% of inputs.
+    """
+    if isinstance(a, float) and isinstance(b, float):
+        return np.float64(math.hypot(a, b))
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()),
+                       float, a.size).reshape(a.shape)
+
+
 class ScalarField:
     """A real function on a chart with an optional analytic gradient.
 
+    ``fn`` and ``grad`` get one point of shape (dim,), or stacked points of
+    shape (..., dim) when a stack is evaluated; then they must broadcast.
     When no gradient callable is supplied, central finite differences are
     used (O(h^2) accurate for C^3 fields).
     """
@@ -126,11 +178,16 @@ class ScalarField:
         self.fn = fn
         self.grad = grad
 
-    def value(self, x) -> float:
-        return float(self.fn(np.asarray(x, dtype=float)))
+    def value(self, x):
+        """A float at one point, an array of shape (...) at stacked points."""
+        x = np.asarray(x, dtype=float)
+        v = self.fn(x)
+        return float(v) if x.ndim == 1 else np.broadcast_to(np.asarray(v, float), x.shape[:-1])
 
     def gradient(self, x) -> np.ndarray:
-        x = self.chart.require_point(x)
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.chart.dim,):
+            raise ContractViolation(f"point shape {x.shape} does not match dim {self.chart.dim}")
         if self.grad is not None:
             return np.asarray(self.grad(x), dtype=float)
         steps = fd_steps(x)
@@ -156,12 +213,18 @@ class PolyField:
             if len(k) != chart.dim or any(i < 0 for i in k):
                 raise ContractViolation(f"bad multi-index {k} for dim {chart.dim}")
 
-    def value(self, x) -> float:
+    def value(self, x):
+        """Value at a point x of shape (dim,) (a float), or at stacked points
+        of shape (..., dim) (an array of shape (...))."""
         x = np.asarray(x, dtype=float)
+        xs = components(x)
         total = 0.0
         for k, c in self.coeffs.items():
-            total += c * math.prod(xi ** ki for xi, ki in zip(x, k))
-        return total
+            term = 1
+            for xi, ki in zip(xs, k):
+                term = term * libm_pow(xi, ki)
+            total += c * term
+        return total if x.ndim == 1 else np.broadcast_to(total, x.shape[:-1])
 
     def __call__(self, x) -> float:
         return self.value(x)
@@ -188,8 +251,9 @@ class PolyField:
         return [self.derivative([int(i == axis) for i in range(dim)]) for axis in range(dim)]
 
     def gradient(self, x) -> np.ndarray:
+        """The partials stacked on the last axis: shape (dim,) or (..., dim)."""
         x = np.asarray(x, dtype=float)
-        return np.array([d.value(x) for d in self.partials])
+        return stack_last([d.value(x) for d in self.partials])
 
     @classmethod
     def from_const(cls, chart: Chart, c: float) -> "PolyField":
@@ -209,13 +273,15 @@ class VectorField:
             raise ContractViolation("vector field needs one component per axis")
 
     def value(self, x) -> np.ndarray:
+        """Components on the last axis, at one point or at stacked points
+        (a stack needs polynomial components)."""
         x = np.asarray(x, float)
-        return np.array([c.value(x) for c in self.components])
+        return stack_last([c.value(x) for c in self.components])
 
     def jacobian(self, x) -> np.ndarray:
-        """J[i, j] = d v^j / d x^i."""
+        """J[..., i, j] = d v^j / d x^i."""
         x = np.asarray(x, float)
-        return np.column_stack([c.gradient(x) for c in self.components])
+        return stack_last([c.gradient(x) for c in self.components])
 
 
 def random_polynomial(chart: Chart, rng: np.random.Generator, max_degree: int = 2,

@@ -31,6 +31,7 @@ from .strips import (CharacteristicState, Fiber, IntegratorConfig, SymbolSurface
 SCHEMA_VERSION = 1
 SUBCOMMANDS = ("propagate", "wavefront", "noether-check", "symbol",
                "holonomy", "wave-diagram")
+SCENARIO_KEYS = {"builtin", "builtin_args", "symbol", "name"}
 
 
 def _load_config(path: str) -> dict:
@@ -71,6 +72,11 @@ def _scenario_from(cfg: dict) -> Scenario:
     spec = cfg.get("scenario")
     if not isinstance(spec, dict):
         raise ConfigError("key 'scenario' (mapping) is required")
+    unknown = sorted(set(spec) - SCENARIO_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown keys under 'scenario': {unknown}; allowed: "
+                          f"{sorted(SCENARIO_KEYS)} (constants and connection "
+                          "are top-level keys)")
     sources = [k for k in ("builtin", "symbol") if k in spec]
     if len(sources) != 1:
         raise ConfigError("scenario needs exactly one of 'builtin' or 'symbol'")

@@ -11,8 +11,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
-from .charts import Chart, ScalarField
+from .charts import Chart, ScalarField, components, libm_pow, stack_last
 from .errors import ConfigError
 from .strips import Fiber, SymbolSurface
 
@@ -55,18 +56,50 @@ def _parse(expr: str, names: Sequence[str], constants: Mapping[str, float] | Non
     return tree, [syms[n] for n in names]
 
 
+class _LibmPowPrinter(NumPyPrinter):
+    """Prints powers other than square roots as ``libm_pow(base, exp)``, so a
+    stack rounds them as a single point does (numpy squares arrays by
+    multiplication but raises numpy scalars with pow)."""
+
+    def _print_Pow(self, expr, rational=False):
+        if expr.exp in (sp.S.Half, -sp.S.Half):
+            return super()._print_Pow(expr, rational=rational)
+        return f"libm_pow({self._print(expr.base)}, {self._print(expr.exp)})"
+
+
+def _lambdify(syms, tree):
+    printer = _LibmPowPrinter({"fully_qualified_modules": False, "inline": True,
+                               "allow_unknown_functions": True, "user_functions": {}})
+    return sp.lambdify(syms, tree, modules=[{"libm_pow": libm_pow}, "numpy"],
+                       printer=printer)
+
+
+def _columns(a: np.ndarray) -> list:
+    """Lambdified-function arguments from the last axis of a: numpy scalars
+    at one point (so a zero division gives inf, not ZeroDivisionError, as it
+    does on a stack), arrays of shape (...) on a stack."""
+    return list(a) if a.ndim == 1 else components(a)
+
+
+def _stack_partials(vals, shape) -> np.ndarray:
+    """Partials on the last axis; a constant partial comes back as a scalar
+    and is filled out to the stack shape."""
+    return stack_last([np.broadcast_to(v, shape) for v in vals] if shape else vals)
+
+
 def scalar_field(expr: str, chart: Chart,
                  constants: Mapping[str, float] | None = None) -> ScalarField:
     """Scalar function of the chart axes with an exact gradient."""
     tree, syms = _parse(expr, chart.axis_names, constants)
-    f = sp.lambdify(syms, tree, modules="numpy")
-    grads = [sp.lambdify(syms, sp.diff(tree, s), modules="numpy") for s in syms]
+    f = _lambdify(syms, tree)
+    grads = [_lambdify(syms, sp.diff(tree, s)) for s in syms]
 
     def value(x):
-        return float(f(*x))
+        return f(*_columns(x))
 
     def grad(x):
-        return np.array([float(g(*x)) for g in grads])
+        cols = _columns(x)
+        return _stack_partials([g(*cols) for g in grads], x.shape[:-1])
 
     field = ScalarField(chart, value, grad=grad)
     field.expression = expr
@@ -92,19 +125,16 @@ def symbol_surface(expr: str, chart: Chart, degree: int,
     names = list(chart.axis_names) + momentum_names(chart)
     tree, syms = _parse(expr, names, constants)
     m = chart.dim
-    f = sp.lambdify(syms, tree, modules="numpy")
-    partials = [sp.lambdify(syms, sp.diff(tree, s), modules="numpy") for s in syms]
-
-    def args(x, p, p_s):
-        return list(x) + list(p) + [p_s]
+    f = _lambdify(syms, tree)
+    partials = [_lambdify(syms, sp.diff(tree, s)) for s in syms]
 
     def value(x, p, p_s):
-        return float(f(*args(x, p, p_s)))
+        return f(*_columns(x), *_columns(p), p_s)
 
     def grad(x, p, p_s):
-        a = args(x, p, p_s)
-        vals = [float(g(*a)) for g in partials]
-        return np.array(vals[:m]), np.array(vals[m:2 * m]), vals[2 * m]
+        cols = _columns(x) + _columns(p) + [p_s]
+        vals = _stack_partials([g(*cols) for g in partials], p_s.shape)
+        return vals[..., :m], vals[..., m:2 * m], vals[..., 2 * m]
 
     E = SymbolSurface(chart, value, degree, grad=grad,
                       fiber=fiber or Fiber(), name=name or expr)

@@ -121,7 +121,7 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec,
         nrm = _conormal(t)
 
         def g(lam, x=x, p_part=p_part, nrm=nrm):
-            return E.value(x, p_part + lam * nrm, float(ps_sign))
+            return E.value(x, p_part + np.multiply.outer(lam, nrm), float(ps_sign))
 
         roots = scan_roots(g, _LIFT_GRID)
         if root_idx >= len(roots):
@@ -205,12 +205,16 @@ def propagate_front(E: SymbolSurface, lift: Sequence[LiftedSample], taus,
     The Jacobian column along tau uses the exact strip velocity; the column
     along u uses centered differences across neighbouring samples.  A caustic
     event is recorded wherever the determinant changes sign between
-    consecutive tau samples.
+    consecutive tau samples.  A closed front must be uniformly sampled in u,
+    so a closed lift that dropped samples raises ContractViolation.
     """
     if not lift:
         raise ContractViolation("empty lift")
     if E.dim != 2:
         raise ContractViolation("jacobian tracking implemented for 2D charts")
+    params = np.array([ls.u for ls in lift])
+    if closed and len(params) > 1:
+        _require_uniform(params)
     taus = np.asarray(taus, float)
     inits = [ls.state for ls in lift]
     results = batch_propagate(E, inits, (taus[0], taus[-1]), integ, tau_eval=taus)
@@ -222,12 +226,10 @@ def propagate_front(E: SymbolSurface, lift: Sequence[LiftedSample], taus,
     X, S, P, PS = (np.stack([getattr(r.strip, k) for r in results])
                    for k in ("x", "s", "p", "p_s"))
     nu, nt, m = X.shape
-    params = np.array([ls.u for ls in lift])
 
     cols = np.empty((nu, nt, m, 2))   # Jacobian columns dx/du and dx/dtau = dG/dp
     cols[..., 0] = _u_derivative(X, params, closed)
-    for ij in np.ndindex(nu, nt):
-        cols[ij][:, 1] = E.gradient(X[ij], P[ij], PS[ij])[1]
+    cols[..., 1] = E.gradient(X, P, PS)[1]
     J = np.full((nu, nt), np.nan)
     rows = slice(None) if closed else slice(1, -1)   # open-front ends have no u column
     J[rows] = np.linalg.det(cols[rows])
@@ -243,6 +245,20 @@ def propagate_front(E: SymbolSurface, lift: Sequence[LiftedSample], taus,
                 events.append(CausticEvent(i, float(taus[last_j]), float(taus[j])))
             last_sign, last_j = signs[i, j], j
     return FrontHistory(E, params, taus, X, S, P, PS, J, events, closed=closed)
+
+
+def _require_uniform(params: np.ndarray) -> None:
+    """A closed front's u-derivative assumes equal parameter gaps (a lift
+    that dropped samples has a wider one)."""
+    gaps = np.diff(params)
+    h = float(np.median(gaps))
+    bad = np.flatnonzero(np.abs(gaps - h) > 1e-9 * abs(h))
+    if bad.size:
+        i = int(bad[0])
+        raise ContractViolation(
+            f"a closed front needs uniformly spaced params: gap {i} "
+            f"(u = {params[i]:.6g} to {params[i + 1]:.6g}) is {gaps[i]:.6g}, "
+            f"the median gap is {h:.6g}")
 
 
 def _det_signs(J: np.ndarray) -> np.ndarray:

@@ -76,7 +76,10 @@ def principal_symbol(D: LinearDiffOperator) -> "PrincipalSymbol":
 
 
 class PrincipalSymbol:
-    """s_D(x, xi) = sum over top-order terms of coeff(x) * xi^alpha."""
+    """s_D(x, xi) = sum over top-order terms of coeff(x) * xi^alpha.
+
+    x and xi have shape (d,), or (..., d) at stacked points.
+    """
 
     def __init__(self, D: LinearDiffOperator):
         self.operator = D
@@ -84,18 +87,18 @@ class PrincipalSymbol:
         self.degree = D.degree
         self.terms = D.top_terms()
 
-    def value(self, x, xi) -> float:
+    def value(self, x, xi):
         x = np.asarray(x, float)
         xi = np.asarray(xi, float)
         total = 0.0
         for m, c in self.terms.items():
-            total += c.value(x) * float(np.prod(xi ** np.array(m)))
+            total += c.value(x) * _monomial(xi, m)
         return total
 
     def xi_gradient(self, x, xi) -> np.ndarray:
         x = np.asarray(x, float)
         xi = np.asarray(xi, float)
-        g = np.zeros(len(xi))
+        g = np.zeros(np.broadcast_shapes(x.shape, xi.shape))
         for m, c in self.terms.items():
             cv = c.value(x)
             for j, mj in enumerate(m):
@@ -103,16 +106,21 @@ class PrincipalSymbol:
                     continue
                 mono = list(m)
                 mono[j] -= 1
-                g[j] += cv * mj * float(np.prod(xi ** np.array(mono)))
+                g[..., j] += cv * mj * _monomial(xi, mono)
         return g
 
     def x_gradient(self, x, xi) -> np.ndarray:
         x = np.asarray(x, float)
         xi = np.asarray(xi, float)
-        g = np.zeros(len(x))
+        g = np.zeros(np.broadcast_shapes(x.shape, xi.shape))
         for m, c in self.terms.items():
-            g += c.gradient(x) * float(np.prod(xi ** np.array(m)))
+            g += c.gradient(x) * _monomial(xi, m)[..., None]
         return g
+
+
+def _monomial(xi: np.ndarray, m) -> np.ndarray:
+    """xi^m, the product over the last axis of xi_j ** m_j."""
+    return np.prod(xi ** np.array(m), axis=-1)
 
 
 def equivariant_reduce(symbol: PrincipalSymbol, weight: float,
@@ -137,16 +145,16 @@ def equivariant_reduce(symbol: PrincipalSymbol, weight: float,
 
     def pad_x(x):
         if si is None:
-            return np.asarray(x, float)
-        full = np.zeros(D.chart.dim)
-        full[idx] = x
+            return x
+        full = np.zeros(x.shape[:-1] + (D.chart.dim,))
+        full[..., idx] = x
         return full
 
     def full_xi(p, p_s):
-        xi = np.zeros(D.chart.dim)
-        xi[idx] = p
+        xi = np.zeros(p.shape[:-1] + (D.chart.dim,))
+        xi[..., idx] = p
         if si is not None:
-            xi[si] = weight * p_s
+            xi[..., si] = weight * p_s
         return xi
 
     def value(x, p, p_s):
@@ -156,8 +164,8 @@ def equivariant_reduce(symbol: PrincipalSymbol, weight: float,
         xf, xif = pad_x(x), full_xi(p, p_s)
         gx_full = symbol.x_gradient(xf, xif)
         gxi = symbol.xi_gradient(xf, xif)
-        gps = weight * gxi[si] if si is not None else 0.0
-        return gx_full[idx], gxi[idx], gps
+        gps = weight * gxi[..., si] if si is not None else 0.0
+        return gx_full[..., idx], gxi[..., idx], gps
 
     name = f"reduced({D.name or 'operator'}, w={weight:g})"
     return SymbolSurface(base, value, symbol.degree, grad=grad,

@@ -7,14 +7,13 @@ suite and the command-line runner.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bundle import (ConnectionData, RelativisticScenario, constant_field_potential,
                      lorentzian_metric, relativistic_scenario)
-from .charts import Chart, PolyField
+from .charts import Chart, PolyField, components, libm_hypot, libm_pow, stack_last
 from .errors import ConfigError
 from .operators import (LinearDiffOperator, equivariant_reduce, principal_symbol,
                         schrodinger_operator)
@@ -44,10 +43,12 @@ def free_scenario(bound: float = 60.0) -> Scenario:
     chart = Chart(["t", "x"], [(-bound, bound), (-bound, bound)])
 
     def value(x, p, p_s):
-        return p[0] * p_s + 0.5 * p[1] ** 2
+        p_t, p_x = components(p)
+        return p_t * p_s + 0.5 * libm_pow(p_x, 2)
 
     def grad(x, p, p_s):
-        return np.zeros(2), np.array([p_s, p[1]]), p[0]
+        p_t, p_x = components(p)
+        return np.zeros(x.shape), stack_last([p_s, p_x]), p_t
 
     E = SymbolSurface(chart, value, 2, grad=grad, name="free")
     # at rest origin: p_x = 0.7, p_t = -p_x^2/2
@@ -61,13 +62,16 @@ def oscillator_scenario(bound: float = 60.0) -> Scenario:
     chart = Chart(["t", "x"], [(-bound, bound), (-bound, bound)])
 
     def value(x, p, p_s):
-        return p[0] * p_s + 0.5 * p[1] ** 2 + 0.5 * x[1] ** 2 * p_s ** 2
+        _, q = components(x)
+        p_t, p_x = components(p)
+        return p_t * p_s + 0.5 * libm_pow(p_x, 2) + 0.5 * libm_pow(q, 2) * libm_pow(p_s, 2)
 
     def grad(x, p, p_s):
-        gx = np.array([0.0, x[1] * p_s ** 2])
-        gp = np.array([p_s, p[1]])
-        gps = p[0] + x[1] * x[1] * p_s
-        return gx, gp, gps
+        _, q = components(x)
+        p_t, p_x = components(p)
+        gx = np.zeros(x.shape)
+        gx[..., 1] = q * libm_pow(p_s, 2)
+        return gx, stack_last([p_s, p_x]), p_t + q * q * p_s
 
     E = SymbolSurface(chart, value, 2, grad=grad, name="oscillator")
     # x(tau) = sin(tau): start at x=0 with p_x=1, energy 1/2
@@ -84,11 +88,12 @@ def eikonal_scenario(bound: float = 40.0) -> Scenario:
     chart = Chart(["x", "y"], [(-bound, bound), (-bound, bound)])
 
     def value(x, p, p_s):
-        return math.hypot(p[0], p[1]) - p_s
+        return libm_hypot(*components(p)) - p_s
 
     def grad(x, p, p_s):
-        n = math.hypot(p[0], p[1])
-        return np.zeros(2), np.asarray(p, float) / n, -1.0
+        p_x, p_y = components(p)
+        n = libm_hypot(p_x, p_y)
+        return np.zeros(x.shape), stack_last([p_x / n, p_y / n]), -1.0
 
     E = SymbolSurface(chart, value, 1, grad=grad, name="eikonal")
     inits = [CharacteristicState([0.0, 0.0], 0.0, [1.0, 0.0], 1.0)]

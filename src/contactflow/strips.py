@@ -67,6 +67,12 @@ class SymbolSurface:
     value(x, p, p_s) must be positively homogeneous of integer degree
     ``degree`` in (p, p_s) and independent of the fiber coordinate (the
     latter holds by construction: s is not an argument).
+
+    ``value`` and ``grad`` are called with arrays x and p of shape (..., m)
+    and p_s of shape (...), all with the same stack shape (...), which is ()
+    for a single point; they must broadcast over the stack axes (index
+    components as ``p[..., i]``).  ``grad`` returns (dG/dx, dG/dp, dG/dp_s)
+    with those shapes; a constant dG/dp_s may be returned as a scalar.
     """
 
     def __init__(self, chart: Chart, value: Callable, degree: int,
@@ -85,24 +91,32 @@ class SymbolSurface:
     def dim(self) -> int:
         return self.chart.dim
 
-    def value(self, x, p, p_s: float) -> float:
-        return float(self._value(np.asarray(x, float), np.asarray(p, float), float(p_s)))
+    def value(self, x, p, p_s):
+        """G at one point (a float), or at stacked points (an array).
 
-    def gradient(self, x, p, p_s: float):
-        """Return (dG/dx, dG/dp, dG/dp_s)."""
-        x = np.asarray(x, float)
-        p = np.asarray(p, float)
-        if self._grad is not None:
-            gx, gp, gps = self._grad(x, p, p_s)
+        x and p have shape (..., m) and p_s shape (...); stacks broadcast
+        against each other and against single-point arguments.
+        """
+        x, p, p_s, shape = _symbol_args(x, p, p_s)
+        g = self._value(x, p, p_s)
+        return float(g) if shape is None else _filled(g, shape)
+
+    def gradient(self, x, p, p_s):
+        """Return (dG/dx, dG/dp, dG/dp_s), of shapes (..., m), (..., m) and
+        (...) at stacked points; dG/dp_s is a float at a single point."""
+        x, p, p_s, shape = _symbol_args(x, p, p_s)
+        gx, gp, gps = (self._grad or self._fd_gradient)(x, p, p_s)
+        if shape is None:
             return np.asarray(gx, float), np.asarray(gp, float), float(gps)
-        return self._fd_gradient(x, p, p_s)
+        vec = shape + (self.dim,)
+        return _filled(gx, vec), _filled(gp, vec), _filled(gps, shape)
 
     def _fd_gradient(self, x, p, p_s):
         m = self.dim
-        q = np.concatenate([x, p, [p_s]])
-        g = fd_gradient(lambda q: self.value(q[:m], q[m:2 * m], q[2 * m]), q,
+        q = np.concatenate([x, p, p_s[..., None]], axis=-1)
+        g = fd_gradient(lambda q: self.value(q[..., :m], q[..., m:2 * m], q[..., 2 * m]), q,
                         fd_steps(q, SYMBOL_FD_STEP))
-        return g[:m], g[m:2 * m], float(g[2 * m])
+        return g[..., :m], g[..., m:2 * m], g[..., 2 * m]
 
     def euler_residual(self, x, p, p_s: float) -> float:
         """Euler homogeneity defect <q, dG/dq> - degree * G (should vanish)."""
@@ -130,6 +144,27 @@ class SymbolSurface:
 
     def is_degenerate(self, x, p, p_s: float) -> bool:
         return self.degeneracy_measure(x, p, p_s) < self.degeneracy_threshold(p, p_s)
+
+
+def _symbol_args(x, p, p_s):
+    """Symbol arguments with one stack shape, and that shape (None at a
+    single point, where p_s is passed as an np.float64)."""
+    x = np.asarray(x, float)
+    p = np.asarray(p, float)
+    if x.ndim == 1 and p.ndim == 1:
+        if type(p_s) is np.float64:   # the ODE right-hand side passes these
+            return x, p, p_s, None
+        if np.ndim(p_s) == 0:
+            return x, p, np.float64(p_s), None
+    p_s = np.asarray(p_s, float)
+    shape = np.broadcast_shapes(x.shape[:-1], p.shape[:-1], p_s.shape)
+    return (np.broadcast_to(x, shape + x.shape[-1:]), np.broadcast_to(p, shape + p.shape[-1:]),
+            np.broadcast_to(p_s, shape), shape)
+
+
+def _filled(a, shape) -> np.ndarray:
+    """A new float array of the given shape from a (a scalar broadcasts)."""
+    return np.array(np.broadcast_to(np.asarray(a, float), shape))
 
 
 @dataclass(frozen=True)
@@ -242,26 +277,30 @@ def _rhs(E: SymbolSurface):
     return f
 
 
-def _project_onshell(E: SymbolSurface, y, tol: float) -> tuple[np.ndarray, float]:
-    """Newton-correct the M-momenta to restore G = 0; p_s and x are held fixed.
+def _project_strip(E: SymbolSurface, X, P, PS, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Newton-correct the M-momenta of stacked samples to restore G = 0;
+    x and p_s are held fixed.  Returns the corrected (P, G).
 
     Radial rescaling would only scale a homogeneous G, so the correction acts
     along the p-gradient instead, which leaves the projected characteristic
-    unchanged to the order of the defect.
+    unchanged to the order of the defect.  Each sample takes up to four
+    steps and stops once |G| <= tol / 2 or its p-gradient vanishes.
     """
-    m = E.dim
-    y = y.copy()
-    g = E.value(y[:m], y[m + 1:2 * m + 1], y[2 * m + 1])
+    P = np.array(P, float)
+    G = E.value(X, P, PS)
+    todo = np.arange(len(G))
     for _ in range(4):
-        if abs(g) <= 0.5 * tol:
+        todo = todo[~(np.abs(G[todo]) <= 0.5 * tol)]
+        if todo.size:
+            _, gp, _ = E.gradient(X[todo], P[todo], PS[todo])
+            n2 = np.vecdot(gp, gp)
+            keep = ~(n2 < 1e-300)
+            todo, gp, n2 = todo[keep], gp[keep], n2[keep]
+        if not todo.size:
             break
-        _, gp, _ = E.gradient(y[:m], y[m + 1:2 * m + 1], y[2 * m + 1])
-        n2 = float(np.dot(gp, gp))
-        if n2 < 1e-300:
-            break
-        y[m + 1:2 * m + 1] -= (g / n2) * gp
-        g = E.value(y[:m], y[m + 1:2 * m + 1], y[2 * m + 1])
-    return y, g
+        P[todo] -= (G[todo] / n2)[:, None] * gp
+        G[todo] = E.value(X[todo], P[todo], PS[todo])
+    return P, G
 
 
 def propagate(E: SymbolSurface, init: CharacteristicState, tau_span,
@@ -292,13 +331,9 @@ def propagate(E: SymbolSurface, init: CharacteristicState, tau_span,
     taus, ys, stop = _integrate(E, _pack(init), t0, t1, tau_eval, integ)
 
     m = E.dim
-    n = len(taus)
-    X = np.empty((n, m)); S = np.empty(n); P = np.empty((n, m)); PS = np.empty(n)
-    G = np.empty(n)
-    for i in range(n):
-        y, g = _project_onshell(E, ys[i], integ.tol_onshell)
-        X[i] = y[:m]; S[i] = y[m]; P[i] = y[m + 1:2 * m + 1]; PS[i] = y[2 * m + 1]
-        G[i] = g
+    ys = np.array(ys)
+    X, S, PS = ys[:, :m], ys[:, m], ys[:, 2 * m + 1]
+    P, G = _project_strip(E, X, ys[:, m + 1:2 * m + 1], PS, integ.tol_onshell)
     return Strip(E, np.asarray(taus), X, S, P, PS, G, boundary_exit=stop == "boundary")
 
 
@@ -460,7 +495,8 @@ def sample_onshell(E: SymbolSurface, rng: np.random.Generator, n: int,
         p0 = rng.standard_normal(E.dim)
         d = rng.standard_normal(E.dim)
         d /= np.linalg.norm(d)
-        roots = scan_roots(lambda t: E.value(x, p0 + t * d, p_s), _SAMPLE_GRID)
+        roots = scan_roots(lambda t: E.value(x, p0 + np.multiply.outer(t, d), p_s),
+                           _SAMPLE_GRID)
         if not roots:
             continue
         p = p0 + roots[0] * d

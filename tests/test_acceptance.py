@@ -119,7 +119,7 @@ def test_criterion_04_gauge_invariance():
         chi = cf.PolyField(chart, coeffs)
 
         def val(x, p, p_s, chi=chi):
-            return E.value(x, np.asarray(p) - p_s * chi.gradient(x), p_s)
+            return E.value(x, p - p_s[..., None] * chi.gradient(x), p_s)
 
         E_chi = cf.SymbolSurface(chart, val, E.degree)
         p0 = st0.p + st0.p_s * chi.gradient(st0.x)

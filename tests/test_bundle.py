@@ -127,7 +127,7 @@ def test_wave_diagram_empty_raises():
     ch = _plane_chart()
 
     def val(x, p, p_s):
-        return float(p @ p + p_s ** 2)   # elliptic: no nonzero real zeros
+        return p[..., 0] ** 2 + p[..., 1] ** 2 + p_s ** 2   # elliptic: no nonzero real zeros
 
     E = cf.SymbolSurface(ch, val, 2)
     conn = cf.ConnectionData(ch, lambda x: np.zeros(2))
@@ -261,7 +261,7 @@ def test_null_class_scan_closes_the_angle_grid():
     # 2 pi + a, which lies between the last grid angle and 2 pi
     a = -0.01
     E = cf.SymbolSurface(_plane_chart(),
-                         lambda x, p, ps: p[1] * math.cos(a) - p[0] * math.sin(a) - ps, 1)
+                         lambda x, p, ps: p[..., 1] * math.cos(a) - p[..., 0] * math.sin(a) - ps, 1)
     dirs = bundle._null_class_momenta(E, np.zeros(2), 16)
     angles = sorted(math.atan2(d[1], d[0]) % (2 * math.pi) for d in dirs)
     assert np.allclose(angles, [math.pi + a, 2 * math.pi + a], rtol=0.0, atol=1e-12)

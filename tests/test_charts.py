@@ -86,3 +86,16 @@ def test_scan_roots_counts_exact_grid_roots_once():
     assert scan_roots(lambda t: t - 2.0, grid) == [2.0]   # the last grid point
     assert scan_roots(lambda t: (t + 1.0) * (t - 2.0), grid) == [-1.0, 2.0]
     assert scan_roots(lambda t: t * t + 1.0, grid) == []
+
+
+def test_scan_roots_evaluates_the_grid_in_one_call():
+    grid = np.linspace(-5.0, 5.0, 77)
+    arrays, scalars = [], []
+
+    def f(t):
+        (arrays if np.ndim(t) else scalars).append(t)
+        return (t - 2.9) * (t + 0.4) * (t - 1.3)
+
+    assert len(scan_roots(f, grid)) == 3
+    assert len(arrays) == 1 and np.array_equal(arrays[0], grid)
+    assert scalars and all(isinstance(t, float) for t in scalars)   # brentq's polish

@@ -177,3 +177,31 @@ def test_cli_undeclared_symbol_name_cited(tmp_path, capsys):
         "tau_span: [0, 1]\n")
     assert main(["propagate", "--config", str(bad), "--out", str(tmp_path)]) == 1
     assert "omega" in capsys.readouterr().err
+
+
+def _readme_config_block():
+    """The YAML example of README's "Command line" section."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    section = readme[readme.index("## Command line"):]
+    return section[section.index("```yaml\n") + 8:section.index("```\n", section.index("```yaml"))]
+
+
+def test_cli_readme_config_example_runs(tmp_path):
+    cfg = tmp_path / "readme.yaml"
+    cfg.write_text(_readme_config_block())
+    assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["scenario"] == "custom" and len(report["strips"]) == 1
+
+
+def test_cli_nested_scenario_connection_is_a_config_error(tmp_path, capsys):
+    # a connection nested under `scenario:` used to be dropped without a word
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("schema_version: 1\n"
+                   "scenario:\n"
+                   "  builtin: free\n"
+                   "  connection: ['x', '0']\n"
+                   "tau_span: [0, 1]\n")
+    assert main(["propagate", "--config", str(bad), "--out", str(tmp_path)]) == 1
+    assert "connection" in capsys.readouterr().err

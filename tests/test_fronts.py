@@ -1,6 +1,7 @@
 """Front lifting, propagation, caustics, and the front action function."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -177,3 +178,31 @@ def test_open_front_with_nonuniform_params():
     assert np.all(np.isnan(hist.jacobian_det[[0, -1]]))
     assert np.max(np.abs(hist.jacobian_det[1:-1] + math.sqrt(0.91))) < 1e-9
     assert hist.contact_residual() < 1e-9
+
+
+def test_closed_front_with_nonuniform_params_is_refused():
+    # a closed front's u-derivative assumes equal gaps; random params on the
+    # unit circle used to give |jacobian_det| from 0.25 to 2.36 (exact: 1)
+    sc = _eik()
+    params = np.sort(np.random.default_rng(3).uniform(0.0, 2 * math.pi, 64))
+    front = cf.FrontSpec(sc.chart, lambda u: np.array([math.cos(u), math.sin(u)]),
+                         params, closed=True)
+    lift = cf.legendre_lift(sc.surface, front, branch=(1, 0))
+    with pytest.raises(cf.ContractViolation, match="uniformly spaced params: gap 0"):
+        cf.propagate_front(sc.surface, lift, np.linspace(0.0, 0.5, 6), closed=True)
+
+
+def test_closed_lift_that_dropped_a_sample_is_refused(tmp_path, monkeypatch):
+    sc = _eik()
+    lift = cf.legendre_lift(sc.surface, cf.circle_front(sc.chart, 1.0, 48), branch=(1, 1))
+    del lift[20]
+    with pytest.raises(cf.ContractViolation, match="gap 19"):
+        cf.propagate_front(sc.surface, lift, np.linspace(0.0, 1.3, 53), closed=True)
+    # the wavefront command reports it as a numerical failure
+    from contactflow import cli
+
+    real_lift = cli.legendre_lift
+    monkeypatch.setattr(cli, "legendre_lift",
+                        lambda *a, **k: [ls for i, ls in enumerate(real_lift(*a, **k)) if i != 20])
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "eikonal_front.yaml")
+    assert cli.main(["wavefront", "--config", config, "--out", str(tmp_path)]) == 2

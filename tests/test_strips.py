@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contactflow as cf
-from contactflow.strips import Fiber, _onshell_scale, _project_onshell, _pack
+from contactflow.strips import Fiber, _onshell_scale, _pack, _project_strip
 
 
 def test_state_validation():
@@ -84,7 +84,7 @@ def test_boundary_exit_terminates(free, method):
 def test_degenerate_state_rejected_by_field():
     # G = p_x^2 has vanishing momentum gradient on its own zero set
     ch = cf.Chart(["x", "y"], [(-10, 10), (-10, 10)])
-    E = cf.SymbolSurface(ch, lambda x, p, p_s: p[0] ** 2, 2)
+    E = cf.SymbolSurface(ch, lambda x, p, p_s: p[..., 0] ** 2, 2)
     st0 = cf.CharacteristicState([0.0, 0.0], 0.0, [0.0, 1.0], 1.0)
     assert E.is_degenerate(st0.x, st0.p, st0.p_s)
     with pytest.raises(cf.DegeneracyError):
@@ -97,7 +97,7 @@ def test_degenerate_initial_state_rejected_by_propagate():
     ch = cf.Chart(["x"], [(-10.0, 10.0)])
 
     def val(x, p, p_s):
-        return 0.5 * (p[0] ** 2 - x[0] ** 2 * p_s ** 2)
+        return 0.5 * (p[..., 0] ** 2 - x[..., 0] ** 2 * p_s ** 2)
 
     E = cf.SymbolSurface(ch, val, 2)
     st0 = cf.CharacteristicState([0.0], 0.0, [0.0], 1.0)
@@ -109,10 +109,11 @@ def test_degenerate_initial_state_rejected_by_propagate():
 def test_projection_restores_shell(free):
     y = _pack(cf.CharacteristicState([0.0, 0.0], 0.0, [-0.245, 0.7], 1.0))
     y[3] += 1e-6  # perturb p_t
-    y2, g = _project_onshell(free.surface, y, 1e-10)
-    assert abs(g) < 5e-11
-    assert abs(y2[3] - y[3]) < 1e-5  # small correction
-    assert y2[4 + 1] == y[4 + 1]  # p_s untouched
+    # a one-sample stack: (x, p, p_s) rows of shapes (1, 2), (1, 2), (1,)
+    P, G = _project_strip(free.surface, y[None, :2], y[None, 3:5], y[None, 5], 1e-10)
+    assert abs(G[0]) < 5e-11
+    assert abs(P[0, 0] - y[3]) < 1e-5  # small correction
+    assert P.shape == (1, 2)  # only the M-momenta come back: p_s untouched
 
 
 @given(lam=st.floats(min_value=0.1, max_value=10.0))
@@ -178,3 +179,63 @@ def test_sample_onshell_lands_on_shell(free, rng):
 def test_action_increment(free):
     strip = cf.propagate(free.surface, free.initial_states[0], (0.0, 10.0))
     assert cf.action_increment(strip) == pytest.approx(0.5 * 0.7 ** 2 * 10.0, rel=1e-10)
+
+
+# ------------------------------------------------------- stacked evaluation
+
+_PARSED = "p_t * p_s + p_x**2 / 2 + (p_x + sin(x) * p_s)**2 / 3 + x**2 * p_s**2 / 2"
+
+
+def _contract_symbols():
+    osc = cf.builtin("oscillator")
+    return {
+        "free": cf.builtin("free").surface,
+        "oscillator": osc.surface,
+        "eikonal": cf.builtin("eikonal").surface,
+        "relativistic": cf.builtin("relativistic", charge=0.0).surface,
+        "relativistic-charged": cf.builtin("relativistic", field_strength=0.3).surface,
+        "relativistic-parsed-potential": cf.relativistic_scenario(
+            1.0, 1.0, cf.connection_components(["-0.3 * x", "0.1 * t**2"], osc.chart),
+            cf.lorentzian_metric(1.0), chart=osc.chart).surface,
+        "schrodinger": cf.builtin("schrodinger", V={2: 0.5}).surface,
+        "parsed": cf.symbol_surface(_PARSED, osc.chart, 2),
+        "no-gradient": cf.SymbolSurface(osc.chart, osc.surface._value, 2),
+    }
+
+
+_SYMBOLS = _contract_symbols()
+
+
+@pytest.mark.parametrize("name", sorted(_SYMBOLS))
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(1,), (7,), (3, 4), (2, 1, 3)]))
+@settings(max_examples=15, deadline=None)
+def test_stacked_evaluation_equals_per_point(name, seed, shape):
+    E = _SYMBOLS[name]
+    rng = np.random.default_rng(seed)
+    m = E.dim
+    X = rng.uniform(-2.0, 2.0, shape + (m,))
+    P = rng.uniform(-2.0, 2.0, shape + (m,))
+    PS = rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+    G = E.value(X, P, PS)
+    gx, gp, gps = E.gradient(X, P, PS)
+    assert G.shape == gps.shape == shape and gx.shape == gp.shape == shape + (m,)
+    for i in np.ndindex(shape):
+        assert np.array_equal(G[i], E.value(X[i], P[i], PS[i]))
+        one = E.gradient(X[i], P[i], PS[i])
+        assert isinstance(one[2], float)
+        for got, want in zip((gx[i], gp[i], gps[i]), one):
+            assert np.array_equal(got, want)
+    # a single base point and p_s against a stack of momenta (the lift's scan)
+    G1 = E.value(X[(0,) * len(shape)], P, 1.0)
+    for i in np.ndindex(shape):
+        assert np.array_equal(G1[i], E.value(X[(0,) * len(shape)], P[i], 1.0))
+
+
+def test_libm_pow_rounds_like_float_power():
+    from contactflow.charts import libm_pow
+
+    a = np.random.default_rng(0).uniform(-30.0, 30.0, 5000)
+    for k in (2, 3, -1, 1.5):
+        base = np.abs(a) if k == 1.5 else a
+        assert np.array_equal(libm_pow(base, k), [v ** k for v in base.tolist()])
