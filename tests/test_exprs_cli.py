@@ -133,19 +133,27 @@ def test_cli_fixed_step_runs_are_byte_identical(tmp_path, sub, config):
         assert reports[0]["contact_residual"] <= 1e-6
 
 
-_PINNED_FIXED_STEP = [
-    ("propagate", "free.yaml", "strip_0.csv", "84efdd56bf0c"),
-    ("propagate", "oscillator.yaml", "strip_0.csv", "c5ab7482f2db"),
-    ("propagate", "relativistic.yaml", "strip_0.csv", "57df2a6446b8"),
-    ("wavefront", "eikonal_front.yaml", "front.csv", "36ad2a63b487"),
+# CSV sha256 prefixes at --seed 7, with --fixed-step 0.01 and as shipped
+_FIXED = ("--fixed-step", "0.01")
+_PINNED_CSV = [
+    ("propagate", "free.yaml", "strip_0.csv", "84efdd56bf0c", _FIXED),
+    ("propagate", "oscillator.yaml", "strip_0.csv", "c5ab7482f2db", _FIXED),
+    ("propagate", "relativistic.yaml", "strip_0.csv", "57df2a6446b8", _FIXED),
+    ("wavefront", "eikonal_front.yaml", "front.csv", "36ad2a63b487", _FIXED),
+    ("propagate", "free.yaml", "strip_0.csv", "0a3a4d883ca7", ()),
+    ("propagate", "oscillator.yaml", "strip_0.csv", "b4ff306ae51c", ()),
+    ("propagate", "relativistic.yaml", "strip_0.csv", "8253960232c7", ()),
+    ("wavefront", "eikonal_front.yaml", "front.csv", "b885be0a672c", ()),
+    ("wave-diagram", "wave_diagram_eikonal.yaml", "wave_diagram.csv", "31dab04c87c6", ()),
+    ("wave-diagram", "wave_diagram_rel.yaml", "wave_diagram.csv", "d9113afe4004", ()),
 ]
 
 
-@pytest.mark.parametrize("sub,config,csv,prefix", [
-    pytest.param(*case, id=f"{case[1]}-{case[3]}") for case in _PINNED_FIXED_STEP])
-def test_cli_fixed_step_csv_digests_are_pinned(tmp_path, sub, config, csv, prefix):
+@pytest.mark.parametrize("sub,config,csv,prefix,extra", [
+    pytest.param(*case, id=f"{case[1]}-{case[3]}") for case in _PINNED_CSV])
+def test_cli_fixed_step_csv_digests_are_pinned(tmp_path, sub, config, csv, prefix, extra):
     assert main([sub, "--config", _cfg(config), "--out", str(tmp_path),
-                 "--seed", "7", "--fixed-step", "0.01"]) == 0
+                 "--seed", "7", *extra]) == 0
     digest = hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest()
     assert digest.startswith(prefix)
 
