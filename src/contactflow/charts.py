@@ -55,9 +55,12 @@ class Chart:
         except ValueError:
             raise ContractViolation(f"no axis named {name!r} in {self.axis_names}") from None
 
-    def contains(self, x) -> bool:
+    def contains(self, x):
+        """Whether x lies in the chart: a bool at one point, an array over
+        stacked points (..., dim)."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.bounds[:, 0]) and np.all(x <= self.bounds[:, 1]))
+        inside = np.all((x >= self.bounds[:, 0]) & (x <= self.bounds[:, 1]), axis=-1)
+        return bool(inside) if x.ndim == 1 else inside
 
     def require_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -65,10 +68,12 @@ class Chart:
             raise ContractViolation(f"point shape {x.shape} does not match dim {self.dim}")
         return x
 
-    def boundary_clearance(self, x) -> float:
-        """Smallest signed distance to the boundary (negative outside)."""
+    def boundary_clearance(self, x):
+        """Smallest signed distance to the boundary (negative outside): a
+        float at one point, an array over stacked points (..., dim)."""
         x = np.asarray(x, dtype=float)
-        return float(min(np.min(x - self.bounds[:, 0]), np.min(self.bounds[:, 1] - x)))
+        clear = np.minimum(x - self.bounds[:, 0], self.bounds[:, 1] - x).min(axis=-1)
+        return float(clear) if x.ndim == 1 else clear
 
     def interior_sample(self, rng: np.random.Generator, margin: float = 0.0) -> np.ndarray:
         lo = self.bounds[:, 0] + margin
@@ -146,6 +151,9 @@ def libm_pow(a, b):
             return 1.0
         if b == 1:
             return a
+        a = np.asarray(a, dtype=float)
+        return np.fromiter(map(math.pow, a.ravel().tolist(), itertools.repeat(b)),
+                           float, a.size).reshape(a.shape)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     return np.fromiter(map(math.pow, a.ravel().tolist(), b.ravel().tolist()),
                        float, a.size).reshape(a.shape)

@@ -61,7 +61,6 @@ def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec,
     def crossing(tau, y):   # y[:dim] is the base point
         return y[i_sec] - section.value
 
-    crossing.terminal = True
     if abs(state.x[i_sec] - section.value) <= 1e-13 * max(abs(section.value), 1.0):
         hits = [state]
     else:

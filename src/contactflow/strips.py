@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import DenseOutput, OdeSolver, solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401 - read only by benchmarks/tracer.py
+from scipy.optimize import brentq
 
-from .charts import Chart, fd_gradient, fd_steps, scan_roots
+from .charts import Chart, fd_gradient, fd_steps, libm_pow, scan_roots
 from .errors import ContractViolation, DegeneracyError
 
 #: strips with |p_s| below this are treated as the lightlike class
@@ -123,27 +124,24 @@ class SymbolSurface:
         _, gp, gps = self.gradient(x, p, p_s)
         return float(np.dot(p, gp) + p_s * gps - self.degree * self.value(x, p, p_s))
 
-    def degeneracy_measure(self, x, p, p_s: float) -> float:
-        """Norm of the non-radial part of the momentum gradient.
-
-        Vanishing means the contact hyperplane touches the surface (a point
-        the characteristic direction is undefined at).
-        """
-        _, gp, gps = self.gradient(x, p, p_s)
-        q = np.append(np.asarray(p, float), p_s)
-        gq = np.append(gp, gps)
-        nq = np.linalg.norm(q)
-        if nq == 0.0:
-            raise ContractViolation("the zero covector is not a contact element")
-        radial = (np.dot(gq, q) / nq**2) * q
-        return float(np.linalg.norm(gq - radial))
-
-    def degeneracy_threshold(self, p, p_s: float) -> float:
-        q = np.append(np.asarray(p, float), p_s)
-        return 1e-10 * np.linalg.norm(q) ** (self.degree - 1)
-
     def is_degenerate(self, x, p, p_s: float) -> bool:
-        return self.degeneracy_measure(x, p, p_s) < self.degeneracy_threshold(p, p_s)
+        """Whether the non-radial part of the momentum gradient vanishes at
+        (x, p, p_s): the contact hyperplane touches the surface there and the
+        characteristic direction is undefined."""
+        q = np.append(np.asarray(p, float), p_s)
+        if not np.any(q):
+            raise ContractViolation("the zero covector is not a contact element")
+        _, gp, gps = self.gradient(x, p, p_s)
+        return bool(_degeneracy_gap(self, q[None], np.append(gp, gps)[None])[0] < 0)
+
+
+def _degeneracy_gap(E: SymbolSurface, q, gq) -> np.ndarray:
+    """Degeneracy measure minus threshold at stacked covectors q = (p, p_s)
+    with gradients gq = (dG/dp, dG/dp_s): the norm of the non-radial part of
+    gq less 1e-10 |q|^(degree - 1).  Negative at a touching point."""
+    nq = np.sqrt(np.vecdot(q, q))
+    r = gq - (np.vecdot(gq, q) / libm_pow(nq, 2))[:, None] * q
+    return np.sqrt(np.vecdot(r, r)) - 1e-10 * libm_pow(nq, E.degree - 1)
 
 
 def _symbol_args(x, p, p_s):
@@ -240,22 +238,43 @@ class Strip:
         return np.append(gp, -gps)
 
 
-def _onshell_scale(E: SymbolSurface, p, p_s) -> float:
-    return max(np.linalg.norm(np.append(p, p_s)) ** E.degree, 1e-300)
+def _onshell_scale(E: SymbolSurface, p, p_s):
+    """max(|(p, p_s)|^degree, 1e-300), at one point or over stacked points."""
+    q = np.concatenate([np.asarray(p, float), np.asarray(p_s, float)[..., None]], axis=-1)
+    return np.maximum(libm_pow(np.sqrt(np.vecdot(q, q)), E.degree), 1e-300)
 
 
-def check_start(E: SymbolSurface, state: CharacteristicState, tol_onshell: float) -> float:
+def check_start(E: SymbolSurface, state: CharacteristicState, tol_onshell: float) -> None:
     """Require a start state on shell (|G| <= tol_onshell * max(1, |(p, p_s)|^degree)),
-    inside the chart and not degenerate; returns G there."""
-    g = E.value(state.x, state.p, state.p_s)
-    if abs(g) > tol_onshell * max(1.0, _onshell_scale(E, state.p, state.p_s)):
-        raise ContractViolation(f"initial state is off-shell: G = {g:.3e}")
-    if not E.chart.contains(state.x):
-        raise ContractViolation(f"initial point {state.x} outside chart bounds")
-    if E.is_degenerate(state.x, state.p, state.p_s):
-        raise DegeneracyError("initial state is a degenerate (touching) point",
-                              state=state)
-    return g
+    inside the chart and not degenerate."""
+    Y = _pack(state)[None]
+    err = _start_errors(E, Y, state.tau, tol_onshell)[0][0]
+    if err is not None:
+        raise err
+
+
+def _start_errors(E: SymbolSurface, Y, t0: float, tol_onshell: float) -> tuple[list, np.ndarray]:
+    """check_start over a state stack: per row None or the exception it
+    raises, and the right-hand side at the rows that pass (NaN elsewhere)."""
+    m = E.dim
+    X, P, PS = Y[:, :m], Y[:, m + 1:2 * m + 1], Y[:, 2 * m + 1]
+    G = E.value(X, P, PS)
+    scale = _onshell_scale(E, P, PS)
+    off = np.abs(G) > tol_onshell * np.where(scale > 1.0, scale, 1.0)
+    ok = ~off & E.chart.contains(X)
+    errors = [None if ok[r] else ContractViolation(
+        f"initial state is off-shell: G = {G[r]:.3e}" if off[r]
+        else f"initial point {X[r]} outside chart bounds") for r in range(len(Y))]
+    F = np.full_like(Y, np.nan)
+    if ok.any():
+        F[ok] = _rhs(E, Y[ok])
+        gap = _degeneracy_gap(E, Y[ok, m + 1:], _dG_dq(F[ok], m))
+        for r in np.flatnonzero(ok)[gap < 0]:
+            errors[r] = DegeneracyError("initial state is a degenerate (touching) point",
+                                        state=_unpack(E, Y[r], t0))
+    for r in np.flatnonzero(~np.isfinite(Y).all(axis=1)):
+        errors[r] = errors[r] or ContractViolation("initial state is not finite")
+    return errors, F
 
 
 def _pack(state: CharacteristicState) -> np.ndarray:
@@ -267,14 +286,24 @@ def _unpack(E: SymbolSurface, y, tau: float) -> CharacteristicState:
     return CharacteristicState(y[:m], y[m], y[m + 1:2 * m + 1], y[2 * m + 1], tau)
 
 
-def _rhs(E: SymbolSurface):
-    m = E.dim
+def _rhs(E: SymbolSurface, Y) -> np.ndarray:
+    """Strip right-hand sides (dG/dp, -dG/dp_s, -dG/dx, 0) of a state stack
+    (a one-row stack is evaluated as a single point: the same bits, faster)."""
+    m, F = Y.shape[1] // 2 - 1, np.empty(Y.shape)
+    row = 0 if len(Y) == 1 else slice(None)
+    gx, gp, gps = E.gradient(Y[row, :m], Y[row, m + 1:2 * m + 1], Y[row, 2 * m + 1])
+    F[:, :m] = gp
+    F[:, m] = -gps
+    F[:, m + 1:2 * m + 1] = -gx
+    F[:, 2 * m + 1] = 0.0
+    return F
 
-    def f(tau, y):
-        gx, gp, gps = E.gradient(y[:m], y[m + 1:2 * m + 1], y[2 * m + 1])
-        return np.concatenate([gp, [-gps], -gx, [0.0]])
 
-    return f
+def _dG_dq(F, m: int) -> np.ndarray:
+    """(dG/dp, dG/dp_s) from right-hand sides F = (dG/dp, -dG/dp_s, ...)."""
+    gq = F[:, :m + 1].copy()
+    gq[:, m] = -gq[:, m]
+    return gq
 
 
 def _project_strip(E: SymbolSurface, X, P, PS, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -303,149 +332,332 @@ def _project_strip(E: SymbolSurface, X, P, PS, tol: float) -> tuple[np.ndarray, 
     return P, G
 
 
-def propagate(E: SymbolSurface, init: CharacteristicState, tau_span,
-              integ: IntegratorConfig | None = None,
-              tau_eval: Sequence[float] | None = None) -> Strip:
-    """Integrate a characteristic strip over tau_span.
+# ------------------------------------------------------------- the integrator
+#
+# One explicit Runge-Kutta integrator steps a stack of strips, one row
+# (x, s, p, p_s) each, with one stacked symbol gradient per stage.  Adaptive
+# mode is the Dormand-Prince 5(4) pair with its quartic interpolant and a
+# step size, error norm and accept/reject decision per strip (Hairer, Norsett
+# and Wanner, Solving ODEs I, II.4-II.6; Dormand and Prince 1980).  Fixed
+# mode is classic RK4 with a cubic continuous extension.  Both repeat the
+# floating-point operations of scipy's solve_ivp (method RK45, and RK4 as an
+# OdeSolver) one for one, so a strip comes out with the same bits in any
+# stack: stage sums are K.transpose(0, 2, 1) @ a, RMS norms
+# sqrt(vecdot(v, v)) / sqrt(n), powers of single floats go through libm_pow,
+# and an interpolant is one matrix product per strip and step, a
+# matrix-vector product when it has one column.
 
-    Leaving the chart bounds terminates normally with ``boundary_exit`` set;
-    a degenerate (touching) point raises DegeneracyError carrying the last
-    good state.
+_A45 = [np.array(a) for a in ([1/5], [3/40, 9/40], [44/45, -56/15, 32/9],
+                              [19372/6561, -25360/2187, 64448/6561, -212/729],
+                              [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656])]
+_B45 = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E45 = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P45 = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_EPS = np.finfo(float).eps
+
+
+def _rms(v) -> np.ndarray:
+    return np.sqrt(np.vecdot(v, v)) / v.shape[-1] ** 0.5
+
+
+def _step_tries(T, H, retry, t1: float, sign: float):
+    """Per row, the step scipy's RK45 tries from time t with |step| H: at
+    least 10 ulp of t (a retry is not raised to it), cut to end on t1.
+    Returns (t_new, h), h NaN where the step fell below 10 ulp."""
+    t_new, h = [], []
+    for t, step, again in zip(T.tolist(), H.tolist(), retry.tolist()):
+        min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
+        if not again and step < min_step:
+            step = min_step
+        end = t + step * sign if step >= min_step else math.nan
+        end = t1 if sign * (end - t1) > 0 else end
+        t_new.append(end)
+        h.append(end - t)
+    return np.array(t_new), np.array(h)
+
+
+def _step_factors(err, retry) -> np.ndarray:
+    """Per row, scipy's RK45 step-size factor after a try with error norm
+    err: an accepted step (err < 1) grows, at most 10-fold and not at all
+    right after a rejected try; a rejected one shrinks, at most 5-fold."""
+    out = []
+    for e, again in zip(err.tolist(), retry.tolist()):
+        if e < 1:
+            f = _MAX_FACTOR if e == 0 else min(_MAX_FACTOR, _SAFETY * e ** -0.2)
+            out.append(min(1, f) if again else f)
+        else:
+            out.append(max(_MIN_FACTOR, _SAFETY * e ** -0.2))
+    return np.array(out)
+
+
+def _first_step(E: SymbolSurface, Y, F, span: float, sign: float, rtol: float, atol: float):
+    """Per-strip first step size (scipy's select_initial_step, order 4)."""
+    scale = atol + np.abs(Y) * rtol
+    d0, d1 = _rms(Y / scale), _rms(F / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.where(span < h0, span, h0)
+        d2 = _rms((_rhs(E, Y + (h0 * sign)[:, None] * F) - F) / scale) / h0
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                      libm_pow(0.01 / np.where(d2 > d1, d2, d1), 1 / 5))
+    return np.minimum(np.minimum(100 * h0, h1), span)
+
+
+def _rk45_step(E: SymbolSurface, Y, F, h):
+    """A Dormand-Prince step of signed size h per row from (Y, F):
+    (y_new, K), K[:, 6] the right-hand side at y_new."""
+    K, h = np.empty((len(Y), 7, Y.shape[1])), h[:, None]
+    Kt = K.transpose(0, 2, 1)
+    K[:, 0] = F
+    for s, a in enumerate(_A45, start=1):
+        K[:, s] = _rhs(E, Y + (Kt[:, :, :s] @ a) * h)
+    y_new = Y + h * (Kt[:, :, :6] @ _B45)
+    K[:, 6] = _rhs(E, y_new)
+    return y_new, K
+
+
+def _rk4_step(E: SymbolSurface, Y, F, h: float):
+    """A classic RK4 step of size h from (Y, F): (y_new, K), K the stages."""
+    K = np.empty((len(Y), 4, Y.shape[1]))
+    K[:, 0] = F
+    K[:, 1] = _rhs(E, Y + 0.5 * h * K[:, 0])
+    K[:, 2] = _rhs(E, Y + 0.5 * h * K[:, 1])
+    K[:, 3] = _rhs(E, Y + h * K[:, 2])
+    return Y + (h / 6.0) * (K[:, 0] + 2.0 * K[:, 1] + 2.0 * K[:, 2] + K[:, 3]), K
+
+
+def _interpolate(K, y_old, t_old, h, taus, fixed: bool, scalar: bool = False):
+    """A step's continuous extension y_old + h * (M @ w(theta)) at times
+    taus (rows, k), theta = (tau - t_old) / h, from the step's stages K;
+    returns (rows, n, k).
+
+    For RK4, M = K^T and w holds the cubic weights; for Dormand-Prince,
+    M = K^T P and w = (theta, ..., theta^4).  ``scalar`` marks one time
+    (an event location), whose RK4 powers scipy takes with pow().
     """
-    integ = integ or IntegratorConfig()
-    t0, t1 = float(tau_span[0]), float(tau_span[1])
-    if not (np.isfinite(t0) and np.isfinite(t1)):
-        raise ContractViolation("tau_span must be finite")
-    g0 = check_start(E, init, integ.tol_onshell)
+    M = K.transpose(0, 2, 1) if fixed else K.transpose(0, 2, 1) @ _P45
+    th = (taus - t_old[:, None]) / h[:, None]
+    if fixed:
+        sq, cu = (libm_pow(th, 2), libm_pow(th, 3)) if scalar else (th ** 2, th ** 3)
+        b23 = sq - 2.0 * cu / 3.0
+        W = np.stack([th - 1.5 * sq + 2.0 * cu / 3.0, b23, b23, -0.5 * sq + 2.0 * cu / 3.0], 1)
+    else:
+        W = np.cumprod(np.repeat(th[:, None], 4, axis=1), axis=1)
+    return y_old[:, :, None] + h[:, None, None] * (M @ W)
 
-    if t0 == t1:
-        y = _pack(init)
-        return Strip(E, np.array([t0]), y[None, :E.dim], np.array([init.s]),
-                     y[None, E.dim + 1:2 * E.dim + 1], np.array([init.p_s]),
-                     np.array([g0]))
 
+def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: IntegratorConfig,
+               events=()) -> list:
+    """Integrate the strips of the state stack Y0, rows (x, s, p, p_s), from
+    t0 to t1, sampled at ``tau_eval`` (None: at the steps).
+
+    ``integ.method`` picks Dormand-Prince 5(4) at (rel_tol, abs_tol) or RK4
+    in round(|t1 - t0| / dt) equal steps, the last landing exactly on t1.
+    Each start is checked as check_start does.  A strip stops at the span
+    end, on the chart boundary, at a degenerate (touching) point, or where
+    one of the extra terminal ``events(tau, y)`` changes sign; an event is
+    located on its step's interpolant with brentq.
+
+    Returns per strip either (taus, ys, stop), stop one of "span_end",
+    "boundary" or "event" (then the last sample is the event point), or the
+    exception that ended it: a failed start check, or a DegeneracyError at a
+    touching point or when the step size underflows.  An exception raised by
+    the symbol ends the whole call.
+    """
+    if integ.method not in ("adaptive", "fixed"):
+        raise ContractViolation(f"unknown integrator method {integ.method!r}")
+    sign = 1.0 if t1 >= t0 else -1.0
     if tau_eval is not None:
         tau_eval = np.asarray(tau_eval, dtype=float)
-    elif integ.method != "fixed":   # fixed mode returns its step grid
-        tau_eval = np.linspace(t0, t1, integ.n_out)
-    taus, ys, stop = _integrate(E, _pack(init), t0, t1, tau_eval, integ)
+        if (tau_eval.ndim != 1 or np.any(tau_eval < min(t0, t1))
+                or np.any(tau_eval > max(t0, t1)) or np.any(sign * np.diff(tau_eval) <= 0)):
+            raise ContractViolation("tau_eval must be a 1-D grid inside tau_span, "
+                                    "strictly ordered from its start to its end")
+        ahead = sign * tau_eval   # ascending
+    fixed, m, n_strips = integ.method == "fixed", E.dim, len(Y0)
+    chunks = [(np.zeros(0, int), np.zeros(0), Y0[:0])]   # (strip ids, taus, states) recorded
 
-    m = E.dim
-    ys = np.array(ys)
-    X, S, PS = ys[:, :m], ys[:, m], ys[:, 2 * m + 1]
-    P, G = _project_strip(E, X, ys[:, m + 1:2 * m + 1], PS, integ.tol_onshell)
-    return Strip(E, np.asarray(taus), X, S, P, PS, G, boundary_exit=stop == "boundary")
+    def last(i):
+        """The last state recorded for strip i (its start if none), and
+        whether there is one."""
+        for sid, taus, ys in reversed(chunks):
+            at = (sid == i).nonzero()[0]
+            if at.size:
+                return _unpack(E, ys[at[-1]], taus[at[-1]]), True
+        return _unpack(E, Y0[i], t0), False
 
+    def event_values(T, Y, F):
+        """Per row: the chart clearance, the degeneracy gap and the extras."""
+        g = np.empty((len(Y), 2 + len(events)))
+        g[:, 0] = E.chart.boundary_clearance(Y[:, :m])
+        g[:, 1] = _degeneracy_gap(E, Y[:, m + 1:], _dG_dq(F, m))
+        for k, ev in enumerate(events, start=2):
+            g[:, k] = [ev(t, y) for t, y in zip(T, Y)]
+        return g
 
-class _RK4Dense(DenseOutput):
-    """Third-order continuous extension of one classic RK4 step."""
-
-    def __init__(self, t_old, t, h, y_old, K):
-        super().__init__(t_old, t)
-        self.h, self.y_old, self.K = h, y_old, K
-
-    def _call_impl(self, t):
-        th = (np.asarray(t) - self.t_old) / self.h
-        b23 = th**2 - 2.0 * th**3 / 3.0
-        B = np.array([th - 1.5 * th**2 + 2.0 * th**3 / 3.0, b23, b23,
-                      -0.5 * th**2 + 2.0 * th**3 / 3.0])
-        y = self.y_old if B.ndim == 1 else self.y_old[:, None]
-        return y + self.h * (self.K.T @ B)
-
-
-class _RK4(OdeSolver):
-    """Classic RK4 in round(|t1 - t0| / dt) equal steps, the last landing
-    exactly on t1; bitwise reproducible."""
-
-    def __init__(self, fun, t0, y0, t_bound, vectorized, dt):
-        super().__init__(fun, t0, y0, t_bound, vectorized)
-        self.n_steps = max(1, int(round(abs(t_bound - t0) / dt)))
-        self.h = (t_bound - t0) / self.n_steps
-        self.t_start = t0
-        self.k = 0
-
-    def _step_impl(self):
-        f, h, tau, y = self.fun, self.h, self.t, self.y
-        k1 = f(tau, y)
-        k2 = f(tau + 0.5 * h, y + 0.5 * h * k1)
-        k3 = f(tau + 0.5 * h, y + 0.5 * h * k2)
-        k4 = f(tau + h, y + h * k3)
-        self.y_old, self.K = y, np.array([k1, k2, k3, k4])
-        self.y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        self.k += 1
-        self.t = self.t_bound if self.k == self.n_steps else self.t_start + self.k * h
-        return True, None
-
-    def _dense_output_impl(self):
-        return _RK4Dense(self.t_old, self.t, self.h, self.y_old, self.K)
-
-
-def _integrate(E, y0, t0, t1, tau_eval, integ, events=()):
-    """Integrate from y0 over (t0, t1), sampled at ``tau_eval`` (None: at the
-    solver steps), stopped by the chart boundary, a degenerate point (raises
-    DegeneracyError) or one of the extra terminal ``events``.
-
-    ``integ.method`` picks RK45 at (rel_tol, abs_tol) or RK4 at step dt.
-    Returns (taus, ys, stop) with stop one of "span_end", "boundary" or
-    "event"; on a stop by an event the last sample is the event point.
-    """
-    if integ.method == "adaptive":
-        method, options = "RK45", {"rtol": integ.rel_tol, "atol": integ.abs_tol}
-    elif integ.method == "fixed":
-        method, options = _RK4, {"dt": integ.dt}
-    else:
-        raise ContractViolation(f"unknown integrator method {integ.method!r}")
-
-    def bounds_event(tau, y):
-        return E.chart.boundary_clearance(y[:E.dim])
-
-    bounds_event.terminal = True
-
-    def degeneracy_event(tau, y):
-        m = E.dim
-        p, ps = y[m + 1:2 * m + 1], y[2 * m + 1]
-        return E.degeneracy_measure(y[:m], p, ps) - E.degeneracy_threshold(p, ps)
-
-    degeneracy_event.terminal = True
-
-    sol = solve_ivp(_rhs(E), (t0, t1), y0, method=method, t_eval=tau_eval,
-                    events=[bounds_event, degeneracy_event, *events], **options)
-    if not sol.success and sol.status != 1:
-        raise DegeneracyError(f"integration failed: {sol.message}",
-                              state=_unpack(E, sol.y[:, -1] if sol.y.size else y0,
-                                            sol.t[-1] if sol.t.size else t0))
-    stop = "span_end"
-    taus = list(sol.t)
-    ys = list(sol.y.T)
-    if sol.status == 1:  # a terminal event fired
-        k = next(k for k, t in enumerate(sol.t_events) if t.size)
+    def event_value(k, tau, y):
+        if k == 0:
+            return E.chart.boundary_clearance(y[:m])
         if k == 1:
-            last = (_unpack(E, ys[-1], taus[-1]) if ys
-                    else _unpack(E, y0, t0))
-            raise DegeneracyError(
-                f"degenerate (touching) point reached near tau = {sol.t_events[1][0]:.6g}",
-                state=last)
-        stop = "boundary" if k == 0 else "event"
-        t_event = float(sol.t_events[k][0])
-        if not taus or taus[-1] != t_event:   # on the step grid it is there already
-            taus.append(t_event)
-            ys.append(sol.y_events[k][0])
-    if not taus:
-        taus = [t0]
-        ys = [y0]
-    return np.asarray(taus), ys, stop
+            return _degeneracy_gap(E, y[None, m + 1:], _dG_dq(_rhs(E, y[None]), m))[0]
+        return events[k - 2](tau, y)
+
+    out, F = _start_errors(E, Y0, t0, integ.tol_onshell)
+    ids = np.array([i for i, e in enumerate(out) if e is None], dtype=int)
+    if tau_eval is None:
+        chunks.append((ids, np.full(len(ids), t0), Y0[ids]))
+    if t0 == t1:
+        out = ["span_end" if e is None else e for e in out]
+        ids = ids[:0]
+    # the working set: row r is strip ids[r]; a strip's row leaves when it stops
+    T, Y, F = np.full(len(ids), t0), Y0[ids], F[ids]
+    nxt = np.zeros(len(ids), dtype=int)      # next tau_eval index
+    H, retry = np.zeros(len(ids)), np.zeros(len(ids), bool)   # |step| to try, last try failed
+    if ids.size:
+        Gev = event_values(T, Y, F)
+        if fixed:
+            n_steps = max(1, int(round(abs(t1 - t0) / integ.dt)))
+            h_fix, k_step = (t1 - t0) / n_steps, 0
+        else:
+            rtol, atol = max(integ.rel_tol, 100 * _EPS), integ.abs_tol
+            if not atol >= 0:
+                raise ContractViolation("abs_tol must not be negative")
+            H = _first_step(E, Y, F, abs(t1 - t0), sign, rtol, atol)
+
+    while ids.size:
+        acc = None   # rows that stepped, None for all
+        if fixed:
+            k_step += 1
+            t_new = np.full(len(ids), t1 if k_step == n_steps else t0 + k_step * h_fix)
+            y_new, K = _rk4_step(E, Y, F, h_fix)
+            f_new = _rhs(E, y_new)   # the next step's first stage
+            h_int = np.full(len(ids), h_fix)
+        else:
+            t_new, h = _step_tries(T, H, retry, t1, sign)
+            small = np.isnan(h)
+            if small.any():
+                for i in ids[small]:
+                    out[i] = DegeneracyError(
+                        "integration failed: Required step size is less than spacing "
+                        "between numbers.", state=last(i)[0])
+                ids, T, Y, F, Gev, nxt, H, retry = (
+                    a[~small] for a in (ids, T, Y, F, Gev, nxt, H, retry))
+                continue
+            y_new, K = _rk45_step(E, Y, F, h)
+            scale = atol + np.maximum(np.abs(Y), np.abs(y_new)) * rtol
+            err = _rms((K.transpose(0, 2, 1) @ _E45) * h[:, None] / scale)
+            H = np.abs(h) * _step_factors(err, retry)
+            accept = err < 1
+            retry = ~accept
+            if not accept.all():
+                acc = accept.nonzero()[0]
+                if not acc.size:
+                    continue
+            f_new = K[:, 6]
+            h_int = h
+        if acc is None:
+            rows, t_old, y_old = slice(None), T, Y
+            T, Y, F = t_new, y_new, f_new
+        else:
+            rows, t_old, y_old = acc, T[acc], Y[acc]
+            t_new, y_new, f_new, K, h_int = (a[acc] for a in (t_new, y_new, f_new, K, h_int))
+            T[acc], Y[acc], F[acc] = t_new, y_new, f_new
+        sid = ids[rows]
+
+        # terminal events: the earliest root on the step's interpolant ends the strip
+        g_old, g_new = Gev[rows], event_values(t_new, y_new, f_new)
+        active = (np.minimum(g_old, g_new) <= 0) & (np.maximum(g_old, g_new) >= 0)
+        if acc is None:
+            Gev = g_new
+        else:
+            Gev[acc] = g_new
+        t_end, hit, y_hit = t_new, None, {}
+        if active.any():
+            t_end, hit = t_new.copy(), np.full(len(t_new), -1)
+            for r in active.any(axis=1).nonzero()[0]:
+                def sol(tau, r=r):
+                    return _interpolate(K[r:r + 1], y_old[r:r + 1], t_old[r:r + 1],
+                                        h_int[r:r + 1], np.array([[tau]]), fixed, scalar=True)[0, :, 0]
+
+                ks = active[r].nonzero()[0]
+                roots = np.array([brentq(lambda tau: event_value(k, tau, sol(tau)), t_old[r],
+                                         t_new[r], xtol=4 * _EPS, rtol=4 * _EPS) for k in ks])
+                first = np.argsort(sign * roots)[0]
+                hit[r], t_end[r], y_hit[r] = ks[first], roots[first], sol(roots[first])
+
+        # samples up to the step end, or up to the event
+        if tau_eval is None:
+            y_end = y_new.copy()
+            for r, y in y_hit.items():
+                y_end[r] = y
+            chunks.append((sid, np.array(t_end), y_end))
+        else:
+            upto = np.searchsorted(ahead, t_end if sign > 0 else -t_end, side="right")
+            start = nxt[rows]
+            count = upto - start
+            # one sample in a step is a matrix-vector product, more a matrix product
+            for sub in ((count == 1).nonzero()[0], (count > 1).nonzero()[0]) if count.any() else ():
+                if sub.size:
+                    j = start[sub, None] + np.arange(count[sub].max())
+                    taus = tau_eval[np.minimum(j, len(tau_eval) - 1)]
+                    ys = _interpolate(K[sub], y_old[sub], t_old[sub], h_int[sub], taus, fixed)
+                    keep = j < upto[sub, None]
+                    chunks.append((np.repeat(sid[sub], count[sub]), taus[keep],
+                                   ys.transpose(0, 2, 1)[keep]))
+            nxt[rows] = upto
+
+        stop = np.full(len(t_new), k_step == n_steps) if fixed else t_new == t1
+        if hit is not None:
+            stop |= hit >= 0
+        if stop.any():
+            for r in stop.nonzero()[0]:
+                i = sid[r]
+                if hit is None or hit[r] < 0:
+                    out[i] = "span_end"
+                elif hit[r] == 1:
+                    out[i] = DegeneracyError(
+                        f"degenerate (touching) point reached near tau = {t_end[r]:.6g}",
+                        state=last(i)[0])
+                elif hit[r] >= 0:
+                    state, recorded = last(i)
+                    if not recorded or state.tau != t_end[r]:
+                        chunks.append((sid[r:r + 1], t_end[r:r + 1], y_hit[r][None]))
+                    out[i] = "boundary" if hit[r] == 0 else "event"
+            keep = np.ones(len(ids), bool)
+            keep[stop.nonzero()[0] if acc is None else acc[stop]] = False
+            ids, T, Y, F, Gev, nxt, H, retry = (
+                a[keep] for a in (ids, T, Y, F, Gev, nxt, H, retry))
+
+    sid = np.concatenate([c[0] for c in chunks])
+    order = np.argsort(sid, kind="stable")
+    cuts = np.cumsum(np.bincount(sid, minlength=n_strips))[:-1]
+    taus = np.split(np.concatenate([c[1] for c in chunks])[order], cuts)
+    ys = np.split(np.concatenate([c[2] for c in chunks])[order], cuts)
+    return [o if isinstance(o, Exception) else
+            (taus[i], ys[i], o) if len(taus[i]) else (np.array([t0]), Y0[i:i + 1], o)
+            for i, o in enumerate(out)]
 
 
 def flow_to_event(E: SymbolSurface, init: CharacteristicState, tau_end: float, event,
                   integ: IntegratorConfig) -> CharacteristicState | None:
-    """Flow the strip through ``init`` from tau = 0 toward ``tau_end`` until the
-    terminal ``event(tau, y)`` fires, y = (x, s, p, p_s) stacked.
+    """Flow the strip through ``init`` from tau = 0 toward ``tau_end`` until
+    ``event(tau, y)`` changes sign, y = (x, s, p, p_s) stacked.
 
     Returns the (unprojected) state at the event, or None when the span end
     or the chart boundary comes first.
     """
-    taus, ys, stop = _integrate(E, _pack(init), 0.0, tau_end, None, integ,
-                                events=(event,))
+    run = _integrate(E, _pack(init)[None], 0.0, float(tau_end), None, integ, events=(event,))[0]
+    if isinstance(run, Exception):
+        raise run
+    taus, ys, stop = run
     return _unpack(E, ys[-1], taus[-1]) if stop == "event" else None
 
 
@@ -466,17 +678,65 @@ class BatchItem:
         return self.error is None
 
 
+def _propagate_stack(E: SymbolSurface, inits: Sequence[CharacteristicState], tau_span,
+                     integ: IntegratorConfig | None, tau_eval) -> list[BatchItem]:
+    """propagate() over a stack of initial states in one integrator call."""
+    integ = integ or IntegratorConfig()
+    t0, t1 = float(tau_span[0]), float(tau_span[1])
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ContractViolation("tau_span must be finite")
+    if t0 == t1:
+        tau_eval = None          # the strip is its start point
+    elif tau_eval is None and integ.method != "fixed":   # fixed mode returns its step grid
+        tau_eval = np.linspace(t0, t1, integ.n_out)
+    runs = _integrate(E, np.array([_pack(s) for s in inits]), t0, t1, tau_eval, integ)
+    done = [r for r in runs if not isinstance(r, Exception)]
+    if done:
+        m, ys = E.dim, np.concatenate([r[1] for r in done])
+        X, S, P, PS = ys[:, :m], ys[:, m], ys[:, m + 1:2 * m + 1], ys[:, 2 * m + 1]
+        # the projection acts sample by sample, so all strips take one call
+        P, G = (P, E.value(X, P, PS)) if t0 == t1 else _project_strip(E, X, P, PS,
+                                                                      integ.tol_onshell)
+        cuts = np.cumsum([len(r[0]) for r in done])[:-1]
+        parts = zip(*(np.split(a, cuts) for a in (X, S, P, PS, G)))
+    return [BatchItem(None, r) if isinstance(r, Exception)
+            else BatchItem(Strip(E, r[0], *next(parts), boundary_exit=r[2] == "boundary"))
+            for r in runs]
+
+
+def propagate(E: SymbolSurface, init: CharacteristicState, tau_span,
+              integ: IntegratorConfig | None = None,
+              tau_eval: Sequence[float] | None = None) -> Strip:
+    """Integrate a characteristic strip over tau_span.
+
+    Leaving the chart bounds terminates normally with ``boundary_exit`` set;
+    a degenerate (touching) point raises DegeneracyError carrying the last
+    good state.
+    """
+    item = _propagate_stack(E, [init], tau_span, integ, tau_eval)[0]
+    if not item.ok:
+        raise item.error
+    return item.strip
+
+
 def batch_propagate(E: SymbolSurface, inits: Sequence[CharacteristicState], tau_span,
                     integ: IntegratorConfig | None = None,
                     tau_eval: Sequence[float] | None = None) -> list[BatchItem]:
-    """propagate() over a list of initial states; failures are carried per item."""
-    out = []
-    for init in inits:
-        try:
-            out.append(BatchItem(propagate(E, init, tau_span, integ, tau_eval)))
-        except Exception as exc:  # noqa: BLE001 - per-item isolation is the contract
-            out.append(BatchItem(None, exc))
-    return out
+    """propagate() over a list of initial states, integrated as one stack.
+
+    Failures are carried per item.  When the stacked run raises (say, the
+    symbol raises at one strip's state), each state is run on its own, so
+    the error reaches only the items that raise it.
+    """
+    if not inits:
+        return []
+    try:
+        return _propagate_stack(E, inits, tau_span, integ, tau_eval)
+    except Exception as exc:  # noqa: BLE001 - per-item isolation is the contract
+        if len(inits) == 1:
+            return [BatchItem(None, exc)]
+        return [item for init in inits
+                for item in batch_propagate(E, [init], tau_span, integ, tau_eval)]
 
 
 def sample_onshell(E: SymbolSurface, rng: np.random.Generator, n: int,

@@ -160,6 +160,24 @@ def test_batch_propagate_carries_failures(free):
     assert isinstance(items[1].error, cf.ContractViolation)
 
 
+def test_fixed_step_strip_takes_four_gradients_a_step(free, monkeypatch):
+    # the degeneracy check at a step point reuses the gradient the next step
+    # starts from; counting points, not calls, means the same on a stack
+    points = []
+    gradient = cf.SymbolSurface.gradient
+
+    def counted(self, x, p, p_s):
+        points.append(np.size(p_s))
+        return gradient(self, x, p, p_s)
+
+    monkeypatch.setattr(cf.SymbolSurface, "gradient", counted)
+    n = 200
+    strip = cf.propagate(free.surface, free.initial_states[0], (0.0, 2.0),
+                         cf.IntegratorConfig(method="fixed", dt=0.01))
+    assert len(strip) == n + 1
+    assert sum(points) <= 4 * n + 8
+
+
 def test_fd_symbol_gradient_matches_analytic(oscillator):
     E = oscillator.surface
     fd = cf.SymbolSurface(E.chart, E.value, E.degree)   # no grad: central differences
@@ -239,3 +257,44 @@ def test_libm_pow_rounds_like_float_power():
     for k in (2, 3, -1, 1.5):
         base = np.abs(a) if k == 1.5 else a
         assert np.array_equal(libm_pow(base, k), [v ** k for v in base.tolist()])
+
+
+def _with_touching_face(E, half_width):
+    """E times the distance to the lower face of axis 0, on the box
+    |x_i| <= half_width: inside it has E's characteristics at another speed,
+    and on that face every covector is a touching zero."""
+    chart = cf.Chart(E.chart.axis_names, [(-half_width, half_width)] * E.dim)
+
+    def value(x, p, p_s):
+        return (x[..., 0] + half_width) * E.value(x, p, p_s)
+
+    def grad(x, p, p_s):
+        c = x[..., 0] + half_width
+        gx, gp, gps = E.gradient(x, p, p_s)
+        gx = c[..., None] * gx
+        gx[..., 0] += E.value(x, p, p_s)
+        return gx, c[..., None] * gp, c * gps
+
+    return cf.SymbolSurface(chart, value, E.degree, grad=grad)
+
+
+@pytest.mark.parametrize("method", ["adaptive", "fixed"])
+@pytest.mark.parametrize("name,tau_end", [("eikonal", 1.0), ("oscillator", 0.3),
+                                          ("relativistic-charged", 1.0)])
+def test_batch_equals_its_strips_bit_for_bit(name, tau_end, method):
+    E = _with_touching_face(_SYMBOLS[name], 2.0)
+    integ = cf.IntegratorConfig(method=method, dt=0.01)
+    states = cf.sample_onshell(E, np.random.default_rng(1), 5, margin=0.5)
+    touching = cf.CharacteristicState([-2.0] + [0.0] * (E.dim - 1), 0.0, [0.3] * E.dim, 1.0)
+    inits = states[:2] + [touching] + states[2:]
+    items = cf.batch_propagate(E, inits, (0.0, tau_end), integ)
+    assert isinstance(items[2].error, cf.DegeneracyError)
+    with pytest.raises(cf.DegeneracyError):
+        cf.propagate(E, touching, (0.0, tau_end), integ)
+    exits = []
+    for init, item in zip(states, items[:2] + items[3:]):
+        one = cf.propagate(E, init, (0.0, tau_end), integ)
+        for key in ("taus", "x", "s", "p", "p_s", "g_residual", "boundary_exit"):
+            assert np.array_equal(getattr(item.strip, key), getattr(one, key)), key
+        exits.append(one.boundary_exit)
+    assert any(exits) and not all(exits)   # a strip leaves the chart mid-span
