@@ -385,9 +385,6 @@ def constant_field_potential(chart: Chart, field_strength: float) -> ConnectionD
 
 def null_norm(scenario: RelativisticScenario, strip: Strip) -> float:
     """Max |g(dx/dtau, dx/dtau)| along a strip, normalized by the velocity norm."""
-    worst = 0.0
-    for i in range(len(strip)):
-        v = strip.velocity(i)[:strip.surface.dim]
-        nv = float(v @ scenario.metric @ v)
-        worst = max(worst, abs(nv) / max(np.dot(v, v), 1e-300))
-    return worst
+    _, v, _ = strip.surface.gradient(strip.x, strip.p, strip.p_s)   # dx/dtau = dG/dp
+    nv = np.abs(np.vecdot(v @ scenario.metric, v))
+    return float(np.max(nv / np.maximum(np.vecdot(v, v), 1e-300)))

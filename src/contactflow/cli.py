@@ -102,18 +102,11 @@ def _integrator_from(cfg: dict, fixed_step: float | None) -> IntegratorConfig:
     if fixed_step is not None:
         spec["method"] = "fixed"
         spec["dt"] = fixed_step
-    clean = {}
-    for k, v in spec.items():
-        if k == "method":
-            clean[k] = str(v)
-        elif k == "n_out":
-            clean[k] = int(v)
-        else:
-            clean[k] = float(v)
+    kinds = {"method": str, "n_out": int}   # every other key is a float
     try:
-        return IntegratorConfig(**clean)
-    except TypeError as exc:
-        raise ConfigError(f"bad 'integrator' block: {exc}") from exc
+        return IntegratorConfig(**{k: kinds.get(k, float)(v) for k, v in spec.items()})
+    except (TypeError, ValueError) as exc:   # ContractViolation is a ValueError
+        raise ConfigError(f"bad 'integrator' block or --fixed-step: {exc}") from exc
 
 
 def _states_from(cfg: dict, scen: Scenario) -> list[CharacteristicState]:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import Chart, scan_roots
+from .charts import Chart, fd_gradient, scan_roots
 from .errors import ContractViolation, NoLiftError
 from .strips import (CharacteristicState, IntegratorConfig, SymbolSurface,
                      batch_propagate)
@@ -50,12 +50,22 @@ class FrontSpec:
         return np.asarray(self.position(u), float)
 
     def tangent(self, u) -> np.ndarray:
-        h = FRONT_FD_STEP
-        return (self.x(u + h) - self.x(u - h)) / (2 * h)
+        """dx/du: shape (m,) at one parameter, (n, m) at an array of n."""
+        return _param_derivative(self.x, u)
 
-    def s0_du(self, u) -> float:
-        h = FRONT_FD_STEP
-        return (float(self.s0(u + h)) - float(self.s0(u - h))) / (2 * h)
+    def s0_du(self, u):
+        """dS0/du: a float at one parameter, shape (n,) at an array of n."""
+        d = _param_derivative(lambda w: float(self.s0(w)), u)
+        return float(d) if d.ndim == 0 else d
+
+
+def _param_derivative(f, u) -> np.ndarray:
+    """Central differences of f in the front parameter at one u or an array
+    of them, in one fd_gradient call; f takes one parameter at a time."""
+    u = np.asarray(u, float)
+    d = fd_gradient(lambda v: np.array([f(w) for w in v[:, 0]]), u.reshape(-1, 1),
+                    FRONT_FD_STEP)[:, 0]
+    return d.reshape(u.shape + d.shape[1:])
 
 
 def flat_front(chart: Chart, axis: str, value: float, span, n: int,
@@ -108,15 +118,14 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec,
         raise ContractViolation("branch p_s sign must be +1 or -1 (null lifts unsupported)")
     samples: list[LiftedSample] = []
     failures: list[tuple[float, str]] = []
-    for u in sigma.params:
+    for u, t, s0_du in zip(sigma.params, sigma.tangent(sigma.params), sigma.s0_du(sigma.params)):
         x = sigma.x(u)
-        t = sigma.tangent(u)
         nt = np.linalg.norm(t)
         if nt == 0.0:
             failures.append((u, "degenerate parametrization (zero tangent)"))
             continue
         # particular solution of <p, x_u> = p_s * dS0/du plus the conormal ray
-        rhs = ps_sign * sigma.s0_du(u)
+        rhs = ps_sign * s0_du
         p_part = (rhs / nt**2) * t
         nrm = _conormal(t)
 

@@ -212,6 +212,14 @@ class IntegratorConfig:
     dt: float = 1e-2          # fixed-step size
     n_out: int = 201          # adaptive-mode samples when no tau_eval is given
 
+    def __post_init__(self):
+        if self.method not in ("adaptive", "fixed"):
+            raise ContractViolation(f"unknown integrator method {self.method!r}")
+        if not self.abs_tol >= 0:
+            raise ContractViolation("abs_tol must not be negative")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ContractViolation(f"dt must be finite and positive, got {self.dt!r}")
+
 
 @dataclass
 class Strip:
@@ -231,11 +239,6 @@ class Strip:
 
     def state(self, i: int) -> CharacteristicState:
         return CharacteristicState(self.x[i], self.s[i], self.p[i], self.p_s[i], self.taus[i])
-
-    def velocity(self, i: int) -> np.ndarray:
-        """Strip velocity (dx/dtau, ds/dtau) at sample i."""
-        _, gp, gps = self.surface.gradient(self.x[i], self.p[i], self.p_s[i])
-        return np.append(gp, -gps)
 
 
 def _onshell_scale(E: SymbolSurface, p, p_s):
@@ -425,13 +428,16 @@ def _rk45_step(E: SymbolSurface, Y, F, h):
 
 
 def _rk4_step(E: SymbolSurface, Y, F, h: float):
-    """A classic RK4 step of size h from (Y, F): (y_new, K), K the stages."""
-    K = np.empty((len(Y), 4, Y.shape[1]))
+    """A classic RK4 step of size h from (Y, F): (y_new, K), K[:, :4] the
+    stages and K[:, 4] the right-hand side at y_new."""
+    K = np.empty((len(Y), 5, Y.shape[1]))
     K[:, 0] = F
     K[:, 1] = _rhs(E, Y + 0.5 * h * K[:, 0])
     K[:, 2] = _rhs(E, Y + 0.5 * h * K[:, 1])
     K[:, 3] = _rhs(E, Y + h * K[:, 2])
-    return Y + (h / 6.0) * (K[:, 0] + 2.0 * K[:, 1] + 2.0 * K[:, 2] + K[:, 3]), K
+    y_new = Y + (h / 6.0) * (K[:, 0] + 2.0 * K[:, 1] + 2.0 * K[:, 2] + K[:, 3])
+    K[:, 4] = _rhs(E, y_new)
+    return y_new, K
 
 
 def _interpolate(K, y_old, t_old, h, taus, fixed: bool, scalar: bool = False):
@@ -439,11 +445,12 @@ def _interpolate(K, y_old, t_old, h, taus, fixed: bool, scalar: bool = False):
     taus (rows, k), theta = (tau - t_old) / h, from the step's stages K;
     returns (rows, n, k).
 
-    For RK4, M = K^T and w holds the cubic weights; for Dormand-Prince,
-    M = K^T P and w = (theta, ..., theta^4).  ``scalar`` marks one time
-    (an event location), whose RK4 powers scipy takes with pow().
+    For RK4, M = K[:, :4]^T and w holds the cubic weights; for
+    Dormand-Prince, M = K^T P and w = (theta, ..., theta^4).  ``scalar``
+    marks one time (an event location), whose RK4 powers scipy takes with
+    pow().
     """
-    M = K.transpose(0, 2, 1) if fixed else K.transpose(0, 2, 1) @ _P45
+    M = K[:, :4].transpose(0, 2, 1) if fixed else K.transpose(0, 2, 1) @ _P45
     th = (taus - t_old[:, None]) / h[:, None]
     if fixed:
         sq, cu = (libm_pow(th, 2), libm_pow(th, 3)) if scalar else (th ** 2, th ** 3)
@@ -472,8 +479,6 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
     touching point or when the step size underflows.  An exception raised by
     the symbol ends the whole call.
     """
-    if integ.method not in ("adaptive", "fixed"):
-        raise ContractViolation(f"unknown integrator method {integ.method!r}")
     sign = 1.0 if t1 >= t0 else -1.0
     if tau_eval is not None:
         tau_eval = np.asarray(tau_eval, dtype=float)
@@ -503,13 +508,6 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             g[:, k] = [ev(t, y) for t, y in zip(T, Y)]
         return g
 
-    def event_value(k, tau, y):
-        if k == 0:
-            return E.chart.boundary_clearance(y[:m])
-        if k == 1:
-            return _degeneracy_gap(E, y[None, m + 1:], _dG_dq(_rhs(E, y[None]), m))[0]
-        return events[k - 2](tau, y)
-
     out, F = _start_errors(E, Y0, t0, integ.tol_onshell)
     ids = np.array([i for i, e in enumerate(out) if e is None], dtype=int)
     if tau_eval is None:
@@ -528,18 +526,16 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             h_fix, k_step = (t1 - t0) / n_steps, 0
         else:
             rtol, atol = max(integ.rel_tol, 100 * _EPS), integ.abs_tol
-            if not atol >= 0:
-                raise ContractViolation("abs_tol must not be negative")
             H = _first_step(E, Y, F, abs(t1 - t0), sign, rtol, atol)
 
     while ids.size:
-        acc = None   # rows that stepped, None for all
+        # propose a step per row; acc are the rows that take it
         if fixed:
             k_step += 1
             t_new = np.full(len(ids), t1 if k_step == n_steps else t0 + k_step * h_fix)
+            h = np.full(len(ids), h_fix)
             y_new, K = _rk4_step(E, Y, F, h_fix)
-            f_new = _rhs(E, y_new)   # the next step's first stage
-            h_int = np.full(len(ids), h_fix)
+            acc = np.arange(len(ids))
         else:
             t_new, h = _step_tries(T, H, retry, t1, sign)
             small = np.isnan(h)
@@ -556,83 +552,68 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             err = _rms((K.transpose(0, 2, 1) @ _E45) * h[:, None] / scale)
             H = np.abs(h) * _step_factors(err, retry)
             accept = err < 1
-            retry = ~accept
-            if not accept.all():
-                acc = accept.nonzero()[0]
-                if not acc.size:
-                    continue
-            f_new = K[:, 6]
-            h_int = h
-        if acc is None:
-            rows, t_old, y_old = slice(None), T, Y
-            T, Y, F = t_new, y_new, f_new
-        else:
-            rows, t_old, y_old = acc, T[acc], Y[acc]
-            t_new, y_new, f_new, K, h_int = (a[acc] for a in (t_new, y_new, f_new, K, h_int))
-            T[acc], Y[acc], F[acc] = t_new, y_new, f_new
-        sid = ids[rows]
+            retry, acc = ~accept, accept.nonzero()[0]
+            if not acc.size:
+                continue
+        t_old, y_old, sid = T[acc], Y[acc], ids[acc]
+        t_new, y_new, K, h = t_new[acc], y_new[acc], K[acc], h[acc]
+        T[acc], Y[acc], F[acc] = t_new, y_new, K[:, -1]   # the last stage starts the next step
 
         # terminal events: the earliest root on the step's interpolant ends the strip
-        g_old, g_new = Gev[rows], event_values(t_new, y_new, f_new)
+        g_old, g_new = Gev[acc], event_values(t_new, y_new, K[:, -1])
+        Gev[acc] = g_new
         active = (np.minimum(g_old, g_new) <= 0) & (np.maximum(g_old, g_new) >= 0)
-        if acc is None:
-            Gev = g_new
-        else:
-            Gev[acc] = g_new
-        t_end, hit, y_hit = t_new, None, {}
-        if active.any():
-            t_end, hit = t_new.copy(), np.full(len(t_new), -1)
-            for r in active.any(axis=1).nonzero()[0]:
-                def sol(tau, r=r):
-                    return _interpolate(K[r:r + 1], y_old[r:r + 1], t_old[r:r + 1],
-                                        h_int[r:r + 1], np.array([[tau]]), fixed, scalar=True)[0, :, 0]
+        hit, t_end, y_end = np.full(len(acc), -1), t_new.copy(), y_new.copy()
+        for r in active.any(axis=1).nonzero()[0]:
+            def sol(tau, r=r):
+                return _interpolate(K[r:r + 1], y_old[r:r + 1], t_old[r:r + 1], h[r:r + 1],
+                                    np.array([[tau]]), fixed, scalar=True)[:, :, 0]
 
-                ks = active[r].nonzero()[0]
-                roots = np.array([brentq(lambda tau: event_value(k, tau, sol(tau)), t_old[r],
-                                         t_new[r], xtol=4 * _EPS, rtol=4 * _EPS) for k in ks])
-                first = np.argsort(sign * roots)[0]
-                hit[r], t_end[r], y_hit[r] = ks[first], roots[first], sol(roots[first])
+            def g(tau, k):
+                y = sol(tau)
+                return event_values([tau], y, _rhs(E, y))[0, k]
+
+            ks = active[r].nonzero()[0]
+            roots = np.array([brentq(g, t_old[r], t_new[r], args=(k,), xtol=4 * _EPS,
+                                     rtol=4 * _EPS) for k in ks])
+            first = np.argsort(sign * roots)[0]
+            hit[r], t_end[r], y_end[r] = ks[first], roots[first], sol(roots[first])[0]
 
         # samples up to the step end, or up to the event
         if tau_eval is None:
-            y_end = y_new.copy()
-            for r, y in y_hit.items():
-                y_end[r] = y
-            chunks.append((sid, np.array(t_end), y_end))
+            chunks.append((sid, t_end, y_end))
         else:
             upto = np.searchsorted(ahead, t_end if sign > 0 else -t_end, side="right")
-            start = nxt[rows]
+            start = nxt[acc]
             count = upto - start
             # one sample in a step is a matrix-vector product, more a matrix product
-            for sub in ((count == 1).nonzero()[0], (count > 1).nonzero()[0]) if count.any() else ():
+            for sub in ((count == 1).nonzero()[0], (count > 1).nonzero()[0]):
                 if sub.size:
                     j = start[sub, None] + np.arange(count[sub].max())
                     taus = tau_eval[np.minimum(j, len(tau_eval) - 1)]
-                    ys = _interpolate(K[sub], y_old[sub], t_old[sub], h_int[sub], taus, fixed)
+                    ys = _interpolate(K[sub], y_old[sub], t_old[sub], h[sub], taus, fixed)
                     keep = j < upto[sub, None]
                     chunks.append((np.repeat(sid[sub], count[sub]), taus[keep],
                                    ys.transpose(0, 2, 1)[keep]))
-            nxt[rows] = upto
+            nxt[acc] = upto
 
-        stop = np.full(len(t_new), k_step == n_steps) if fixed else t_new == t1
-        if hit is not None:
-            stop |= hit >= 0
+        stop = (t_new == t1) | (hit >= 0)
+        for r in stop.nonzero()[0]:
+            i = sid[r]
+            if hit[r] < 0:
+                out[i] = "span_end"
+            elif hit[r] == 1:
+                out[i] = DegeneracyError(
+                    f"degenerate (touching) point reached near tau = {t_end[r]:.6g}",
+                    state=last(i)[0])
+            else:
+                state, recorded = last(i)
+                if not recorded or state.tau != t_end[r]:
+                    chunks.append((sid[r:r + 1], t_end[r:r + 1], y_end[r:r + 1]))
+                out[i] = "boundary" if hit[r] == 0 else "event"
         if stop.any():
-            for r in stop.nonzero()[0]:
-                i = sid[r]
-                if hit is None or hit[r] < 0:
-                    out[i] = "span_end"
-                elif hit[r] == 1:
-                    out[i] = DegeneracyError(
-                        f"degenerate (touching) point reached near tau = {t_end[r]:.6g}",
-                        state=last(i)[0])
-                elif hit[r] >= 0:
-                    state, recorded = last(i)
-                    if not recorded or state.tau != t_end[r]:
-                        chunks.append((sid[r:r + 1], t_end[r:r + 1], y_hit[r][None]))
-                    out[i] = "boundary" if hit[r] == 0 else "event"
             keep = np.ones(len(ids), bool)
-            keep[stop.nonzero()[0] if acc is None else acc[stop]] = False
+            keep[acc[stop]] = False
             ids, T, Y, F, Gev, nxt, H, retry = (
                 a[keep] for a in (ids, T, Y, F, Gev, nxt, H, retry))
 

@@ -164,6 +164,17 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["propagate", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize("block,extra", [("integrator: {method: fixed, dt: 0.0}\n", ()),
+                                         ("", ("--fixed-step", "-0.01"))])
+def test_cli_refused_step_is_a_config_error(tmp_path, capsys, block, extra):
+    cfg = tmp_path / "cfg.yaml"
+    with open(_cfg("free.yaml")) as f:
+        cfg.write_text(f.read() + block)
+    assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path), *extra]) == 1
+    assert "dt must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "strip_0.csv").exists()
+
+
 def test_cli_missing_config_file_exit_code(tmp_path):
     missing = tmp_path / "nope.yaml"
     assert main(["propagate", "--config", str(missing), "--out", str(tmp_path)]) == 1

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contactflow as cf
-from contactflow.strips import Fiber, _onshell_scale, _pack, _project_strip
+from contactflow.strips import Fiber, _onshell_scale, _pack, _project_strip, flow_to_event
 
 
 def test_state_validation():
@@ -79,6 +79,28 @@ def test_boundary_exit_terminates(free, method):
     assert strip.boundary_exit
     assert strip.taus[-1] < 10.0
     assert abs(small.boundary_clearance(strip.x[-1])) < 1e-7
+
+
+@pytest.mark.parametrize("settings", [dict(method="rk2"), dict(dt=0.0), dict(dt=-0.01),
+                                      dict(dt=math.nan), dict(dt=math.inf), dict(abs_tol=-1e-9)])
+def test_integrator_config_refuses_bad_settings(settings):
+    with pytest.raises(cf.ContractViolation):
+        cf.IntegratorConfig(**settings)
+
+
+@pytest.mark.parametrize("at,expect", [(0.9, 0.9), (1.1, None)])
+def test_flow_to_event_returns_the_earlier_crossing_in_one_step(at, expect):
+    # a unit-speed ray from the centre of the box |x_i| <= 1 meets the chart
+    # boundary at tau = 1; one RK4 step of size 5 covers both crossings
+    E = cf.builtin("eikonal", bound=1.0).surface
+    init = cf.CharacteristicState([0.0, 0.0], 0.0, [1.0, 0.0], 1.0)
+    hit = flow_to_event(E, init, 5.0, lambda tau, y: y[0] - at,
+                        cf.IntegratorConfig(method="fixed", dt=5.0))
+    if expect is None:
+        assert hit is None
+    else:
+        assert hit.tau == pytest.approx(expect, abs=1e-12)
+        assert hit.x[0] == pytest.approx(at, abs=1e-12)
 
 
 def test_degenerate_state_rejected_by_field():
