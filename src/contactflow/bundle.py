@@ -19,7 +19,7 @@ from .charts import (Chart, PolyField, ScalarField, VectorField, fd_gradient,
                      fd_steps, scan_roots)
 from .errors import (ContractViolation, EmptyDiagramError,
                      InternalConsistencyError)
-from .strips import PS_ZERO_TOL, Strip, SymbolSurface
+from .strips import PS_ZERO_TOL, Strip, SymbolSurface, _degeneracy_gap
 
 #: rays whose alpha-value is below this (relative to the ray norm) are lightlike
 LIGHTLIKE_RTOL = 1e-9
@@ -127,62 +127,46 @@ class WaveDiagram:
         return np.asarray([q.v for q in self.points])
 
 
-def _onshell_momenta_at(E: SymbolSurface, x, p_s: float, n_samples: int) -> list[np.ndarray]:
-    """On-shell M-momenta at fixed p_s: radial root scan over directions."""
-    m = E.dim
-    if m == 1:
-        dirs = [np.array([1.0]), np.array([-1.0])]
-    elif m == 2:
-        thetas = np.linspace(0.0, 2 * math.pi, n_samples, endpoint=False)
-        dirs = [np.array([math.cos(t), math.sin(t)]) for t in thetas]
-    else:
-        rng = np.random.default_rng(0)
-        dirs = []
-        for _ in range(n_samples):
-            d = rng.standard_normal(m)
-            dirs.append(d / np.linalg.norm(d))
-    return [r * d for d in dirs
-            for r in scan_roots(lambda r: E.value(x, np.multiply.outer(r, d), p_s), _RADII)]
-
-
 def wave_diagram(E: SymbolSurface, conn: ConnectionData, x, n_samples: int = 64) -> WaveDiagram:
-    """Section of the Monge cone at x by the connection plane alpha = 1.
+    """Section of the Monge cone at x by the connection plane alpha = 1, on a
+    2D chart, from one radial scan per section p_s = +-1 over ``n_samples``
+    directions (degenerate ones dropped) and from the p_s = 0 angle scan.
 
     Rays parallel to the plane (alpha = 0) land in the lightlike bucket; rays
     pointing below it (alpha < 0, unreachable by positive rescaling) are kept
     separately as well.
     """
+    if E.dim != 2:
+        raise ContractViolation("wave diagrams are implemented for 2D charts")
     x = E.chart.require_point(x)
-    A = conn.A(x)
-    points: list[DiagramPoint] = []
-    lightlike: list[np.ndarray] = []
-    unreachable: list[np.ndarray] = []
+    thetas = np.linspace(0.0, 2 * math.pi, n_samples, endpoint=False)
+    dirs = np.array([[math.cos(t), math.sin(t)] for t in thetas])
+    P, PS = [], []
+    for p_s in (1.0, -1.0):
+        roots = scan_roots(lambda r, i: E.value(x, np.asarray(r)[..., None] * dirs[i], p_s),
+                           _RADII, n_samples)
+        P += [r * d for d, radii in zip(dirs, roots) for r in radii]
+        PS += [p_s] * (len(P) - len(PS))
+    P += _null_class_momenta(E, x, n_samples)
+    P, PS = np.array(P).reshape(-1, 2), np.array(PS + [0.0] * (len(P) - len(PS)))
+    Q = np.concatenate([P, PS[:, None]], axis=1)
 
-    rays = [(p, p_s, sign) for p_s, sign in ((1.0, 1), (-1.0, -1))
-            for p in _onshell_momenta_at(E, x, p_s, n_samples)
-            if not E.is_degenerate(x, p, p_s)]
-    # the p_s = 0 class: scan directions on the unit momentum sphere
-    rays += [(p, 0.0, 0) for p in _null_class_momenta(E, x, n_samples)]
-    for p, p_s, sign in rays:
-        _, gp, gps = E.gradient(x, p, p_s)
-        v_m, s_dot = gp, -gps
-        a = s_dot + float(np.dot(A, v_m))
-        norm = np.linalg.norm(np.append(v_m, s_dot))
-        if norm == 0.0:
-            continue
-        if abs(a) <= LIGHTLIKE_RTOL * norm:
-            lightlike.append(np.append(v_m, s_dot))
-        elif a < 0:
-            unreachable.append(np.append(v_m, s_dot))
-        else:
-            points.append(DiagramPoint(v_m / a, sign, np.append(p, p_s), s_dot / a))
-
+    # one gradient over every ray; (v_m, s_dot) = (dG/dp, -dG/dp_s) is its cone ray
+    _, gp, gps = E.gradient(x, P, PS)
+    W = np.concatenate([gp, -gps[:, None]], axis=1)
+    gap = _degeneracy_gap(E, Q, np.concatenate([gp, gps[:, None]], axis=1))
+    a, norm = W[:, 2] + np.vecdot(conn.A(x), gp), np.sqrt(np.vecdot(W, W))
+    keep = ((PS == 0.0) | ~(gap < 0)) & (norm != 0.0)
+    light = keep & (np.abs(a) <= LIGHTLIKE_RTOL * norm)
+    below = keep & ~light & (a < 0)
+    points = [DiagramPoint(gp[k] / a[k], int(PS[k]), Q[k], float(W[k, 2] / a[k]))
+              for k in np.flatnonzero(keep & ~light & ~below)]
     if not points:
-        if lightlike:
+        if light.any():
             raise EmptyDiagramError(
                 f"all Monge-cone rays at {x} are lightlike; the alpha = 1 section is empty")
         raise EmptyDiagramError(f"no on-shell covectors found at {x}")
-    return WaveDiagram(x, points, lightlike, unreachable)
+    return WaveDiagram(x, points, list(W[light]), list(W[below]))
 
 
 def ray_alpha(E: SymbolSurface, conn: ConnectionData, x, p, p_s: float) -> float:
@@ -198,19 +182,17 @@ def ray_alpha(E: SymbolSurface, conn: ConnectionData, x, p, p_s: float) -> float
 
 def _null_class_momenta(E: SymbolSurface, x, n_samples: int) -> list[np.ndarray]:
     """Unit momenta p with G(x, p, 0) = 0 (homogeneous: a cone direction scan)."""
-    if E.dim != 2:
-        return []
     period = 2 * math.pi
 
     # g is exactly periodic, so the closing grid point 2 pi repeats t = 0 and
     # a root reported there is the one at 0
-    def g(t):
+    def g(t, i):
         t = t % period
         return E.value(x, np.stack([np.cos(t), np.sin(t)], axis=-1), 0.0)
 
     thetas = np.linspace(0.0, period, max(n_samples, 16), endpoint=False)
-    return [np.array([math.cos(t), math.sin(t)])
-            for t in scan_roots(g, np.append(thetas, period)) if t < period]
+    roots, = scan_roots(g, np.append(thetas, period))
+    return [np.array([math.cos(t), math.sin(t)]) for t in roots if t < period]
 
 
 def legendre_dual(samples: np.ndarray) -> np.ndarray:
@@ -220,44 +202,36 @@ def legendre_dual(samples: np.ndarray) -> np.ndarray:
     with p(v) = 1 and p|_T = 0 is returned.  2D samples are taken as a ring
     in order and the tangent is the symmetric chord through the neighbours;
     in higher dimensions it is a local least-squares plane over the
-    2*dim nearest samples.
+    2*dim nearest samples.  Samples whose tangent estimate is degenerate
+    (p(v) near 0) are left out.
     """
     samples = np.asarray(samples, float)
     n, m = samples.shape
     if n < m + 1:
         raise ContractViolation("need at least dim+1 samples to estimate tangent planes")
-    duals = np.full_like(samples, np.nan)
     if m == 2:
-        for i in range(n):
-            t = samples[(i + 1) % n] - samples[(i - 1) % n]
-            nrm = np.array([-t[1], t[0]])
-            denom = float(np.dot(nrm, samples[i]))
-            if abs(denom) < 1e-14 * np.linalg.norm(nrm) * max(np.linalg.norm(samples[i]), 1.0):
-                continue  # degenerate tangent estimate: skip with NaN marker
-            duals[i] = nrm / denom
+        t = np.roll(samples, -1, axis=0) - np.roll(samples, 1, axis=0)
+        nrm = np.stack([-t[:, 1], t[:, 0]], axis=-1)
+        tol = (1e-14 * np.sqrt(np.vecdot(nrm, nrm))
+               * np.maximum(np.sqrt(np.vecdot(samples, samples)), 1.0))
     else:
         d2 = np.sum((samples[None, :, :] - samples[:, None, :]) ** 2, axis=-1)
-        for i in range(n):
-            idx = np.argsort(d2[i])[1:2 * m + 1]
-            rel = samples[idx] - samples[i]
-            _, sv, vt = np.linalg.svd(rel, full_matrices=True)
-            nrm = vt[-1]
-            denom = float(np.dot(nrm, samples[i]))
-            if abs(denom) < 1e-12:
-                continue
-            duals[i] = nrm / denom
-    good = ~np.isnan(duals[:, 0])
-    return duals[good]
+        near = np.argsort(d2, axis=1)[:, 1:2 * m + 1]
+        nrm = np.linalg.svd(samples[near] - samples[:, None, :])[2][:, -1]   # plane normals
+        tol = 1e-12
+    denom = np.vecdot(nrm, samples)
+    fit = ~(np.abs(denom) < tol)
+    duals = nrm[fit] / denom[fit, None]
+    return duals[~np.isnan(duals[:, 0])]
 
 
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    from scipy.spatial import cKDTree
-
+    """Symmetric Hausdorff distance between two point sets of shape (n, m)
+    and (k, m), from all n * k pairwise distances (O(n * k) memory)."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    da = cKDTree(b).query(a)[0].max()
-    db = cKDTree(a).query(b)[0].max()
-    return float(max(da, db))
+    d = np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1))
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
 def strip_in_gauge(strip: Strip, chi: PolyField | ScalarField) -> Strip:

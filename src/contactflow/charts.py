@@ -106,22 +106,23 @@ def fd_gradient(f: Callable, x, steps) -> np.ndarray:
     return np.stack(rows, axis=x.ndim - 1)
 
 
-def scan_roots(f: Callable, grid) -> list[float]:
-    """Ascending roots of a scalar f found by scanning a grid.
+def scan_roots(f: Callable, grid, n: int = 1) -> list[list[float]]:
+    """Ascending roots of the n scalar functions t -> f(t, i), i < n, found
+    by scanning one grid: a list of n root lists.
 
-    f is called once on the whole grid array, and on single floats by the
-    brentq polish of each sign change between neighbouring grid values; a
-    grid value that is exactly zero (the last one included) counts once.
+    f is called once on the whole grid for all n functions, with t of shape
+    (1, k) and i of shape (n, 1), and returns values of shape (n, k); the
+    brentq polish of each sign change between neighbouring grid values calls
+    it with a float t and an int i.  A grid value that is exactly zero (the
+    last one included) counts once.
     """
     grid = np.asarray(grid, dtype=float)
-    vals = np.asarray(f(grid), dtype=float)
-    lo, hi = vals[:-1], vals[1:]
-    roots = [float(grid[i]) if lo[i] == 0.0
-             else float(brentq(f, grid[i], grid[i + 1], xtol=1e-14))
-             for i in np.flatnonzero((lo == 0.0) | (lo * hi < 0))]
-    if vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    return sorted(roots)
+    vals = np.asarray(f(grid[None, :], np.arange(n)[:, None]), dtype=float)
+    # an exact zero, or a sign change between a grid value and the next one
+    hit = (vals == 0.0) | (vals * np.pad(vals[:, 1:], ((0, 0), (0, 1))) < 0)
+    return [sorted(float(grid[j]) if vals[i, j] == 0.0
+                   else float(brentq(f, grid[j], grid[j + 1], args=(i,), xtol=1e-14))
+                   for j in np.flatnonzero(hit[i])) for i in range(n)]
 
 
 def components(a) -> list:
@@ -152,10 +153,10 @@ def libm_pow(a, b):
         if b == 1:
             return a
         a = np.asarray(a, dtype=float)
-        return np.fromiter(map(math.pow, a.ravel().tolist(), itertools.repeat(b)),
+        return np.fromiter(map(math.pow, memoryview(a.ravel()), itertools.repeat(b)),
                            float, a.size).reshape(a.shape)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    return np.fromiter(map(math.pow, a.ravel().tolist(), b.ravel().tolist()),
+    return np.fromiter(map(math.pow, memoryview(a.ravel()), memoryview(b.ravel())),
                        float, a.size).reshape(a.shape)
 
 
@@ -168,7 +169,7 @@ def libm_hypot(a, b):
     if isinstance(a, float) and isinstance(b, float):
         return np.float64(math.hypot(a, b))
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    return np.fromiter(map(math.hypot, a.ravel().tolist(), b.ravel().tolist()),
+    return np.fromiter(map(math.hypot, memoryview(a.ravel()), memoryview(b.ravel())),
                        float, a.size).reshape(a.shape)
 
 

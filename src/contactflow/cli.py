@@ -31,6 +31,7 @@ from .strips import (CharacteristicState, Fiber, IntegratorConfig, SymbolSurface
 SCHEMA_VERSION = 1
 SUBCOMMANDS = ("propagate", "wavefront", "noether-check", "symbol",
                "holonomy", "wave-diagram")
+STRIP_SUBCOMMANDS = SUBCOMMANDS[:3]   # the runs that integrate strips
 SCENARIO_KEYS = {"builtin", "builtin_args", "symbol", "name"}
 
 
@@ -338,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument("--seed", type=int, default=0, help="sampling seed")
     ap.add_argument("--fixed-step", type=float, default=None, metavar="DT",
-                    help="use the fixed-step integrator with this step")
+                    help="use the fixed-step integrator with this step "
+                    "(propagate, wavefront and noether-check only)")
     ap.add_argument("--report", default=None, help="report JSON path "
                     "(default: <out>/report.json)")
     return ap
@@ -349,6 +351,9 @@ def main(argv=None) -> int:
     report = {"subcommand": args.subcommand, "config": args.config,
               "seed": args.seed, "schema_version": SCHEMA_VERSION}
     try:
+        if args.fixed_step is not None and args.subcommand not in STRIP_SUBCOMMANDS:
+            raise ConfigError(f"--fixed-step does not apply to {args.subcommand}, "
+                              "which integrates no strips")
         cfg = _load_config(args.config)
         out_io.ensure_dir(args.out)
         needs_scenario = args.subcommand not in ("symbol", "holonomy")

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import Chart, fd_gradient, scan_roots
+from .charts import Chart, fd_gradient, libm_pow, scan_roots
 from .errors import ContractViolation, NoLiftError
 from .strips import (CharacteristicState, IntegratorConfig, SymbolSurface,
                      batch_propagate)
@@ -110,46 +110,43 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec,
 
     The momentum must annihilate the front tangent in the contact sense
     (<p, x_u> = p_s dS0/du); the remaining conormal scale is fixed by root
-    finding G = 0 along the conormal ray.  ``branch`` is (sign of p_s,
-    root index among the ascending roots).
+    finding G = 0 along the conormal ray, all samples in one grid scan.
+    ``branch`` is (sign of p_s, root index among the ascending roots).
     """
     ps_sign, root_idx = branch
     if ps_sign not in (1, -1):
         raise ContractViolation("branch p_s sign must be +1 or -1 (null lifts unsupported)")
+    if E.dim != 2:
+        raise ContractViolation("conormal construction implemented for 2D charts")
+    U = sigma.params
+    X, T = np.array([sigma.x(u) for u in U]), sigma.tangent(U)
+    nt = np.sqrt(np.vecdot(T, T))
+    rows = np.flatnonzero(nt != 0.0)   # samples with a tangent
+    X, T, nt = X[rows], T[rows], nt[rows]
+    # particular solutions of <p, x_u> = p_s * dS0/du, and the unit conormals
+    P0 = (ps_sign * sigma.s0_du(U)[rows] / libm_pow(nt, 2))[:, None] * T
+    N = np.stack([-T[:, 1], T[:, 0]], axis=-1)
+    N /= np.sqrt(np.vecdot(N, N))[:, None]
+
+    def g(lam, i):
+        return E.value(X[i], P0[i] + np.asarray(lam)[..., None] * N[i], float(ps_sign))
+
+    found = dict(zip(rows.tolist(), zip(X, P0, N, scan_roots(g, _LIFT_GRID, len(rows)))))
     samples: list[LiftedSample] = []
     failures: list[tuple[float, str]] = []
-    for u, t, s0_du in zip(sigma.params, sigma.tangent(sigma.params), sigma.s0_du(sigma.params)):
-        x = sigma.x(u)
-        nt = np.linalg.norm(t)
-        if nt == 0.0:
+    for k, u in enumerate(U):
+        x, p0, nrm, roots = found.get(k, (None,) * 4)
+        if roots is None:
             failures.append((u, "degenerate parametrization (zero tangent)"))
-            continue
-        # particular solution of <p, x_u> = p_s * dS0/du plus the conormal ray
-        rhs = ps_sign * s0_du
-        p_part = (rhs / nt**2) * t
-        nrm = _conormal(t)
-
-        def g(lam, x=x, p_part=p_part, nrm=nrm):
-            return E.value(x, p_part + np.multiply.outer(lam, nrm), float(ps_sign))
-
-        roots = scan_roots(g, _LIFT_GRID)
-        if root_idx >= len(roots):
+        elif root_idx >= len(roots):
             failures.append((u, f"no on-shell root (found {len(roots)}, wanted index {root_idx})"))
-            continue
-        p = p_part + roots[root_idx] * nrm
-        state = CharacteristicState(x, float(sigma.s0(u)), p, float(ps_sign))
-        samples.append(LiftedSample(float(u), state))
+        else:
+            state = CharacteristicState(x, float(sigma.s0(u)), p0 + roots[root_idx] * nrm,
+                                        float(ps_sign))
+            samples.append(LiftedSample(float(u), state))
     if not samples:
         raise NoLiftError(f"no front sample admitted a lift: {failures[:3]}")
     return samples
-
-
-def _conormal(t: np.ndarray) -> np.ndarray:
-    """A unit vector orthogonal to the tangent (2D fronts)."""
-    if len(t) != 2:
-        raise ContractViolation("conormal construction implemented for 2D charts")
-    n = np.array([-t[1], t[0]])
-    return n / np.linalg.norm(n)
 
 
 @dataclass

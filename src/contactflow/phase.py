@@ -48,9 +48,10 @@ def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec,
              tau_budget: float = 50.0) -> PhasePoint:
     """Flow the characteristic through ``state`` to the section and reduce.
 
-    Both tau directions are tried; the crossing nearest tau = 0 wins.  The
-    result is independent of where on the characteristic ``state`` sits and
-    of its s value.
+    Both tau directions are tried; the crossing nearest tau = 0 wins, the
+    forward one on a tie.  The backward flow stops at |tau| of the forward
+    crossing, or at the budget if there is none.  The result is independent
+    of where on the characteristic ``state`` sits and of its s value.
     """
     i_sec = E.chart.axis_index(section.axis)
     keep = [i for i in range(E.dim) if i != i_sec]
@@ -64,9 +65,10 @@ def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec,
     if abs(state.x[i_sec] - section.value) <= 1e-13 * max(abs(section.value), 1.0):
         hits = [state]
     else:
-        hits = [flow_to_event(E, state, direction * tau_budget, crossing, SECTION_INTEGRATOR)
-                for direction in (+1.0, -1.0)]
-        hits = [h for h in hits if h is not None]
+        ahead = flow_to_event(E, state, tau_budget, crossing, SECTION_INTEGRATOR)
+        reach = tau_budget if ahead is None else abs(ahead.tau)
+        hits = [h for h in (ahead, flow_to_event(E, state, -reach, crossing, SECTION_INTEGRATOR))
+                if h is not None]
     if not hits:
         raise CrossingError(
             f"characteristic does not cross {{{section.axis} = {section.value}}} "

@@ -736,15 +736,13 @@ def sample_onshell(E: SymbolSurface, rng: np.random.Generator, n: int,
         p0 = rng.standard_normal(E.dim)
         d = rng.standard_normal(E.dim)
         d /= np.linalg.norm(d)
-        roots = scan_roots(lambda t: E.value(x, p0 + np.multiply.outer(t, d), p_s),
-                           _SAMPLE_GRID)
+        roots, = scan_roots(lambda t, i: E.value(x, p0 + np.multiply.outer(t, d), p_s),
+                            _SAMPLE_GRID)
         if not roots:
             continue
         p = p0 + roots[0] * d
-        state = CharacteristicState(x, 0.0, p, p_s)
-        if E.is_degenerate(x, p, p_s):
-            continue
-        out.append(state)
+        if not E.is_degenerate(x, p, p_s):
+            out.append(CharacteristicState(x, 0.0, p, p_s))
     if len(out) < n:
         raise ContractViolation(
             f"could only find {len(out)}/{n} on-shell samples; surface may be empty here")

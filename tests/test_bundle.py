@@ -7,6 +7,7 @@ import pytest
 
 import contactflow as cf
 from contactflow import bundle
+from contactflow.charts import scan_roots
 
 
 def _plane_chart():
@@ -123,6 +124,35 @@ def test_wave_diagram_free_symbol_parabola():
         assert abs(pair - p[2] * s_dot) < 1e-9  # contact pairing <p, v> = p_s s_dot
 
 
+def test_wave_diagram_equals_a_per_ray_reference():
+    # the ray-by-ray construction that the stacked scan and gradient replaced
+    sc = cf.builtin("relativistic", field_strength=0.7)
+    E, x, n = sc.surface, np.array([0.3, 0.0]), 24   # A(x) = 0: null rays are lightlike
+    diag = cf.wave_diagram(E, sc.connection, x, n_samples=n)
+    rays = []
+    for p_s in (1.0, -1.0):
+        for t in np.linspace(0.0, 2 * math.pi, n, endpoint=False):
+            d = np.array([math.cos(t), math.sin(t)])
+            roots, = scan_roots(lambda r, i: E.value(x, np.multiply.outer(r, d), p_s),
+                                bundle._RADII)
+            rays += [(r * d, p_s) for r in roots if not E.is_degenerate(x, r * d, p_s)]
+    rays += [(p, 0.0) for p in bundle._null_class_momenta(E, x, n)]
+    points, light, below = [], [], []
+    for p, p_s in rays:
+        _, gp, gps = E.gradient(x, p, p_s)
+        w = np.append(gp, -gps)
+        a = -gps + float(np.dot(sc.connection.A(x), gp))
+        if abs(a) <= bundle.LIGHTLIKE_RTOL * np.linalg.norm(w):
+            light.append(w)
+        elif a < 0:
+            below.append(w)
+        else:
+            points.append(w / a)
+    assert points and light and below
+    assert np.array_equal([np.append(q.v, q.s_dot) for q in diag.points], points)
+    assert np.array_equal(diag.lightlike, light)
+    assert np.array_equal(diag.unreachable, below)
+
 def test_wave_diagram_empty_raises():
     ch = _plane_chart()
 
@@ -134,6 +164,14 @@ def test_wave_diagram_empty_raises():
     with pytest.raises(cf.EmptyDiagramError):
         cf.wave_diagram(E, conn, [0.0, 0.0])
 
+
+
+def test_wave_diagram_needs_a_2d_chart():
+    ch = cf.Chart(["t", "x", "y"], [(-5.0, 5.0)] * 3)
+    E = cf.SymbolSurface(ch, lambda x, p, p_s: p[..., 0] * p_s + 0.5 * p[..., 1] ** 2, 2)
+    conn = cf.ConnectionData(ch, lambda x: np.zeros(3))
+    with pytest.raises(cf.ContractViolation, match="2D"):
+        cf.wave_diagram(E, conn, [0.0, 0.0, 0.0])
 
 def test_ray_alpha_signs_for_mass_shell():
     sc = cf.relativistic_scenario(1.0, 0.0, lambda x: np.zeros(2),
@@ -184,6 +222,41 @@ def test_legendre_dual_needs_enough_samples():
     with pytest.raises(cf.ContractViolation):
         cf.legendre_dual(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
+
+def _dual_by_loop(s):
+    """legendre_dual one sample at a time, as a reference."""
+    n, m = s.shape
+    d2 = np.sum((s[None, :, :] - s[:, None, :]) ** 2, axis=-1)
+    out = []
+    for i in range(n):
+        if m == 2:
+            t = s[(i + 1) % n] - s[(i - 1) % n]
+            nrm = np.array([-t[1], t[0]])
+            tol = 1e-14 * np.linalg.norm(nrm) * max(np.linalg.norm(s[i]), 1.0)
+        else:
+            nrm, tol = np.linalg.svd(s[np.argsort(d2[i])[1:2 * m + 1]] - s[i])[2][-1], 1e-12
+        denom = float(np.dot(nrm, s[i]))
+        if abs(denom) >= tol:
+            out.append(nrm / denom)
+    return np.array(out)
+
+
+def test_legendre_dual_and_hausdorff_equal_loop_references():
+    rng = np.random.default_rng(3)
+    th = np.sort(rng.uniform(0.0, 2 * math.pi, 40))
+    ring = np.stack([(2.0 + np.cos(3 * th)) * np.cos(th), 1.5 * np.sin(th)], axis=1)
+    ring[5] = 0.0   # p(v) = 0 at the origin: that sample has no dual
+    cloud = rng.standard_normal((60, 3)) * [1.0, 2.0, 0.5]
+    for samples in (ring, cloud):
+        dual = cf.legendre_dual(samples)
+        assert np.array_equal(dual, _dual_by_loop(samples))
+        assert len(dual) == len(samples) - (samples is ring)
+
+        def nearest(p, q):
+            return max(np.sqrt(np.sum((q - v) ** 2, axis=1)).min() for v in p)
+
+        assert cf.hausdorff_distance(samples, dual) == max(nearest(samples, dual),
+                                                           nearest(dual, samples))
 
 def test_hausdorff_distance_basics():
     a = np.array([[0.0, 0.0], [1.0, 0.0]])

@@ -75,27 +75,46 @@ def test_random_polynomial_gradient_consistency(deg, x0):
 # ------------------------------------------------------------------ root scan
 
 def test_scan_roots_of_cubic_come_back_ascending():
-    roots = scan_roots(lambda t: (t - 2.9) * (t + 0.4) * (t - 1.3), np.linspace(-5.0, 5.0, 77))
+    roots, = scan_roots(lambda t, i: (t - 2.9) * (t + 0.4) * (t - 1.3),
+                        np.linspace(-5.0, 5.0, 77))
     assert len(roots) == 3
     assert np.allclose(roots, [-0.4, 1.3, 2.9], rtol=0.0, atol=1e-12)
 
 
 def test_scan_roots_counts_exact_grid_roots_once():
     grid = np.linspace(-2.0, 2.0, 5)   # -2, -1, 0, 1, 2
-    assert scan_roots(lambda t: t, grid) == [0.0]
-    assert scan_roots(lambda t: t - 2.0, grid) == [2.0]   # the last grid point
-    assert scan_roots(lambda t: (t + 1.0) * (t - 2.0), grid) == [-1.0, 2.0]
-    assert scan_roots(lambda t: t * t + 1.0, grid) == []
+    assert scan_roots(lambda t, i: t, grid) == [[0.0]]
+    assert scan_roots(lambda t, i: t - 2.0, grid) == [[2.0]]   # the last grid point
+    assert scan_roots(lambda t, i: (t + 1.0) * (t - 2.0), grid) == [[-1.0, 2.0]]
+    assert scan_roots(lambda t, i: t * t + 1.0, grid) == [[]]
+    # the same rows, and one with two polished roots, from one grid call:
+    # f(t, i) = a_i t^2 + b_i t + c_i
+    a, b, c = (np.array(v) for v in ([0.0, 0.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 0.0, 0.0],
+                                      [0.0, -2.0, -2.0, 1.0, -0.5]))
+    calls = []
+
+    def f(t, i):
+        calls.append(np.ndim(t))
+        return a[i] * t * t + b[i] * t + c[i]
+
+    roots = scan_roots(f, grid, 5)
+    assert roots[:4] == [[0.0], [2.0], [-1.0, 2.0], []]
+    assert np.allclose(roots[4], [-0.5 ** 0.5, 0.5 ** 0.5], rtol=0.0, atol=1e-14)
+    assert calls.count(2) == 1
 
 
 def test_scan_roots_evaluates_the_grid_in_one_call():
     grid = np.linspace(-5.0, 5.0, 77)
     arrays, scalars = [], []
+    shift = np.array([0.0, 0.25, 7.0])   # the last function has no root on the grid
 
-    def f(t):
-        (arrays if np.ndim(t) else scalars).append(t)
-        return (t - 2.9) * (t + 0.4) * (t - 1.3)
+    def f(t, i):
+        (arrays if np.ndim(t) else scalars).append((t, i))
+        return (t - 2.9 - shift[i]) * (t + 0.4) * (t - 1.3)
 
-    assert len(scan_roots(f, grid)) == 3
-    assert len(arrays) == 1 and np.array_equal(arrays[0], grid)
-    assert scalars and all(isinstance(t, float) for t in scalars)   # brentq's polish
+    assert [len(r) for r in scan_roots(f, grid, 3)] == [3, 3, 2]
+    assert len(arrays) == 1
+    t, i = arrays[0]
+    assert np.array_equal(t, grid[None, :]) and np.array_equal(i, [[0], [1], [2]])
+    assert scalars and all(isinstance(t, float) and type(i) is int
+                           for t, i in scalars)   # brentq's polish

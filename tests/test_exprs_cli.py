@@ -175,6 +175,16 @@ def test_cli_refused_step_is_a_config_error(tmp_path, capsys, block, extra):
     assert not (tmp_path / "strip_0.csv").exists()
 
 
+@pytest.mark.parametrize("sub,config", [("symbol", "schrodinger_symbol.yaml"),
+                                        ("holonomy", "holonomy.yaml"),
+                                        ("wave-diagram", "wave_diagram_eikonal.yaml")])
+def test_cli_fixed_step_without_strips_is_a_config_error(tmp_path, capsys, sub, config):
+    assert main([sub, "--config", _cfg(config), "--out", str(tmp_path),
+                 "--fixed-step", "0.01"]) == 1
+    assert f"--fixed-step does not apply to {sub}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_cli_missing_config_file_exit_code(tmp_path):
     missing = tmp_path / "nope.yaml"
     assert main(["propagate", "--config", str(missing), "--out", str(tmp_path)]) == 1

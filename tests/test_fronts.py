@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import contactflow as cf
+from contactflow import fronts
+from contactflow.charts import scan_roots
 
 
 def _eik():
@@ -85,6 +87,47 @@ def test_legendre_lift_no_root_raises():
     front = cf.circle_front(sc.chart, 1.0, 8)
     with pytest.raises(cf.NoLiftError):
         cf.legendre_lift(sc.surface, front, branch=(1, 5))
+
+
+
+@pytest.mark.parametrize("front,branch", [
+    (cf.circle_front(_eik().chart, 1.0, 48), (1, 1)),
+    (cf.flat_front(_eik().chart, "x", 0.2, (-1.0, 1.0), 21, s0=lambda u: 0.5 * math.sin(u)),
+     (1, 0)),
+], ids=["circle", "flat-with-action"])
+def test_legendre_lift_equals_a_per_sample_scan(front, branch):
+    # the stacked scan gives each sample the bits of a scan of its own ray
+    E, (ps, idx) = _eik().surface, branch
+    lift = cf.legendre_lift(E, front, branch=branch)
+    assert len(lift) == len(front.params)
+    for ls, u in zip(lift, front.params):
+        x, t = front.x(u), front.tangent(u)
+        p_part = (ps * front.s0_du(u) / np.linalg.norm(t) ** 2) * t
+        nrm = np.array([-t[1], t[0]]) / np.linalg.norm([-t[1], t[0]])
+        roots, = scan_roots(lambda lam, i: E.value(x, p_part + np.multiply.outer(lam, nrm),
+                                                   float(ps)), fronts._LIFT_GRID)
+        assert np.array_equal(ls.state.x, x)
+        assert np.array_equal(ls.state.p, p_part + roots[idx] * nrm)
+
+def test_legendre_lift_skips_a_sample_with_zero_tangent():
+    # the front y = 0.5 stands still for |u| < 0.05, so the tangent at u = 0
+    # is exactly 0 there; every other sample lifts to the unit conormal
+    sc = _eik()
+
+    def pos(u):
+        return np.array([math.copysign(max(abs(u) - 0.05, 0.0), u), 0.5])
+
+    front = cf.FrontSpec(sc.chart, pos, np.linspace(-1.0, 1.0, 21))
+    assert np.array_equal(front.tangent(0.0), [0.0, 0.0])
+    lift = cf.legendre_lift(sc.surface, front, branch=(1, 0))
+    assert [ls.u for ls in lift] == [u for u in front.params.tolist() if u != 0.0]
+    for ls in lift:
+        assert np.array_equal(ls.state.x, front.x(ls.u))
+        assert np.allclose(ls.state.p, [0.0, -1.0], rtol=0.0, atol=1e-12)
+    # a front that never moves has no sample to lift
+    still = cf.FrontSpec(sc.chart, lambda u: np.array([0.1, 0.2]), np.linspace(0.0, 1.0, 5))
+    with pytest.raises(cf.NoLiftError, match="zero tangent"):
+        cf.legendre_lift(sc.surface, still, branch=(1, 0))
 
 
 # --------------------------------------------------------------- propagation

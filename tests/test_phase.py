@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import contactflow as cf
+from contactflow import phase, strips
 
 
 def _section():
@@ -62,6 +63,31 @@ def test_to_phase_no_crossing_raises(oscillator):
     st = cf.CharacteristicState([0.0, 0.0], 0.0, [-0.5, 1.0], 1.0)
     with pytest.raises(cf.CrossingError):
         cf.to_phase(oscillator.surface, st, cf.SectionSpec("t", 55.0), tau_budget=5.0)
+
+
+def test_to_phase_flows_back_no_further_than_the_forward_crossing(oscillator, monkeypatch):
+    # the default start meets {t = 3} at tau = 3 going forward; the backward
+    # flow stops at tau = -3 instead of running the whole budget of 50
+    E, st = oscillator.surface, oscillator.initial_states[0]
+    section = cf.SectionSpec("t", 3.0)
+    ahead = strips.flow_to_event(E, st, 50.0, lambda tau, y: y[0] - 3.0,
+                                 phase.SECTION_INTEGRATOR)
+    points = []
+    gradient = strips.SymbolSurface.gradient
+
+    def counted(self, x, p, p_s):
+        points.append(np.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(p)[:-1],
+                                                  np.shape(p_s))))
+        return gradient(self, x, p, p_s)
+
+    monkeypatch.setattr(strips.SymbolSurface, "gradient", counted)
+    pt = cf.to_phase(E, st, section)
+    assert sum(points) <= 2500
+    assert pt.branch == "particle"
+    assert pt.coords.tolist() == [ahead.x[1], ahead.p[1] / ahead.p_s]
+    # a section behind the start is still found by the backward flow
+    pt = cf.to_phase(E, st, cf.SectionSpec("t", -2.0))
+    assert np.allclose(pt.coords, [np.sin(-2.0), np.cos(-2.0)], rtol=0.0, atol=1e-8)
 
 
 def test_phase_portrait_collects_branches(free):
