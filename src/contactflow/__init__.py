@@ -32,10 +32,19 @@ from .operators import (LinearDiffOperator, PrincipalSymbol, ScalingReport,
 from .phase import (HolonomyResult, PhasePoint, SectionSpec, curvature_ratio,
                     holonomy, holonomy_convergence, phase_portrait,
                     square_loop, to_phase)
-from .exprs import connection_components, momentum_names, scalar_field, symbol_surface
 from .scenarios import Scenario, builtin
 from .strips import (BatchItem, CharacteristicState, Fiber, IntegratorConfig,
                      Strip, SymbolSurface, action_increment, batch_propagate,
                      propagate, sample_onshell)
 
 __version__ = "0.1.0"
+
+#: names of the expression layer, which imports sympy and so loads on first use
+_EXPRS_NAMES = ("connection_components", "momentum_names", "scalar_field", "symbol_surface")
+
+
+def __getattr__(name):
+    if name in _EXPRS_NAMES:
+        from . import exprs
+        return getattr(exprs, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,12 +13,13 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BoundaryError, ContractViolation
 
 #: default relative finite-difference step (scaled per axis by max(1, |x_i|))
 DEFAULT_FD_STEP = 1e-5
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,69 @@ def fd_gradient(f: Callable, x, steps) -> np.ndarray:
     return np.stack(rows, axis=x.ndim - 1)
 
 
+def brentq(f: Callable, a: float, b: float, args=(), xtol: float = 2e-12,
+           rtol: float = 4 * _EPS, maxiter: int = 100) -> float:
+    """A root of t -> f(t, *args) in the bracket [a, b] by Brent's method,
+    within |t - root| <= xtol + rtol |root|.
+
+    A port of scipy.optimize.brentq, its C routine operation for operation
+    and its wrapper's checks, so a root has scipy's bits.  Raises ValueError
+    for xtol <= 0, rtol < 4 eps, a NaN value of f, or f(a) and f(b) of one
+    sign; RuntimeError when maxiter iterations do not converge.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < 4 * _EPS:
+        raise ValueError(f"rtol too small ({rtol:g} < {4 * _EPS:g})")
+    xtol, rtol = float(xtol), float(rtol)
+
+    def call(t):
+        ft = float(f(t, *args))
+        if math.isnan(ft):
+            raise ValueError(f"The function value at x={t} is NaN; solver cannot continue.")
+        return ft
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf   # bisect, unless an interpolation step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:   # C divides by zero to an inf or a nan: a bisection either way
+                if xpre == xblk:   # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:   # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def scan_roots(f: Callable, grid, n: int = 1) -> list[list[float]]:
     """Ascending roots of the n scalar functions t -> f(t, i), i < n, found
     by scanning one grid: a list of n root lists.
@@ -121,7 +185,7 @@ def scan_roots(f: Callable, grid, n: int = 1) -> list[list[float]]:
     # an exact zero, or a sign change between a grid value and the next one
     hit = (vals == 0.0) | (vals * np.pad(vals[:, 1:], ((0, 0), (0, 1))) < 0)
     return [sorted(float(grid[j]) if vals[i, j] == 0.0
-                   else float(brentq(f, grid[j], grid[j + 1], args=(i,), xtol=1e-14))
+                   else brentq(f, grid[j], grid[j + 1], args=(i,), xtol=1e-14)
                    for j in np.flatnonzero(hit[i])) for i in range(n)]
 
 

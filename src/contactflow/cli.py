@@ -18,15 +18,13 @@ from . import io as out_io
 from .bundle import ConnectionData, hausdorff_distance, legendre_dual, wave_diagram
 from .charts import Chart, PolyField
 from .errors import ConfigError, ContactFlowError
-from .exprs import connection_components, scalar_field, symbol_surface
 from .fronts import circle_front, flat_front, legendre_lift, propagate_front
 from .noether import SymmetryField, check_symmetry, conservation_drift
 from .operators import (LinearDiffOperator, eikonal_residual, poly_phase,
                         symbol_scaling_check)
-from .phase import SectionSpec, holonomy, square_loop, to_phase
+from .phase import holonomy, square_loop
 from .scenarios import Scenario, _zero_connection, builtin
-from .strips import (CharacteristicState, Fiber, IntegratorConfig, SymbolSurface,
-                     propagate)
+from .strips import CharacteristicState, Fiber, IntegratorConfig, propagate
 
 SCHEMA_VERSION = 1
 SUBCOMMANDS = ("propagate", "wavefront", "noether-check", "symbol",
@@ -85,6 +83,7 @@ def _scenario_from(cfg: dict) -> Scenario:
     if sources[0] == "builtin":
         scen = builtin(spec["builtin"], **(spec.get("builtin_args") or {}))
     else:
+        from .exprs import symbol_surface
         sym = spec["symbol"]
         chart = _chart_from(cfg)
         E = symbol_surface(sym["expression"], chart, int(sym["degree"]),
@@ -93,6 +92,7 @@ def _scenario_from(cfg: dict) -> Scenario:
         scen = Scenario(spec.get("name", "custom"), E, _zero_connection(chart))
     conn_exprs = cfg.get("connection")
     if conn_exprs:
+        from .exprs import connection_components
         scen.connection = ConnectionData(
             scen.chart, connection_components(conn_exprs, scen.chart, constants))
     return scen
@@ -214,6 +214,7 @@ def _run_noether(cfg, scen, args, report):
     blocks = cfg.get("symmetries")
     if not blocks:
         raise ConfigError("key 'symmetries' is required for the noether-check run")
+    from .exprs import scalar_field
     rng = np.random.default_rng(args.seed)
     strips = [propagate(scen.surface, st, span, integ)
               for st in _states_from(cfg, scen)]

@@ -11,13 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import (ConnectionData, RelativisticScenario, constant_field_potential,
-                     lorentzian_metric, relativistic_scenario)
+from .bundle import (ConnectionData, constant_field_potential, lorentzian_metric,
+                     relativistic_scenario)
 from .charts import Chart, PolyField, components, libm_hypot, libm_pow, stack_last
 from .errors import ConfigError
 from .operators import (LinearDiffOperator, equivariant_reduce, principal_symbol,
                         schrodinger_operator)
-from .strips import CharacteristicState, Fiber, SymbolSurface
+from .strips import CharacteristicState, SymbolSurface
 
 
 @dataclass

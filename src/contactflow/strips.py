@@ -26,10 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp  # noqa: F401 - read only by benchmarks/tracer.py
-from scipy.optimize import brentq
 
-from .charts import Chart, fd_gradient, fd_steps, libm_pow, scan_roots
+from .charts import _EPS, Chart, brentq, fd_gradient, fd_steps, libm_pow, scan_roots
 from .errors import ContractViolation, DegeneracyError
 
 #: strips with |p_s| below this are treated as the lightlike class
@@ -364,7 +362,6 @@ _P45 = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_EPS = np.finfo(float).eps
 
 
 def _rms(v) -> np.ndarray:
@@ -555,12 +552,12 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             retry, acc = ~accept, accept.nonzero()[0]
             if not acc.size:
                 continue
-        t_old, y_old, sid = T[acc], Y[acc], ids[acc]
-        t_new, y_new, K, h = t_new[acc], y_new[acc], K[acc], h[acc]
+        t_old, y_old, sid, g_old, start = (a.take(acc, axis=0) for a in (T, Y, ids, Gev, nxt))
+        t_new, y_new, K, h = (a.take(acc, axis=0) for a in (t_new, y_new, K, h))
         T[acc], Y[acc], F[acc] = t_new, y_new, K[:, -1]   # the last stage starts the next step
 
         # terminal events: the earliest root on the step's interpolant ends the strip
-        g_old, g_new = Gev[acc], event_values(t_new, y_new, K[:, -1])
+        g_new = event_values(t_new, y_new, K[:, -1])
         Gev[acc] = g_new
         active = (np.minimum(g_old, g_new) <= 0) & (np.maximum(g_old, g_new) >= 0)
         hit, t_end, y_end = np.full(len(acc), -1), t_new.copy(), y_new.copy()
@@ -584,7 +581,6 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             chunks.append((sid, t_end, y_end))
         else:
             upto = np.searchsorted(ahead, t_end if sign > 0 else -t_end, side="right")
-            start = nxt[acc]
             count = upto - start
             # one sample in a step is a matrix-vector product, more a matrix product
             for sub in ((count == 1).nonzero()[0], (count > 1).nonzero()[0]):
@@ -747,3 +743,11 @@ def sample_onshell(E: SymbolSurface, rng: np.random.Generator, n: int,
         raise ContractViolation(
             f"could only find {len(out)}/{n} on-shell samples; surface may be empty here")
     return out
+
+
+def __getattr__(name):
+    # benchmarks/tracer.py binds strips.solve_ivp when it installs; scipy loads only then
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 import contactflow as cf
-from contactflow.charts import Chart, PolyField, ScalarField, scan_roots
+from contactflow.charts import Chart, PolyField, ScalarField, brentq, scan_roots
 
 
 def test_chart_validation():
@@ -118,3 +119,61 @@ def test_scan_roots_evaluates_the_grid_in_one_call():
     assert np.array_equal(t, grid[None, :]) and np.array_equal(i, [[0], [1], [2]])
     assert scalars and all(isinstance(t, float) and type(i) is int
                            for t, i in scalars)   # brentq's polish
+
+
+# ------------------------------------------------------------------ brentq
+
+EPS = np.finfo(float).eps
+#: the settings of the root scan's polish and of the integrator's event location
+BRENTQ_TOLS = (dict(xtol=1e-14), dict(xtol=4 * EPS, rtol=4 * EPS))
+#: increasing functions of t with their sign change at r; w scales the slope
+INCREASING = (lambda t, r, w: math.atan(w * (t - r)),
+              lambda t, r, w: (t - r) ** 3 + 1e-3 * w * (t - r),
+              lambda t, r, w: math.exp(t) - math.exp(r),
+              lambda t, r, w: w * math.sinh(t - r) - 1e-12,
+              lambda t, r, w: t ** 5 - r ** 5)
+
+
+def _root_or_refusal(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:   # a bracket that rounding left without a sign change
+        return str(exc)
+
+
+@given(a=st.floats(-3.0, 0.0), b=st.floats(1e-3, 3.0), u=st.floats(0.0, 1.0),
+       w=st.floats(1e-2, 1e2), k=st.integers(0, len(INCREASING) - 1))
+@settings(max_examples=200, deadline=None)
+def test_brentq_gives_scipys_bits(a, b, u, w, k):
+    r = a + u * (b - a)   # an endpoint included
+    for tols in BRENTQ_TOLS:
+        ours, theirs = (_root_or_refusal(fn, INCREASING[k], a, b, args=(r, w), **tols)
+                        for fn in (brentq, scipy_brentq))
+        assert type(ours) is type(theirs) and np.array_equal(ours, theirs)
+
+
+def test_brentq_returns_an_exact_zero_at_either_end():
+    for f, a, b in ((lambda t: t - 1.0, 1.0, 2.0), (lambda t: t - 2.0, 1.0, 2.0),
+                    (lambda t: 0.0, -1.0, 1.0)):
+        assert brentq(f, a, b) == scipy_brentq(f, a, b) == (a if f(a) == 0 else b)
+
+
+def test_brentq_keeps_scipys_refusals():
+    def nan_inside(t):
+        return math.nan if 0.1 < t < 0.9 else t - 0.5
+
+    for fn in (brentq, scipy_brentq):
+        with pytest.raises(ValueError, match="different signs"):
+            fn(lambda t: t * t + 1.0, -1.0, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            fn(nan_inside, 0.0, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            fn(lambda t: math.nan, 0.0, 1.0)
+        with pytest.raises(RuntimeError, match="converge"):
+            fn(lambda t: math.cos(t) - t, 0.0, 1.0, xtol=1e-14, maxiter=2)
+        with pytest.raises(ValueError, match="xtol"):
+            fn(lambda t: t, -1.0, 1.0, xtol=0.0)
+        with pytest.raises(ValueError, match="rtol"):
+            fn(lambda t: t, -1.0, 1.0, rtol=EPS)
+    assert brentq(lambda t: math.cos(t) - t, 0.0, 1.0, xtol=1e-14, maxiter=20) == \
+        scipy_brentq(lambda t: math.cos(t) - t, 0.0, 1.0, xtol=1e-14, maxiter=20)
