@@ -35,9 +35,7 @@ class Chart:
         if len(names) < 1:
             raise ContractViolation("chart needs at least one axis")
         if arr.shape != (len(names), 2):
-            raise ContractViolation(
-                f"bounds shape {arr.shape} does not match {len(names)} axes"
-            )
+            raise ContractViolation(f"bounds shape {arr.shape} does not match {len(names)} axes")
         if not np.all(np.isfinite(arr)):
             raise ContractViolation("chart bounds must be finite")
         if not np.all(arr[:, 0] < arr[:, 1]):
@@ -77,9 +75,7 @@ class Chart:
         return float(clear) if x.ndim == 1 else clear
 
     def interior_sample(self, rng: np.random.Generator, margin: float = 0.0) -> np.ndarray:
-        lo = self.bounds[:, 0] + margin
-        hi = self.bounds[:, 1] - margin
-        return rng.uniform(lo, hi)
+        return rng.uniform(self.bounds[:, 0] + margin, self.bounds[:, 1] - margin)
 
 
 def fd_steps(x, h: float = DEFAULT_FD_STEP) -> np.ndarray:

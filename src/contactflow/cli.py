@@ -149,8 +149,7 @@ def _poly_from_spec(chart: Chart, spec) -> PolyField:
 def _run_propagate(cfg, scen, args, report):
     integ = _integrator_from(cfg, args.fixed_step)
     span = _tau_span(cfg)
-    files = {}
-    metrics = []
+    files, metrics = {}, []
     for i, st in enumerate(_states_from(cfg, scen)):
         strip = propagate(scen.surface, st, span, integ)
         header, rows = out_io.strip_rows(strip)
@@ -180,8 +179,7 @@ def _front_from(cfg, scen):
                            spec.get("span", (-1.0, 1.0)), n)
     else:
         raise ConfigError(f"unknown front kind {kind!r}")
-    branch = tuple(spec.get("branch", (1, 0)))
-    return sigma, branch
+    return sigma, tuple(spec.get("branch", (1, 0)))
 
 
 def _run_wavefront(cfg, scen, args, report):
@@ -195,11 +193,11 @@ def _run_wavefront(cfg, scen, args, report):
     path = os.path.join(args.out, "front.csv")
     axes = scen.chart.axis_names
     header = ["u", "tau"] + [f"x_{a}" for a in axes] + ["s", "jacobian_det"]
-    rows = []
-    for i, u in enumerate(hist.params):
-        for j, tau in enumerate(hist.taus):
-            rows.append([u, tau, *hist.x[i, j], hist.s[i, j], hist.jacobian_det[i, j]])
-    out_io.write_csv(path, header, rows)
+    nu, nt = hist.s.shape
+    rows = np.column_stack([np.repeat(hist.params, nt), np.tile(hist.taus, nu),
+                            hist.x.reshape(nu * nt, -1), hist.s.ravel(),
+                            hist.jacobian_det.ravel()])
+    out_io.write_csv(path, header, rows.tolist())
     report["files"] = {path: out_io.sha256_of(path)}
     report["caustics"] = [{"u_index": ev.u_index, "tau_lo": ev.tau_lo,
                            "tau_hi": ev.tau_hi} for ev in hist.caustics]
@@ -226,10 +224,9 @@ def _run_noether(cfg, scen, args, report):
         except KeyError as exc:
             raise ConfigError(f"bad symmetry block #{i}: missing {exc}") from exc
         sym = SymmetryField.build(scen.chart, v, f)
-        res = {"symmetry": i,
-               "residual": check_symmetry(scen.surface, sym, rng=rng),
-               "drift": [conservation_drift(scen.surface, sym, s) for s in strips]}
-        results.append(res)
+        results.append({"symmetry": i,
+                        "residual": check_symmetry(scen.surface, sym, rng=rng),
+                        "drift": [conservation_drift(scen.surface, sym, s) for s in strips]})
     report["symmetries"] = results
     report["files"] = {}
 

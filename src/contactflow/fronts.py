@@ -17,8 +17,7 @@ import numpy as np
 
 from .charts import Chart, fd_gradient, libm_pow, scan_roots
 from .errors import ContractViolation, NoLiftError
-from .strips import (CharacteristicState, IntegratorConfig, SymbolSurface,
-                     batch_propagate)
+from .strips import CharacteristicState, IntegratorConfig, SymbolSurface, _propagate_stack
 
 #: |det| below this times the largest |det| of its u sample counts as zero
 #: when scanning for caustic sign flips and tagging action branches
@@ -35,16 +34,18 @@ class FrontSpec:
     """Parametrized initial hypersurface: u -> x(u) in M with initial action S0(u).
 
     ``params`` is a 1D grid of front parameters: only codimension-1 fronts
-    with a single parameter are supported, so the chart must be 2D.
+    with a single parameter are supported, so the chart must be 2D.  A closed
+    front's ``period`` in u lets propagate_front check its lift's wrap-around gap.
     """
 
     def __init__(self, chart: Chart, position: Callable, params: np.ndarray,
-                 s0: Callable | None = None, closed: bool = False):
+                 s0: Callable | None = None, closed: bool = False, period: float | None = None):
         self.chart = chart
         self.position = position
         self.params = np.asarray(params, float)
         self.s0 = s0 or (lambda u: 0.0)
         self.closed = closed
+        self.period = period
 
     def x(self, u) -> np.ndarray:
         return np.asarray(self.position(u), float)
@@ -74,12 +75,10 @@ def flat_front(chart: Chart, axis: str, value: float, span, n: int,
     i_fixed = chart.axis_index(axis)
     if chart.dim != 2:
         raise ContractViolation("flat_front currently supports 2D charts")
-    i_free = 1 - i_fixed
 
     def pos(u):
-        x = np.zeros(chart.dim)
-        x[i_fixed] = value
-        x[i_free] = u
+        x = np.zeros(2)
+        x[i_fixed], x[1 - i_fixed] = value, u
         return x
 
     params = np.linspace(span[0], span[1], n)
@@ -95,13 +94,14 @@ def circle_front(chart: Chart, radius: float, n: int, center=(0.0, 0.0)) -> Fron
         return np.array([cx + radius * math.cos(u), cy + radius * math.sin(u)])
 
     params = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
-    return FrontSpec(chart, pos, params, closed=True)
+    return FrontSpec(chart, pos, params, closed=True, period=2 * math.pi)
 
 
 @dataclass
 class LiftedSample:
     u: float
     state: CharacteristicState
+    period: float | None = None   # the front's period in u, if it has one
 
 
 def legendre_lift(E: SymbolSurface, sigma: FrontSpec,
@@ -132,8 +132,7 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec,
         return E.value(X[i], P0[i] + np.asarray(lam)[..., None] * N[i], float(ps_sign))
 
     found = dict(zip(rows.tolist(), zip(X, P0, N, scan_roots(g, _LIFT_GRID, len(rows)))))
-    samples: list[LiftedSample] = []
-    failures: list[tuple[float, str]] = []
+    samples, failures = [], []   # failures: (u, why it has no lift)
     for k, u in enumerate(U):
         x, p0, nrm, roots = found.get(k, (None,) * 4)
         if roots is None:
@@ -143,7 +142,7 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec,
         else:
             state = CharacteristicState(x, float(sigma.s0(u)), p0 + roots[root_idx] * nrm,
                                         float(ps_sign))
-            samples.append(LiftedSample(float(u), state))
+            samples.append(LiftedSample(float(u), state, sigma.period))
     if not samples:
         raise NoLiftError(f"no front sample admitted a lift: {failures[:3]}")
     return samples
@@ -172,9 +171,7 @@ class FrontHistory:
     closed: bool = False
 
     def first_caustic_tau(self) -> float | None:
-        if not self.caustics:
-            return None
-        return min(ev.tau_lo for ev in self.caustics)
+        return min((ev.tau_lo for ev in self.caustics), default=None)
 
     def contact_residual(self) -> float:
         """Max |<p, dx/du> - p_s ds/du| over the interior grid (Legendre condition)."""
@@ -211,8 +208,9 @@ def propagate_front(E: SymbolSurface, lift: Sequence[LiftedSample], taus,
     The Jacobian column along tau uses the exact strip velocity; the column
     along u uses centered differences across neighbouring samples.  A caustic
     event is recorded wherever the determinant changes sign between
-    consecutive tau samples.  A closed front must be uniformly sampled in u,
-    so a closed lift that dropped samples raises ContractViolation.
+    consecutive tau samples.  A closed front must be uniformly sampled in u
+    (over its period, when its lift carries one), so a closed lift that
+    dropped samples, an end sample included, raises ContractViolation.
     """
     if not lift:
         raise ContractViolation("empty lift")
@@ -220,50 +218,53 @@ def propagate_front(E: SymbolSurface, lift: Sequence[LiftedSample], taus,
         raise ContractViolation("jacobian tracking implemented for 2D charts")
     params = np.array([ls.u for ls in lift])
     if closed and len(params) > 1:
-        _require_uniform(params)
+        _require_uniform(params, lift[0].period)
     taus = np.asarray(taus, float)
-    inits = [ls.state for ls in lift]
-    results = batch_propagate(E, inits, (taus[0], taus[-1]), integ, tau_eval=taus)
-    bad = [i for i, r in enumerate(results) if not r.ok or len(r.strip.taus) != len(taus)]
-    if bad:
+    nu, nt = len(lift), len(taus)
+    _, counts, run = _propagate_stack(E, [ls.state for ls in lift], taus[[0, -1]], integ, taus)
+    bad = (counts != nt).nonzero()[0]   # a strip that raised has no samples
+    if bad.size:
         raise ContractViolation(
             f"{len(bad)} front samples failed to propagate over the full grid "
             f"(first failure at u index {bad[0]})")
-    X, S, P, PS = (np.stack([getattr(r.strip, k) for r in results])
-                   for k in ("x", "s", "p", "p_s"))
-    nu, nt, m = X.shape
+    # every strip covers the tau grid, so the stacked samples are (u, tau) arrays
+    X, S, P, PS = (a.reshape((nu, nt) + a.shape[1:]) for a in run[1:5])
 
-    cols = np.empty((nu, nt, m, 2))   # Jacobian columns dx/du and dx/dtau = dG/dp
+    cols = np.empty((nu, nt, 2, 2))   # Jacobian columns dx/du and dx/dtau = dG/dp
     cols[..., 0] = _u_derivative(X, params, closed)
     cols[..., 1] = E.gradient(X, P, PS)[1]
     J = np.full((nu, nt), np.nan)
     rows = slice(None) if closed else slice(1, -1)   # open-front ends have no u column
     J[rows] = np.linalg.det(cols[rows])
+    return FrontHistory(E, params, taus, X, S, P, PS, J, _caustic_events(J, taus),
+                        closed=closed)
 
+
+def _caustic_events(J: np.ndarray, taus: np.ndarray) -> list[CausticEvent]:
+    """Sign flips of each u sample's determinants along tau, in (u, tau)
+    order.  Consecutive *significant* signs are compared, so a grid point
+    landing exactly on det = 0 still registers as one flip."""
     signs = _det_signs(J)
-    events: list[CausticEvent] = []
-    for i in range(nu):
-        # compare consecutive *significant* signs so a grid point landing
-        # exactly on det = 0 still registers as one flip
-        last_sign, last_j = 0, -1
-        for j in np.flatnonzero(signs[i]):
-            if last_sign and signs[i, j] != last_sign:
-                events.append(CausticEvent(i, float(taus[last_j]), float(taus[j])))
-            last_sign, last_j = signs[i, j], j
-    return FrontHistory(E, params, taus, X, S, P, PS, J, events, closed=closed)
+    iu, jt = np.nonzero(signs)
+    v = signs[iu, jt]
+    k = np.flatnonzero((iu[1:] == iu[:-1]) & (v[1:] != v[:-1]))
+    return [CausticEvent(*ev) for ev in
+            zip(iu[k].tolist(), taus[jt[k]].tolist(), taus[jt[k + 1]].tolist())]
 
 
-def _require_uniform(params: np.ndarray) -> None:
-    """A closed front's u-derivative assumes equal parameter gaps (a lift
-    that dropped samples has a wider one)."""
-    gaps = np.diff(params)
+def _require_uniform(params: np.ndarray, period: float | None) -> None:
+    """A closed front's u-derivative assumes equal parameter gaps, the
+    wrap-around gap included when the period is known (a lift that dropped
+    samples has a wider one)."""
+    u = np.append(params, [params[0] + period] if period is not None else [])
+    gaps = np.diff(u)
     h = float(np.median(gaps))
     bad = np.flatnonzero(np.abs(gaps - h) > 1e-9 * abs(h))
     if bad.size:
         i = int(bad[0])
         raise ContractViolation(
             f"a closed front needs uniformly spaced params: gap {i} "
-            f"(u = {params[i]:.6g} to {params[i + 1]:.6g}) is {gaps[i]:.6g}, "
+            f"(u = {u[i]:.6g} to {u[i + 1]:.6g}) is {gaps[i]:.6g}, "
             f"the median gap is {h:.6g}")
 
 
@@ -291,13 +292,11 @@ def front_action_function(history: FrontHistory) -> list[ActionSlice]:
     are tagged by runs of constant Jacobian sign instead of failing.
     """
     signs = _det_signs(history.jacobian_det)
-    slices = []
-    for j, tau in enumerate(history.taus):
-        # the tag counts sign flips between consecutive significant samples
-        nz = np.flatnonzero(signs[:, j])
-        flips = np.zeros(len(signs), dtype=int)
-        flips[nz[1:]] = signs[nz[1:], j] != signs[nz[:-1], j]
-        branch = np.cumsum(flips)
-        slices.append(ActionSlice(float(tau), history.x[:, j, :].copy(),
-                                  history.s[:, j].copy(), branch))
-    return slices
+    # the tag counts sign flips between consecutive significant samples in u:
+    # carry each column's last significant sign down, then count the flips
+    last = np.maximum.accumulate(np.where(signs != 0, np.arange(len(signs))[:, None], 0))
+    carried = np.take_along_axis(signs, last, axis=0)
+    branch = np.zeros(signs.shape, dtype=int)
+    np.cumsum(signs[1:] * carried[:-1] < 0, axis=0, out=branch[1:])
+    return [ActionSlice(float(tau), history.x[:, j, :].copy(), history.s[:, j].copy(),
+                        branch[:, j].copy()) for j, tau in enumerate(history.taus)]

@@ -80,11 +80,8 @@ def strip_rows(strip) -> tuple[list[str], list[list]]:
     axes = strip.surface.chart.axis_names
     header = (["tau"] + [f"x_{a}" for a in axes] + ["s"]
               + [f"p_{a}" for a in axes] + ["p_s", "g_residual"])
-    rows = []
-    for i in range(len(strip)):
-        rows.append([strip.taus[i], *strip.x[i], strip.s[i],
-                     *strip.p[i], strip.p_s[i], strip.g_residual[i]])
-    return header, rows
+    return header, np.column_stack([strip.taus, strip.x, strip.s, strip.p, strip.p_s,
+                                    strip.g_residual]).tolist()
 
 
 def ensure_dir(path: str) -> str:

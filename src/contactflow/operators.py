@@ -88,16 +88,14 @@ class PrincipalSymbol:
         self.terms = D.top_terms()
 
     def value(self, x, xi):
-        x = np.asarray(x, float)
-        xi = np.asarray(xi, float)
+        x, xi = np.asarray(x, float), np.asarray(xi, float)
         total = 0.0
         for m, c in self.terms.items():
             total += c.value(x) * _monomial(xi, m)
         return total
 
     def xi_gradient(self, x, xi) -> np.ndarray:
-        x = np.asarray(x, float)
-        xi = np.asarray(xi, float)
+        x, xi = np.asarray(x, float), np.asarray(xi, float)
         g = np.zeros(np.broadcast_shapes(x.shape, xi.shape))
         for m, c in self.terms.items():
             cv = c.value(x)
@@ -110,8 +108,7 @@ class PrincipalSymbol:
         return g
 
     def x_gradient(self, x, xi) -> np.ndarray:
-        x = np.asarray(x, float)
-        xi = np.asarray(xi, float)
+        x, xi = np.asarray(x, float), np.asarray(xi, float)
         g = np.zeros(np.broadcast_shapes(x.shape, xi.shape))
         for m, c in self.terms.items():
             g += c.gradient(x) * _monomial(xi, m)[..., None]
@@ -367,8 +364,6 @@ def schrodinger_operator(chart: Chart, mass: float = 1.0,
     for ax in ("t", "x", "s"):
         if ax not in chart.axis_names:
             raise ContractViolation(f"chart needs a {ax!r} axis")
-    it, ix = chart.axis_index("t"), chart.axis_index("x")
-    i_s = chart.axis_index("s")
 
     def mono(**kw):
         m = [0] * chart.dim

@@ -74,8 +74,7 @@ def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec,
             f"characteristic does not cross {{{section.axis} = {section.value}}} "
             f"within |tau| <= {tau_budget}")
     end = min(hits, key=lambda h: abs(h.tau))
-    scale = np.linalg.norm(end.covector())
-    branch = _branch_of(end.p_s, scale)
+    branch = _branch_of(end.p_s, np.linalg.norm(end.covector()))
     if branch == "lightlike-boundary":
         # p/p_s blows up; report the normalized momentum ray instead
         mom = end.p[keep] / max(np.linalg.norm(end.p), 1e-300)

@@ -459,7 +459,7 @@ def _interpolate(K, y_old, t_old, h, taus, fixed: bool, scalar: bool = False):
 
 
 def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: IntegratorConfig,
-               events=()) -> list:
+               events=()) -> tuple:
     """Integrate the strips of the state stack Y0, rows (x, s, p, p_s), from
     t0 to t1, sampled at ``tau_eval`` (None: at the steps).
 
@@ -470,11 +470,12 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
     one of the extra terminal ``events(tau, y)`` changes sign; an event is
     located on its step's interpolant with brentq.
 
-    Returns per strip either (taus, ys, stop), stop one of "span_end",
-    "boundary" or "event" (then the last sample is the event point), or the
-    exception that ended it: a failed start check, or a DegeneracyError at a
-    touching point or when the step size underflows.  An exception raised by
-    the symbol ends the whole call.
+    Returns (stops, taus, ys, counts): per strip "span_end", "boundary" or
+    "event" (then its last sample is the event point) or the exception that
+    ended it, a failed start check or a DegeneracyError at a touching point
+    or when the step size underflows; the samples of the strips that did not
+    raise, in strip order; and each strip's sample count (0 if it raised).
+    An exception raised by the symbol ends the whole call.
     """
     sign = 1.0 if t1 >= t0 else -1.0
     if tau_eval is not None:
@@ -613,14 +614,16 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             ids, T, Y, F, Gev, nxt, H, retry = (
                 a[keep] for a in (ids, T, Y, F, Gev, nxt, H, retry))
 
+    ok = np.array([not isinstance(o, Exception) for o in out], bool)
+    sid = np.concatenate([c[0] for c in chunks])
+    # a strip with no tau_eval point in its run is its start point
+    bare = (ok & (np.bincount(sid, minlength=n_strips) == 0)).nonzero()[0]
+    chunks.append((bare, np.full(len(bare), t0), Y0[bare]))
     sid = np.concatenate([c[0] for c in chunks])
     order = np.argsort(sid, kind="stable")
-    cuts = np.cumsum(np.bincount(sid, minlength=n_strips))[:-1]
-    taus = np.split(np.concatenate([c[1] for c in chunks])[order], cuts)
-    ys = np.split(np.concatenate([c[2] for c in chunks])[order], cuts)
-    return [o if isinstance(o, Exception) else
-            (taus[i], ys[i], o) if len(taus[i]) else (np.array([t0]), Y0[i:i + 1], o)
-            for i, o in enumerate(out)]
+    order = order[ok[sid[order]]]
+    taus, ys = (np.concatenate([c[k] for c in chunks])[order] for k in (1, 2))
+    return out, taus, ys, np.bincount(sid[order], minlength=n_strips)
 
 
 def flow_to_event(E: SymbolSurface, init: CharacteristicState, tau_end: float, event,
@@ -631,10 +634,10 @@ def flow_to_event(E: SymbolSurface, init: CharacteristicState, tau_end: float, e
     Returns the (unprojected) state at the event, or None when the span end
     or the chart boundary comes first.
     """
-    run = _integrate(E, _pack(init)[None], 0.0, float(tau_end), None, integ, events=(event,))[0]
-    if isinstance(run, Exception):
-        raise run
-    taus, ys, stop = run
+    (stop,), taus, ys, _ = _integrate(E, _pack(init)[None], 0.0, float(tau_end), None, integ,
+                                      events=(event,))
+    if isinstance(stop, Exception):
+        raise stop
     return _unpack(E, ys[-1], taus[-1]) if stop == "event" else None
 
 
@@ -656,29 +659,48 @@ class BatchItem:
 
 
 def _propagate_stack(E: SymbolSurface, inits: Sequence[CharacteristicState], tau_span,
-                     integ: IntegratorConfig | None, tau_eval) -> list[BatchItem]:
-    """propagate() over a stack of initial states in one integrator call."""
-    integ = integ or IntegratorConfig()
-    t0, t1 = float(tau_span[0]), float(tau_span[1])
-    if not (np.isfinite(t0) and np.isfinite(t1)):
-        raise ContractViolation("tau_span must be finite")
-    if t0 == t1:
-        tau_eval = None          # the strip is its start point
-    elif tau_eval is None and integ.method != "fixed":   # fixed mode returns its step grid
-        tau_eval = np.linspace(t0, t1, integ.n_out)
-    runs = _integrate(E, np.array([_pack(s) for s in inits]), t0, t1, tau_eval, integ)
-    done = [r for r in runs if not isinstance(r, Exception)]
-    if done:
-        m, ys = E.dim, np.concatenate([r[1] for r in done])
-        X, S, P, PS = ys[:, :m], ys[:, m], ys[:, m + 1:2 * m + 1], ys[:, 2 * m + 1]
-        # the projection acts sample by sample, so all strips take one call
-        P, G = (P, E.value(X, P, PS)) if t0 == t1 else _project_strip(E, X, P, PS,
-                                                                      integ.tol_onshell)
-        cuts = np.cumsum([len(r[0]) for r in done])[:-1]
-        parts = zip(*(np.split(a, cuts) for a in (X, S, P, PS, G)))
-    return [BatchItem(None, r) if isinstance(r, Exception)
-            else BatchItem(Strip(E, r[0], *next(parts), boundary_exit=r[2] == "boundary"))
-            for r in runs]
+                     integ: IntegratorConfig | None, tau_eval) -> tuple:
+    """propagate() over a stack of initial states: one integrator call, one
+    projection call.  Returns per strip its stop or the exception that ended
+    it, each strip's number of samples, and the samples (taus, X, S, P, PS,
+    G) in strip order (None if no strip ran).  When the stacked run raises
+    (say, the symbol raises at one strip's state), each state runs on its
+    own, so the error reaches only the strips that raise it."""
+    try:
+        integ = integ or IntegratorConfig()
+        t0, t1 = float(tau_span[0]), float(tau_span[1])
+        if not (np.isfinite(t0) and np.isfinite(t1)):
+            raise ContractViolation("tau_span must be finite")
+        if t0 == t1:
+            tau_eval = None          # the strip is its start point
+        elif tau_eval is None and integ.method != "fixed":   # fixed mode returns its step grid
+            tau_eval = np.linspace(t0, t1, integ.n_out)
+        stops, taus, ys, counts = _integrate(E, np.array([_pack(s) for s in inits]), t0, t1,
+                                             tau_eval, integ)
+        samples, m = None, E.dim
+        if len(taus):
+            X, S, P, PS = ys[:, :m], ys[:, m], ys[:, m + 1:2 * m + 1], ys[:, 2 * m + 1]
+            # the projection acts sample by sample, so all strips take one call
+            P, G = (P, E.value(X, P, PS)) if t0 == t1 else _project_strip(E, X, P, PS,
+                                                                          integ.tol_onshell)
+            samples = (taus, X, S, P, PS, G)
+    except Exception as exc:  # noqa: BLE001 - per-strip isolation is the contract
+        if len(inits) == 1:
+            return [exc], np.zeros(1, int), None
+        parts = [_propagate_stack(E, [s], tau_span, integ, tau_eval) for s in inits]
+        ran = [part[2] for part in parts if part[2] is not None]
+        return ([part[0][0] for part in parts], np.concatenate([part[1] for part in parts]),
+                tuple(map(np.concatenate, zip(*ran))) if ran else None)
+    return stops, counts, samples
+
+
+def _strip_items(E: SymbolSurface, stops: list, counts, samples) -> list[BatchItem]:
+    """Split a stacked run into one BatchItem per strip."""
+    parts = (zip(*(np.split(a, np.cumsum(counts)[:-1]) for a in samples)) if samples
+             else [()] * len(stops))   # no strip ran
+    return [BatchItem(None, stop) if isinstance(stop, Exception)
+            else BatchItem(Strip(E, *part, boundary_exit=stop == "boundary"))
+            for stop, part in zip(stops, parts)]
 
 
 def propagate(E: SymbolSurface, init: CharacteristicState, tau_span,
@@ -690,7 +712,7 @@ def propagate(E: SymbolSurface, init: CharacteristicState, tau_span,
     a degenerate (touching) point raises DegeneracyError carrying the last
     good state.
     """
-    item = _propagate_stack(E, [init], tau_span, integ, tau_eval)[0]
+    item, = _strip_items(E, *_propagate_stack(E, [init], tau_span, integ, tau_eval))
     if not item.ok:
         raise item.error
     return item.strip
@@ -701,19 +723,12 @@ def batch_propagate(E: SymbolSurface, inits: Sequence[CharacteristicState], tau_
                     tau_eval: Sequence[float] | None = None) -> list[BatchItem]:
     """propagate() over a list of initial states, integrated as one stack.
 
-    Failures are carried per item.  When the stacked run raises (say, the
-    symbol raises at one strip's state), each state is run on its own, so
-    the error reaches only the items that raise it.
+    Failures are carried per item, and an error the symbol raises at one
+    strip's state reaches only that item.
     """
     if not inits:
         return []
-    try:
-        return _propagate_stack(E, inits, tau_span, integ, tau_eval)
-    except Exception as exc:  # noqa: BLE001 - per-item isolation is the contract
-        if len(inits) == 1:
-            return [BatchItem(None, exc)]
-        return [item for init in inits
-                for item in batch_propagate(E, [init], tau_span, integ, tau_eval)]
+    return _strip_items(E, *_propagate_stack(E, inits, tau_span, integ, tau_eval))
 
 
 def sample_onshell(E: SymbolSurface, rng: np.random.Generator, n: int,

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contactflow as cf
 from contactflow import fronts
@@ -249,3 +251,103 @@ def test_closed_lift_that_dropped_a_sample_is_refused(tmp_path, monkeypatch):
                         lambda *a, **k: [ls for i, ls in enumerate(real_lift(*a, **k)) if i != 20])
     config = os.path.join(os.path.dirname(__file__), "..", "configs", "eikonal_front.yaml")
     assert cli.main(["wavefront", "--config", config, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("drop", [0, -1], ids=["first", "last"])
+def test_closed_lift_that_lost_an_end_sample_is_refused(drop):
+    # the 47 remaining gaps are equal, but the wrap-around gap over the
+    # circle's period is twice as wide; run anyway, the lift made 47 caustics,
+    # |jacobian_det| up to 1.49 (exact: 1) and a contact residual of 0.065
+    sc = _eik()
+    lift = cf.legendre_lift(sc.surface, cf.circle_front(sc.chart, 1.0, 48), branch=(1, 1))
+    assert lift[0].period == 2 * math.pi
+    del lift[drop]
+    with pytest.raises(cf.ContractViolation, match=r"gap 46 \(u = .*\) is 0\.261799, "
+                                                   r"the median gap is 0\.1309"):
+        cf.propagate_front(sc.surface, lift, np.linspace(0.0, 1.3, 53), closed=True)
+
+
+def test_front_samples_that_leave_the_chart_are_counted():
+    # a unit circle 0.5 inside the chart edge x = 40: the 7 outward rays with
+    # cos(u) > 1/8 reach the edge before tau = 3 and stop there
+    sc = _eik()
+    lift = cf.legendre_lift(sc.surface, cf.circle_front(sc.chart, 1.0, 16, center=(39.5, 0.0)))
+    with pytest.raises(cf.ContractViolation, match=r"^7 front samples failed to propagate "
+                                                   r"over the full grid \(first failure at u "
+                                                   r"index 0\)$"):
+        cf.propagate_front(sc.surface, lift, np.linspace(0.0, 3.0, 11), closed=True)
+
+
+def test_a_symbol_error_reaches_only_the_front_samples_that_raise_it():
+    # the symbol raises on x > 1.2, which the outward rays at u = 0 and
+    # u = +-2pi/16 reach before tau = 0.5; the stacked run raises, each ray
+    # is rerun on its own and the other 13 propagate
+    E = _eik().surface
+
+    def guarded(f):
+        def g(x, p, p_s):
+            if np.any(x[..., 0] > 1.2):
+                raise ValueError("outside the model")
+            return f(x, p, p_s)
+        return g
+
+    F = cf.SymbolSurface(E.chart, guarded(E.value), E.degree, grad=guarded(E.gradient))
+    lift = cf.legendre_lift(F, cf.circle_front(E.chart, 1.0, 16))
+    with pytest.raises(cf.ContractViolation, match=r"^3 front samples failed .* u index 0\)$"):
+        cf.propagate_front(F, lift, np.linspace(0.0, 0.5, 6), closed=True)
+
+
+# ------------------------------------------ caustic scan and branch tags, one pass
+
+def _caustics_by_loop(det, taus):
+    """The per-row scan the one-pass caustic scan replaced."""
+    signs = fronts._det_signs(det)
+    events = []
+    for i in range(len(det)):
+        last_sign, last_j = 0, -1
+        for j in np.flatnonzero(signs[i]):
+            if last_sign and signs[i, j] != last_sign:
+                events.append(cf.CausticEvent(i, float(taus[last_j]), float(taus[j])))
+            last_sign, last_j = signs[i, j], j
+    return events
+
+
+def _branches_by_loop(det):
+    """The per-tau tagging the one-pass tags replaced, one array per tau."""
+    signs = fronts._det_signs(det)
+    out = []
+    for j in range(det.shape[1]):
+        nz = np.flatnonzero(signs[:, j])
+        flips = np.zeros(len(signs), dtype=int)
+        flips[nz[1:]] = signs[nz[1:], j] != signs[nz[:-1], j]
+        out.append(np.cumsum(flips))
+    return out
+
+
+_DET_VALUES = st.sampled_from([math.nan, 0.0, 1.0, -1.0, 2.5, -0.3, 1e-10, -1e-10, 1e-300])
+
+
+@st.composite
+def _det_arrays(draw):
+    nu, nt = draw(st.integers(1, 7)), draw(st.integers(1, 9))
+    rows = [[draw(st.one_of(_DET_VALUES, st.floats(-5.0, 5.0))) for _ in range(nt)]
+            for _ in range(nu)]
+    # per row: as drawn, tiny-scale, all zero (insignificant) or all NaN
+    scales = draw(st.lists(st.sampled_from([1.0, 1.0, 1e-12, 0.0, math.nan]),
+                           min_size=nu, max_size=nu))
+    return np.array(rows) * np.array(scales)[:, None]
+
+
+@given(det=_det_arrays())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_scans_equal_the_loops(det):
+    nu, nt = det.shape
+    taus = np.cumsum(np.linspace(0.5, 1.5, nt))
+    assert repr(fronts._caustic_events(det, taus)) == repr(_caustics_by_loop(det, taus))
+    hist = cf.FrontHistory(_eik().surface, np.arange(nu, dtype=float), taus,
+                           np.zeros((nu, nt, 2)), np.zeros((nu, nt)), np.zeros((nu, nt, 2)),
+                           np.ones((nu, nt)), det, [])
+    slices = cf.front_action_function(hist)
+    assert len(slices) == nt
+    for sl, ref in zip(slices, _branches_by_loop(det)):
+        assert sl.branch.dtype == ref.dtype and np.array_equal(sl.branch, ref)
