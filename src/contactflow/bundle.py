@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import (Chart, PolyField, ScalarField, VectorField, fd_gradient,
+from .charts import (Chart, PolyField, ScalarField, VectorField, dot, fd_gradient,
                      fd_steps, scan_roots)
 from .errors import (ContractViolation, EmptyDiagramError,
                      InternalConsistencyError)
@@ -155,7 +155,7 @@ def wave_diagram(E: SymbolSurface, conn: ConnectionData, x, n_samples: int = 64)
     _, gp, gps = E.gradient(x, P, PS)
     W = np.concatenate([gp, -gps[:, None]], axis=1)
     gap = _degeneracy_gap(E, Q, np.concatenate([gp, gps[:, None]], axis=1))
-    a, norm = W[:, 2] + np.vecdot(conn.A(x), gp), np.sqrt(np.vecdot(W, W))
+    a, norm = W[:, 2] + dot(conn.A(x), gp), np.sqrt(dot(W, W))
     keep = ((PS == 0.0) | ~(gap < 0)) & (norm != 0.0)
     light = keep & (np.abs(a) <= LIGHTLIKE_RTOL * norm)
     below = keep & ~light & (a < 0)
@@ -177,7 +177,7 @@ def ray_alpha(E: SymbolSurface, conn: ConnectionData, x, p, p_s: float) -> float
     """
     x = np.asarray(x, float)
     _, gp, gps = E.gradient(x, p, p_s)
-    return float(-gps + conn.A(x) @ gp)
+    return float(-gps + dot(conn.A(x), gp))
 
 
 def _null_class_momenta(E: SymbolSurface, x, n_samples: int) -> list[np.ndarray]:
@@ -315,18 +315,17 @@ def relativistic_scenario(mass: float, charge: float, em_potential,
         em = ConnectionData(chart, em_potential)
     e = float(charge)
 
-    # stacked matmul and vecdot round like the 1-D `@` and np.dot
     def value(x, p, ps):
         k = p - (e * ps)[..., None] * em.A(x)
-        return np.vecdot(_matvec(ginv, k), k) - fiber_coeff * ps * ps
+        return dot(dot(ginv, k[..., None, :]), k) - fiber_coeff * ps * ps
 
     def grad(x, p, ps):
         A = em.A(x)
         k = p - (e * ps)[..., None] * A
-        w = 2.0 * _matvec(ginv, k)
+        w = 2.0 * dot(ginv, k[..., None, :])
         J = em.jacobian(x)          # J[..., i, j] = d A_j / d x_i
-        gx = (-e * ps)[..., None] * _matvec(J, w)
-        gps = -e * np.vecdot(A, w) - 2.0 * fiber_coeff * ps
+        gx = (-e * ps)[..., None] * dot(J, w[..., None, :])
+        gps = -e * dot(A, w) - 2.0 * fiber_coeff * ps
         return gx, w, gps
 
     surface = SymbolSurface(chart, value, degree=2, grad=grad, name="relativistic")
@@ -339,11 +338,6 @@ def relativistic_scenario(mass: float, charge: float, em_potential,
 
     conn = ConnectionData(chart, A_conn, dA=dA_conn)
     return RelativisticScenario(surface, conn, g, mass, e, float(fiber_coeff), em)
-
-
-def _matvec(M, v):
-    """M @ v over stacks: M of shape (..., m, m) or (m, m), v of shape (..., m)."""
-    return np.matmul(M, v[..., None])[..., 0]
 
 
 def constant_field_potential(chart: Chart, field_strength: float) -> ConnectionData:

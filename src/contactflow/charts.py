@@ -197,39 +197,49 @@ def stack_last(parts) -> np.ndarray:
     return out if out.ndim == 1 else out.transpose(*range(1, out.ndim), 0)
 
 
-def libm_pow(a, b):
-    """a ** b elementwise through the C library's pow, on floats or on arrays
-    that broadcast.
+def dot(a, b):
+    """sum_i a[..., i] * b[..., i], the products added in index order, over
+    arguments with one last-axis length whose other axes broadcast: a float64
+    for two vectors, an array over stacks.
 
-    This is the rounding a single float gets.  numpy squares arrays by
-    multiplication instead, which differs from pow in the last bit on about
-    0.1% of inputs, so stacked and single evaluations would disagree.
+    Elementwise * and + are exactly rounded, so the bits depend on neither
+    the BLAS kernel nor numpy's SIMD dispatch, and a row of a stack gets the
+    bits it gets alone.  Few rows take one np.add.accumulate call, whose
+    r[i] = r[i - 1] + t[i] is that order by definition; many rows take one
+    slab addition per index, which is faster there.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = a.shape[-1]
+    if max(a.size, b.size) < 128 * n:
+        return np.add.accumulate(a * b, axis=-1)[..., -1]
+    total = a[..., 0] * b[..., 0]
+    for i in range(1, n):
+        total += a[..., i] * b[..., i]
+    return total
+
+
+def libm_pow(a, b):
+    """a ** b elementwise, on floats or on arrays that broadcast, with the
+    same bits for a float and for an array element.
+
+    A non-negative integer exponent is repeated multiplication; any other
+    goes through the C library's pow (math.pow), which numpy's ** does not
+    match on arrays.
     """
     if isinstance(b, (int, float)):
+        if not isinstance(a, float):
+            a = np.asarray(a, dtype=float)
+        if b >= 0 and float(b).is_integer():
+            out = 1.0 if isinstance(a, float) else np.ones(a.shape)
+            for _ in range(int(b)):
+                out = out * a   # 1 * a is exact
+            return out
         if isinstance(a, float):
             return a ** b
-        if b == 0:
-            return 1.0
-        if b == 1:
-            return a
-        a = np.asarray(a, dtype=float)
         return np.fromiter(map(math.pow, memoryview(a.ravel()), itertools.repeat(b)),
                            float, a.size).reshape(a.shape)
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     return np.fromiter(map(math.pow, memoryview(a.ravel()), memoryview(b.ravel())),
-                       float, a.size).reshape(a.shape)
-
-
-def libm_hypot(a, b):
-    """math.hypot elementwise on floats (an np.float64 comes back) or on
-    arrays that broadcast.
-
-    np.hypot differs from math.hypot in the last bit on about 0.5% of inputs.
-    """
-    if isinstance(a, float) and isinstance(b, float):
-        return np.float64(math.hypot(a, b))
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    return np.fromiter(map(math.hypot, memoryview(a.ravel()), memoryview(b.ravel())),
                        float, a.size).reshape(a.shape)
 
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import Chart, fd_gradient, libm_pow, scan_roots
+from .charts import Chart, dot, fd_gradient, scan_roots
 from .errors import ContractViolation, NoLiftError
 from .strips import CharacteristicState, IntegratorConfig, SymbolSurface, _propagate_stack
 
@@ -120,13 +120,13 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec,
         raise ContractViolation("conormal construction implemented for 2D charts")
     U = sigma.params
     X, T = np.array([sigma.x(u) for u in U]), sigma.tangent(U)
-    nt = np.sqrt(np.vecdot(T, T))
+    nt = np.sqrt(dot(T, T))
     rows = np.flatnonzero(nt != 0.0)   # samples with a tangent
     X, T, nt = X[rows], T[rows], nt[rows]
     # particular solutions of <p, x_u> = p_s * dS0/du, and the unit conormals
-    P0 = (ps_sign * sigma.s0_du(U)[rows] / libm_pow(nt, 2))[:, None] * T
+    P0 = (ps_sign * sigma.s0_du(U)[rows] / (nt * nt))[:, None] * T
     N = np.stack([-T[:, 1], T[:, 0]], axis=-1)
-    N /= np.sqrt(np.vecdot(N, N))[:, None]
+    N /= np.sqrt(dot(N, N))[:, None]
 
     def g(lam, i):
         return E.value(X[i], P0[i] + np.asarray(lam)[..., None] * N[i], float(ps_sign))
@@ -298,5 +298,5 @@ def front_action_function(history: FrontHistory) -> list[ActionSlice]:
     carried = np.take_along_axis(signs, last, axis=0)
     branch = np.zeros(signs.shape, dtype=int)
     np.cumsum(signs[1:] * carried[:-1] < 0, axis=0, out=branch[1:])
-    return [ActionSlice(float(tau), history.x[:, j, :].copy(), history.s[:, j].copy(),
-                        branch[:, j].copy()) for j, tau in enumerate(history.taus)]
+    return [ActionSlice(float(tau), history.x[:, j], history.s[:, j], branch[:, j])
+            for j, tau in enumerate(history.taus)]

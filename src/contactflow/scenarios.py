@@ -13,7 +13,7 @@ import numpy as np
 
 from .bundle import (ConnectionData, constant_field_potential, lorentzian_metric,
                      relativistic_scenario)
-from .charts import Chart, PolyField, components, libm_hypot, libm_pow, stack_last
+from .charts import Chart, PolyField, components, stack_last
 from .errors import ConfigError
 from .operators import (LinearDiffOperator, equivariant_reduce, principal_symbol,
                         schrodinger_operator)
@@ -44,7 +44,7 @@ def free_scenario(bound: float = 60.0) -> Scenario:
 
     def value(x, p, p_s):
         p_t, p_x = components(p)
-        return p_t * p_s + 0.5 * libm_pow(p_x, 2)
+        return p_t * p_s + 0.5 * (p_x * p_x)
 
     def grad(x, p, p_s):
         p_t, p_x = components(p)
@@ -64,13 +64,13 @@ def oscillator_scenario(bound: float = 60.0) -> Scenario:
     def value(x, p, p_s):
         _, q = components(x)
         p_t, p_x = components(p)
-        return p_t * p_s + 0.5 * libm_pow(p_x, 2) + 0.5 * libm_pow(q, 2) * libm_pow(p_s, 2)
+        return p_t * p_s + 0.5 * (p_x * p_x) + 0.5 * (q * q) * (p_s * p_s)
 
     def grad(x, p, p_s):
         _, q = components(x)
         p_t, p_x = components(p)
         gx = np.zeros(x.shape)
-        gx[..., 1] = q * libm_pow(p_s, 2)
+        gx[..., 1] = q * (p_s * p_s)
         return gx, stack_last([p_s, p_x]), p_t + q * q * p_s
 
     E = SymbolSurface(chart, value, 2, grad=grad, name="oscillator")
@@ -88,11 +88,11 @@ def eikonal_scenario(bound: float = 40.0) -> Scenario:
     chart = Chart(["x", "y"], [(-bound, bound), (-bound, bound)])
 
     def value(x, p, p_s):
-        return libm_hypot(*components(p)) - p_s
+        return np.hypot(*components(p)) - p_s
 
     def grad(x, p, p_s):
         p_x, p_y = components(p)
-        n = libm_hypot(p_x, p_y)
+        n = np.hypot(p_x, p_y)
         return np.zeros(x.shape), stack_last([p_x / n, p_y / n]), -1.0
 
     E = SymbolSurface(chart, value, 1, grad=grad, name="eikonal")
@@ -141,7 +141,7 @@ def _schro_pt(D: LinearDiffOperator, mass: float, x: float, p_x: float) -> float
     # on-shell p_t for the reduced symbol: p_t = -(p_x^2/(2m) + V(x))
     V = D.terms[tuple(2 if ax == "s" else 0
                       for ax in D.chart.axis_names)]
-    return p_x ** 2 / (2 * mass) + V.value(np.array([0.0, x, 0.0]))
+    return p_x * p_x / (2 * mass) + V.value(np.array([0.0, x, 0.0]))
 
 
 _BUILDERS = {

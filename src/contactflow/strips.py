@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import _EPS, Chart, brentq, fd_gradient, fd_steps, libm_pow, scan_roots
+from .charts import _EPS, Chart, brentq, dot, fd_gradient, fd_steps, libm_pow, scan_roots
 from .errors import ContractViolation, DegeneracyError
 
 #: strips with |p_s| below this are treated as the lightlike class
@@ -120,7 +120,7 @@ class SymbolSurface:
     def euler_residual(self, x, p, p_s: float) -> float:
         """Euler homogeneity defect <q, dG/dq> - degree * G (should vanish)."""
         _, gp, gps = self.gradient(x, p, p_s)
-        return float(np.dot(p, gp) + p_s * gps - self.degree * self.value(x, p, p_s))
+        return float(dot(p, gp) + p_s * gps - self.degree * self.value(x, p, p_s))
 
     def is_degenerate(self, x, p, p_s: float) -> bool:
         """Whether the non-radial part of the momentum gradient vanishes at
@@ -137,9 +137,9 @@ def _degeneracy_gap(E: SymbolSurface, q, gq) -> np.ndarray:
     """Degeneracy measure minus threshold at stacked covectors q = (p, p_s)
     with gradients gq = (dG/dp, dG/dp_s): the norm of the non-radial part of
     gq less 1e-10 |q|^(degree - 1).  Negative at a touching point."""
-    nq = np.sqrt(np.vecdot(q, q))
-    r = gq - (np.vecdot(gq, q) / libm_pow(nq, 2))[:, None] * q
-    return np.sqrt(np.vecdot(r, r)) - 1e-10 * libm_pow(nq, E.degree - 1)
+    nq = np.sqrt(dot(q, q))
+    r = gq - (dot(gq, q) / (nq * nq))[:, None] * q
+    return np.sqrt(dot(r, r)) - 1e-10 * libm_pow(nq, E.degree - 1)
 
 
 def _symbol_args(x, p, p_s):
@@ -242,7 +242,7 @@ class Strip:
 def _onshell_scale(E: SymbolSurface, p, p_s):
     """max(|(p, p_s)|^degree, 1e-300), at one point or over stacked points."""
     q = np.concatenate([np.asarray(p, float), np.asarray(p_s, float)[..., None]], axis=-1)
-    return np.maximum(libm_pow(np.sqrt(np.vecdot(q, q)), E.degree), 1e-300)
+    return np.maximum(libm_pow(np.sqrt(dot(q, q)), E.degree), 1e-300)
 
 
 def check_start(E: SymbolSurface, state: CharacteristicState, tol_onshell: float) -> None:
@@ -323,7 +323,7 @@ def _project_strip(E: SymbolSurface, X, P, PS, tol: float) -> tuple[np.ndarray, 
         todo = todo[~(np.abs(G[todo]) <= 0.5 * tol)]
         if todo.size:
             _, gp, _ = E.gradient(X[todo], P[todo], PS[todo])
-            n2 = np.vecdot(gp, gp)
+            n2 = dot(gp, gp)
             keep = ~(n2 < 1e-300)
             todo, gp, n2 = todo[keep], gp[keep], n2[keep]
         if not todo.size:
@@ -340,13 +340,10 @@ def _project_strip(E: SymbolSurface, X, P, PS, tol: float) -> tuple[np.ndarray, 
 # mode is the Dormand-Prince 5(4) pair with its quartic interpolant and a
 # step size, error norm and accept/reject decision per strip (Hairer, Norsett
 # and Wanner, Solving ODEs I, II.4-II.6; Dormand and Prince 1980).  Fixed
-# mode is classic RK4 with a cubic continuous extension.  Both repeat the
-# floating-point operations of scipy's solve_ivp (method RK45, and RK4 as an
-# OdeSolver) one for one, so a strip comes out with the same bits in any
-# stack: stage sums are K.transpose(0, 2, 1) @ a, RMS norms
-# sqrt(vecdot(v, v)) / sqrt(n), powers of single floats go through libm_pow,
-# and an interpolant is one matrix product per strip and step, a
-# matrix-vector product when it has one column.
+# mode is classic RK4 with a cubic continuous extension.  Every sum of
+# products (stage sums, error norms, interpolants) is charts.dot, added in
+# index order from elementwise * and +, so a strip has the same bits in any
+# stack and under any BLAS kernel or SIMD dispatch.
 
 _A45 = [np.array(a) for a in ([1/5], [3/40, 9/40], [44/45, -56/15, 32/9],
                               [19372/6561, -25360/2187, 64448/6561, -212/729],
@@ -365,37 +362,27 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
 def _rms(v) -> np.ndarray:
-    return np.sqrt(np.vecdot(v, v)) / v.shape[-1] ** 0.5
+    return np.sqrt(dot(v, v)) / math.sqrt(v.shape[-1])
 
 
 def _step_tries(T, H, retry, t1: float, sign: float):
-    """Per row, the step scipy's RK45 tries from time t with |step| H: at
-    least 10 ulp of t (a retry is not raised to it), cut to end on t1.
-    Returns (t_new, h), h NaN where the step fell below 10 ulp."""
-    t_new, h = [], []
-    for t, step, again in zip(T.tolist(), H.tolist(), retry.tolist()):
-        min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
-        if not again and step < min_step:
-            step = min_step
-        end = t + step * sign if step >= min_step else math.nan
-        end = t1 if sign * (end - t1) > 0 else end
-        t_new.append(end)
-        h.append(end - t)
-    return np.array(t_new), np.array(h)
+    """Per row, the step to try from time t with |step| H: at least 10 ulp
+    of t (a retry is not raised to it), cut to end on t1.  Returns (t_new,
+    h), h NaN where the step fell below 10 ulp."""
+    min_step = 10 * np.abs(np.nextafter(T, sign * np.inf) - T)
+    step = np.where(retry, H, np.maximum(H, min_step))
+    end = np.where(step >= min_step, T + step * sign, np.nan)
+    end = np.where(sign * (end - t1) > 0, t1, end)
+    return end, end - T
 
 
 def _step_factors(err, retry) -> np.ndarray:
-    """Per row, scipy's RK45 step-size factor after a try with error norm
-    err: an accepted step (err < 1) grows, at most 10-fold and not at all
-    right after a rejected try; a rejected one shrinks, at most 5-fold."""
-    out = []
-    for e, again in zip(err.tolist(), retry.tolist()):
-        if e < 1:
-            f = _MAX_FACTOR if e == 0 else min(_MAX_FACTOR, _SAFETY * e ** -0.2)
-            out.append(min(1, f) if again else f)
-        else:
-            out.append(max(_MIN_FACTOR, _SAFETY * e ** -0.2))
-    return np.array(out)
+    """Per row, the step-size factor after a try with error norm err: an
+    accepted step (err < 1) grows, at most 10-fold and not at all right
+    after a rejected try; a rejected one shrinks, at most 5-fold."""
+    f = _SAFETY * libm_pow(np.maximum(err, 5e-324), -0.2)   # err = 0 grows the most
+    grow = np.minimum(f, np.where(retry, 1.0, _MAX_FACTOR))
+    return np.where(err < 1, grow, np.fmax(f, _MIN_FACTOR))   # fmax: a NaN err shrinks
 
 
 def _first_step(E: SymbolSurface, Y, F, span: float, sign: float, rtol: float, atol: float):
@@ -418,8 +405,8 @@ def _rk45_step(E: SymbolSurface, Y, F, h):
     Kt = K.transpose(0, 2, 1)
     K[:, 0] = F
     for s, a in enumerate(_A45, start=1):
-        K[:, s] = _rhs(E, Y + (Kt[:, :, :s] @ a) * h)
-    y_new = Y + h * (Kt[:, :, :6] @ _B45)
+        K[:, s] = _rhs(E, Y + dot(Kt[:, :, :s], a) * h)
+    y_new = Y + h * dot(Kt[:, :, :6], _B45)
     K[:, 6] = _rhs(E, y_new)
     return y_new, K
 
@@ -437,25 +424,25 @@ def _rk4_step(E: SymbolSurface, Y, F, h: float):
     return y_new, K
 
 
-def _interpolate(K, y_old, t_old, h, taus, fixed: bool, scalar: bool = False):
-    """A step's continuous extension y_old + h * (M @ w(theta)) at times
-    taus (rows, k), theta = (tau - t_old) / h, from the step's stages K;
-    returns (rows, n, k).
+def _interpolate(K, y_old, t_old, h, taus, fixed: bool):
+    """A step's continuous extension y_old + h * M w(theta) at times taus
+    (rows, k), theta = (tau - t_old) / h, from the step's stages K; returns
+    (rows, n, k).
 
     For RK4, M = K[:, :4]^T and w holds the cubic weights; for
-    Dormand-Prince, M = K^T P and w = (theta, ..., theta^4).  ``scalar``
-    marks one time (an event location), whose RK4 powers scipy takes with
-    pow().
+    Dormand-Prince, M = K^T P and w = (theta, ..., theta^4).
     """
-    M = K[:, :4].transpose(0, 2, 1) if fixed else K.transpose(0, 2, 1) @ _P45
+    Kt = K.transpose(0, 2, 1)
+    M = Kt[:, :, :4] if fixed else dot(Kt[:, :, None, :], _P45.T)
     th = (taus - t_old[:, None]) / h[:, None]
     if fixed:
-        sq, cu = (libm_pow(th, 2), libm_pow(th, 3)) if scalar else (th ** 2, th ** 3)
+        sq = th * th
+        cu = sq * th
         b23 = sq - 2.0 * cu / 3.0
-        W = np.stack([th - 1.5 * sq + 2.0 * cu / 3.0, b23, b23, -0.5 * sq + 2.0 * cu / 3.0], 1)
+        W = np.stack([th - 1.5 * sq + 2.0 * cu / 3.0, b23, b23, -0.5 * sq + 2.0 * cu / 3.0], 2)
     else:
-        W = np.cumprod(np.repeat(th[:, None], 4, axis=1), axis=1)
-    return y_old[:, :, None] + h[:, None, None] * (M @ W)
+        W = np.cumprod(np.repeat(th[:, :, None], 4, axis=2), axis=2)
+    return y_old[:, :, None] + h[:, None, None] * dot(M[:, :, None, :], W[:, None])
 
 
 def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: IntegratorConfig,
@@ -547,7 +534,7 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
                 continue
             y_new, K = _rk45_step(E, Y, F, h)
             scale = atol + np.maximum(np.abs(Y), np.abs(y_new)) * rtol
-            err = _rms((K.transpose(0, 2, 1) @ _E45) * h[:, None] / scale)
+            err = _rms(dot(K.transpose(0, 2, 1), _E45) * h[:, None] / scale)
             H = np.abs(h) * _step_factors(err, retry)
             accept = err < 1
             retry, acc = ~accept, accept.nonzero()[0]
@@ -565,7 +552,7 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
         for r in active.any(axis=1).nonzero()[0]:
             def sol(tau, r=r):
                 return _interpolate(K[r:r + 1], y_old[r:r + 1], t_old[r:r + 1], h[r:r + 1],
-                                    np.array([[tau]]), fixed, scalar=True)[:, :, 0]
+                                    np.array([[tau]]), fixed)[:, :, 0]
 
             def g(tau, k):
                 y = sol(tau)
@@ -583,15 +570,14 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
         else:
             upto = np.searchsorted(ahead, t_end if sign > 0 else -t_end, side="right")
             count = upto - start
-            # one sample in a step is a matrix-vector product, more a matrix product
-            for sub in ((count == 1).nonzero()[0], (count > 1).nonzero()[0]):
-                if sub.size:
-                    j = start[sub, None] + np.arange(count[sub].max())
-                    taus = tau_eval[np.minimum(j, len(tau_eval) - 1)]
-                    ys = _interpolate(K[sub], y_old[sub], t_old[sub], h[sub], taus, fixed)
-                    keep = j < upto[sub, None]
-                    chunks.append((np.repeat(sid[sub], count[sub]), taus[keep],
-                                   ys.transpose(0, 2, 1)[keep]))
+            sub = count.nonzero()[0]
+            if sub.size:
+                j = start[sub, None] + np.arange(count[sub].max())
+                taus = tau_eval[np.minimum(j, len(tau_eval) - 1)]
+                ys = _interpolate(K[sub], y_old[sub], t_old[sub], h[sub], taus, fixed)
+                keep = j < upto[sub, None]
+                chunks.append((np.repeat(sid[sub], count[sub]), taus[keep],
+                               ys.transpose(0, 2, 1)[keep]))
             nxt[acc] = upto
 
         stop = (t_new == t1) | (hit >= 0)

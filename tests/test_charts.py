@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 import contactflow as cf
-from contactflow.charts import Chart, PolyField, ScalarField, brentq, scan_roots
+from contactflow.charts import Chart, PolyField, ScalarField, brentq, dot, scan_roots
 
 
 def test_chart_validation():
@@ -139,6 +139,29 @@ def _root_or_refusal(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ValueError as exc:   # a bracket that rounding left without a sign change
         return str(exc)
+
+
+@pytest.mark.parametrize("rows", [1, 400])   # one accumulate call / one slab sum per index
+def test_dot_adds_the_products_in_index_order(rows):
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 7):
+        a = rng.standard_normal((rows, 3, n)) * 10.0 ** rng.integers(-8, 9, (rows, 3, n))
+        b = rng.standard_normal(n)
+        got = dot(a, b)
+        assert got.shape == (rows, 3)
+        for r in range(min(rows, 20)):
+            for c in range(3):
+                want = float(a[r, c, 0]) * float(b[0])
+                for i in range(1, n):   # Python floats: each * and + rounded once, in order
+                    want = want + float(a[r, c, i]) * float(b[i])
+                assert got[r, c] == want
+                assert dot(a[r, c], b) == want   # a row alone, through the other path
+    # the order shows in the bits: summed backwards, many sums differ
+    back = (a * b)[..., ::-1]
+    total = back[..., 0]
+    for i in range(1, n):
+        total = total + back[..., i]
+    assert (total != got).any()
 
 
 @given(a=st.floats(-3.0, 0.0), b=st.floats(1e-3, 3.0), u=st.floats(0.0, 1.0),

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -138,14 +141,14 @@ _FIXED = ("--fixed-step", "0.01")
 _PINNED_CSV = [
     ("propagate", "free.yaml", "strip_0.csv", "84efdd56bf0c", _FIXED),
     ("propagate", "oscillator.yaml", "strip_0.csv", "c5ab7482f2db", _FIXED),
-    ("propagate", "relativistic.yaml", "strip_0.csv", "57df2a6446b8", _FIXED),
-    ("wavefront", "eikonal_front.yaml", "front.csv", "36ad2a63b487", _FIXED),
-    ("propagate", "free.yaml", "strip_0.csv", "0a3a4d883ca7", ()),
-    ("propagate", "oscillator.yaml", "strip_0.csv", "b4ff306ae51c", ()),
-    ("propagate", "relativistic.yaml", "strip_0.csv", "8253960232c7", ()),
-    ("wavefront", "eikonal_front.yaml", "front.csv", "b885be0a672c", ()),
+    ("propagate", "relativistic.yaml", "strip_0.csv", "41621ce8a53b", _FIXED),
+    ("wavefront", "eikonal_front.yaml", "front.csv", "7c523acb13db", _FIXED),
+    ("propagate", "free.yaml", "strip_0.csv", "32f549abb2a5", ()),
+    ("propagate", "oscillator.yaml", "strip_0.csv", "954251a7a080", ()),
+    ("propagate", "relativistic.yaml", "strip_0.csv", "7b76ee90ce1c", ()),
+    ("wavefront", "eikonal_front.yaml", "front.csv", "c54e9a454553", ()),
     ("wave-diagram", "wave_diagram_eikonal.yaml", "wave_diagram.csv", "31dab04c87c6", ()),
-    ("wave-diagram", "wave_diagram_rel.yaml", "wave_diagram.csv", "d9113afe4004", ()),
+    ("wave-diagram", "wave_diagram_rel.yaml", "wave_diagram.csv", "0178a498af45", ()),
 ]
 
 
@@ -156,6 +159,48 @@ def test_cli_fixed_step_csv_digests_are_pinned(tmp_path, sub, config, csv, prefi
                  "--seed", "7", *extra]) == 0
     digest = hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest()
     assert digest.startswith(prefix)
+
+
+# runs the cases of argv[1] through cli.main; writes each (exit code, CSV digest) to argv[2]
+_DIGEST_CHILD = """
+import contextlib, hashlib, io, json, os, sys, tempfile
+from contactflow.cli import main
+got = []
+for sub, config, csv, extra in json.loads(sys.argv[1]):
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        rc = main([sub, "--config", config, "--out", out, "--seed", "7", *extra])
+        with open(os.path.join(out, csv), "rb") as f:
+            got.append((rc, hashlib.sha256(f.read()).hexdigest()))
+with open(sys.argv[2], "w") as f:
+    json.dump(got, f)
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the forced OpenBLAS cores are x86-64 kernels")
+@pytest.mark.parametrize("core,disable", [("Haswell", "avx512"), ("Nehalem", "all")])
+def test_pinned_digests_hold_under_other_kernels(tmp_path, core, disable):
+    """The pinned CSVs do not depend on the BLAS kernel or numpy's SIMD
+    dispatch: a child process with another OpenBLAS core and with numpy's
+    dispatched features turned off (the AVX512 class, or all of them) writes
+    the same bytes.  numpy refuses a feature name it did not dispatch, so
+    only names it reports as found are turned off."""
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    if core == "Haswell" and not {"X86_V3", "AVX2"} & set(found):
+        pytest.skip("the Haswell core needs AVX2")
+    off = [f for f in found if disable == "all" or f == "X86_V4" or f.startswith("AVX512")]
+    src = os.path.dirname(os.path.dirname(cf.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, NPY_DISABLE_CPU_FEATURES=",".join(off),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cases = [(sub, _cfg(config), csv, extra) for sub, config, csv, _, extra in _PINNED_CSV]
+    proc = subprocess.run([sys.executable, "-c", _DIGEST_CHILD, json.dumps(cases),
+                           str(tmp_path / "digests.json")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads((tmp_path / "digests.json").read_text())
+    wrong = [(config, prefix, rc, digest) for (_, config, _, prefix, _), (rc, digest)
+             in zip(_PINNED_CSV, got) if rc != 0 or not digest.startswith(prefix)]
+    assert not wrong, f"{len(wrong)} of {len(_PINNED_CSV)} digests moved: {wrong}"
 
 
 def test_cli_config_error_exit_code(tmp_path):

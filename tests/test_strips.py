@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contactflow as cf
-from contactflow.strips import Fiber, _onshell_scale, _pack, _project_strip, flow_to_event
+from contactflow.strips import (Fiber, _onshell_scale, _pack, _project_strip, _step_factors,
+                               _step_tries, flow_to_event)
 
 
 def test_state_validation():
@@ -278,7 +279,61 @@ def test_libm_pow_rounds_like_float_power():
     a = np.random.default_rng(0).uniform(-30.0, 30.0, 5000)
     for k in (2, 3, -1, 1.5):
         base = np.abs(a) if k == 1.5 else a
-        assert np.array_equal(libm_pow(base, k), [v ** k for v in base.tolist()])
+        assert np.array_equal(libm_pow(base, k), [libm_pow(v, k) for v in base.tolist()])
+    # a non-negative integer exponent is the product chain, on floats and arrays
+    for k in range(6):
+        chain = np.ones_like(a)
+        for _ in range(k):
+            chain = chain * a   # 1 * a is exact: this is a * a * ... * a
+        assert np.array_equal(libm_pow(a, k), chain)
+        assert [libm_pow(v, k) for v in a.tolist()] == chain.tolist()
+
+
+def _step_tries_by_row(T, H, retry, t1, sign):
+    """The per-row loop that _step_tries replaced, kept as its reference."""
+    t_new, h = [], []
+    for t, step, again in zip(T.tolist(), H.tolist(), retry.tolist()):
+        min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
+        if not again and step < min_step:
+            step = min_step
+        end = t + step * sign if step >= min_step else math.nan
+        end = t1 if sign * (end - t1) > 0 else end
+        t_new.append(end)
+        h.append(end - t)
+    return np.array(t_new), np.array(h)
+
+
+def _step_factors_by_row(err, retry):
+    """The per-row loop that _step_factors replaced, kept as its reference."""
+    out = []
+    for e, again in zip(err.tolist(), retry.tolist()):
+        if e < 1:
+            f = 10.0 if e == 0 else min(10.0, 0.9 * e ** -0.2)
+            out.append(min(1, f) if again else f)
+        else:
+            out.append(max(0.2, 0.9 * e ** -0.2))
+    return np.array(out)
+
+
+def test_step_control_has_the_per_row_bits():
+    rng = np.random.default_rng(3)
+    n = 20000
+    retry = rng.random(n) < 0.3
+    err = np.exp(rng.uniform(-40.0, 10.0, n))
+    err[::7] = rng.uniform(0.9, 1.1, len(err[::7]))   # around the accept threshold
+    err[::97], err[::101], err[::103] = 0.0, np.nan, np.inf
+    assert np.array_equal(_step_factors(err, retry), _step_factors_by_row(err, retry),
+                          equal_nan=True)
+    for sign in (1.0, -1.0):
+        T = rng.uniform(-1e3, 1e3, n) * np.exp(rng.uniform(-30.0, 5.0, n))
+        T[::11] = 0.0
+        H = np.abs(T) * np.exp(rng.uniform(-60.0, 0.0, n))   # many below 10 ulp
+        H[::13] = 0.0
+        t1 = 500.0 * sign
+        want = _step_tries_by_row(T, H, retry, t1, sign)
+        assert np.isnan(want[1]).any() and (want[0] == t1).any()
+        for a, b in zip(_step_tries(T, H, retry, t1, sign), want):
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 def _with_touching_face(E, half_width):
