@@ -212,14 +212,13 @@ def legendre_dual(samples: np.ndarray) -> np.ndarray:
     if m == 2:
         t = np.roll(samples, -1, axis=0) - np.roll(samples, 1, axis=0)
         nrm = np.stack([-t[:, 1], t[:, 0]], axis=-1)
-        tol = (1e-14 * np.sqrt(np.vecdot(nrm, nrm))
-               * np.maximum(np.sqrt(np.vecdot(samples, samples)), 1.0))
+        tol = 1e-14 * np.sqrt(dot(nrm, nrm)) * np.maximum(np.sqrt(dot(samples, samples)), 1.0)
     else:
         d2 = np.sum((samples[None, :, :] - samples[:, None, :]) ** 2, axis=-1)
         near = np.argsort(d2, axis=1)[:, 1:2 * m + 1]
         nrm = np.linalg.svd(samples[near] - samples[:, None, :])[2][:, -1]   # plane normals
         tol = 1e-12
-    denom = np.vecdot(nrm, samples)
+    denom = dot(nrm, samples)
     fit = ~(np.abs(denom) < tol)
     duals = nrm[fit] / denom[fit, None]
     return duals[~np.isnan(duals[:, 0])]
@@ -230,7 +229,8 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     and (k, m), from all n * k pairwise distances (O(n * k) memory)."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    d = np.sqrt(np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1))
+    diff = a[:, None, :] - b[None, :, :]
+    d = np.sqrt(dot(diff, diff))
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 

@@ -103,15 +103,19 @@ def fd_gradient(f: Callable, x, steps) -> np.ndarray:
     return np.stack(rows, axis=x.ndim - 1)
 
 
-def brentq(f: Callable, a: float, b: float, args=(), xtol: float = 2e-12,
-           rtol: float = 4 * _EPS, maxiter: int = 100) -> float:
-    """A root of t -> f(t, *args) in the bracket [a, b] by Brent's method,
-    within |t - root| <= xtol + rtol |root|.
+def brentq(f: Callable, a, b, i, xtol: float = 2e-12, rtol: float = 4 * _EPS,
+           maxiter: int = 100) -> np.ndarray:
+    """Roots of the functions t -> f(t, i[k]) in the brackets [a[k], b[k]]
+    by Brent's method, each within |t - root| <= xtol + rtol |root|; a, b
+    and i are 1-D arrays of one length, and so is the result.
 
-    A port of scipy.optimize.brentq, its C routine operation for operation
-    and its wrapper's checks, so a root has scipy's bits.  Raises ValueError
-    for xtol <= 0, rtol < 4 eps, a NaN value of f, or f(a) and f(b) of one
-    sign; RuntimeError when maxiter iterations do not converge.
+    f takes an array of points and the matching array of indices and returns
+    the values there; it is called on both ends of every bracket, then once
+    per iteration on the brackets still open.  Each bracket follows the C
+    routine of scipy.optimize.brentq operation for operation, so its root
+    has scipy's bits.  Raises ValueError for xtol <= 0, rtol < 4 eps, a NaN
+    value of f, or a bracket whose ends have values of one sign;
+    RuntimeError when a bracket does not converge in maxiter iterations.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -119,51 +123,62 @@ def brentq(f: Callable, a: float, b: float, args=(), xtol: float = 2e-12,
         raise ValueError(f"rtol too small ({rtol:g} < {4 * _EPS:g})")
     xtol, rtol = float(xtol), float(rtol)
 
-    def call(t):
-        ft = float(f(t, *args))
-        if math.isnan(ft):
-            raise ValueError(f"The function value at x={t} is NaN; solver cannot continue.")
+    def call(t, i):
+        ft = np.asarray(f(t, i), dtype=float)
+        if np.isnan(ft).any():
+            raise ValueError(f"The function value at x={t[np.isnan(ft)][0]} is NaN; "
+                             "solver cannot continue.")
         return ft
 
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
+    a, b, i = np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(i)
+    fa, fb = call(a, i), call(b, i)
+    root = np.where(fa == 0, a, b)   # an end where f is exactly zero is the root
+    k = np.flatnonzero((fa != 0) & (fb != 0))   # the brackets still open
+    if ((fa[k] < 0) == (fb[k] < 0)).any():
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
+    # Q[0] holds the points (pre, cur, blk), Q[1] their values; S the steps (spre, scur)
+    zero = np.zeros(len(k))
+    Q, S, i = np.array([[a[k], b[k], zero], [fa[k], fb[k], zero]]), np.zeros((2, len(k))), i[k]
     for _ in range(maxiter):
-        if fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        neg = Q[1, :2] < 0
+        flip = neg[0] != neg[1]   # the sign change is in [pre, cur] (f(cur) = 0 ends below)
+        np.copyto(Q[:, 2], Q[:, 0], where=flip)
+        np.copyto(S, Q[0, 1] - Q[0, 0], where=flip)
+        mag = np.abs(Q[1])
+        Q = np.where(mag[2] < mag[1], Q.take([1, 2, 1], axis=1), Q)   # blk is nearer 0
+        (xpre, xcur, xblk), (fpre, fcur, fblk), (spre, scur) = Q[0], Q[1], S
+        delta = (xtol + rtol * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf   # bisect, unless an interpolation step is short enough
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:   # C divides by zero to an inf or a nan: a bisection either way
-                if xpre == xblk:   # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:   # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+        asbis = np.abs(sbis)
+        done = (fcur == 0) | (asbis < delta)
+        if np.count_nonzero(done):
+            root[k[done]] = xcur[done]
+            k, i, Q, S, delta, sbis, asbis = (v[..., ~done] for v in (k, i, Q, S, delta, sbis,
+                                                                    asbis))
+            if not k.size:
+                break
+            (xpre, xcur, xblk), (fpre, fcur, fblk), (spre, scur) = Q[0], Q[1], S
+        # bisect, unless an interpolation step is short enough
+        aspre, mag = np.abs(spre), np.abs(Q[1])
+        interp = (aspre > delta) & (mag[1] < mag[0])
+        stry = np.full(len(k), np.inf)
+        if np.count_nonzero(interp):
+            # a zero divisor gives an inf or a NaN here as in C, and either bisects
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                s = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),   # secant
+                             -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+            np.copyto(stry, s, where=interp)
+        take = 2 * np.abs(stry) < np.minimum(aspre, 3 * asbis - delta)
+        S = np.where(take, np.array([scur, stry]), sbis)
+        # a step of at least delta toward blk (sbis is not 0 in an open bracket)
+        xnew = xcur + np.where(np.abs(S[1]) > delta, S[1], np.copysign(delta, sbis))
+        Q[:, 0] = Q[:, 1]
+        Q[0, 1], Q[1, 1] = xnew, call(xnew, i)
+    if k.size:
+        raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    return root
 
 
 def scan_roots(f: Callable, grid, n: int = 1) -> list[list[float]]:
@@ -171,18 +186,24 @@ def scan_roots(f: Callable, grid, n: int = 1) -> list[list[float]]:
     by scanning one grid: a list of n root lists.
 
     f is called once on the whole grid for all n functions, with t of shape
-    (1, k) and i of shape (n, 1), and returns values of shape (n, k); the
-    brentq polish of each sign change between neighbouring grid values calls
-    it with a float t and an int i.  A grid value that is exactly zero (the
-    last one included) counts once.
+    (1, k) and i of shape (n, 1), and returns values of shape (n, k).  Every
+    sign change between neighbouring grid values is then polished by one
+    brentq call, which calls f with matching 1-D arrays t and i.  A grid
+    value that is exactly zero (the last one included) counts once.
     """
     grid = np.asarray(grid, dtype=float)
     vals = np.asarray(f(grid[None, :], np.arange(n)[:, None]), dtype=float)
     # an exact zero, or a sign change between a grid value and the next one
     hit = (vals == 0.0) | (vals * np.pad(vals[:, 1:], ((0, 0), (0, 1))) < 0)
-    return [sorted(float(grid[j]) if vals[i, j] == 0.0
-                   else brentq(f, grid[j], grid[j + 1], args=(i,), xtol=1e-14)
-                   for j in np.flatnonzero(hit[i])) for i in range(n)]
+    fi, j = np.nonzero(hit)
+    roots = grid[j]
+    bracket = vals[fi, j] != 0.0
+    if bracket.any():
+        jb = j[bracket]
+        roots[bracket] = brentq(f, grid[jb], grid[jb + 1], fi[bracket], xtol=1e-14)
+    roots = roots[np.lexsort((roots, fi))].tolist()
+    ends = np.cumsum(np.bincount(fi, minlength=n)).tolist()
+    return [roots[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def components(a) -> list:

@@ -67,11 +67,25 @@ class _LibmPowPrinter(NumPyPrinter):
         return f"libm_pow({self._print(expr.base)}, {self._print(expr.exp)})"
 
 
+#: every name a printed expression may call: the grammar's functions and
+#: constants under numpy's names, sign (the derivative of Abs) and libm_pow
+NUMPY_NAMES = {"libm_pow": libm_pow, **{name: getattr(np, name) for name in (
+    "sin", "cos", "tan", "sinh", "cosh", "tanh", "arcsin", "arccos", "arctan",
+    "exp", "log", "sqrt", "abs", "sign", "pi", "e")}}
+
+
 def _lambdify(syms, tree):
+    """A numpy function of syms for tree, bound to NUMPY_NAMES only: lambdify's
+    "numpy" module would import numpy.f2py, .testing, .ma, .random and
+    .polynomial."""
     printer = _LibmPowPrinter({"fully_qualified_modules": False, "inline": True,
                                "allow_unknown_functions": True, "user_functions": {}})
-    return sp.lambdify(syms, tree, modules=[{"libm_pow": libm_pow}, "numpy"],
-                       printer=printer)
+    f = sp.lambdify(syms, tree, modules=[NUMPY_NAMES], printer=printer)
+    unknown = set(f.__code__.co_names) - set(NUMPY_NAMES)
+    if unknown:
+        raise ConfigError(f"expression {tree} needs {sorted(unknown)}, which are not "
+                          f"in the numpy table {sorted(NUMPY_NAMES)}")
+    return f
 
 
 def _columns(a: np.ndarray) -> list:

@@ -177,8 +177,8 @@ class FrontHistory:
         """Max |<p, dx/du> - p_s ds/du| over the interior grid (Legendre condition)."""
         dx = _u_derivative(self.x, self.params, self.closed)
         ds = _u_derivative(self.s, self.params, self.closed)
-        res = np.abs(np.sum(self.p * dx, axis=-1) - self.p_s * ds)
-        scale = np.maximum(np.linalg.norm(self.p, axis=-1) * np.linalg.norm(dx, axis=-1), 1.0)
+        res = np.abs(dot(self.p, dx) - self.p_s * ds)
+        scale = np.maximum(np.sqrt(dot(self.p, self.p)) * np.sqrt(dot(dx, dx)), 1.0)
         r = res / scale
         return float(np.max(r, where=~np.isnan(r), initial=0.0))
 
@@ -230,12 +230,10 @@ def propagate_front(E: SymbolSurface, lift: Sequence[LiftedSample], taus,
     # every strip covers the tau grid, so the stacked samples are (u, tau) arrays
     X, S, P, PS = (a.reshape((nu, nt) + a.shape[1:]) for a in run[1:5])
 
-    cols = np.empty((nu, nt, 2, 2))   # Jacobian columns dx/du and dx/dtau = dG/dp
-    cols[..., 0] = _u_derivative(X, params, closed)
-    cols[..., 1] = E.gradient(X, P, PS)[1]
-    J = np.full((nu, nt), np.nan)
-    rows = slice(None) if closed else slice(1, -1)   # open-front ends have no u column
-    J[rows] = np.linalg.det(cols[rows])
+    # the Jacobian columns dx/du and dx/dtau = dG/dp; an open front's end
+    # samples have no dx/du, so their determinant is NaN
+    du, dtau = _u_derivative(X, params, closed), E.gradient(X, P, PS)[1]
+    J = du[..., 0] * dtau[..., 1] - du[..., 1] * dtau[..., 0]
     return FrontHistory(E, params, taus, X, S, P, PS, J, _caustic_events(J, taus),
                         closed=closed)
 

@@ -454,8 +454,8 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
     in round(|t1 - t0| / dt) equal steps, the last landing exactly on t1.
     Each start is checked as check_start does.  A strip stops at the span
     end, on the chart boundary, at a degenerate (touching) point, or where
-    one of the extra terminal ``events(tau, y)`` changes sign; an event is
-    located on its step's interpolant with brentq.
+    one of the extra terminal ``events(tau, y)`` changes sign; every event
+    of a step is located on its interpolant by one brentq call.
 
     Returns (stops, taus, ys, counts): per strip "span_end", "boundary" or
     "event" (then its last sample is the event point) or the exception that
@@ -549,20 +549,22 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
         Gev[acc] = g_new
         active = (np.minimum(g_old, g_new) <= 0) & (np.maximum(g_old, g_new) >= 0)
         hit, t_end, y_end = np.full(len(acc), -1), t_new.copy(), y_new.copy()
-        for r in active.any(axis=1).nonzero()[0]:
-            def sol(tau, r=r):
-                return _interpolate(K[r:r + 1], y_old[r:r + 1], t_old[r:r + 1], h[r:r + 1],
-                                    np.array([[tau]]), fixed)[:, :, 0]
+        erow, ecol = active.nonzero()   # the (row, event) pairs with a sign change in the step
+        if erow.size:
+            def sol(tau, r):
+                return _interpolate(K[r], y_old[r], t_old[r], h[r], tau[:, None], fixed)[:, :, 0]
 
-            def g(tau, k):
-                y = sol(tau)
-                return event_values([tau], y, _rhs(E, y))[0, k]
+            def g(tau, q):
+                y = sol(tau, erow[q])
+                return event_values(tau, y, _rhs(E, y))[np.arange(len(q)), ecol[q]]
 
-            ks = active[r].nonzero()[0]
-            roots = np.array([brentq(g, t_old[r], t_new[r], args=(k,), xtol=4 * _EPS,
-                                     rtol=4 * _EPS) for k in ks])
-            first = np.argsort(sign * roots)[0]
-            hit[r], t_end[r], y_end[r] = ks[first], roots[first], sol(roots[first])[0]
+            roots = brentq(g, t_old[erow], t_new[erow], np.arange(len(erow)), xtol=4 * _EPS,
+                           rtol=4 * _EPS)
+            # per row the earliest root, the first event on a tie
+            order = np.lexsort((sign * roots, erow))
+            first = order[np.diff(erow[order], prepend=-1) != 0]
+            r = erow[first]
+            hit[r], t_end[r], y_end[r] = ecol[first], roots[first], sol(roots[first], r)
 
         # samples up to the step end, or up to the event
         if tau_eval is None:

@@ -223,6 +223,11 @@ def test_legendre_dual_needs_enough_samples():
         cf.legendre_dual(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
+def _dot(a, b):
+    """sum_i a[i] b[i] over Python floats, added in index order."""
+    return sum(float(x) * float(y) for x, y in zip(a, b))
+
+
 def _dual_by_loop(s):
     """legendre_dual one sample at a time, as a reference."""
     n, m = s.shape
@@ -232,10 +237,10 @@ def _dual_by_loop(s):
         if m == 2:
             t = s[(i + 1) % n] - s[(i - 1) % n]
             nrm = np.array([-t[1], t[0]])
-            tol = 1e-14 * np.linalg.norm(nrm) * max(np.linalg.norm(s[i]), 1.0)
+            tol = 1e-14 * math.sqrt(_dot(nrm, nrm)) * max(math.sqrt(_dot(s[i], s[i])), 1.0)
         else:
             nrm, tol = np.linalg.svd(s[np.argsort(d2[i])[1:2 * m + 1]] - s[i])[2][-1], 1e-12
-        denom = float(np.dot(nrm, s[i]))
+        denom = _dot(nrm, s[i])
         if abs(denom) >= tol:
             out.append(nrm / denom)
     return np.array(out)
@@ -253,7 +258,7 @@ def test_legendre_dual_and_hausdorff_equal_loop_references():
         assert len(dual) == len(samples) - (samples is ring)
 
         def nearest(p, q):
-            return max(np.sqrt(np.sum((q - v) ** 2, axis=1)).min() for v in p)
+            return max(min(math.sqrt(_dot(w - v, w - v)) for w in q) for v in p)
 
         assert cf.hausdorff_distance(samples, dual) == max(nearest(samples, dual),
                                                            nearest(dual, samples))

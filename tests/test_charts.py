@@ -106,19 +106,19 @@ def test_scan_roots_counts_exact_grid_roots_once():
 
 def test_scan_roots_evaluates_the_grid_in_one_call():
     grid = np.linspace(-5.0, 5.0, 77)
-    arrays, scalars = [], []
+    calls = []
     shift = np.array([0.0, 0.25, 7.0])   # the last function has no root on the grid
 
     def f(t, i):
-        (arrays if np.ndim(t) else scalars).append((t, i))
+        calls.append((np.shape(t), np.shape(i)))
         return (t - 2.9 - shift[i]) * (t + 0.4) * (t - 1.3)
 
     assert [len(r) for r in scan_roots(f, grid, 3)] == [3, 3, 2]
-    assert len(arrays) == 1
-    t, i = arrays[0]
-    assert np.array_equal(t, grid[None, :]) and np.array_equal(i, [[0], [1], [2]])
-    assert scalars and all(isinstance(t, float) and type(i) is int
-                           for t, i in scalars)   # brentq's polish
+    assert calls[0] == ((1, 77), (3, 1))   # the grid, every function in one call
+    # the polish: one brentq call over all 8 sign changes, 1-D arrays each time
+    assert calls[1] == calls[2] == ((8,), (8,))
+    assert all(len(ts) == 1 and ts == ix for ts, ix in calls[1:])
+    assert len(calls) < 20
 
 
 # ------------------------------------------------------------------ brentq
@@ -134,11 +134,75 @@ INCREASING = (lambda t, r, w: math.atan(w * (t - r)),
               lambda t, r, w: t ** 5 - r ** 5)
 
 
+def scalar_brentq(f, a, b, args=(), xtol=2e-12, rtol=4 * EPS, maxiter=100):
+    """The one-bracket port of scipy.optimize.brentq that the array brentq
+    replaced, kept as its reference: float operations in the C routine's
+    order, a zero divisor bisecting as its inf or NaN does there."""
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < 4 * EPS:
+        raise ValueError(f"rtol too small ({rtol:g} < {4 * EPS:g})")
+    xtol, rtol = float(xtol), float(rtol)
+
+    def call(t):
+        ft = float(f(t, *args))
+        if math.isnan(ft):
+            raise ValueError(f"The function value at x={t} is NaN; solver cannot continue.")
+        return ft
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def _root_or_refusal(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except ValueError as exc:   # a bracket that rounding left without a sign change
+    except (ValueError, RuntimeError) as exc:   # say, rounding left no sign change
         return str(exc)
+
+
+def _one_bracket(f, a, b, args=(), **kwargs):
+    """The array brentq on the one bracket [a, b] of t -> f(t, *args)."""
+    root, = brentq(lambda t, i: np.array([f(float(v), *args) for v in t]), [a], [b], [0],
+                   **kwargs)
+    return float(root)
 
 
 @pytest.mark.parametrize("rows", [1, 400])   # one accumulate call / one slab sum per index
@@ -170,22 +234,55 @@ def test_dot_adds_the_products_in_index_order(rows):
 def test_brentq_gives_scipys_bits(a, b, u, w, k):
     r = a + u * (b - a)   # an endpoint included
     for tols in BRENTQ_TOLS:
-        ours, theirs = (_root_or_refusal(fn, INCREASING[k], a, b, args=(r, w), **tols)
-                        for fn in (brentq, scipy_brentq))
-        assert type(ours) is type(theirs) and np.array_equal(ours, theirs)
+        ours, ref, theirs = (_root_or_refusal(fn, INCREASING[k], a, b, args=(r, w), **tols)
+                             for fn in (_one_bracket, scalar_brentq, scipy_brentq))
+        assert type(ours) is type(ref) is type(theirs)
+        assert np.array_equal(ours, theirs) and np.array_equal(ref, theirs)
+
+
+@given(roots=st.lists(st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+                      min_size=1, max_size=6),
+       scale=st.lists(st.floats(1e-3, 1e3), min_size=6, max_size=6),
+       ends=st.lists(st.tuples(st.integers(0, 5), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+                     min_size=1, max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_array_brentq_equals_the_scalar_port_and_scipy(roots, scale, ends):
+    """Random brackets of random cubics, all polished in one call: every root
+    has the bits the one-bracket port and scipy give it."""
+    n = len(roots)
+    # c (t - r0)(t - r1)(t - r2) in Horner form, the same operations on floats and arrays
+    c = np.array([[w, -w * (r0 + r1 + r2), w * (r0 * r1 + r0 * r2 + r1 * r2), -w * r0 * r1 * r2]
+                  for (r0, r1, r2), w in zip(roots, scale)])
+
+    def cubic(t, i):
+        return ((c[i, 0] * t + c[i, 1]) * t + c[i, 2]) * t + c[i, 3]
+
+    brackets = [(i % n, min(x, y), max(x, y)) for i, x, y in ends]
+    for tols in BRENTQ_TOLS:
+        want = [_root_or_refusal(fn, lambda t, i: float(cubic(t, i)), a, b, args=(i,), **tols)
+                for fn in (scalar_brentq, scipy_brentq) for i, a, b in brackets]
+        ref, theirs = want[:len(brackets)], want[len(brackets):]
+        assert all(type(x) is type(y) and np.array_equal(x, y) for x, y in zip(ref, theirs))
+        ok = [k for k, x in enumerate(ref) if isinstance(x, float)]   # scipy refused the rest
+        if ok:
+            i, a, b = (np.array(v) for v in zip(*(brackets[k] for k in ok)))
+            got = brentq(cubic, a, b, i, **tols)
+            assert np.array_equal(got, [ref[k] for k in ok])
 
 
 def test_brentq_returns_an_exact_zero_at_either_end():
-    for f, a, b in ((lambda t: t - 1.0, 1.0, 2.0), (lambda t: t - 2.0, 1.0, 2.0),
-                    (lambda t: 0.0, -1.0, 1.0)):
-        assert brentq(f, a, b) == scipy_brentq(f, a, b) == (a if f(a) == 0 else b)
+    fs = (lambda t: t - 1.0, lambda t: t - 2.0, lambda t: 0.0 * t, lambda t: t - 0.3)
+    a, b = np.array([1.0, 1.0, -1.0, 0.0]), np.array([2.0, 2.0, 1.0, 1.0])
+    got = brentq(lambda t, i: np.array([fs[k](v) for v, k in zip(t, i)]), a, b, np.arange(4))
+    want = [scipy_brentq(f, lo, hi) for f, lo, hi in zip(fs, a, b)]
+    assert np.array_equal(got, want) and np.array_equal(got[:3], [1.0, 2.0, -1.0])
 
 
 def test_brentq_keeps_scipys_refusals():
     def nan_inside(t):
         return math.nan if 0.1 < t < 0.9 else t - 0.5
 
-    for fn in (brentq, scipy_brentq):
+    for fn in (_one_bracket, scipy_brentq):
         with pytest.raises(ValueError, match="different signs"):
             fn(lambda t: t * t + 1.0, -1.0, 1.0)
         with pytest.raises(ValueError, match="NaN"):
@@ -198,5 +295,12 @@ def test_brentq_keeps_scipys_refusals():
             fn(lambda t: t, -1.0, 1.0, xtol=0.0)
         with pytest.raises(ValueError, match="rtol"):
             fn(lambda t: t, -1.0, 1.0, rtol=EPS)
-    assert brentq(lambda t: math.cos(t) - t, 0.0, 1.0, xtol=1e-14, maxiter=20) == \
+    assert _one_bracket(lambda t: math.cos(t) - t, 0.0, 1.0, xtol=1e-14, maxiter=20) == \
         scipy_brentq(lambda t: math.cos(t) - t, 0.0, 1.0, xtol=1e-14, maxiter=20)
+    # one refused bracket refuses the whole call
+    shift = np.array([0.5, -2.0])
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda t, i: t - shift[i], [0.0, 0.0], [1.0, 1.0], [0, 1])
+    with pytest.raises(RuntimeError, match="converge"):   # the first bracket converges
+        brentq(lambda t, i: np.where(i == 1, np.cos(t), 0.5) - t, [0.0, 0.0], [1.0, 1.0], [0, 1],
+               xtol=1e-14, maxiter=3)

@@ -57,6 +57,39 @@ def test_disallowed_function_rejected():
         cf.scalar_field("zeta(x)", ch)
 
 
+def test_expression_functions_keep_the_bits_of_lambdifys_numpy_module():
+    """The numpy table binds what lambdify's "numpy" module bound: every
+    allowed function, its derivatives and the constants give the same bits,
+    on a stack and at one point."""
+    import sympy as sp
+
+    from contactflow import exprs
+    from contactflow.charts import libm_pow
+    rng = np.random.default_rng(3)
+    cols = [rng.uniform(-0.9, 0.9, 400), rng.uniform(-2.0, 2.0, 400)]
+    for name in exprs.ALLOWED_FUNCTIONS:   # both arguments lie in every function's domain
+        expr = f"{name}((x + 1.2) / 2.5) * y**3 + pi * E * {name}(x / 3 + 0.5)"
+        tree, syms = exprs._parse(expr, ["x", "y"], None)
+        for t in [tree] + [sp.diff(tree, v) for v in syms]:
+            printer = exprs._LibmPowPrinter({"fully_qualified_modules": False, "inline": True,
+                                             "allow_unknown_functions": True,
+                                             "user_functions": {}})
+            old = sp.lambdify(syms, t, modules=[{"libm_pow": libm_pow}, "numpy"],
+                              printer=printer)
+            new = exprs._lambdify(syms, t)
+            for args in (cols, [c[0] for c in cols]):   # a stack, and one point
+                assert np.array_equal(new(*args), old(*args)), (name, t)
+
+
+def test_a_name_outside_the_numpy_table_is_a_config_error():
+    import sympy as sp
+
+    from contactflow import exprs
+    x = sp.Symbol("x", real=True)
+    with pytest.raises(cf.ConfigError, match="floor"):
+        exprs._lambdify([x], sp.floor(x) + sp.sin(x))
+
+
 def test_connection_components_expressions():
     ch = cf.Chart(["t", "x"], [(-5, 5), (-5, 5)])
     comps = cf.connection_components(["-E0 * x", "0"], ch, constants={"E0": 0.5})
@@ -142,11 +175,11 @@ _PINNED_CSV = [
     ("propagate", "free.yaml", "strip_0.csv", "84efdd56bf0c", _FIXED),
     ("propagate", "oscillator.yaml", "strip_0.csv", "c5ab7482f2db", _FIXED),
     ("propagate", "relativistic.yaml", "strip_0.csv", "41621ce8a53b", _FIXED),
-    ("wavefront", "eikonal_front.yaml", "front.csv", "7c523acb13db", _FIXED),
+    ("wavefront", "eikonal_front.yaml", "front.csv", "47e895656193", _FIXED),
     ("propagate", "free.yaml", "strip_0.csv", "32f549abb2a5", ()),
     ("propagate", "oscillator.yaml", "strip_0.csv", "954251a7a080", ()),
     ("propagate", "relativistic.yaml", "strip_0.csv", "7b76ee90ce1c", ()),
-    ("wavefront", "eikonal_front.yaml", "front.csv", "c54e9a454553", ()),
+    ("wavefront", "eikonal_front.yaml", "front.csv", "69badb7ca4ce", ()),
     ("wave-diagram", "wave_diagram_eikonal.yaml", "wave_diagram.csv", "31dab04c87c6", ()),
     ("wave-diagram", "wave_diagram_rel.yaml", "wave_diagram.csv", "0178a498af45", ()),
 ]
@@ -161,7 +194,8 @@ def test_cli_fixed_step_csv_digests_are_pinned(tmp_path, sub, config, csv, prefi
     assert digest.startswith(prefix)
 
 
-# runs the cases of argv[1] through cli.main; writes each (exit code, CSV digest) to argv[2]
+# runs the cases of argv[1] through cli.main; writes each (exit code, CSV digest,
+# report fields computed outside the strips) to argv[2]
 _DIGEST_CHILD = """
 import contextlib, hashlib, io, json, os, sys, tempfile
 from contactflow.cli import main
@@ -170,10 +204,27 @@ for sub, config, csv, extra in json.loads(sys.argv[1]):
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
         rc = main([sub, "--config", config, "--out", out, "--seed", "7", *extra])
         with open(os.path.join(out, csv), "rb") as f:
-            got.append((rc, hashlib.sha256(f.read()).hexdigest()))
+            digest = hashlib.sha256(f.read()).hexdigest()
+        with open(os.path.join(out, "report.json")) as f:
+            report = json.load(f)
+    got.append((rc, digest, {k: report[k] for k in ("biduality_hausdorff", "contact_residual")
+                             if k in report}))
 with open(sys.argv[2], "w") as f:
     json.dump(got, f)
 """
+
+
+def _run_digest_child(out, **env):
+    """The pinned cases in a child process with env added to its environment;
+    its results go through the file out."""
+    src = os.path.dirname(os.path.dirname(cf.__file__))
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cases = [(sub, _cfg(config), csv, extra) for sub, config, csv, _, extra in _PINNED_CSV]
+    proc = subprocess.run([sys.executable, "-c", _DIGEST_CHILD, json.dumps(cases), str(out)],
+                          cwd=out.parent, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text())
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
@@ -183,24 +234,22 @@ def test_pinned_digests_hold_under_other_kernels(tmp_path, core, disable):
     """The pinned CSVs do not depend on the BLAS kernel or numpy's SIMD
     dispatch: a child process with another OpenBLAS core and with numpy's
     dispatched features turned off (the AVX512 class, or all of them) writes
-    the same bytes.  numpy refuses a feature name it did not dispatch, so
-    only names it reports as found are turned off."""
+    the same bytes, and reports the same biduality_hausdorff and
+    contact_residual as a child in the default environment.  numpy refuses a
+    feature name it did not dispatch, so only names it reports as found are
+    turned off."""
     found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
     if core == "Haswell" and not {"X86_V3", "AVX2"} & set(found):
         pytest.skip("the Haswell core needs AVX2")
     off = [f for f in found if disable == "all" or f == "X86_V4" or f.startswith("AVX512")]
-    src = os.path.dirname(os.path.dirname(cf.__file__))
-    env = dict(os.environ, OPENBLAS_CORETYPE=core, NPY_DISABLE_CPU_FEATURES=",".join(off),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    cases = [(sub, _cfg(config), csv, extra) for sub, config, csv, _, extra in _PINNED_CSV]
-    proc = subprocess.run([sys.executable, "-c", _DIGEST_CHILD, json.dumps(cases),
-                           str(tmp_path / "digests.json")],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads((tmp_path / "digests.json").read_text())
-    wrong = [(config, prefix, rc, digest) for (_, config, _, prefix, _), (rc, digest)
+    got = _run_digest_child(tmp_path / "forced.json", OPENBLAS_CORETYPE=core,
+                            NPY_DISABLE_CPU_FEATURES=",".join(off))
+    wrong = [(config, prefix, rc, digest) for (_, config, _, prefix, _), (rc, digest, _)
              in zip(_PINNED_CSV, got) if rc != 0 or not digest.startswith(prefix)]
     assert not wrong, f"{len(wrong)} of {len(_PINNED_CSV)} digests moved: {wrong}"
+    fields = [case[2] for case in _run_digest_child(tmp_path / "default.json")]
+    assert {k for f in fields for k in f} == {"biduality_hausdorff", "contact_residual"}
+    assert [case[2] for case in got] == fields
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -233,6 +282,31 @@ def test_cli_fixed_step_without_strips_is_a_config_error(tmp_path, capsys, sub, 
 def test_cli_missing_config_file_exit_code(tmp_path):
     missing = tmp_path / "nope.yaml"
     assert main(["propagate", "--config", str(missing), "--out", str(tmp_path)]) == 1
+
+
+def test_cli_wavefront_reports_its_lift_drops(tmp_path):
+    """G = |p|^2 - y p_s^2 has no on-shell covector conormal to {x = 0}
+    where y < 0: those front samples drop out of the lift, and the report
+    names them."""
+    cfg = tmp_path / "drops.yaml"
+    cfg.write_text(
+        "schema_version: 1\n"
+        "chart: {axes: [x, y], bounds: [[-3, 3], [-3, 3]]}\n"
+        "scenario:\n"
+        "  symbol: {expression: p_x**2 + p_y**2 - y*p_s**2, degree: 2}\n"
+        "front: {kind: flat, axis: x, value: 0.0, span: [-1.0, 1.0], n: 20, n_tau: 11}\n"
+        "tau_span: [0.0, 0.5]\n")
+    assert main(["wavefront", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    u = np.linspace(-1.0, 1.0, 20)
+    assert report["lift_dropped"] == {"count": 10, "u": u[:10].tolist()}
+    rows = (tmp_path / "front.csv").read_text().splitlines()[1:]
+    assert sorted({float(r.split(",")[0]) for r in rows}) == u[10:].tolist()
+    # a lift that keeps every sample reports none
+    assert main(["wavefront", "--config", _cfg("eikonal_front.yaml"), "--out",
+                 str(tmp_path / "eik")]) == 0
+    report = json.loads((tmp_path / "eik" / "report.json").read_text())
+    assert report["lift_dropped"] == {"count": 0, "u": []}
 
 
 def test_cli_undeclared_symbol_name_cited(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: the core and the CLI need neither scipy
-nor, until an expression is parsed, sympy."""
+nor, until an expression is parsed, sympy; and a parsed expression binds
+numpy's functions without importing numpy's optional submodules."""
 
 import json
 import os
@@ -13,13 +14,16 @@ import contactflow as cf
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
+#: numpy submodules that sympy's lambdify imports with its "numpy" module
+NUMPY_EXTRAS = ("numpy.f2py", "numpy.testing", "numpy.ma", "numpy.random", "numpy.polynomial")
 
 
 def _run_fresh(code: str, cwd) -> dict:
-    """Run ``code`` in a new interpreter; return the heavy libraries it loaded
-    and the ``rc`` it left, if any."""
+    """Run ``code`` in a new interpreter; return the heavy libraries it loaded,
+    the NUMPY_EXTRAS it loaded and the ``rc`` it left, if any."""
     report = ("import json, sys\n"
               "print(json.dumps({'loaded': [m for m in ('scipy', 'sympy') if m in sys.modules],"
+              f" 'extras': [m for m in {NUMPY_EXTRAS!r} if m in sys.modules],"
               " 'rc': globals().get('rc')}))")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code + "\n" + report], cwd=cwd,
@@ -34,15 +38,17 @@ def _cli(sub: str, cfg: str) -> str:
             f"rc = cli.main([{sub!r}, '--config', {str(CONFIGS / cfg)!r}, '--out', 'out'])")
 
 
-@pytest.mark.parametrize("code, loaded", [
-    ("import contactflow", []),
-    (_cli("propagate", "oscillator.yaml"), []),
-    (_cli("wave-diagram", "wave_diagram_rel.yaml"), []),
-    (_cli("noether-check", "noether_free.yaml"), ["sympy"]),   # it parses symmetries
+@pytest.mark.parametrize("code, loaded, extras", [
+    ("import contactflow", [], []),
+    (_cli("propagate", "oscillator.yaml"), [], []),
+    (_cli("wave-diagram", "wave_diagram_rel.yaml"), [], []),
+    # it parses symmetries, and draws its samples from a seeded np.random generator
+    (_cli("noether-check", "noether_free.yaml"), ["sympy"], ["numpy.random"]),
 ], ids=["import", "propagate", "wave-diagram", "noether-check"])
-def test_fresh_run_loads_only_what_it_uses(code, loaded, tmp_path):
+def test_fresh_run_loads_only_what_it_uses(code, loaded, extras, tmp_path):
     out = _run_fresh(code, tmp_path)
     assert out["loaded"] == loaded
+    assert out["extras"] == extras
     assert out["rc"] in (None, 0)
 
 
