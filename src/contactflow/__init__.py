@@ -27,11 +27,10 @@ from .noether import (SymmetryField, check_symmetry,
 from .operators import (LinearDiffOperator, PrincipalSymbol, ScalingReport,
                         eikonal_residual, equivariant_reduce,
                         fit_quadratic_phase, oscillatory_coefficients,
-                        oscillatory_value, poly_phase, principal_symbol,
-                        schrodinger_operator, symbol_scaling_check)
+                        poly_phase, principal_symbol, schrodinger_operator,
+                        symbol_scaling_check)
 from .phase import (HolonomyResult, PhasePoint, SectionSpec, curvature_ratio,
-                    holonomy, holonomy_convergence, phase_portrait,
-                    square_loop, to_phase)
+                    holonomy, holonomy_convergence, square_loop, to_phase)
 from .scenarios import Scenario, builtin
 from .strips import (BatchItem, CharacteristicState, Fiber, IntegratorConfig,
                      Strip, SymbolSurface, action_increment, batch_propagate,

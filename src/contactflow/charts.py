@@ -54,6 +54,14 @@ class Chart:
         except ValueError:
             raise ContractViolation(f"no axis named {name!r} in {self.axis_names}") from None
 
+    def multi_index(self, powers: Mapping[str, int]) -> tuple[int, ...]:
+        """The multi-index of the monomial prod x_axis ** power, from a
+        mapping {axis name: power}; absent axes get power 0."""
+        m = [0] * self.dim
+        for name, k in powers.items():
+            m[self.axis_index(name)] = int(k)
+        return tuple(m)
+
     def contains(self, x):
         """Whether x lies in the chart: a bool at one point, an array over
         stacked points (..., dim)."""

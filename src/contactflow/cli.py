@@ -17,7 +17,7 @@ import yaml
 from . import io as out_io
 from .bundle import ConnectionData, hausdorff_distance, legendre_dual, wave_diagram
 from .charts import Chart, PolyField
-from .errors import ConfigError, ContactFlowError
+from .errors import ConfigError, ContactFlowError, ContractViolation
 from .fronts import circle_front, flat_front, legendre_lift, propagate_front
 from .noether import SymmetryField, check_symmetry, conservation_drift
 from .operators import (LinearDiffOperator, eikonal_residual, poly_phase,
@@ -133,14 +133,21 @@ def _tau_span(cfg: dict):
     return float(span[0]), float(span[1])
 
 
+def _multi_index(chart: Chart, powers, key: str) -> tuple[int, ...]:
+    """chart.multi_index of a config's {axis: power} block; an unknown axis
+    is a config error."""
+    try:
+        return chart.multi_index(powers or {})
+    except ContractViolation as exc:
+        raise ConfigError(f"bad {key!r} block: {exc}") from exc
+
+
 def _poly_from_spec(chart: Chart, spec) -> PolyField:
     """spec: list of {powers: {axis: int}, c: number} entries."""
     coeffs = {}
     for ent in spec:
-        mono = [0] * chart.dim
-        for ax, k in (ent.get("powers") or {}).items():
-            mono[chart.axis_index(ax)] = int(k)
-        coeffs[tuple(mono)] = coeffs.get(tuple(mono), 0.0) + float(ent["c"])
+        mono = _multi_index(chart, ent.get("powers"), "powers")
+        coeffs[mono] = coeffs.get(mono, 0.0) + float(ent["c"])
     return PolyField(chart, coeffs)
 
 
@@ -175,6 +182,7 @@ def _front_from(cfg, scen):
         sigma = circle_front(scen.chart, float(spec.get("radius", 1.0)), n,
                              center=tuple(spec.get("center", (0.0, 0.0))))
     elif kind == "flat":
+        _multi_index(scen.chart, {spec["axis"]: 1}, "front")
         sigma = flat_front(scen.chart, spec["axis"], float(spec["value"]),
                            spec.get("span", (-1.0, 1.0)), n)
     else:
@@ -246,13 +254,9 @@ def _operator_from(cfg) -> LinearDiffOperator:
     chart = _chart_from(cfg)
     terms = {}
     for ent in spec.get("terms", []):
-        mono = [0] * chart.dim
-        for ax, k in (ent.get("multi") or {}).items():
-            mono[chart.axis_index(ax)] = int(k)
         c = ent["coeff"]
-        coeff = (_poly_from_spec(chart, c)
-                 if isinstance(c, list) else float(c))
-        terms[tuple(mono)] = coeff
+        terms[_multi_index(chart, ent.get("multi"), "multi")] = (
+            _poly_from_spec(chart, c) if isinstance(c, list) else float(c))
     return LinearDiffOperator(chart, terms, s_axis=spec.get("s_axis", "s"))
 
 

@@ -256,7 +256,8 @@ def _require_uniform(params: np.ndarray, period: float | None) -> None:
     samples has a wider one)."""
     u = np.append(params, [params[0] + period] if period is not None else [])
     gaps = np.diff(u)
-    h = float(np.median(gaps))
+    mid = np.sort(gaps)[(len(gaps) - 1) // 2:len(gaps) // 2 + 1]   # np.median loads numpy.ma
+    h = float(mid.sum() / len(mid))
     bad = np.flatnonzero(np.abs(gaps - h) > 1e-9 * abs(h))
     if bad.size:
         i = int(bad[0])

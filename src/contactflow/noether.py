@@ -30,9 +30,6 @@ class SymmetryField:
             f = PolyField.from_const(chart, float(f))
         return cls(VectorField(chart, v_components), f)
 
-    def f_gradient(self, x) -> np.ndarray:
-        return self.f.gradient(x)
-
 
 def conserved_quantity(sym: SymmetryField, state: CharacteristicState) -> float:
     """Q = <p, v(x)> + p_s f(x)."""
@@ -49,7 +46,7 @@ def symmetry_residual(E: SymbolSurface, sym: SymmetryField, x, p, p_s: float) ->
     gx, gp, _ = E.gradient(x, p, p_s)
     v = sym.v.value(x)
     J = sym.v.jacobian(x)             # J[i, j] = d v^j / d x^i
-    df = sym.f_gradient(x)
+    df = sym.f.gradient(x)
     return float(-np.dot(v, gx) + np.dot(np.asarray(p) @ J.T, gp) + p_s * np.dot(df, gp))
 
 
@@ -100,6 +97,6 @@ def gauge_shifted_symmetry(sym: SymmetryField, chi: PolyField | ScalarField) -> 
         H = _hessian_of(chi, x)
         dchi = chi.gradient(x)
         J = sym.v.jacobian(x)
-        return sym.f_gradient(x) - H @ sym.v.value(x) - J @ dchi
+        return sym.f.gradient(x) - H @ sym.v.value(x) - J @ dchi
 
     return SymmetryField(sym.v, ScalarField(chart, f_new, grad=grad_new))

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .charts import Chart, PolyField
+from .charts import Chart, PolyField, dot, libm_pow
 from .errors import (ContractViolation, DataQualityError, FitQualityError)
 from .strips import Fiber, SymbolSurface
 
@@ -67,16 +67,30 @@ class LinearDiffOperator:
     def dim(self) -> int:
         return self.chart.dim
 
-    def top_terms(self) -> dict:
-        return {m: c for m, c in self.terms.items() if sum(m) == self.degree}
-
 
 def principal_symbol(D: LinearDiffOperator) -> "PrincipalSymbol":
     return PrincipalSymbol(D)
 
 
+def _cotangent_chart(chart: Chart, prefix: str, extra=()) -> Chart:
+    """A chart over positions, momenta named prefix + axis, then the extra
+    axes.  PolyField reads only axis names and count off a chart, so the
+    momentum and extra axes reuse the position bounds."""
+    names = [*chart.axis_names, *(prefix + a for a in chart.axis_names), *extra]
+    return Chart(names, np.vstack([chart.bounds, chart.bounds, chart.bounds[:len(extra)]]))
+
+
+def _joined(*parts) -> np.ndarray:
+    """The arguments side by side on the last axis, their stack axes broadcast."""
+    parts = [np.asarray(a, float) for a in parts]
+    shape = np.broadcast_shapes(*(a.shape[:-1] for a in parts))
+    return np.concatenate([np.broadcast_to(a, shape + a.shape[-1:]) for a in parts], axis=-1)
+
+
 class PrincipalSymbol:
-    """s_D(x, xi) = sum over top-order terms of coeff(x) * xi^alpha.
+    """s_D(x, xi) = sum over top-order terms of coeff(x) * xi^alpha, held as
+    one PolyField ``poly`` over the axes (x, xi): a coefficient monomial
+    x^k of the term alpha is the monomial with multi-index k + alpha.
 
     x and xi have shape (d,), or (..., d) at stacked points.
     """
@@ -85,39 +99,19 @@ class PrincipalSymbol:
         self.operator = D
         self.chart = D.chart
         self.degree = D.degree
-        self.terms = D.top_terms()
+        self.terms = {m: c for m, c in D.terms.items() if sum(m) == D.degree}
+        self.poly = PolyField(_cotangent_chart(D.chart, "xi_"),
+                              {k + m: v for m, c in self.terms.items()
+                               for k, v in c.coeffs.items()})
 
     def value(self, x, xi):
-        x, xi = np.asarray(x, float), np.asarray(xi, float)
-        total = 0.0
-        for m, c in self.terms.items():
-            total += c.value(x) * _monomial(xi, m)
-        return total
+        return self.poly.value(_joined(x, xi))
 
     def xi_gradient(self, x, xi) -> np.ndarray:
-        x, xi = np.asarray(x, float), np.asarray(xi, float)
-        g = np.zeros(np.broadcast_shapes(x.shape, xi.shape))
-        for m, c in self.terms.items():
-            cv = c.value(x)
-            for j, mj in enumerate(m):
-                if mj == 0:
-                    continue
-                mono = list(m)
-                mono[j] -= 1
-                g[..., j] += cv * mj * _monomial(xi, mono)
-        return g
+        return self.poly.gradient(_joined(x, xi))[..., self.chart.dim:]
 
     def x_gradient(self, x, xi) -> np.ndarray:
-        x, xi = np.asarray(x, float), np.asarray(xi, float)
-        g = np.zeros(np.broadcast_shapes(x.shape, xi.shape))
-        for m, c in self.terms.items():
-            g += c.gradient(x) * _monomial(xi, m)[..., None]
-        return g
-
-
-def _monomial(xi: np.ndarray, m) -> np.ndarray:
-    """xi^m, the product over the last axis of xi_j ** m_j."""
-    return np.prod(xi ** np.array(m), axis=-1)
+        return self.poly.gradient(_joined(x, xi))[..., :self.chart.dim]
 
 
 def equivariant_reduce(symbol: PrincipalSymbol, weight: float,
@@ -126,43 +120,29 @@ def equivariant_reduce(symbol: PrincipalSymbol, weight: float,
 
     At p_s = 1 this is the plain substitution xi_s = weight; keeping the p_s
     factor preserves momentum homogeneity so the result drops straight into
-    the strip integrator.  Operators without a fiber axis pass through
-    unchanged (xi_s never occurs).
+    the strip integrator.  The reduced symbol is one PolyField over (x, p,
+    p_s): a monomial x^k xi^alpha of the symbol loses k's s power (always 0)
+    and moves alpha's to p_s, scaling its coefficient by weight ** alpha_s.
+    Operators without a fiber axis pass through unchanged (xi_s never occurs).
     """
     D = symbol.operator
-    si = D.s_index
-    if si is None:
-        base = D.chart
-        idx = list(range(base.dim))
-    else:
-        keep = [i for i in range(D.chart.dim) if i != si]
-        base = Chart([D.chart.axis_names[i] for i in keep],
-                     [tuple(D.chart.bounds[i]) for i in keep])
-        idx = keep
-
-    def pad_x(x):
-        if si is None:
-            return x
-        full = np.zeros(x.shape[:-1] + (D.chart.dim,))
-        full[..., idx] = x
-        return full
-
-    def full_xi(p, p_s):
-        xi = np.zeros(p.shape[:-1] + (D.chart.dim,))
-        xi[..., idx] = p
-        if si is not None:
-            xi[..., si] = weight * p_s
-        return xi
+    d, si = D.dim, D.s_index
+    keep = [i for i in range(d) if i != si]
+    base = Chart([D.chart.axis_names[i] for i in keep], D.chart.bounds[keep])
+    coeffs = {}
+    for key, c in symbol.poly.coeffs.items():
+        k_s = 0 if si is None else key[d + si]
+        mono = tuple(key[i] for i in keep) + tuple(key[d + i] for i in keep) + (k_s,)
+        coeffs[mono] = c * libm_pow(float(weight), k_s)
+    G = PolyField(_cotangent_chart(base, "p_", ["p_s"]), coeffs)
+    m = base.dim
 
     def value(x, p, p_s):
-        return symbol.value(pad_x(x), full_xi(p, p_s))
+        return G.value(_joined(x, p, p_s[..., None]))
 
     def grad(x, p, p_s):
-        xf, xif = pad_x(x), full_xi(p, p_s)
-        gx_full = symbol.x_gradient(xf, xif)
-        gxi = symbol.xi_gradient(xf, xif)
-        gps = weight * gxi[..., si] if si is not None else 0.0
-        return gx_full[..., idx], gxi[..., idx], gps
+        g = G.gradient(_joined(x, p, p_s[..., None]))
+        return g[..., :m], g[..., m:2 * m], g[..., 2 * m]
 
     name = f"reduced({D.name or 'operator'}, w={weight:g})"
     return SymbolSurface(base, value, symbol.degree, grad=grad,
@@ -224,11 +204,6 @@ def oscillatory_coefficients(D: LinearDiffOperator, phase, x) -> np.ndarray:
     return A
 
 
-def oscillatory_value(D: LinearDiffOperator, phase, x, lam: float) -> complex:
-    A = oscillatory_coefficients(D, phase, x)
-    return complex(np.polyval(A[::-1], lam))
-
-
 def _check_span(lams) -> np.ndarray:
     lams = np.asarray(lams, float)
     if len(lams) < 4 or lams.min() <= 0 or lams.max() / lams.min() < 100.0:
@@ -237,10 +212,16 @@ def _check_span(lams) -> np.ndarray:
 
 
 def _loglog_slope(lams, vals) -> float:
-    mask = np.asarray(vals) > 0
-    if mask.sum() < 2:
+    """Least-squares slope of log(vals) against log(lams) over the positive
+    vals, in closed form: centred charts.dot sums, which no BLAS kernel or
+    SIMD dispatch reaches."""
+    logs = [(math.log(lam), math.log(v)) for lam, v in zip(lams, vals) if v > 0]
+    if len(logs) < 2:
         return float("-inf")
-    return float(np.polyfit(np.log(lams[mask]), np.log(np.asarray(vals)[mask]), 1)[0])
+    x, y = np.array(logs).T
+    ones = np.ones(len(x))
+    x, y = x - dot(x, ones) / len(x), y - dot(y, ones) / len(y)
+    return float(dot(x, y) / dot(x, x))
 
 
 @dataclass
@@ -302,6 +283,7 @@ def fit_quadratic_phase(chart: Chart, points, values, center, radius: float,
     """
     si = chart.axis_index(s_axis) if (s_axis and s_axis in chart.axis_names) else None
     base_idx = [i for i in range(chart.dim) if i != si]
+    base = Chart([chart.axis_names[i] for i in base_idx], chart.bounds[base_idx])
     nb = len(base_idx)
     center = np.asarray(center, float)
     pts = np.asarray(points, float).reshape(-1, nb)
@@ -320,30 +302,13 @@ def fit_quadratic_phase(chart: Chart, points, values, center, radius: float,
     if resid > max_residual * scale:
         raise DataQualityError(
             f"quadratic model residual {resid:.3e} exceeds {max_residual:.1e} * scale")
-    # re-expand around the origin of the full chart
-    coeffs: dict = {}
-    for m, c in zip(monos, sol):
-        if c == 0.0:
-            continue
-        # (x - center)^m expanded binomially into absolute monomials
-        expansion = {tuple(0 for _ in range(nb)): c}
-        for j, mj in enumerate(m):
-            nxt = {}
-            for mono, cc in expansion.items():
-                for k in range(mj + 1):
-                    binom = math.comb(mj, k) * (-center[j]) ** (mj - k)
-                    key = tuple(mono[i] + (k if i == j else 0) for i in range(nb))
-                    nxt[key] = nxt.get(key, 0.0) + cc * binom
-            expansion = nxt
-        for mono, cc in expansion.items():
-            full = [0] * chart.dim
-            for i, bi in enumerate(base_idx):
-                full[bi] = mono[i]
-            key = tuple(full)
-            coeffs[key] = coeffs.get(key, 0.0) + cc
+    # the absolute coefficients are the Taylor coefficients at the origin
+    centred = PolyField(base, dict(zip(monos, sol)))
+    coeffs = {chart.multi_index(dict(zip(base.axis_names, k))):
+              centred.deriv_value(k, -center) / math.prod(map(math.factorial, k))
+              for k in monos}
     if si is not None:
-        s_mono = tuple(1 if i == si else 0 for i in range(chart.dim))
-        coeffs[s_mono] = coeffs.get(s_mono, 0.0) + s_weight
+        coeffs[chart.multi_index({s_axis: 1})] = s_weight
     return PolyField(chart, coeffs)
 
 
@@ -364,14 +329,8 @@ def schrodinger_operator(chart: Chart, mass: float = 1.0,
     for ax in ("t", "x", "s"):
         if ax not in chart.axis_names:
             raise ContractViolation(f"chart needs a {ax!r} axis")
-
-    def mono(**kw):
-        m = [0] * chart.dim
-        for ax, k in kw.items():
-            m[chart.axis_index(ax)] = k
-        return tuple(m)
-
     if not isinstance(V, PolyField):
         V = PolyField.from_const(chart, float(V))
-    terms = {mono(x=2): 1.0 / (2.0 * mass), mono(s=2): V, mono(s=1, t=1): 1.0}
+    mono = chart.multi_index
+    terms = {mono({"x": 2}): 1.0 / (2.0 * mass), mono({"s": 2}): V, mono({"s": 1, "t": 1}): 1.0}
     return LinearDiffOperator(chart, terms, s_axis="s", name="schrodinger")

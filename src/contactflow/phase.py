@@ -84,19 +84,6 @@ def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec,
     return PhasePoint(coords, names, branch)
 
 
-def phase_portrait(E: SymbolSurface, states, section: SectionSpec,
-                   tau_budget: float = 50.0) -> list[tuple[str, "PhasePoint | None"]]:
-    """to_phase over a batch; non-crossing states are kept with a None point."""
-    out = []
-    for st in states:
-        try:
-            pt = to_phase(E, st, section, tau_budget=tau_budget)
-            out.append((pt.branch, pt))
-        except CrossingError:
-            out.append(("no-crossing", None))
-    return out
-
-
 # --- holonomy of the contact-hyperplane connection --------------------------
 
 def _require_loop(loop) -> np.ndarray:

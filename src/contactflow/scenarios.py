@@ -15,8 +15,7 @@ from .bundle import (ConnectionData, constant_field_potential, lorentzian_metric
                      relativistic_scenario)
 from .charts import Chart, PolyField, components, stack_last
 from .errors import ConfigError
-from .operators import (LinearDiffOperator, equivariant_reduce, principal_symbol,
-                        schrodinger_operator)
+from .operators import equivariant_reduce, principal_symbol, schrodinger_operator
 from .strips import CharacteristicState, SymbolSurface
 
 
@@ -122,26 +121,14 @@ def schrodinger(mass: float = 1.0, V: "PolyField | dict | float" = 0.0,
     """
     u_chart = Chart(["t", "x", "s"], [(-bound, bound)] * 3)
     if isinstance(V, dict):
-        ix = u_chart.axis_index("x")
-        coeffs = {}
-        for power, c in V.items():
-            mono = [0, 0, 0]
-            mono[ix] = int(power)
-            coeffs[tuple(mono)] = float(c)
-        V = PolyField(u_chart, coeffs)
+        V = PolyField(u_chart, {u_chart.multi_index({"x": power}): c for power, c in V.items()})
     D = schrodinger_operator(u_chart, mass=mass, V=V)
     E = equivariant_reduce(principal_symbol(D), 1.0)
-    inits = [CharacteristicState([0.0, 0.5], 0.0,
-                                 [-_schro_pt(D, mass, 0.5, 0.8), 0.8], 1.0)]
+    # G is p_t p_s plus terms free of p_t, so p_t = -G(x0, (0, p_x), 1) is on shell
+    x0, p_x = [0.0, 0.5], 0.8
+    inits = [CharacteristicState(x0, 0.0, [-E.value(x0, [0.0, p_x], 1.0), p_x], 1.0)]
     return Scenario("schrodinger", E, _zero_connection(E.chart), inits,
                     extras={"operator": D, "mass": mass})
-
-
-def _schro_pt(D: LinearDiffOperator, mass: float, x: float, p_x: float) -> float:
-    # on-shell p_t for the reduced symbol: p_t = -(p_x^2/(2m) + V(x))
-    V = D.terms[tuple(2 if ax == "s" else 0
-                      for ax in D.chart.axis_names)]
-    return p_x * p_x / (2 * mass) + V.value(np.array([0.0, x, 0.0]))
 
 
 _BUILDERS = {

@@ -24,6 +24,14 @@ def test_chart_validation():
     assert not ch.contains([0.0, 5.0])
 
 
+def test_chart_multi_index_from_axis_powers():
+    ch = Chart(["t", "x", "s"], [(-1, 1)] * 3)
+    assert ch.multi_index({"x": 2, "t": 1}) == (1, 2, 0)
+    assert ch.multi_index({}) == (0, 0, 0)
+    with pytest.raises(cf.ContractViolation, match="no axis named 'y'"):
+        ch.multi_index({"y": 1})
+
+
 def test_boundary_clearance():
     ch = Chart(["x"], [(0.0, 10.0)])
     assert ch.boundary_clearance([3.0]) == pytest.approx(3.0)

@@ -194,8 +194,8 @@ def test_cli_fixed_step_csv_digests_are_pinned(tmp_path, sub, config, csv, prefi
     assert digest.startswith(prefix)
 
 
-# runs the cases of argv[1] through cli.main; writes each (exit code, CSV digest,
-# report fields computed outside the strips) to argv[2]
+# runs the cases of argv[1] through cli.main; writes each (exit code, CSV digest
+# or None for a run without one, report fields computed outside the strips) to argv[2]
 _DIGEST_CHILD = """
 import contextlib, hashlib, io, json, os, sys, tempfile
 from contactflow.cli import main
@@ -203,28 +203,42 @@ got = []
 for sub, config, csv, extra in json.loads(sys.argv[1]):
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
         rc = main([sub, "--config", config, "--out", out, "--seed", "7", *extra])
-        with open(os.path.join(out, csv), "rb") as f:
-            digest = hashlib.sha256(f.read()).hexdigest()
+        digest = None
+        if csv:
+            with open(os.path.join(out, csv), "rb") as f:
+                digest = hashlib.sha256(f.read()).hexdigest()
         with open(os.path.join(out, "report.json")) as f:
             report = json.load(f)
-    got.append((rc, digest, {k: report[k] for k in ("biduality_hausdorff", "contact_residual")
-                             if k in report}))
+    got.append((rc, digest, {k: report[k] for k in ("biduality_hausdorff", "contact_residual",
+                                                    "phases") if k in report}))
 with open(sys.argv[2], "w") as f:
     json.dump(got, f)
 """
 
+# the pinned cases, then the symbol run, whose report holds least-squares fits
+_KERNEL_CASES = ([(sub, _cfg(config), csv, extra) for sub, config, csv, _, extra in _PINNED_CSV]
+                 + [("symbol", _cfg("schrodinger_symbol.yaml"), None, ())])
 
-def _run_digest_child(out, **env):
-    """The pinned cases in a child process with env added to its environment;
-    its results go through the file out."""
+
+def _run_digest_child(out, cases, **env):
+    """The cases (subcommand, config, CSV name or None, extra arguments) in a
+    child process with env added to its environment; its results go through
+    the file out."""
     src = os.path.dirname(os.path.dirname(cf.__file__))
     env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    cases = [(sub, _cfg(config), csv, extra) for sub, config, csv, _, extra in _PINNED_CSV]
     proc = subprocess.run([sys.executable, "-c", _DIGEST_CHILD, json.dumps(cases), str(out)],
                           cwd=out.parent, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(out.read_text())
+
+
+def _simd_features_off(disable: str) -> str:
+    """NPY_DISABLE_CPU_FEATURES for the dispatched features numpy found: the
+    AVX512 class, or all of them (numpy refuses a name it did not find)."""
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return ",".join(f for f in found
+                    if disable == "all" or f == "X86_V4" or f.startswith("AVX512"))
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
@@ -234,22 +248,37 @@ def test_pinned_digests_hold_under_other_kernels(tmp_path, core, disable):
     """The pinned CSVs do not depend on the BLAS kernel or numpy's SIMD
     dispatch: a child process with another OpenBLAS core and with numpy's
     dispatched features turned off (the AVX512 class, or all of them) writes
-    the same bytes, and reports the same biduality_hausdorff and
-    contact_residual as a child in the default environment.  numpy refuses a
-    feature name it did not dispatch, so only names it reports as found are
-    turned off."""
+    the same bytes, and reports the same biduality_hausdorff,
+    contact_residual and symbol-run phases (fitted exponent and order,
+    symbol value) as a child in the default environment."""
     found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
     if core == "Haswell" and not {"X86_V3", "AVX2"} & set(found):
         pytest.skip("the Haswell core needs AVX2")
-    off = [f for f in found if disable == "all" or f == "X86_V4" or f.startswith("AVX512")]
-    got = _run_digest_child(tmp_path / "forced.json", OPENBLAS_CORETYPE=core,
-                            NPY_DISABLE_CPU_FEATURES=",".join(off))
+    got = _run_digest_child(tmp_path / "forced.json", _KERNEL_CASES, OPENBLAS_CORETYPE=core,
+                            NPY_DISABLE_CPU_FEATURES=_simd_features_off(disable))
     wrong = [(config, prefix, rc, digest) for (_, config, _, prefix, _), (rc, digest, _)
              in zip(_PINNED_CSV, got) if rc != 0 or not digest.startswith(prefix)]
     assert not wrong, f"{len(wrong)} of {len(_PINNED_CSV)} digests moved: {wrong}"
-    fields = [case[2] for case in _run_digest_child(tmp_path / "default.json")]
-    assert {k for f in fields for k in f} == {"biduality_hausdorff", "contact_residual"}
+    assert got[-1][0] == 0
+    fields = [case[2] for case in _run_digest_child(tmp_path / "default.json", _KERNEL_CASES)]
+    assert {k for f in fields for k in f} == {"biduality_hausdorff", "contact_residual",
+                                              "phases"}
     assert [case[2] for case in got] == fields
+
+
+def test_schrodinger_strip_bytes_hold_without_avx512(tmp_path):
+    """The Schroedinger symbol's powers go through libm_pow, not numpy's
+    array **, whose bits follow numpy's SIMD dispatch: a strip with V = x^2/2
+    writes the same CSV bytes with numpy's AVX512 features turned off."""
+    cfg = tmp_path / "schrodinger.yaml"
+    cfg.write_text("schema_version: 1\n"
+                   "scenario: {builtin: schrodinger, builtin_args: {V: {2: 0.5}}}\n"
+                   "tau_span: [0.0, 10.0]\n")
+    cases = [("propagate", str(cfg), "strip_0.csv", ())]
+    default = _run_digest_child(tmp_path / "default.json", cases)
+    assert default[0][0] == 0
+    assert _run_digest_child(tmp_path / "forced.json", cases,
+                             NPY_DISABLE_CPU_FEATURES=_simd_features_off("avx512")) == default
 
 
 def test_cli_config_error_exit_code(tmp_path):
@@ -276,6 +305,24 @@ def test_cli_fixed_step_without_strips_is_a_config_error(tmp_path, capsys, sub, 
     assert main([sub, "--config", _cfg(config), "--out", str(tmp_path),
                  "--fixed-step", "0.01"]) == 1
     assert f"--fixed-step does not apply to {sub}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("sub,block", [
+    ("symbol", "scenario: {builtin: schrodinger}\n"
+               "phases: [{poly: [{powers: {y: 2}, c: 1.0}]}]\n"),
+    ("symbol", "chart: {axes: [t, x, s], bounds: [[-5, 5], [-5, 5], [-5, 5]]}\n"
+               "operator: {terms: [{multi: {y: 2}, coeff: 1.0}]}\n"
+               "phases: [{poly: [{powers: {x: 2}, c: 1.0}]}]\n"),
+    ("wavefront", "scenario: {builtin: eikonal}\n"
+                  "front: {kind: flat, axis: z, value: 0.0}\n"),
+], ids=["powers", "multi", "front-axis"])
+def test_cli_unknown_axis_is_a_config_error(tmp_path, capsys, sub, block):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema_version: 1\n" + block)
+    assert main([sub, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "no axis named" in err
     assert not (tmp_path / "report.json").exists()
 
 

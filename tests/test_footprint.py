@@ -42,9 +42,13 @@ def _cli(sub: str, cfg: str) -> str:
     ("import contactflow", [], []),
     (_cli("propagate", "oscillator.yaml"), [], []),
     (_cli("wave-diagram", "wave_diagram_rel.yaml"), [], []),
+    (_cli("wavefront", "eikonal_front.yaml"), [], []),
+    (_cli("symbol", "schrodinger_symbol.yaml"), [], []),
+    (_cli("holonomy", "holonomy.yaml"), [], []),
     # it parses symmetries, and draws its samples from a seeded np.random generator
     (_cli("noether-check", "noether_free.yaml"), ["sympy"], ["numpy.random"]),
-], ids=["import", "propagate", "wave-diagram", "noether-check"])
+], ids=["import", "propagate", "wave-diagram", "wavefront", "symbol", "holonomy",
+         "noether-check"])
 def test_fresh_run_loads_only_what_it_uses(code, loaded, extras, tmp_path):
     out = _run_fresh(code, tmp_path)
     assert out["loaded"] == loaded

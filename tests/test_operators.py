@@ -54,7 +54,7 @@ def test_oscillatory_expansion_against_symbolic_oracle():
     g = cf.PolyField(ch, {(2,): 0.5, (1,): 0.3})
     A = cf.oscillatory_coefficients(D, g, [0.7])
     assert np.allclose(A, [0.0, 1.7j, -1.0], atol=1e-14)
-    v = cf.oscillatory_value(D, g, [0.7], 3.7)
+    v = np.polyval(A[::-1], 3.7)
     assert v == pytest.approx(-13.689999999999998 + 6.29j, rel=1e-13)
 
 
@@ -117,6 +117,101 @@ def test_reduction_without_fiber_axis_is_identity():
     E = cf.equivariant_reduce(cf.principal_symbol(D), 1.0)
     assert E.chart.axis_names == ("t", "x")
     assert E.value([0.0, 0.0], [0.3, 0.4], 1.0) == pytest.approx(0.08, rel=1e-14)
+
+
+# ------------------------------------ symbols against the hand-rolled reference
+#
+# The principal symbol and its reduction as they were computed before both
+# became one PolyField: coefficient values times numpy monomials, the
+# xi-derivatives by hand, and the reduction through padded full-chart points.
+
+def _ref_monomial(xi, m):
+    return np.prod(xi ** np.array(m), axis=-1)
+
+
+def _ref_symbol(D, x, xi):
+    """(s_D, ds_D/dx, ds_D/dxi) at x and xi of one stack shape."""
+    value, gx, gxi = 0.0, np.zeros(x.shape), np.zeros(x.shape)
+    for m, c in D.terms.items():
+        if sum(m) != D.degree:
+            continue
+        value = value + c.value(x) * _ref_monomial(xi, m)
+        gx = gx + c.gradient(x) * _ref_monomial(xi, m)[..., None]
+        for j, mj in enumerate(m):
+            if mj:
+                mono = list(m)
+                mono[j] -= 1
+                gxi[..., j] += c.value(x) * mj * _ref_monomial(xi, mono)
+    return value, gx, gxi
+
+
+def _ref_reduced(D, weight, x, p, p_s):
+    """(G, dG/dx, dG/dp, dG/dp_s) of the reduced symbol, xi_s = weight * p_s."""
+    keep = [i for i in range(D.dim) if i != D.s_index]
+    xf, xif = np.zeros(x.shape[:-1] + (D.dim,)), np.zeros(x.shape[:-1] + (D.dim,))
+    xf[..., keep], xif[..., keep] = x, p
+    if D.s_index is not None:
+        xif[..., D.s_index] = weight * p_s
+    value, gx, gxi = _ref_symbol(D, xf, xif)
+    gps = weight * gxi[..., D.s_index] if D.s_index is not None else np.zeros(value.shape)
+    return value, gx[..., keep], gxi[..., keep], gps
+
+
+def _random_operator(rng, dim, fiber):
+    """A random operator on dim axes, the last one a fiber axis "s" if asked,
+    with float and polynomial coefficients (free of s) up to degree 3; and
+    the same operator with every coefficient made non-negative."""
+    names = ["t", "x", "y"][:dim - fiber] + ["s"] * fiber
+    ch = cf.Chart(names, [(-3.0, 3.0)] * dim)
+    degree = int(rng.integers(1, 4))
+    terms, magnitude = {}, {}
+    for _ in range(int(rng.integers(1, 6))):
+        m = tuple(int(k) for k in rng.multinomial(degree, np.ones(dim) / dim))
+        if rng.uniform() < 0.5:
+            coeffs = {tuple(int(k) for k in rng.integers(0, 3, dim - fiber)) + (0,) * fiber:
+                      rng.uniform(-2.0, 2.0) for _ in range(int(rng.integers(1, 4)))}
+            terms[m] = cf.PolyField(ch, coeffs)
+            magnitude[m] = cf.PolyField(ch, {k: abs(c) for k, c in coeffs.items()})
+        else:
+            terms[m] = rng.uniform(-2.0, 2.0)
+            magnitude[m] = abs(terms[m])
+        low = tuple(int(k) for k in rng.multinomial(degree - 1, np.ones(dim) / dim))
+        terms.setdefault(low, 1.0)   # lower order: the symbol must ignore it
+        magnitude.setdefault(low, 1.0)
+    s_axis = "s" if fiber else None
+    return (cf.LinearDiffOperator(ch, terms, s_axis=s_axis),
+            cf.LinearDiffOperator(ch, magnitude, s_axis=s_axis))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.booleans(),
+       st.floats(-3.0, 3.0).filter(lambda w: abs(w) > 0.1))
+def test_symbols_match_the_hand_rolled_reference(seed, dim, fiber, weight):
+    """The PolyField symbol and reduced symbol agree with the reference within
+    1e-13 of the sum of the terms' magnitudes, and a stack gets the bits of
+    its rows evaluated one at a time."""
+    rng = np.random.default_rng(seed)
+    D, D_abs = _random_operator(rng, dim, fiber)
+    sym, E = cf.principal_symbol(D), cf.equivariant_reduce(cf.principal_symbol(D), weight)
+    assert sym.poly.chart.dim == 2 * dim and E.chart.dim == dim - fiber
+    x, xi = rng.uniform(-2.0, 2.0, (2, 5, dim))
+    got = (sym.value(x, xi), sym.x_gradient(x, xi), sym.xi_gradient(x, xi))
+    for g, r, bound in zip(got, _ref_symbol(D, x, xi), _ref_symbol(D_abs, abs(x), abs(xi))):
+        assert np.all(np.abs(g - r) <= 1e-13 * bound + 1e-300)
+    for i in range(len(x)):
+        one = (sym.value(x[i], xi[i]), sym.x_gradient(x[i], xi[i]), sym.xi_gradient(x[i], xi[i]))
+        assert all(np.array_equal(a[i], b) for a, b in zip(got, one))
+
+    m = E.chart.dim
+    xb, p, p_s = x[:, :m], xi[:, :m], xi[:, -1]
+    got = (E.value(xb, p, p_s), *E.gradient(xb, p, p_s))
+    ref = _ref_reduced(D, weight, xb, p, p_s)
+    bound = _ref_reduced(D_abs, abs(weight), abs(xb), abs(p), abs(p_s))
+    for g, r, b in zip(got, ref, bound):
+        assert np.all(np.abs(g - r) <= 1e-13 * np.abs(b) + 1e-300)
+    for i in range(len(x)):
+        one = (E.value(xb[i], p[i], p_s[i]), *E.gradient(xb[i], p[i], p_s[i]))
+        assert all(np.array_equal(a[i], b) for a, b in zip(got, one))
 
 
 # -------------------------------------------------------------- scaling checks

@@ -90,14 +90,11 @@ def test_to_phase_flows_back_no_further_than_the_forward_crossing(oscillator, mo
     assert np.allclose(pt.coords, [np.sin(-2.0), np.cos(-2.0)], rtol=0.0, atol=1e-8)
 
 
-def test_phase_portrait_collects_branches(free):
-    states = [
-        cf.CharacteristicState([1.0, 0.0], 0.0, [-0.125, 0.5], 1.0),
-        cf.CharacteristicState([1.0, 0.0], 0.0, [0.125, 0.5], -1.0),
-    ]
-    out = cf.phase_portrait(free.surface, states, _section())
-    assert [b for b, _ in out] == ["particle", "antiparticle"]
-    assert all(pt is not None for _, pt in out)
+def test_to_phase_tells_particle_from_antiparticle(free):
+    particle = cf.CharacteristicState([1.0, 0.0], 0.0, [-0.125, 0.5], 1.0)
+    antiparticle = cf.CharacteristicState([1.0, 0.0], 0.0, [0.125, 0.5], -1.0)
+    assert cf.to_phase(free.surface, particle, _section()).branch == "particle"
+    assert cf.to_phase(free.surface, antiparticle, _section()).branch == "antiparticle"
 
 
 # ------------------------------------------------------------------- holonomy
