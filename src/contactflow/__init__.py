@@ -17,7 +17,7 @@ from .errors import (BoundaryError, ConfigError, ContactFlowError,
                      ContractViolation, CrossingError, DataQualityError,
                      DegeneracyError, EmptyDiagramError, FitQualityError,
                      InternalConsistencyError, NoLiftError)
-from .fronts import (CausticEvent, FrontHistory, FrontSpec, circle_front,
+from .fronts import (CausticEvent, FrontHistory, FrontSpec, Lift, circle_front,
                      flat_front, front_action_function, legendre_lift,
                      propagate_front)
 from .noether import (SymmetryField, check_symmetry,

@@ -202,7 +202,8 @@ def scan_roots(f: Callable, grid, n: int = 1) -> list[list[float]]:
     grid = np.asarray(grid, dtype=float)
     vals = np.asarray(f(grid[None, :], np.arange(n)[:, None]), dtype=float)
     # an exact zero, or a sign change between a grid value and the next one
-    hit = (vals == 0.0) | (vals * np.pad(vals[:, 1:], ((0, 0), (0, 1))) < 0)
+    hit = vals == 0.0
+    hit[:, :-1] |= vals[:, :-1] * vals[:, 1:] < 0
     fi, j = np.nonzero(hit)
     roots = grid[j]
     bracket = vals[fi, j] != 0.0
@@ -330,7 +331,8 @@ class PolyField:
         for k, c in self.coeffs.items():
             term = 1
             for xi, ki in zip(xs, k):
-                term = term * libm_pow(xi, ki)
+                if ki:   # a zero power is a factor of exactly 1
+                    term = term * libm_pow(xi, ki)
             total += c * term
         return total if x.ndim == 1 else np.broadcast_to(total, x.shape[:-1])
 

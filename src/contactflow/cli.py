@@ -211,9 +211,7 @@ def _run_wavefront(cfg, scen, args, report):
                            "tau_hi": ev.tau_hi} for ev in hist.caustics]
     report["first_caustic_tau"] = hist.first_caustic_tau()
     report["contact_residual"] = hist.contact_residual()
-    lifted = {ls.u for ls in lift}
-    dropped = [u for u in sigma.params.tolist() if u not in lifted]   # no on-shell lift
-    report["lift_dropped"] = {"count": len(dropped), "u": dropped}
+    report["lift_dropped"] = {"count": len(lift.failures), "u": [u for u, _ in lift.failures]}
 
 
 def _run_noether(cfg, scen, args, report):

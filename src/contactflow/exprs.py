@@ -7,6 +7,7 @@ symbolically so every gradient the engine needs is exact.
 
 from __future__ import annotations
 
+import ast
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,11 +28,42 @@ ALLOWED_FUNCTIONS = {
 ALLOWED_CONSTANTS = {"pi": sp.pi, "E": sp.E}
 
 
+#: the grammar's Python syntax nodes: numbers, names, calls, + - * / ** and
+#: unary + - (ast.Load is the context of every name)
+_GRAMMAR_NODES = (ast.Expression, ast.Constant, ast.Name, ast.Load, ast.Call, ast.BinOp,
+                  ast.UnaryOp, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+
+
+def _check_grammar(expr: str, declared: Sequence[str]) -> None:
+    """Refuse an expression outside the README grammar, naming the construct,
+    the function or the name, before sympify evaluates it as Python."""
+    try:
+        nodes = list(ast.walk(ast.parse(str(expr), mode="eval")))
+    except SyntaxError as exc:
+        raise ConfigError(f"cannot parse expression {expr!r}: {exc}") from exc
+    funcs = {n.func for n in nodes if isinstance(n, ast.Call)}
+    for node in nodes:
+        if (not isinstance(node, _GRAMMAR_NODES) or node in funcs and type(node) is not ast.Name
+                or isinstance(node, ast.Constant) and type(node.value) not in (int, float)
+                or isinstance(node, ast.Call) and node.keywords):
+            seg = ast.get_source_segment(str(expr), node)
+            raise ConfigError(f"expression {expr!r} uses {type(node).__name__}"
+                              f"{f' {seg!r}' if seg else ''}, which the grammar does not allow")
+    names = {n.id for n in nodes if isinstance(n, ast.Name) and n not in funcs}
+    for what, used, known, label in (
+            ("unsupported functions", {f.id for f in funcs}, ALLOWED_FUNCTIONS, "allowed"),
+            ("undeclared names", names, declared, "declared")):
+        if bad := used - set(known):
+            raise ConfigError(f"expression {expr!r} uses {what} {sorted(bad)}; "
+                              f"{label}: {sorted(known)}")
+
+
 def _parse(expr: str, names: Sequence[str], constants: Mapping[str, float] | None):
     constants = dict(constants or {})
     bad = set(constants) & set(names)
     if bad:
         raise ConfigError(f"constants shadow axis names: {sorted(bad)}")
+    _check_grammar(expr, [*names, *constants, *ALLOWED_CONSTANTS])
     local = dict(ALLOWED_FUNCTIONS)
     local.update(ALLOWED_CONSTANTS)
     syms = {n: sp.Symbol(n, real=True) for n in names}
@@ -41,18 +73,6 @@ def _parse(expr: str, names: Sequence[str], constants: Mapping[str, float] | Non
         tree = sp.sympify(expr, locals=local, rational=False)
     except (sp.SympifyError, SyntaxError, TypeError) as exc:
         raise ConfigError(f"cannot parse expression {expr!r}: {exc}") from exc
-    unknown = {str(s) for s in tree.free_symbols} - set(names)
-    if unknown:
-        raise ConfigError(
-            f"expression {expr!r} uses undeclared names {sorted(unknown)}; "
-            f"declared: {list(names)}")
-    # sympify resolves function names from the sympy namespace even when they
-    # are absent from locals; restrict to the documented whitelist
-    bad_fns = {type(f).__name__ for f in tree.atoms(sp.Function)} - set(ALLOWED_FUNCTIONS)
-    if bad_fns:
-        raise ConfigError(
-            f"expression {expr!r} uses unsupported functions {sorted(bad_fns)}; "
-            f"allowed: {sorted(ALLOWED_FUNCTIONS)}")
     return tree, [syms[n] for n in names]
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .charts import Chart, dot, fd_gradient, scan_roots
 from .errors import ContractViolation, NoLiftError
-from .strips import CharacteristicState, IntegratorConfig, SymbolSurface, _propagate_stack
+from .strips import IntegratorConfig, SymbolSurface, _propagate_stack
 
 #: |det| below this times the largest |det| of its u sample counts as zero
 #: when scanning for caustic sign flips and tagging action branches
@@ -98,14 +98,24 @@ def circle_front(chart: Chart, radius: float, n: int, center=(0.0, 0.0)) -> Fron
 
 
 @dataclass
-class LiftedSample:
-    u: float
-    state: CharacteristicState
-    period: float | None = None   # the front's period in u, if it has one
+class Lift:
+    """The lifted front samples as arrays: parameters u (n,) and states x
+    (n, m), s (n,), p (n, m), p_s (n,); the front's period in u, if it has
+    one; and (u, why it has no lift) per dropped sample, in parameter order."""
+
+    u: np.ndarray
+    x: np.ndarray
+    s: np.ndarray
+    p: np.ndarray
+    p_s: np.ndarray
+    period: float | None
+    failures: list
+
+    def __len__(self) -> int:
+        return len(self.u)
 
 
-def legendre_lift(E: SymbolSurface, sigma: FrontSpec,
-                  branch: tuple[int, int] = (1, 0)) -> list[LiftedSample]:
+def legendre_lift(E: SymbolSurface, sigma: FrontSpec, branch: tuple[int, int] = (1, 0)) -> Lift:
     """Lift each front sample to an on-shell state.
 
     The momentum must annihilate the front tangent in the contact sense
@@ -129,23 +139,23 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec,
     N /= np.sqrt(dot(N, N))[:, None]
 
     def g(lam, i):
-        return E.value(X[i], P0[i] + np.asarray(lam)[..., None] * N[i], float(ps_sign))
+        p = np.empty((2,) + np.broadcast_shapes(np.shape(lam), np.shape(i)))   # component-major
+        for c in range(2):
+            np.add(P0[i, c], lam * N[i, c], out=p[c])
+        return E.value(X[i], np.moveaxis(p, 0, -1), float(ps_sign))
 
-    found = dict(zip(rows.tolist(), zip(X, P0, N, scan_roots(g, _LIFT_GRID, len(rows)))))
-    samples, failures = [], []   # failures: (u, why it has no lift)
-    for k, u in enumerate(U):
-        x, p0, nrm, roots = found.get(k, (None,) * 4)
-        if roots is None:
-            failures.append((u, "degenerate parametrization (zero tangent)"))
-        elif root_idx >= len(roots):
-            failures.append((u, f"no on-shell root (found {len(roots)}, wanted index {root_idx})"))
-        else:
-            state = CharacteristicState(x, float(sigma.s0(u)), p0 + roots[root_idx] * nrm,
-                                        float(ps_sign))
-            samples.append(LiftedSample(float(u), state, sigma.period))
-    if not samples:
+    roots = scan_roots(g, _LIFT_GRID, len(rows))
+    found = np.full(len(U), -1)   # roots per sample, -1 without a tangent
+    found[rows] = [len(r) for r in roots]
+    failures = [(u, "degenerate parametrization (zero tangent)" if k < 0 else
+                 f"no on-shell root (found {k}, wanted index {root_idx})")
+                for u, k in zip(U.tolist(), found.tolist()) if k <= root_idx]
+    ok = found[rows] > root_idx
+    if not ok.any():
         raise NoLiftError(f"no front sample admitted a lift: {failures[:3]}")
-    return samples
+    lam, u = np.array([r[root_idx] for r in roots if len(r) > root_idx]), U[rows[ok]]
+    return Lift(u, X[ok], np.array([float(sigma.s0(w)) for w in u]), P0[ok] + lam[:, None] * N[ok],
+                np.full(len(u), float(ps_sign)), sigma.period, failures)
 
 
 @dataclass
@@ -200,8 +210,7 @@ def _u_derivative(A: np.ndarray, params: np.ndarray, closed: bool) -> np.ndarray
     return d
 
 
-def propagate_front(E: SymbolSurface, lift: Sequence[LiftedSample], taus,
-                    integ: IntegratorConfig | None = None,
+def propagate_front(E: SymbolSurface, lift: Lift, taus, integ: IntegratorConfig | None = None,
                     closed: bool = False) -> FrontHistory:
     """Propagate every lifted sample and track the projection Jacobian.
 
@@ -216,12 +225,12 @@ def propagate_front(E: SymbolSurface, lift: Sequence[LiftedSample], taus,
         raise ContractViolation("empty lift")
     if E.dim != 2:
         raise ContractViolation("jacobian tracking implemented for 2D charts")
-    params = np.array([ls.u for ls in lift])
-    if closed and len(params) > 1:
-        _require_uniform(params, lift[0].period)
+    if closed and len(lift) > 1:
+        _require_uniform(lift.u, lift.period)
     taus = np.asarray(taus, float)
     nu, nt = len(lift), len(taus)
-    _, counts, run = _propagate_stack(E, [ls.state for ls in lift], taus[[0, -1]], integ, taus)
+    Y0 = np.column_stack([lift.x, lift.s, lift.p, lift.p_s])
+    _, counts, run = _propagate_stack(E, Y0, taus[[0, -1]], integ, taus)
     bad = (counts != nt).nonzero()[0]   # a strip that raised has no samples
     if bad.size:
         raise ContractViolation(
@@ -232,9 +241,9 @@ def propagate_front(E: SymbolSurface, lift: Sequence[LiftedSample], taus,
 
     # the Jacobian columns dx/du and dx/dtau = dG/dp; an open front's end
     # samples have no dx/du, so their determinant is NaN
-    du, dtau = _u_derivative(X, params, closed), E.gradient(X, P, PS)[1]
+    du, dtau = _u_derivative(X, lift.u, closed), E.gradient(X, P, PS)[1]
     J = du[..., 0] * dtau[..., 1] - du[..., 1] * dtau[..., 0]
-    return FrontHistory(E, params, taus, X, S, P, PS, J, _caustic_events(J, taus),
+    return FrontHistory(E, lift.u, taus, X, S, P, PS, J, _caustic_events(J, taus),
                         closed=closed)
 
 

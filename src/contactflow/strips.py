@@ -154,8 +154,9 @@ def _symbol_args(x, p, p_s):
             return x, p, np.float64(p_s), None
     p_s = np.asarray(p_s, float)
     shape = np.broadcast_shapes(x.shape[:-1], p.shape[:-1], p_s.shape)
-    return (np.broadcast_to(x, shape + x.shape[-1:]), np.broadcast_to(p, shape + p.shape[-1:]),
-            np.broadcast_to(p_s, shape), shape)
+    x, p = (a if a.shape[:-1] == shape else np.broadcast_to(a, shape + a.shape[-1:])
+            for a in (x, p))
+    return x, p, p_s if p_s.shape == shape else np.broadcast_to(p_s, shape), shape
 
 
 def _filled(a, shape) -> np.ndarray:
@@ -646,14 +647,14 @@ class BatchItem:
         return self.error is None
 
 
-def _propagate_stack(E: SymbolSurface, inits: Sequence[CharacteristicState], tau_span,
-                     integ: IntegratorConfig | None, tau_eval) -> tuple:
-    """propagate() over a stack of initial states: one integrator call, one
-    projection call.  Returns per strip its stop or the exception that ended
-    it, each strip's number of samples, and the samples (taus, X, S, P, PS,
-    G) in strip order (None if no strip ran).  When the stacked run raises
-    (say, the symbol raises at one strip's state), each state runs on its
-    own, so the error reaches only the strips that raise it."""
+def _propagate_stack(E: SymbolSurface, Y0, tau_span, integ: IntegratorConfig | None,
+                     tau_eval) -> tuple:
+    """propagate() over the packed state stack Y0, rows (x, s, p, p_s): one
+    integrator call, one projection call.  Returns per strip its stop or the
+    exception that ended it, each strip's number of samples, and the samples
+    (taus, X, S, P, PS, G) in strip order (None if no strip ran).  When the
+    stacked run raises (say, the symbol raises at one strip's state), each
+    row runs on its own, so the error reaches only the strips that raise it."""
     try:
         integ = integ or IntegratorConfig()
         t0, t1 = float(tau_span[0]), float(tau_span[1])
@@ -663,8 +664,7 @@ def _propagate_stack(E: SymbolSurface, inits: Sequence[CharacteristicState], tau
             tau_eval = None          # the strip is its start point
         elif tau_eval is None and integ.method != "fixed":   # fixed mode returns its step grid
             tau_eval = np.linspace(t0, t1, integ.n_out)
-        stops, taus, ys, counts = _integrate(E, np.array([_pack(s) for s in inits]), t0, t1,
-                                             tau_eval, integ)
+        stops, taus, ys, counts = _integrate(E, Y0, t0, t1, tau_eval, integ)
         samples, m = None, E.dim
         if len(taus):
             X, S, P, PS = ys[:, :m], ys[:, m], ys[:, m + 1:2 * m + 1], ys[:, 2 * m + 1]
@@ -673,9 +673,10 @@ def _propagate_stack(E: SymbolSurface, inits: Sequence[CharacteristicState], tau
                                                                           integ.tol_onshell)
             samples = (taus, X, S, P, PS, G)
     except Exception as exc:  # noqa: BLE001 - per-strip isolation is the contract
-        if len(inits) == 1:
+        if len(Y0) == 1:
             return [exc], np.zeros(1, int), None
-        parts = [_propagate_stack(E, [s], tau_span, integ, tau_eval) for s in inits]
+        parts = [_propagate_stack(E, Y0[r:r + 1], tau_span, integ, tau_eval)
+                 for r in range(len(Y0))]
         ran = [part[2] for part in parts if part[2] is not None]
         return ([part[0][0] for part in parts], np.concatenate([part[1] for part in parts]),
                 tuple(map(np.concatenate, zip(*ran))) if ran else None)
@@ -700,7 +701,8 @@ def propagate(E: SymbolSurface, init: CharacteristicState, tau_span,
     a degenerate (touching) point raises DegeneracyError carrying the last
     good state.
     """
-    item, = _strip_items(E, *_propagate_stack(E, [init], tau_span, integ, tau_eval))
+    item, = _strip_items(E, *_propagate_stack(E, _pack(init)[None], tau_span, integ,
+                                                tau_eval))
     if not item.ok:
         raise item.error
     return item.strip
@@ -716,7 +718,8 @@ def batch_propagate(E: SymbolSurface, inits: Sequence[CharacteristicState], tau_
     """
     if not inits:
         return []
-    return _strip_items(E, *_propagate_stack(E, inits, tau_span, integ, tau_eval))
+    Y0 = np.array([_pack(s) for s in inits])
+    return _strip_items(E, *_propagate_stack(E, Y0, tau_span, integ, tau_eval))
 
 
 def sample_onshell(E: SymbolSurface, rng: np.random.Generator, n: int,

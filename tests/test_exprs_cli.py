@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import math
 import os
 import platform
+import re
 import subprocess
 import sys
 
@@ -55,6 +57,35 @@ def test_disallowed_function_rejected():
     ch = cf.Chart(["x"], [(-5, 5)])
     with pytest.raises(cf.ConfigError):
         cf.scalar_field("zeta(x)", ch)
+
+
+def test_an_expression_outside_the_grammar_runs_no_python(tmp_path):
+    # sympify evaluates Python, so these used to create the marker file
+    ch = cf.Chart(["x"], [(-5, 5)])
+    marker = str(tmp_path / "marker")
+    for expr in (f"x + 0*len(open({marker!r}, 'w').name)",
+                 f"x + 0*len(__import__('os').open({marker!r}, 65))"):
+        with pytest.raises(cf.ConfigError, match="which the grammar does not allow"):
+            cf.scalar_field(expr, ch)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("expr,construct", [
+    ("x ^ 2", "BitXor"), ("x if x else 1", "IfExp"), ("sin(x=1)", "Call 'sin(x=1)'"),
+    ("True * x", "Constant 'True'"), ("1j * x", "Constant '1j'"), ("[x][0]", "Subscript"),
+    ("x.real", "Attribute 'x.real'"), ("x < 1", "Compare"),
+])
+def test_constructs_outside_the_grammar_are_named(expr, construct):
+    with pytest.raises(cf.ConfigError, match=re.escape(f"uses {construct}")):
+        cf.scalar_field(expr, cf.Chart(["x"], [(-5, 5)]))
+
+
+def test_the_grammar_admits_its_operators_and_functions():
+    f = cf.scalar_field("-(x + 2.5e-1) * x / 3 ** +x - sqrt(abs(x)) + Abs(pi * E) + k",
+                        cf.Chart(["x"], [(-5, 5)]), constants={"k": 1})
+    x = 0.5
+    assert f.value(np.array([x])) == pytest.approx(
+        -(x + 0.25) * x / 3 ** x - math.sqrt(x) + math.pi * math.e + 1, rel=1e-14)
 
 
 def test_expression_functions_keep_the_bits_of_lambdifys_numpy_module():

@@ -46,13 +46,11 @@ def test_legendre_lift_is_conormal_and_onshell():
     sc = _eik()
     front = cf.circle_front(sc.chart, 1.0, 24)
     lift = cf.legendre_lift(sc.surface, front, branch=(1, 0))
-    assert len(lift) == 24
-    for ls in lift:
-        st = ls.state
-        assert abs(sc.surface.value(st.x, st.p, st.p_s)) < 1e-12
-        # Legendre condition with S0 = 0: p annihilates the front tangent
-        assert abs(np.dot(st.p, front.tangent(ls.u))) < 1e-10
-        assert st.p_s == 1.0
+    assert len(lift) == 24 and lift.failures == []
+    assert np.max(np.abs(sc.surface.value(lift.x, lift.p, lift.p_s))) < 1e-12
+    # Legendre condition with S0 = 0: p annihilates the front tangent
+    assert np.max(np.abs(np.sum(lift.p * front.tangent(lift.u), axis=1))) < 1e-10
+    assert np.all(lift.p_s == 1.0)
 
 
 def test_legendre_lift_branches_point_in_and_out():
@@ -62,10 +60,8 @@ def test_legendre_lift_branches_point_in_and_out():
     front = cf.circle_front(sc.chart, 1.0, 8)
     out = cf.legendre_lift(sc.surface, front, branch=(1, 0))
     inw = cf.legendre_lift(sc.surface, front, branch=(1, 1))
-    for ls in out:
-        assert np.dot(ls.state.p, ls.state.x) > 0
-    for ls in inw:
-        assert np.dot(ls.state.p, ls.state.x) < 0
+    assert np.all(np.sum(out.p * out.x, axis=1) > 0)
+    assert np.all(np.sum(inw.p * inw.x, axis=1) < 0)
     # rays move along dG/dp = p/|p|: the outward branch leaves the circle
     h_out = cf.propagate_front(sc.surface, out, np.linspace(0, 0.1, 3), closed=True)
     r = np.linalg.norm(h_out.x[:, -1, :], axis=1)
@@ -77,11 +73,10 @@ def test_legendre_lift_with_initial_action():
     sc = _eik()
     front = cf.flat_front(sc.chart, "x", 0.0, (-1.0, 1.0), 9, s0=lambda u: 0.3 * u)
     lift = cf.legendre_lift(sc.surface, front, branch=(1, 0))
-    for ls in lift:
-        st = ls.state
-        t = front.tangent(ls.u)
-        assert abs(np.dot(st.p, t) - st.p_s * 0.3) < 1e-9
-        assert abs(np.linalg.norm(st.p) - 1.0) < 1e-12  # eikonal shell |p| = p_s
+    t = front.tangent(lift.u)
+    assert np.max(np.abs(np.sum(lift.p * t, axis=1) - lift.p_s * 0.3)) < 1e-9
+    assert np.max(np.abs(np.linalg.norm(lift.p, axis=1) - 1.0)) < 1e-12  # |p| = p_s
+    assert np.array_equal(lift.s, 0.3 * lift.u)
 
 
 def test_legendre_lift_no_root_raises():
@@ -101,15 +96,17 @@ def test_legendre_lift_equals_a_per_sample_scan(front, branch):
     # the stacked scan gives each sample the bits of a scan of its own ray
     E, (ps, idx) = _eik().surface, branch
     lift = cf.legendre_lift(E, front, branch=branch)
-    assert len(lift) == len(front.params)
-    for ls, u in zip(lift, front.params):
+    assert np.array_equal(lift.u, front.params) and lift.failures == []
+    for k, u in enumerate(front.params):
         x, t = front.x(u), front.tangent(u)
         p_part = (ps * front.s0_du(u) / np.linalg.norm(t) ** 2) * t
         nrm = np.array([-t[1], t[0]]) / np.linalg.norm([-t[1], t[0]])
         roots, = scan_roots(lambda lam, i: E.value(x, p_part + np.multiply.outer(lam, nrm),
                                                    float(ps)), fronts._LIFT_GRID)
-        assert np.array_equal(ls.state.x, x)
-        assert np.array_equal(ls.state.p, p_part + roots[idx] * nrm)
+        assert np.array_equal(lift.x[k], x)
+        assert lift.s[k] == float(front.s0(u))
+        assert np.array_equal(lift.p[k], p_part + roots[idx] * nrm)
+        assert lift.p_s[k] == ps
 
 def test_legendre_lift_skips_a_sample_with_zero_tangent():
     # the front y = 0.5 stands still for |u| < 0.05, so the tangent at u = 0
@@ -122,10 +119,10 @@ def test_legendre_lift_skips_a_sample_with_zero_tangent():
     front = cf.FrontSpec(sc.chart, pos, np.linspace(-1.0, 1.0, 21))
     assert np.array_equal(front.tangent(0.0), [0.0, 0.0])
     lift = cf.legendre_lift(sc.surface, front, branch=(1, 0))
-    assert [ls.u for ls in lift] == [u for u in front.params.tolist() if u != 0.0]
-    for ls in lift:
-        assert np.array_equal(ls.state.x, front.x(ls.u))
-        assert np.allclose(ls.state.p, [0.0, -1.0], rtol=0.0, atol=1e-12)
+    assert lift.u.tolist() == [u for u in front.params.tolist() if u != 0.0]
+    assert lift.failures == [(0.0, "degenerate parametrization (zero tangent)")]
+    assert np.array_equal(lift.x, [front.x(u) for u in lift.u])
+    assert np.allclose(lift.p, [0.0, -1.0], rtol=0.0, atol=1e-12)
     # a front that never moves has no sample to lift
     still = cf.FrontSpec(sc.chart, lambda u: np.array([0.1, 0.2]), np.linspace(0.0, 1.0, 5))
     with pytest.raises(cf.NoLiftError, match="zero tangent"):
@@ -237,18 +234,23 @@ def test_closed_front_with_nonuniform_params_is_refused():
         cf.propagate_front(sc.surface, lift, np.linspace(0.0, 0.5, 6), closed=True)
 
 
+def _without(lift, k):
+    """The lift less its sample k, built from its arrays."""
+    return cf.Lift(*(np.delete(a, k, axis=0) for a in (lift.u, lift.x, lift.s, lift.p, lift.p_s)),
+                   lift.period, lift.failures)
+
+
 def test_closed_lift_that_dropped_a_sample_is_refused(tmp_path, monkeypatch):
     sc = _eik()
     lift = cf.legendre_lift(sc.surface, cf.circle_front(sc.chart, 1.0, 48), branch=(1, 1))
-    del lift[20]
     with pytest.raises(cf.ContractViolation, match="gap 19"):
-        cf.propagate_front(sc.surface, lift, np.linspace(0.0, 1.3, 53), closed=True)
+        cf.propagate_front(sc.surface, _without(lift, 20), np.linspace(0.0, 1.3, 53),
+                           closed=True)
     # the wavefront command reports it as a numerical failure
     from contactflow import cli
 
     real_lift = cli.legendre_lift
-    monkeypatch.setattr(cli, "legendre_lift",
-                        lambda *a, **k: [ls for i, ls in enumerate(real_lift(*a, **k)) if i != 20])
+    monkeypatch.setattr(cli, "legendre_lift", lambda *a, **k: _without(real_lift(*a, **k), 20))
     config = os.path.join(os.path.dirname(__file__), "..", "configs", "eikonal_front.yaml")
     assert cli.main(["wavefront", "--config", config, "--out", str(tmp_path)]) == 2
 
@@ -260,11 +262,11 @@ def test_closed_lift_that_lost_an_end_sample_is_refused(drop):
     # |jacobian_det| up to 1.49 (exact: 1) and a contact residual of 0.065
     sc = _eik()
     lift = cf.legendre_lift(sc.surface, cf.circle_front(sc.chart, 1.0, 48), branch=(1, 1))
-    assert lift[0].period == 2 * math.pi
-    del lift[drop]
+    assert lift.period == 2 * math.pi
     with pytest.raises(cf.ContractViolation, match=r"gap 46 \(u = .*\) is 0\.261799, "
                                                    r"the median gap is 0\.1309"):
-        cf.propagate_front(sc.surface, lift, np.linspace(0.0, 1.3, 53), closed=True)
+        cf.propagate_front(sc.surface, _without(lift, drop), np.linspace(0.0, 1.3, 53),
+                           closed=True)
 
 
 def test_front_samples_that_leave_the_chart_are_counted():
