@@ -237,11 +237,9 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
 def strip_in_gauge(strip: Strip, chi: PolyField | ScalarField) -> Strip:
     """Re-express a strip in the trivialization matching A -> A + d(chi):
     s -> s + chi(x), p -> p + p_s * d(chi)."""
-    dchi = np.array([chi.gradient(strip.x[i]) for i in range(len(strip))])
-    chival = np.array([chi.value(strip.x[i]) for i in range(len(strip))])
     return Strip(strip.surface, strip.taus.copy(), strip.x.copy(),
-                 strip.s + chival,
-                 strip.p + strip.p_s[:, None] * dchi,
+                 strip.s + chi.value(strip.x),
+                 strip.p + strip.p_s[:, None] * chi.gradient(strip.x),
                  strip.p_s.copy(), strip.g_residual.copy(), strip.boundary_exit)
 
 

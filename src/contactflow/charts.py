@@ -383,8 +383,7 @@ class VectorField:
             raise ContractViolation("vector field needs one component per axis")
 
     def value(self, x) -> np.ndarray:
-        """Components on the last axis, at one point or at stacked points
-        (a stack needs polynomial components)."""
+        """Components on the last axis, at one point or at stacked points."""
         x = np.asarray(x, float)
         return stack_last([c.value(x) for c in self.components])
 

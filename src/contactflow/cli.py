@@ -31,6 +31,9 @@ SUBCOMMANDS = ("propagate", "wavefront", "noether-check", "symbol",
                "holonomy", "wave-diagram")
 STRIP_SUBCOMMANDS = SUBCOMMANDS[:3]   # the runs that integrate strips
 SCENARIO_KEYS = {"builtin", "builtin_args", "symbol", "name"}
+CONFIG_KEYS = {"schema_version", "chart", "fiber", "scenario", "constants", "connection",
+               "strips", "tau_span", "integrator", "front", "symmetries", "operator",
+               "lambdas", "phases", "loops", "diagram"}   # the top-level keys runs read
 
 
 def _load_config(path: str) -> dict:
@@ -48,6 +51,9 @@ def _load_config(path: str) -> dict:
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    unknown = sorted(map(str, set(cfg) - CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown top-level keys {unknown}; allowed: {sorted(CONFIG_KEYS)}")
     return cfg
 
 
@@ -103,7 +109,8 @@ def _integrator_from(cfg: dict, fixed_step: float | None) -> IntegratorConfig:
     if fixed_step is not None:
         spec["method"] = "fixed"
         spec["dt"] = fixed_step
-    kinds = {"method": str, "n_out": int}   # every other key is a float
+    # every other key is a float; a non-integral n_out reaches IntegratorConfig's check
+    kinds = {"method": str, "n_out": lambda v: int(float(v)) if float(v).is_integer() else v}
     try:
         return IntegratorConfig(**{k: kinds.get(k, float)(v) for k, v in spec.items()})
     except (TypeError, ValueError) as exc:   # ContractViolation is a ValueError

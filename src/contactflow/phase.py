@@ -49,9 +49,11 @@ def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec,
     """Flow the characteristic through ``state`` to the section and reduce.
 
     Both tau directions are tried; the crossing nearest tau = 0 wins, the
-    forward one on a tie.  The backward flow stops at |tau| of the forward
-    crossing, or at the budget if there is none.  The result is independent
-    of where on the characteristic ``state`` sits and of its s value.
+    forward one on a tie.  The direction that dx/dtau = dG/dp points to the
+    section at the start flows first, over the budget; the other stops at
+    |tau| of its crossing, or at the budget if there is none.  The result
+    is independent of where on the characteristic ``state`` sits and of its
+    s value.
     """
     i_sec = E.chart.axis_index(section.axis)
     keep = [i for i in range(E.dim) if i != i_sec]
@@ -65,15 +67,17 @@ def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec,
     if abs(state.x[i_sec] - section.value) <= 1e-13 * max(abs(section.value), 1.0):
         hits = [state]
     else:
-        ahead = flow_to_event(E, state, tau_budget, crossing, SECTION_INTEGRATOR)
-        reach = tau_budget if ahead is None else abs(ahead.tau)
-        hits = [h for h in (ahead, flow_to_event(E, state, -reach, crossing, SECTION_INTEGRATOR))
-                if h is not None]
+        dx = E.gradient(state.x, state.p, state.p_s)[1][i_sec]   # dx/dtau on the axis
+        sign = -1.0 if dx * (section.value - state.x[i_sec]) < 0 else 1.0   # toward it
+        first = flow_to_event(E, state, sign * tau_budget, crossing, SECTION_INTEGRATOR)
+        reach = tau_budget if first is None else abs(first.tau)
+        hits = [h for h in (first, flow_to_event(E, state, -sign * reach, crossing,
+                                                 SECTION_INTEGRATOR)) if h is not None]
     if not hits:
         raise CrossingError(
             f"characteristic does not cross {{{section.axis} = {section.value}}} "
             f"within |tau| <= {tau_budget}")
-    end = min(hits, key=lambda h: abs(h.tau))
+    end = min(hits, key=lambda h: (abs(h.tau), h.tau < 0))   # forward wins a tie
     branch = _branch_of(end.p_s, np.linalg.norm(end.covector()))
     if branch == "lightlike-boundary":
         # p/p_s blows up; report the normalized momentum ray instead

@@ -122,16 +122,6 @@ class SymbolSurface:
         _, gp, gps = self.gradient(x, p, p_s)
         return float(dot(p, gp) + p_s * gps - self.degree * self.value(x, p, p_s))
 
-    def is_degenerate(self, x, p, p_s: float) -> bool:
-        """Whether the non-radial part of the momentum gradient vanishes at
-        (x, p, p_s): the contact hyperplane touches the surface there and the
-        characteristic direction is undefined."""
-        q = np.append(np.asarray(p, float), p_s)
-        if not np.any(q):
-            raise ContractViolation("the zero covector is not a contact element")
-        _, gp, gps = self.gradient(x, p, p_s)
-        return bool(_degeneracy_gap(self, q[None], np.append(gp, gps)[None])[0] < 0)
-
 
 def _degeneracy_gap(E: SymbolSurface, q, gq) -> np.ndarray:
     """Degeneracy measure minus threshold at stacked covectors q = (p, p_s)
@@ -218,6 +208,14 @@ class IntegratorConfig:
             raise ContractViolation("abs_tol must not be negative")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ContractViolation(f"dt must be finite and positive, got {self.dt!r}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):
+            raise ContractViolation(
+                f"rel_tol must be finite and not negative, got {self.rel_tol!r}")
+        if not (math.isfinite(self.tol_onshell) and self.tol_onshell > 0):
+            raise ContractViolation(
+                f"tol_onshell must be finite and positive, got {self.tol_onshell!r}")
+        if not (isinstance(self.n_out, (int, np.integer)) and self.n_out >= 2):
+            raise ContractViolation(f"n_out must be an integer of at least 2, got {self.n_out!r}")
 
 
 @dataclass
@@ -726,25 +724,34 @@ def sample_onshell(E: SymbolSurface, rng: np.random.Generator, n: int,
                    p_s: float = 1.0, margin: float = 0.0) -> list[CharacteristicState]:
     """Draw random states on {G = 0} inside the chart (p_s gauge fixed).
 
-    For each sample a random interior base point and a random momentum ray
-    are drawn and the momentum is slid along a random direction; the first
-    root of G along it comes from the shared grid scan.
+    Each candidate is a random interior base point and a random momentum
+    ray, slid along a random direction to the first root of G that the
+    shared grid scan finds.  Candidates are drawn in rounds of as many as
+    samples are still missing, each round scanned in one call and tested
+    for degeneracy in one call, so the states and the generator's state
+    are those of drawing and testing one candidate at a time.
     """
     out: list[CharacteristicState] = []
-    tries = 0
-    while len(out) < n and tries < SAMPLE_MAX_TRIES * n:
-        tries += 1
-        x = E.chart.interior_sample(rng, margin)
-        p0 = rng.standard_normal(E.dim)
-        d = rng.standard_normal(E.dim)
-        d /= np.linalg.norm(d)
-        roots, = scan_roots(lambda t, i: E.value(x, p0 + np.multiply.outer(t, d), p_s),
-                            _SAMPLE_GRID)
-        if not roots:
+    tries, max_tries = 0, SAMPLE_MAX_TRIES * n
+    while len(out) < n and tries < max_tries:
+        k = min(n - len(out), max_tries - tries)
+        tries += k
+        X, P0, D = np.empty((3, k, E.dim))
+        for j in range(k):
+            X[j] = E.chart.interior_sample(rng, margin)
+            P0[j] = rng.standard_normal(E.dim)
+            d = rng.standard_normal(E.dim)
+            D[j] = d / np.linalg.norm(d)
+        roots = scan_roots(lambda t, i: E.value(X[i], P0[i] + t[..., None] * D[i], p_s),
+                           _SAMPLE_GRID, k)
+        hit = [j for j in range(k) if roots[j]]
+        if not hit:
             continue
-        p = p0 + roots[0] * d
-        if not E.is_degenerate(x, p, p_s):
-            out.append(CharacteristicState(x, 0.0, p, p_s))
+        X, P = X[hit], P0[hit] + np.array([roots[j][0] for j in hit])[:, None] * D[hit]
+        PS = np.full(len(hit), float(p_s))
+        _, gp, gps = E.gradient(X, P, PS)
+        gap = _degeneracy_gap(E, np.column_stack([P, PS]), np.column_stack([gp, gps]))
+        out += [CharacteristicState(X[r], 0.0, P[r], p_s) for r in np.flatnonzero(~(gap < 0))]
     if len(out) < n:
         raise ContractViolation(
             f"could only find {len(out)}/{n} on-shell samples; surface may be empty here")

@@ -329,6 +329,37 @@ def test_cli_refused_step_is_a_config_error(tmp_path, capsys, block, extra):
     assert not (tmp_path / "strip_0.csv").exists()
 
 
+@pytest.mark.parametrize("block,message", [
+    ("integrator: {n_out: 0}\n", "n_out must be an integer of at least 2"),
+    ("integrator: {n_out: 1}\n", "n_out must be an integer of at least 2"),
+    ("integrator: {n_out: 2.7}\n", "n_out must be an integer of at least 2, got 2.7"),
+    ("integrator: {rel_tol: .nan}\n", "rel_tol must be finite and not negative"),
+    ("integrator: {rel_tol: -1.0e-9}\n", "rel_tol must be finite and not negative"),
+    ("integrator: {tol_onshell: -1}\n", "tol_onshell must be finite and positive"),
+    ("integrator: {tol_onshell: .inf}\n", "tol_onshell must be finite and positive"),
+], ids=["n_out-0", "n_out-1", "n_out-2.7", "rel_tol-nan", "rel_tol-negative",
+        "tol_onshell-negative", "tol_onshell-inf"])
+def test_cli_refused_integrator_setting_is_a_config_error(tmp_path, capsys, block, message):
+    cfg = tmp_path / "cfg.yaml"
+    with open(_cfg("free.yaml")) as f:
+        cfg.write_text(f.read() + block)
+    assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "strip_0.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["states", "integrater"])
+def test_cli_unknown_top_level_key_is_a_config_error(tmp_path, capsys, key):
+    # a misspelled key was ignored: `states:` ran the builtin's default strip
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema_version: 1\nscenario: {builtin: free}\n"
+                   f"{key}:\n  - {{x: [0, 5], s: 0, p: [-0.245, 0.7], p_s: 1.0}}\n")
+    assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"unknown top-level keys ['{key}']" in err and "'strips'" in err
+    assert not (tmp_path / "strip_0.csv").exists()
+
+
 @pytest.mark.parametrize("sub,config", [("symbol", "schrodinger_symbol.yaml"),
                                         ("holonomy", "holonomy.yaml"),
                                         ("wave-diagram", "wave_diagram_eikonal.yaml")])
@@ -398,7 +429,7 @@ def test_cli_undeclared_symbol_name_cited(tmp_path, capsys):
         "  symbol:\n"
         "    expression: p_t * p_s + omega * p_x**2\n"
         "    degree: 2\n"
-        "states:\n"
+        "strips:\n"
         "  - {x: [0, 0], s: 0, p: [-0.5, 1.0], p_s: 1.0}\n"
         "tau_span: [0, 1]\n")
     assert main(["propagate", "--config", str(bad), "--out", str(tmp_path)]) == 1

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contactflow as cf
 
@@ -78,6 +80,31 @@ def test_gauge_shifted_symmetry_preserves_q(free):
     q0 = cf.conservation_series(sym, strip)
     q1 = cf.conservation_series(gauged_sym, gauged_strip)
     assert np.max(np.abs(q1 - q0)) < 1e-10
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 7),
+       scenario=st.sampled_from(["oscillator", "relativistic"]))
+@settings(max_examples=40, deadline=None)
+def test_stacked_noether_layer_equals_its_rows(seed, n, scenario):
+    """On a stack of points, the residual, Q and the gauge-shifted f and its
+    gradient have the bits each row gets alone, for random polynomial
+    symmetries (one component a gradless ScalarField) and gauge functions."""
+    E = cf.builtin(scenario).surface
+    chart, rng = E.chart, np.random.default_rng(seed)
+    v1, v2, f, chi = (cf.random_polynomial(chart, rng) for _ in range(4))
+    sym = cf.SymmetryField(cf.VectorField(chart, [v1, cf.ScalarField(chart, v2.value)]), f)
+    shifted = cf.gauge_shifted_symmetry(sym, chi).f
+    x, p = rng.uniform(-3.0, 3.0, (2, n, 2))
+    p_s = rng.uniform(0.5, 2.0, n)
+    stacked = [cf.symmetry_residual(E, sym, x, p, p_s), shifted.value(x), shifted.gradient(x),
+               cf.conservation_series(sym, cf.Strip(E, np.arange(n), x, np.zeros(n), p, p_s,
+                                                    np.zeros(n)))]
+    for r in range(n):
+        state = cf.CharacteristicState(x[r], 0.0, p[r], p_s[r])
+        rows = [cf.symmetry_residual(E, sym, x[r], p[r], p_s[r]), shifted.value(x[r]),
+                shifted.gradient(x[r]), cf.conserved_quantity(sym, state)]
+        for got, want in zip(stacked, rows):
+            assert np.array_equal(got[r], want)
 
 
 def test_vector_field_component_count_checked(free):

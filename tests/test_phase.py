@@ -90,6 +90,30 @@ def test_to_phase_flows_back_no_further_than_the_forward_crossing(oscillator, mo
     assert np.allclose(pt.coords, [np.sin(-2.0), np.cos(-2.0)], rtol=0.0, atol=1e-8)
 
 
+def test_to_phase_flows_toward_a_section_behind_the_start_first(oscillator, monkeypatch):
+    # dt/dtau > 0 at the default start, so {t = -2} lies behind it: the
+    # backward flow meets it at tau = -2, and the forward flow stops at
+    # tau = 2 instead of running the whole budget of 50 without a crossing
+    E, st = oscillator.surface, oscillator.initial_states[0]
+    full = [strips.flow_to_event(E, st, tau, lambda tau, y: y[0] + 2.0, phase.SECTION_INTEGRATOR)
+            for tau in (50.0, -50.0)]
+    assert full[0] is None
+    behind = full[1]
+    points = []
+    gradient = strips.SymbolSurface.gradient
+
+    def counted(self, x, p, p_s):
+        points.append(np.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(p)[:-1],
+                                                  np.shape(p_s))))
+        return gradient(self, x, p, p_s)
+
+    monkeypatch.setattr(strips.SymbolSurface, "gradient", counted)
+    pt = cf.to_phase(E, st, cf.SectionSpec("t", -2.0))
+    assert sum(points) <= 2500
+    assert pt.branch == "particle"
+    assert pt.coords.tolist() == [behind.x[1], behind.p[1] / behind.p_s]
+
+
 def test_to_phase_tells_particle_from_antiparticle(free):
     particle = cf.CharacteristicState([1.0, 0.0], 0.0, [-0.125, 0.5], 1.0)
     antiparticle = cf.CharacteristicState([1.0, 0.0], 0.0, [0.125, 0.5], -1.0)

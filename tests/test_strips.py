@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contactflow as cf
-from contactflow.strips import (Fiber, _onshell_scale, _pack, _project_strip, _step_factors,
-                               _step_tries, flow_to_event)
+from contactflow import strips
+from contactflow.charts import scan_roots
+from contactflow.strips import (Fiber, _degeneracy_gap, _onshell_scale, _pack, _project_strip,
+                               _step_factors, _step_tries, flow_to_event)
 
 
 def test_state_validation():
@@ -83,7 +85,10 @@ def test_boundary_exit_terminates(free, method):
 
 
 @pytest.mark.parametrize("settings", [dict(method="rk2"), dict(dt=0.0), dict(dt=-0.01),
-                                      dict(dt=math.nan), dict(dt=math.inf), dict(abs_tol=-1e-9)])
+                                      dict(dt=math.nan), dict(dt=math.inf), dict(abs_tol=-1e-9),
+                                      dict(n_out=1), dict(n_out=2.0), dict(rel_tol=math.nan),
+                                      dict(rel_tol=-1e-9), dict(tol_onshell=0.0),
+                                      dict(tol_onshell=math.inf)])
 def test_integrator_config_refuses_bad_settings(settings):
     with pytest.raises(cf.ContractViolation):
         cf.IntegratorConfig(**settings)
@@ -109,7 +114,6 @@ def test_degenerate_state_rejected_by_field():
     ch = cf.Chart(["x", "y"], [(-10, 10), (-10, 10)])
     E = cf.SymbolSurface(ch, lambda x, p, p_s: p[..., 0] ** 2, 2)
     st0 = cf.CharacteristicState([0.0, 0.0], 0.0, [0.0, 1.0], 1.0)
-    assert E.is_degenerate(st0.x, st0.p, st0.p_s)
     with pytest.raises(cf.DegeneracyError):
         cf.to_phase(E, st0, cf.SectionSpec("x", 1.0))
 
@@ -215,6 +219,40 @@ def test_sample_onshell_lands_on_shell(free, rng):
     for s in states:
         g = free.surface.value(s.x, s.p, s.p_s)
         assert abs(g) < 1e-9 * max(1.0, _onshell_scale(free.surface, s.p, s.p_s))
+
+
+def _sample_onshell_one_draw_at_a_time(E, rng, n, p_s=1.0, margin=0.0):
+    # the sampler's former loop: one candidate scanned, polished and tested at a time
+    out, tries = [], 0
+    while len(out) < n and tries < strips.SAMPLE_MAX_TRIES * n:
+        tries += 1
+        x = E.chart.interior_sample(rng, margin)
+        p0 = rng.standard_normal(E.dim)
+        d = rng.standard_normal(E.dim)
+        d /= np.linalg.norm(d)
+        roots, = scan_roots(lambda t, i: E.value(x, p0 + np.multiply.outer(t, d), p_s),
+                            strips._SAMPLE_GRID)
+        if not roots:
+            continue
+        p = p0 + roots[0] * d
+        _, gp, gps = E.gradient(x, p, p_s)
+        if not _degeneracy_gap(E, np.append(p, p_s)[None], np.append(gp, gps)[None])[0] < 0:
+            out.append(cf.CharacteristicState(x, 0.0, p, p_s))
+    return out
+
+
+@pytest.mark.parametrize("name,margin", [("free", 1.0), ("oscillator", 55.0),
+                                         ("relativistic", 1.0)])
+def test_sample_onshell_equals_one_draw_at_a_time(name, margin):
+    E = cf.builtin(name).surface
+    rngs = np.random.default_rng(11), np.random.default_rng(11)
+    got = cf.sample_onshell(E, rngs[0], 30, margin=margin)
+    want = _sample_onshell_one_draw_at_a_time(E, rngs[1], 30, margin=margin)
+    assert len(got) == len(want) == 30
+    for a in ("x", "p"):
+        assert np.array_equal([getattr(s, a) for s in got], [getattr(s, a) for s in want])
+    assert [s.p_s for s in got] == [s.p_s for s in want]
+    assert rngs[0].random() == rngs[1].random()
 
 
 def test_action_increment(free):
