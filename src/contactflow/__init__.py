@@ -29,8 +29,8 @@ from .operators import (LinearDiffOperator, PrincipalSymbol, ScalingReport,
                         fit_quadratic_phase, oscillatory_coefficients,
                         poly_phase, principal_symbol, schrodinger_operator,
                         symbol_scaling_check)
-from .phase import (HolonomyResult, PhasePoint, SectionSpec, curvature_ratio,
-                    holonomy, holonomy_convergence, square_loop, to_phase)
+from .phase import (HolonomyResult, PhasePoint, SectionSpec, holonomy, square_loop,
+                    to_phase)
 from .scenarios import Scenario, builtin
 from .strips import (BatchItem, CharacteristicState, Fiber, IntegratorConfig,
                      Strip, SymbolSurface, action_increment, batch_propagate,

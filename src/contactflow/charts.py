@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Sequence
@@ -56,10 +57,15 @@ class Chart:
 
     def multi_index(self, powers: Mapping[str, int]) -> tuple[int, ...]:
         """The multi-index of the monomial prod x_axis ** power, from a
-        mapping {axis name: power}; absent axes get power 0."""
+        mapping {axis name: power}; absent axes get power 0, and a power
+        that is not a non-negative integer is refused."""
         m = [0] * self.dim
         for name, k in powers.items():
-            m[self.axis_index(name)] = int(k)
+            i = self.axis_index(name)
+            if not (isinstance(k, numbers.Real) and float(k).is_integer() and k >= 0):
+                raise ContractViolation(
+                    f"power of {name!r} must be a non-negative integer, got {k!r}")
+            m[i] = int(k)
         return tuple(m)
 
     def contains(self, x):

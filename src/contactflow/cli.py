@@ -36,6 +36,23 @@ CONFIG_KEYS = {"schema_version", "chart", "fiber", "scenario", "constants", "con
                "lambdas", "phases", "loops", "diagram"}   # the top-level keys runs read
 
 
+def _keys(spec, allowed, where: str) -> dict:
+    """spec, a config block that must be a mapping with keys in ``allowed``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"the {where} block must be a mapping, got {type(spec).__name__}")
+    unknown = sorted(map(str, set(spec) - set(allowed)))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {unknown}; allowed: {sorted(allowed)}")
+    return spec
+
+
+def _integral(value, where: str) -> int:
+    """A count from the config: an integral number, never truncated."""
+    if isinstance(value, (int, float)) and float(value).is_integer():
+        return int(value)
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -46,14 +63,10 @@ def _load_config(path: str) -> dict:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError(f"YAML parse error in {path}{loc}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must be a mapping")
+    _keys(cfg, CONFIG_KEYS, "top-level")
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    unknown = sorted(map(str, set(cfg) - CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {unknown}; allowed: {sorted(CONFIG_KEYS)}")
     return cfg
 
 
@@ -61,6 +74,7 @@ def _chart_from(cfg: dict) -> Chart:
     spec = cfg.get("chart")
     if spec is None:
         raise ConfigError("key 'chart' is required when no builtin scenario is used")
+    _keys(spec, {"axes", "bounds"}, "'chart'")
     try:
         return Chart(spec["axes"], spec["bounds"])
     except (KeyError, TypeError) as exc:
@@ -68,20 +82,15 @@ def _chart_from(cfg: dict) -> Chart:
 
 
 def _fiber_from(cfg: dict) -> Fiber:
-    spec = cfg.get("fiber") or {"group": "line"}
+    spec = _keys(cfg.get("fiber") or {"group": "line"}, {"group", "period"}, "'fiber'")
     return Fiber(group=spec.get("group", "line"),
                  period=float(spec.get("period", 2 * np.pi)))
 
 
 def _scenario_from(cfg: dict) -> Scenario:
-    spec = cfg.get("scenario")
-    if not isinstance(spec, dict):
+    if "scenario" not in cfg:
         raise ConfigError("key 'scenario' (mapping) is required")
-    unknown = sorted(set(spec) - SCENARIO_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown keys under 'scenario': {unknown}; allowed: "
-                          f"{sorted(SCENARIO_KEYS)} (constants and connection "
-                          "are top-level keys)")
+    spec = _keys(cfg["scenario"], SCENARIO_KEYS, "'scenario'")
     sources = [k for k in ("builtin", "symbol") if k in spec]
     if len(sources) != 1:
         raise ConfigError("scenario needs exactly one of 'builtin' or 'symbol'")
@@ -90,9 +99,9 @@ def _scenario_from(cfg: dict) -> Scenario:
         scen = builtin(spec["builtin"], **(spec.get("builtin_args") or {}))
     else:
         from .exprs import symbol_surface
-        sym = spec["symbol"]
+        sym = _keys(spec["symbol"], {"expression", "degree"}, "'symbol'")
         chart = _chart_from(cfg)
-        E = symbol_surface(sym["expression"], chart, int(sym["degree"]),
+        E = symbol_surface(sym["expression"], chart, _integral(sym["degree"], "symbol degree"),
                            constants=constants, fiber=_fiber_from(cfg),
                            name=spec.get("name", "custom"))
         scen = Scenario(spec.get("name", "custom"), E, _zero_connection(chart))
@@ -125,6 +134,7 @@ def _states_from(cfg: dict, scen: Scenario) -> list[CharacteristicState]:
         raise ConfigError("no 'strips' block and the scenario has no default states")
     states = []
     for i, b in enumerate(blocks):
+        _keys(b, {"x", "s", "p", "p_s"}, f"strip #{i}")
         try:
             states.append(CharacteristicState(b["x"], float(b.get("s", 0.0)),
                                               b["p"], float(b.get("p_s", 1.0))))
@@ -152,7 +162,8 @@ def _multi_index(chart: Chart, powers, key: str) -> tuple[int, ...]:
 def _poly_from_spec(chart: Chart, spec) -> PolyField:
     """spec: list of {powers: {axis: int}, c: number} entries."""
     coeffs = {}
-    for ent in spec:
+    for i, ent in enumerate(spec):
+        _keys(ent, {"powers", "c"}, f"poly term #{i}")
         mono = _multi_index(chart, ent.get("powers"), "powers")
         coeffs[mono] = coeffs.get(mono, 0.0) + float(ent["c"])
     return PolyField(chart, coeffs)
@@ -180,11 +191,12 @@ def _run_propagate(cfg, scen, args, report):
 
 
 def _front_from(cfg, scen):
-    spec = cfg.get("front")
-    if not isinstance(spec, dict):
+    if "front" not in cfg:
         raise ConfigError("key 'front' (mapping) is required for the wavefront run")
+    spec = _keys(cfg["front"], {"kind", "n", "n_tau", "radius", "center", "axis", "value",
+                                "span", "branch"}, "'front'")
     kind = spec.get("kind", "circle")
-    n = int(spec.get("n", 64))
+    n = _integral(spec.get("n", 64), "front n")
     if kind == "circle":
         sigma = circle_front(scen.chart, float(spec.get("radius", 1.0)), n,
                              center=tuple(spec.get("center", (0.0, 0.0))))
@@ -200,8 +212,8 @@ def _front_from(cfg, scen):
 def _run_wavefront(cfg, scen, args, report):
     integ = _integrator_from(cfg, args.fixed_step)
     span = _tau_span(cfg)
-    n_tau = int((cfg.get("front") or {}).get("n_tau", 101))
     sigma, branch = _front_from(cfg, scen)
+    n_tau = _integral(cfg["front"].get("n_tau", 101), "front n_tau")
     lift = legendre_lift(scen.surface, sigma, branch=branch)
     taus = np.linspace(span[0], span[1], n_tau)
     hist = propagate_front(scen.surface, lift, taus, integ, closed=sigma.closed)
@@ -234,6 +246,7 @@ def _run_noether(cfg, scen, args, report):
               for st in _states_from(cfg, scen)]
     results = []
     for i, b in enumerate(blocks):
+        _keys(b, {"v", "f"}, f"symmetry #{i}")
         try:
             v = [scalar_field(str(c), scen.chart, constants) for c in b["v"]]
             f = scalar_field(str(b.get("f", "0")), scen.chart, constants)
@@ -248,7 +261,7 @@ def _run_noether(cfg, scen, args, report):
 
 
 def _operator_from(cfg) -> LinearDiffOperator:
-    scen_spec = cfg.get("scenario") or {}
+    scen_spec = _keys(cfg.get("scenario") or {}, SCENARIO_KEYS, "'scenario'")
     if scen_spec.get("builtin") == "schrodinger":
         scen = builtin("schrodinger", **(scen_spec.get("builtin_args") or {}))
         return scen.extras["operator"]
@@ -256,10 +269,11 @@ def _operator_from(cfg) -> LinearDiffOperator:
     if not spec:
         raise ConfigError("the symbol run needs an 'operator' block "
                           "or the schrodinger builtin")
+    _keys(spec, {"terms", "s_axis"}, "'operator'")
     chart = _chart_from(cfg)
     terms = {}
-    for ent in spec.get("terms", []):
-        c = ent["coeff"]
+    for i, ent in enumerate(spec.get("terms", [])):
+        c = _keys(ent, {"multi", "coeff"}, f"operator term #{i}")["coeff"]
         terms[_multi_index(chart, ent.get("multi"), "multi")] = (
             _poly_from_spec(chart, c) if isinstance(c, list) else float(c))
     return LinearDiffOperator(chart, terms, s_axis=spec.get("s_axis", "s"))
@@ -273,6 +287,7 @@ def _run_symbol(cfg, scen_unused, args, report):
         raise ConfigError("key 'phases' is required for the symbol run")
     results = []
     for i, ph in enumerate(phases):
+        _keys(ph, {"poly", "s_weight", "at", "mode", "points"}, f"phase #{i}")
         poly = _poly_from_spec(D.chart, ph.get("poly", []))
         if ph.get("s_weight"):
             poly = poly_phase(D.chart, poly.coeffs, s_weight=float(ph["s_weight"]))
@@ -298,21 +313,22 @@ def _run_holonomy(cfg, scen_unused, args, report):
         raise ConfigError("key 'loops' is required for the holonomy run")
     results = []
     for i, b in enumerate(blocks):
+        _keys(b, {"points", "center", "side", "p_s"}, f"loop #{i}")
         if "points" in b:
             loop = np.asarray(b["points"], float)
         else:
             loop = square_loop(tuple(b.get("center", (0.0, 0.0))),
                                float(b["side"]))
         res = holonomy(loop, p_s=float(b.get("p_s", 1.0)))
-        results.append({"loop": i, "delta_s": res.delta_s, "area": res.area})
+        results.append({"loop": i, "delta_s": res.delta_s})
     report["loops"] = results
     report["files"] = {}
 
 
 def _run_wave_diagram(cfg, scen, args, report):
-    spec = cfg.get("diagram") or {}
+    spec = _keys(cfg.get("diagram") or {}, {"at", "n", "biduality_check"}, "'diagram'")
     x0 = np.asarray(spec.get("at", [0.0] * scen.chart.dim), float)
-    n = int(spec.get("n", 64))
+    n = _integral(spec.get("n", 64), "diagram n")
     diag = wave_diagram(scen.surface, scen.connection, x0, n_samples=n)
     path = os.path.join(args.out, "wave_diagram.csv")
     axes = scen.chart.axis_names

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .charts import dot
 from .errors import BoundaryError, ContractViolation, CrossingError
 from .strips import (PS_ZERO_TOL, CharacteristicState, Fiber, IntegratorConfig,
                      SymbolSurface, check_start, flow_to_event)
@@ -92,37 +93,36 @@ def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec,
 
 def _require_loop(loop) -> np.ndarray:
     arr = np.asarray(loop, float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 3:
-        raise ContractViolation("loop must be a list of >= 3 points (x, p)")
+    if arr.ndim != 2 or arr.shape[1] == 0 or arr.shape[1] % 2 or len(arr) < 3:
+        raise ContractViolation("loop must be a list of >= 3 points (x_1..x_k, q_1..q_k)")
     return arr
 
 
 @dataclass
 class HolonomyResult:
     delta_s: float
-    area: float               # signed symplectic area of the polygon
     delta_s_mod: float | None  # reduced by the fiber period, circle fibers only
 
 
 def holonomy(loop, p_s: float = 1.0, fiber: Fiber | None = None) -> HolonomyResult:
     """Fiber displacement of the horizontal lift of a closed polygonal loop.
 
-    The loop lives in a 2D phase chart with coordinates (x, p/p_s); on the
-    contact hyperplane p.dx = p_s ds, so each straight edge contributes the
-    exact trapezoid increment.  The total equals the signed area enclosed
-    in (p, x) orientation -- the curvature is the symplectic form dp ^ dx.
+    The loop has shape (n, 2k) in a phase chart: k positions x_i, then the
+    k ratios q_i = p_i/p_s.  On the contact hyperplane p.dx = p_s ds, so
+    each straight edge contributes the exact trapezoid increment
+    q_mid . dx, added edge by edge and axis by axis.  The total is the
+    signed area enclosed in the (q_i, x_i) planes, summed over i -- the
+    curvature is the symplectic form sum_i dq_i ^ dx_i.
     """
     if abs(p_s) <= PS_ZERO_TOL:
         raise BoundaryError("holonomy is undefined on the p_s = 0 boundary")
     pts = _require_loop(loop)
-    closed = np.vstack([pts, pts[0]])
-    ds = 0.0
-    area = 0.0
-    for (x1, q1), (x2, q2) in zip(closed[:-1], closed[1:]):
-        ds += 0.5 * (q1 + q2) * (x2 - x1)   # integral of (p/p_s) dx, exact
-        area += 0.5 * (q1 + q2) * (x2 - x1)  # shoelace for the dp ^ dx area
+    closed = np.vstack([pts, pts[:1]])
+    k = pts.shape[1] // 2
+    x, q = closed[:, :k], closed[:, k:]
+    ds = float(dot((0.5 * (q[:-1] + q[1:])).ravel(), (x[1:] - x[:-1]).ravel()))
     mod = fiber.reduce(ds) if (fiber is not None and fiber.group == "circle") else None
-    return HolonomyResult(float(ds), float(area), mod)
+    return HolonomyResult(ds, mod)
 
 
 def square_loop(center, side: float) -> np.ndarray:
@@ -131,31 +131,3 @@ def square_loop(center, side: float) -> np.ndarray:
     h = side / 2.0
     return np.array([[x0 - h, q0 - h], [x0 - h, q0 + h],
                      [x0 + h, q0 + h], [x0 + h, q0 - h]])
-
-
-def curvature_ratio(center, side: float, p_s: float = 1.0) -> float:
-    """holonomy / symplectic area for a small square loop; should be 1."""
-    res = holonomy(square_loop(center, side), p_s=p_s)
-    if res.area == 0.0:
-        raise ContractViolation("degenerate loop: zero area")
-    return res.delta_s / res.area
-
-
-def holonomy_convergence(center, sides, p_s: float = 1.0,
-                         exact_tol: float = 1e-12) -> tuple[np.ndarray, float]:
-    """Errors |Delta s / eps^2 - 1| over shrinking squares and observed order.
-
-    The lift increments are exact for polygonal loops, so the errors usually
-    sit at rounding level; in that case the observed order is reported as
-    +inf rather than a meaningless rounding-noise fit.
-    """
-    sides = np.asarray(sides, float)
-    errs = np.empty(len(sides))
-    for i, eps in enumerate(sides):
-        res = holonomy(square_loop(center, eps), p_s=p_s)
-        errs[i] = abs(res.delta_s / eps**2 - 1.0)
-    if np.all(errs < exact_tol):
-        return errs, float("inf")
-    mask = errs > 0
-    order = float(np.polyfit(np.log(sides[mask]), np.log(errs[mask]), 1)[0])
-    return errs, order

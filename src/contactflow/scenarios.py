@@ -7,6 +7,7 @@ suite and the command-line runner.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,4 +147,10 @@ def builtin(name: str, **kwargs) -> Scenario:
     except KeyError:
         raise ConfigError(f"unknown builtin scenario {name!r}; "
                           f"known: {sorted(_BUILDERS)}") from None
+    sig = inspect.signature(builder)
+    try:
+        sig.bind(**kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"bad arguments for builtin {name!r}: {exc}; "
+                          f"allowed: {list(sig.parameters)}") from None
     return builder(**kwargs)

@@ -180,17 +180,6 @@ class CharacteristicState:
     def covector(self) -> np.ndarray:
         return np.append(self.p, self.p_s)
 
-    def scaled(self, lam: float) -> "CharacteristicState":
-        if lam <= 0:
-            raise ContractViolation("contact-element rescaling must be by a positive factor")
-        return CharacteristicState(self.x, self.s, lam * self.p, lam * self.p_s, self.tau)
-
-    def normalized(self) -> "CharacteristicState":
-        """Gauge-fix the projective scale: p_s -> sign(p_s), else |(p,p_s)| = 1."""
-        if abs(self.p_s) > PS_ZERO_TOL:
-            return self.scaled(1.0 / abs(self.p_s))
-        return self.scaled(1.0 / np.linalg.norm(self.covector()))
-
 
 @dataclass
 class IntegratorConfig:
@@ -204,8 +193,9 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("adaptive", "fixed"):
             raise ContractViolation(f"unknown integrator method {self.method!r}")
-        if not self.abs_tol >= 0:
-            raise ContractViolation("abs_tol must not be negative")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
+            raise ContractViolation(
+                f"abs_tol must be finite and not negative, got {self.abs_tol!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ContractViolation(f"dt must be finite and positive, got {self.dt!r}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):

@@ -261,16 +261,71 @@ def test_criterion_07_symbol_scaling():
 
 # 8 ---------------------------------------------------------------------------
 
+N_OUTS = (251, 501, 1001, 2001)
+
+
+def _cyclotron():
+    """A charge in the uniform magnetic field B on (t, x, y), its potential
+    B x along y; the orbit from the origin at unit speed is a circle of
+    radius 1/B, closed after tau = 2 pi / B."""
+    chart = cf.Chart(["t", "x", "y"], [(-100.0, 100.0)] * 3)
+    E = cf.symbol_surface("p_t*p_s + (p_x**2 + (p_y - B*x*p_s)**2)/2", chart, 2,
+                          constants={"B": 0.7})
+    return E, cf.CharacteristicState([0.0, 0.0, 0.0], 0.0, [-0.5, 1.0, 0.0], 1.0)
+
+
+def _orbit_curvature_errors(E, start, period):
+    """Relative errors of holonomy against the fiber increment over one
+    period of a closed orbit, at each of N_OUTS samples, and the observed
+    orders log2(e_i / e_{i+1}).
+
+    The fiber side is the integrator's Delta s - p_t Delta t, which is the
+    action over the loop; the area side is the holonomy of the sampled
+    polygon (x, p/p_s) over the spatial axes, taken without the last sample,
+    which repeats the first.  Both are positive: dx/dtau = p_x on both
+    orbits, so each runs clockwise in the (x, p_x) plane, the positive sense
+    of dp ^ dx, and p_y = 0 on the cyclotron orbit.
+    """
+    errs = []
+    for n_out in N_OUTS:
+        strip = cf.propagate(E, start, (0.0, period), cf.IntegratorConfig(n_out=n_out))
+        fiber = (strip.s[-1] - strip.s[0]) - strip.p[0, 0] * (strip.x[-1, 0] - strip.x[0, 0])
+        loop = np.column_stack([strip.x[:-1, 1:], strip.p[:-1, 1:] / strip.p_s[:-1, None]])
+        errs.append(abs(cf.holonomy(loop).delta_s - fiber) / abs(fiber))
+    errs = np.array(errs)
+    return errs, np.log2(errs[:-1] / errs[1:])
+
+
+def _curvature_orbits():
+    osc = cf.builtin("oscillator")
+    return {"oscillator": (osc.surface, osc.initial_states[0], 2.0 * np.pi),
+            "cyclotron": (*_cyclotron(), 2.0 * np.pi / 0.7)}
+
+
 def test_criterion_08_curvature_is_symplectic_form():
-    worst = 0.0
-    for center in [(0.0, 0.0), (0.3, -0.7), (-1.2, 0.4)]:
-        for side in (0.05, 0.02):
-            worst = max(worst, abs(cf.curvature_ratio(center, side) - 1.0))
-    assert worst <= 0.02, f"holonomy/area ratio off by {worst:.3e}"
-    errs, order = cf.holonomy_convergence((0.3, -0.7), [0.08, 0.04, 0.02, 0.01])
-    assert order >= 1.9, f"convergence order {order}"
-    _report(8, f"holonomy/area ratio error {worst:.1e}; convergence order {order} "
-               f"(polygon increments are exact)")
+    witness = []
+    for name, (E, start, period) in _curvature_orbits().items():
+        errs, orders = _orbit_curvature_errors(E, start, period)
+        assert errs.max() <= 0.02, f"{name}: holonomy off the fiber increment by {errs}"
+        assert orders.min() >= 1.9, f"{name}: convergence orders {orders}"
+        witness.append(f"{name} rel err {errs[-1]:.1e}, order {orders.min():.2f}")
+    _report(8, "holonomy of flowed closed orbits against Delta s - p_t Delta t: "
+               + "; ".join(witness))
+
+
+def test_criterion_08_fails_on_a_wrong_fiber_equation():
+    # dG/dp_s offset by 1e-3 moves ds/dtau only; x and p stay the same, so the
+    # polygon's holonomy no longer converges to the fiber increment
+    E, start, period = _curvature_orbits()["oscillator"]
+
+    def grad(x, p, p_s):
+        gx, gp, gps = E.gradient(x, p, p_s)
+        return gx, gp, gps + 1e-3
+
+    mutant = cf.SymbolSurface(E.chart, E.value, E.degree, grad=grad)
+    errs, orders = _orbit_curvature_errors(mutant, start, period)
+    assert errs.max() <= 0.02        # the error bound alone would pass it
+    assert orders.min() < 1.9, f"the mutant passes with orders {orders}"
 
 
 # 9 ---------------------------------------------------------------------------

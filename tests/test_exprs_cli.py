@@ -337,8 +337,9 @@ def test_cli_refused_step_is_a_config_error(tmp_path, capsys, block, extra):
     ("integrator: {rel_tol: -1.0e-9}\n", "rel_tol must be finite and not negative"),
     ("integrator: {tol_onshell: -1}\n", "tol_onshell must be finite and positive"),
     ("integrator: {tol_onshell: .inf}\n", "tol_onshell must be finite and positive"),
+    ("integrator: {abs_tol: .inf}\n", "abs_tol must be finite and not negative, got inf"),
 ], ids=["n_out-0", "n_out-1", "n_out-2.7", "rel_tol-nan", "rel_tol-negative",
-        "tol_onshell-negative", "tol_onshell-inf"])
+        "tol_onshell-negative", "tol_onshell-inf", "abs_tol-inf"])
 def test_cli_refused_integrator_setting_is_a_config_error(tmp_path, capsys, block, message):
     cfg = tmp_path / "cfg.yaml"
     with open(_cfg("free.yaml")) as f:
@@ -358,6 +359,59 @@ def test_cli_unknown_top_level_key_is_a_config_error(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert f"unknown top-level keys ['{key}']" in err and "'strips'" in err
     assert not (tmp_path / "strip_0.csv").exists()
+
+
+_SYMBOL_RUN = ("chart: {axes: [t, x], bounds: [[-5, 5], [-5, 5]]}\n"
+               "strips: [{x: [0.0, 0.0], p: [-0.5, 1.0]}]\ntau_span: [0, 1]\n")
+
+
+@pytest.mark.parametrize("sub,block,message", [
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {n: 8, ntau: 5}\n",
+     "unknown 'front' keys ['ntau']"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {n: 8, n_tau: 1.7}\n",
+     "front n_tau must be an integer, got 1.7"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {n: 16.9, n_tau: 3}\n",
+     "front n must be an integer, got 16.9"),
+    ("propagate", "scenario: {builtin: free}\n"
+                  "strips: [{x: [0.0, 0.0], p: [-0.245, 0.7], ps: 2.0}]\n",
+     "unknown strip #0 keys ['ps']"),
+    ("propagate", _SYMBOL_RUN + "fiber: {group: circle, perod: 1}\n"
+                  "scenario: {symbol: {expression: p_t*p_s + p_x**2/2, degree: 2}}\n",
+     "unknown 'fiber' keys ['perod']"),
+    ("propagate", _SYMBOL_RUN + "scenario: {symbol: {expression: p_t*p_s + p_x**2/2, "
+                                "degree: 2.9}}\n",
+     "symbol degree must be an integer, got 2.9"),
+    ("wave-diagram", "scenario: {builtin: eikonal}\ndiagram: {n: 16.9}\n",
+     "diagram n must be an integer, got 16.9"),
+    ("wave-diagram", "scenario: {builtin: eikonal}\ndiagram: {n: 16, bidualty_check: true}\n",
+     "unknown 'diagram' keys ['bidualty_check']"),
+    ("noether-check", "scenario: {builtin: free}\ntau_span: [0, 1]\n"
+                      "symmetries: [{v: ['0', '1'], g: x}]\n",
+     "unknown symmetry #0 keys ['g']"),
+    ("holonomy", "loops: [{centre: [1.0, 0.0], side: 1.0}]\n",
+     "unknown loop #0 keys ['centre']"),
+    ("symbol", "scenario: {builtin: schrodinger}\n"
+               "phases: [{poly: [{powers: {x: 2.5}, c: 1.0}]}]\n",
+     "power of 'x' must be a non-negative integer, got 2.5"),
+    ("symbol", "scenario: {builtin: schrodinger, builtin_arg: {mass: 2.0}}\n"
+               "phases: [{poly: [{powers: {x: 2}, c: 1.0}]}]\n",
+     "unknown 'scenario' keys ['builtin_arg']"),
+    ("propagate", "scenario: {builtin: oscillator, builtin_args: {bund: 30}}\n",
+     "unexpected keyword argument 'bund'; allowed: ['bound']"),
+], ids=["front-ntau", "front-n_tau-1.7", "front-n-16.9", "strip-ps", "fiber-perod",
+        "symbol-degree-2.9", "diagram-n-16.9", "diagram-bidualty", "symmetry-g",
+        "loop-centre", "powers-2.5", "symbol-scenario-key", "builtin-args-bund"])
+def test_cli_misspelled_or_truncated_block_is_a_config_error(tmp_path, capsys, sub, block,
+                                                              message):
+    # each of these ran at exit 0, with the key ignored or the count truncated,
+    # except the unknown builtin argument, which ended in a TypeError traceback
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema_version: 1\n" + block)
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not list(out.glob("*.csv")) and not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("sub,config", [("symbol", "schrodinger_symbol.yaml"),

@@ -126,8 +126,6 @@ def test_to_phase_tells_particle_from_antiparticle(free):
 def test_holonomy_equals_symplectic_area():
     res = cf.holonomy(cf.square_loop((0.3, -0.7), 0.2))
     assert res.delta_s == pytest.approx(0.04, abs=1e-15)
-    assert res.area == pytest.approx(0.04, abs=1e-15)
-    assert cf.curvature_ratio((0.3, -0.7), 0.2) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_holonomy_triangle_shoelace():
@@ -165,9 +163,32 @@ def test_holonomy_rejects_boundary_and_bad_loops():
         cf.holonomy(cf.square_loop((0.0, 0.0), 1.0), p_s=0.0)
     with pytest.raises(cf.ContractViolation):
         cf.holonomy([(0.0, 0.0), (1.0, 1.0)])
+    for width in (0, 3):   # k positions and k ratios: an even, non-zero width
+        with pytest.raises(cf.ContractViolation):
+            cf.holonomy(np.zeros((4, width)))
 
 
-def test_holonomy_convergence_is_exact_for_squares():
-    errs, order = cf.holonomy_convergence((0.2, 0.4), [0.4, 0.2, 0.1, 0.05])
-    assert np.all(errs < 1e-12)
-    assert order == float("inf")
+def _trapezoid_loop(loop):
+    """The one-axis lift increment as a loop over the edges, added in order."""
+    closed = np.vstack([loop, loop[0]])
+    ds = 0.0
+    for (x1, q1), (x2, q2) in zip(closed[:-1], closed[1:]):
+        ds += 0.5 * (q1 + q2) * (x2 - x1)
+    return ds
+
+
+def test_holonomy_keeps_the_bits_of_the_edge_loop():
+    rng = np.random.default_rng(16)
+    for n in (3, 4, 17, 250, 5000):
+        loop = rng.normal(size=(n, 2))
+        assert cf.holonomy(loop).delta_s == _trapezoid_loop(loop)
+
+
+def test_holonomy_adds_the_areas_of_its_axes():
+    # positions (x, y), then ratios (q_x, q_y): a square of side 1 in the
+    # (x, q_x) plane and a triangle of area 1/2 in the (y, q_y) plane
+    sq = cf.square_loop((0.0, 0.5), 1.0)
+    tri = np.array([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.0)])
+    loop = np.column_stack([sq[:, 0], tri[:, 0], sq[:, 1], tri[:, 1]])
+    assert cf.holonomy(loop).delta_s == pytest.approx(1.0 + 0.5, abs=1e-15)
+    assert cf.holonomy(loop[::-1]).delta_s == pytest.approx(-1.5, abs=1e-15)
