@@ -36,14 +36,29 @@ CONFIG_KEYS = {"schema_version", "chart", "fiber", "scenario", "constants", "con
                "lambdas", "phases", "loops", "diagram"}   # the top-level keys runs read
 
 
-def _keys(spec, allowed, where: str) -> dict:
-    """spec, a config block that must be a mapping with keys in ``allowed``."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"the {where} block must be a mapping, got {type(spec).__name__}")
-    unknown = sorted(map(str, set(spec) - set(allowed)))
-    if unknown:
-        raise ConfigError(f"unknown {where} keys {unknown}; allowed: {sorted(allowed)}")
-    return spec
+class _Block(dict):
+    """A config block: a mapping with keys in ``allowed``.  Reading a key it
+    lacks is a config error that names the block and the key."""
+
+    def __init__(self, spec, allowed, where: str):
+        if not isinstance(spec, dict):
+            raise ConfigError(f"the {where} block must be a mapping, got {type(spec).__name__}")
+        unknown = sorted(map(str, set(spec) - set(allowed)))
+        if unknown:
+            raise ConfigError(f"unknown {where} keys {unknown}; allowed: {sorted(allowed)}")
+        super().__init__(spec)
+        self.where = where
+
+    def __missing__(self, key):
+        raise ConfigError(f"missing key {key!r} in the {self.where} block")
+
+    def choice(self, key: str, choices: tuple):
+        """The value of ``key``, one of ``choices``; the first is the default."""
+        value = self.get(key, choices[0])
+        if value not in choices:
+            raise ConfigError(f"{self.where} {key} must be one of {list(choices)}, "
+                              f"got {value!r}")
+        return value
 
 
 def _integral(value, where: str) -> int:
@@ -63,7 +78,7 @@ def _load_config(path: str) -> dict:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError(f"YAML parse error in {path}{loc}: {exc}") from exc
-    _keys(cfg, CONFIG_KEYS, "top-level")
+    cfg = _Block(cfg, CONFIG_KEYS, "top-level")
     version = cfg.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
@@ -74,23 +89,21 @@ def _chart_from(cfg: dict) -> Chart:
     spec = cfg.get("chart")
     if spec is None:
         raise ConfigError("key 'chart' is required when no builtin scenario is used")
-    _keys(spec, {"axes", "bounds"}, "'chart'")
+    spec = _Block(spec, {"axes", "bounds"}, "'chart'")
     try:
         return Chart(spec["axes"], spec["bounds"])
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"bad 'chart' block: {exc}") from exc
 
 
 def _fiber_from(cfg: dict) -> Fiber:
-    spec = _keys(cfg.get("fiber") or {"group": "line"}, {"group", "period"}, "'fiber'")
-    return Fiber(group=spec.get("group", "line"),
+    spec = _Block(cfg.get("fiber") or {"group": "line"}, {"group", "period"}, "'fiber'")
+    return Fiber(group=spec.choice("group", ("line", "circle")),
                  period=float(spec.get("period", 2 * np.pi)))
 
 
 def _scenario_from(cfg: dict) -> Scenario:
-    if "scenario" not in cfg:
-        raise ConfigError("key 'scenario' (mapping) is required")
-    spec = _keys(cfg["scenario"], SCENARIO_KEYS, "'scenario'")
+    spec = _Block(cfg["scenario"], SCENARIO_KEYS, "'scenario'")
     sources = [k for k in ("builtin", "symbol") if k in spec]
     if len(sources) != 1:
         raise ConfigError("scenario needs exactly one of 'builtin' or 'symbol'")
@@ -99,7 +112,7 @@ def _scenario_from(cfg: dict) -> Scenario:
         scen = builtin(spec["builtin"], **(spec.get("builtin_args") or {}))
     else:
         from .exprs import symbol_surface
-        sym = _keys(spec["symbol"], {"expression", "degree"}, "'symbol'")
+        sym = _Block(spec["symbol"], {"expression", "degree"}, "'symbol'")
         chart = _chart_from(cfg)
         E = symbol_surface(sym["expression"], chart, _integral(sym["degree"], "symbol degree"),
                            constants=constants, fiber=_fiber_from(cfg),
@@ -134,11 +147,11 @@ def _states_from(cfg: dict, scen: Scenario) -> list[CharacteristicState]:
         raise ConfigError("no 'strips' block and the scenario has no default states")
     states = []
     for i, b in enumerate(blocks):
-        _keys(b, {"x", "s", "p", "p_s"}, f"strip #{i}")
+        b = _Block(b, {"x", "s", "p", "p_s"}, f"strip #{i}")
         try:
             states.append(CharacteristicState(b["x"], float(b.get("s", 0.0)),
                                               b["p"], float(b.get("p_s", 1.0))))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad strip block #{i}: {exc}") from exc
     return states
 
@@ -163,7 +176,7 @@ def _poly_from_spec(chart: Chart, spec) -> PolyField:
     """spec: list of {powers: {axis: int}, c: number} entries."""
     coeffs = {}
     for i, ent in enumerate(spec):
-        _keys(ent, {"powers", "c"}, f"poly term #{i}")
+        ent = _Block(ent, {"powers", "c"}, f"poly term #{i}")
         mono = _multi_index(chart, ent.get("powers"), "powers")
         coeffs[mono] = coeffs.get(mono, 0.0) + float(ent["c"])
     return PolyField(chart, coeffs)
@@ -191,21 +204,16 @@ def _run_propagate(cfg, scen, args, report):
 
 
 def _front_from(cfg, scen):
-    if "front" not in cfg:
-        raise ConfigError("key 'front' (mapping) is required for the wavefront run")
-    spec = _keys(cfg["front"], {"kind", "n", "n_tau", "radius", "center", "axis", "value",
+    spec = _Block(cfg["front"], {"kind", "n", "n_tau", "radius", "center", "axis", "value",
                                 "span", "branch"}, "'front'")
-    kind = spec.get("kind", "circle")
     n = _integral(spec.get("n", 64), "front n")
-    if kind == "circle":
+    if spec.choice("kind", ("circle", "flat")) == "circle":
         sigma = circle_front(scen.chart, float(spec.get("radius", 1.0)), n,
                              center=tuple(spec.get("center", (0.0, 0.0))))
-    elif kind == "flat":
+    else:
         _multi_index(scen.chart, {spec["axis"]: 1}, "front")
         sigma = flat_front(scen.chart, spec["axis"], float(spec["value"]),
                            spec.get("span", (-1.0, 1.0)), n)
-    else:
-        raise ConfigError(f"unknown front kind {kind!r}")
     return sigma, tuple(spec.get("branch", (1, 0)))
 
 
@@ -246,12 +254,9 @@ def _run_noether(cfg, scen, args, report):
               for st in _states_from(cfg, scen)]
     results = []
     for i, b in enumerate(blocks):
-        _keys(b, {"v", "f"}, f"symmetry #{i}")
-        try:
-            v = [scalar_field(str(c), scen.chart, constants) for c in b["v"]]
-            f = scalar_field(str(b.get("f", "0")), scen.chart, constants)
-        except KeyError as exc:
-            raise ConfigError(f"bad symmetry block #{i}: missing {exc}") from exc
+        b = _Block(b, {"v", "f"}, f"symmetry #{i}")
+        v = [scalar_field(str(c), scen.chart, constants) for c in b["v"]]
+        f = scalar_field(str(b.get("f", "0")), scen.chart, constants)
         sym = SymmetryField.build(scen.chart, v, f)
         results.append({"symmetry": i,
                         "residual": check_symmetry(scen.surface, sym, rng=rng),
@@ -261,7 +266,7 @@ def _run_noether(cfg, scen, args, report):
 
 
 def _operator_from(cfg) -> LinearDiffOperator:
-    scen_spec = _keys(cfg.get("scenario") or {}, SCENARIO_KEYS, "'scenario'")
+    scen_spec = _Block(cfg.get("scenario") or {}, SCENARIO_KEYS, "'scenario'")
     if scen_spec.get("builtin") == "schrodinger":
         scen = builtin("schrodinger", **(scen_spec.get("builtin_args") or {}))
         return scen.extras["operator"]
@@ -269,11 +274,11 @@ def _operator_from(cfg) -> LinearDiffOperator:
     if not spec:
         raise ConfigError("the symbol run needs an 'operator' block "
                           "or the schrodinger builtin")
-    _keys(spec, {"terms", "s_axis"}, "'operator'")
+    _Block(spec, {"terms", "s_axis"}, "'operator'")
     chart = _chart_from(cfg)
     terms = {}
     for i, ent in enumerate(spec.get("terms", [])):
-        c = _keys(ent, {"multi", "coeff"}, f"operator term #{i}")["coeff"]
+        c = _Block(ent, {"multi", "coeff"}, f"operator term #{i}")["coeff"]
         terms[_multi_index(chart, ent.get("multi"), "multi")] = (
             _poly_from_spec(chart, c) if isinstance(c, list) else float(c))
     return LinearDiffOperator(chart, terms, s_axis=spec.get("s_axis", "s"))
@@ -287,13 +292,13 @@ def _run_symbol(cfg, scen_unused, args, report):
         raise ConfigError("key 'phases' is required for the symbol run")
     results = []
     for i, ph in enumerate(phases):
-        _keys(ph, {"poly", "s_weight", "at", "mode", "points"}, f"phase #{i}")
+        ph = _Block(ph, {"poly", "s_weight", "at", "mode", "points"}, f"phase #{i}")
         poly = _poly_from_spec(D.chart, ph.get("poly", []))
         if ph.get("s_weight"):
             poly = poly_phase(D.chart, poly.coeffs, s_weight=float(ph["s_weight"]))
         x0 = np.asarray(ph.get("at", [0.0] * D.dim), float)
         entry = {"phase": i}
-        if ph.get("mode", "scaling") == "eikonal":
+        if ph.choice("mode", ("scaling", "eikonal")) == "eikonal":
             pts = [np.asarray(p, float) for p in ph.get("points", [x0])]
             entry["fitted_order"] = eikonal_residual(D, poly, lams, pts)
         else:
@@ -313,12 +318,9 @@ def _run_holonomy(cfg, scen_unused, args, report):
         raise ConfigError("key 'loops' is required for the holonomy run")
     results = []
     for i, b in enumerate(blocks):
-        _keys(b, {"points", "center", "side", "p_s"}, f"loop #{i}")
-        if "points" in b:
-            loop = np.asarray(b["points"], float)
-        else:
-            loop = square_loop(tuple(b.get("center", (0.0, 0.0))),
-                               float(b["side"]))
+        b = _Block(b, {"points", "center", "side", "p_s"}, f"loop #{i}")
+        loop = (np.asarray(b["points"], float) if "points" in b
+                else square_loop(tuple(b.get("center", (0.0, 0.0))), float(b["side"])))
         res = holonomy(loop, p_s=float(b.get("p_s", 1.0)))
         results.append({"loop": i, "delta_s": res.delta_s})
     report["loops"] = results
@@ -326,7 +328,7 @@ def _run_holonomy(cfg, scen_unused, args, report):
 
 
 def _run_wave_diagram(cfg, scen, args, report):
-    spec = _keys(cfg.get("diagram") or {}, {"at", "n", "biduality_check"}, "'diagram'")
+    spec = _Block(cfg.get("diagram") or {}, {"at", "n", "biduality_check"}, "'diagram'")
     x0 = np.asarray(spec.get("at", [0.0] * scen.chart.dim), float)
     n = _integral(spec.get("n", 64), "diagram n")
     diag = wave_diagram(scen.surface, scen.connection, x0, n_samples=n)

@@ -330,9 +330,12 @@ def _project_strip(E: SymbolSurface, X, P, PS, tol: float) -> tuple[np.ndarray, 
 # step size, error norm and accept/reject decision per strip (Hairer, Norsett
 # and Wanner, Solving ODEs I, II.4-II.6; Dormand and Prince 1980).  Fixed
 # mode is classic RK4 with a cubic continuous extension.  Every sum of
-# products (stage sums, error norms, interpolants) is charts.dot, added in
-# index order from elementwise * and +, so a strip has the same bits in any
-# stack and under any BLAS kernel or SIMD dispatch.
+# products (stage sums, error norms, interpolants) adds its terms in index
+# order from elementwise * and +, so a strip has the same bits in any stack,
+# any layout and under any BLAS kernel or SIMD dispatch.  Wide arrays keep
+# the row axis innermost: stages (stage, row, component), interpolant
+# coefficients (stage, component, row), samples one (component, strip,
+# column) buffer.
 
 _A45 = [np.array(a) for a in ([1/5], [3/40, 9/40], [44/45, -56/15, 32/9],
                               [19372/6561, -25360/2187, 64448/6561, -212/729],
@@ -388,56 +391,61 @@ def _first_step(E: SymbolSurface, Y, F, span: float, sign: float, rtol: float, a
 
 
 def _rk45_step(E: SymbolSurface, Y, F, h):
-    """A Dormand-Prince step of signed size h per row from (Y, F):
-    (y_new, K), K[:, 6] the right-hand side at y_new."""
-    K, h = np.empty((len(Y), 7, Y.shape[1])), h[:, None]
-    Kt = K.transpose(0, 2, 1)
-    K[:, 0] = F
+    """A Dormand-Prince step of signed size h per row from (Y, F): (y_new,
+    K), stages K[s] of shape (rows, component), K[6] the RHS at y_new."""
+    K, h = np.empty((7,) + Y.shape), h[:, None]
+    Kt = K.transpose(1, 2, 0)
+    K[0] = F
     for s, a in enumerate(_A45, start=1):
-        K[:, s] = _rhs(E, Y + dot(Kt[:, :, :s], a) * h)
+        K[s] = _rhs(E, Y + dot(Kt[:, :, :s], a) * h)
     y_new = Y + h * dot(Kt[:, :, :6], _B45)
-    K[:, 6] = _rhs(E, y_new)
+    K[6] = _rhs(E, y_new)
     return y_new, K
 
 
 def _rk4_step(E: SymbolSurface, Y, F, h: float):
-    """A classic RK4 step of size h from (Y, F): (y_new, K), K[:, :4] the
-    stages and K[:, 4] the right-hand side at y_new."""
-    K = np.empty((len(Y), 5, Y.shape[1]))
-    K[:, 0] = F
-    K[:, 1] = _rhs(E, Y + 0.5 * h * K[:, 0])
-    K[:, 2] = _rhs(E, Y + 0.5 * h * K[:, 1])
-    K[:, 3] = _rhs(E, Y + h * K[:, 2])
-    y_new = Y + (h / 6.0) * (K[:, 0] + 2.0 * K[:, 1] + 2.0 * K[:, 2] + K[:, 3])
-    K[:, 4] = _rhs(E, y_new)
+    """A classic RK4 step of size h from (Y, F): (y_new, K), stages K[s] of
+    shape (rows, component), K[4] the right-hand side at y_new."""
+    K = np.empty((5,) + Y.shape)
+    K[0] = F
+    K[1] = _rhs(E, Y + 0.5 * h * K[0])
+    K[2] = _rhs(E, Y + 0.5 * h * K[1])
+    K[3] = _rhs(E, Y + h * K[2])
+    y_new = Y + (h / 6.0) * (K[0] + 2.0 * K[1] + 2.0 * K[2] + K[3])
+    K[4] = _rhs(E, y_new)
     return y_new, K
 
 
 def _interpolate(K, y_old, t_old, h, taus, fixed: bool):
-    """A step's continuous extension y_old + h * M w(theta) at times taus
-    (rows, k), theta = (tau - t_old) / h, from the step's stages K; returns
-    (rows, n, k).
-
-    For RK4, M = K[:, :4]^T and w holds the cubic weights; for
-    Dormand-Prince, M = K^T P and w = (theta, ..., theta^4).
-    """
-    Kt = K.transpose(0, 2, 1)
-    M = Kt[:, :, :4] if fixed else dot(Kt[:, :, None, :], _P45.T)
-    th = (taus - t_old[:, None]) / h[:, None]
+    """A step's continuous extension y_old + h * sum_j M[j] w_j(theta) at
+    times taus (k, rows), theta = (tau - t_old) / h, from its stages K; returns
+    (component, k, rows).  M (4, component, row) is K's first four stages
+    with cubic weights w_j for RK4, and K^T P (stages added in order) with
+    w_j = theta^(j + 1) for Dormand-Prince; the terms add in order of j."""
+    Ks = np.ascontiguousarray(K.transpose(0, 2, 1))   # the row axis innermost
+    th = (taus - t_old) / h
+    sq = th * th
+    cu = sq * th
     if fixed:
-        sq = th * th
-        cu = sq * th
         b23 = sq - 2.0 * cu / 3.0
-        W = np.stack([th - 1.5 * sq + 2.0 * cu / 3.0, b23, b23, -0.5 * sq + 2.0 * cu / 3.0], 2)
+        M, W = Ks, (th - 1.5 * sq + 2.0 * cu / 3.0, b23, b23, -0.5 * sq + 2.0 * cu / 3.0)
     else:
-        W = np.cumprod(np.repeat(th[:, :, None], 4, axis=2), axis=2)
-    return y_old[:, :, None] + h[:, None, None] * dot(M[:, :, None, :], W[:, None])
+        M, W = _P45[0][:, None, None] * Ks[0], (th, sq, cu, cu * th)
+        for s in range(1, len(_P45)):
+            M += _P45[s][:, None, None] * Ks[s]
+    S = M[0][:, None] * W[0]
+    term = np.empty_like(S)
+    for j in range(1, 4):
+        S += np.multiply(M[j][:, None], W[j], out=term)
+    S *= h
+    S += y_old.T[:, None]
+    return S
 
 
 def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: IntegratorConfig,
                events=()) -> tuple:
     """Integrate the strips of the state stack Y0, rows (x, s, p, p_s), from
-    t0 to t1, sampled at ``tau_eval`` (None: at the steps).
+    t0 to t1, sampled at ``tau_eval`` (None, in fixed mode: at the steps).
 
     ``integ.method`` picks Dormand-Prince 5(4) at (rel_tol, abs_tol) or RK4
     in round(|t1 - t0| / dt) equal steps, the last landing exactly on t1.
@@ -446,32 +454,40 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
     one of the extra terminal ``events(tau, y)`` changes sign; every event
     of a step is located on its interpolant by one brentq call.
 
-    Returns (stops, taus, ys, counts): per strip "span_end", "boundary" or
+    Samples go straight into a (component, strip, column) buffer, rows
+    (tau, x, s, p, p_s): column j is tau_eval[j] (with no grid, step j), and
+    an event point takes the strip's next column, past the grid a spare one.
+    The interpolant runs with the row axis innermost and adds in index order.
+
+    Returns (stops, samples, counts): per strip "span_end", "boundary" or
     "event" (then its last sample is the event point) or the exception that
     ended it, a failed start check or a DegeneracyError at a touching point
-    or when the step size underflows; the samples of the strips that did not
-    raise, in strip order; and each strip's sample count (0 if it raised).
-    An exception raised by the symbol ends the whole call.
+    or when the step size underflows; the samples (tau, x, s, p, p_s) of the
+    strips that did not raise, a (2m + 3, n) array in strip order; and each
+    strip's sample count (0 if it raised).  An exception raised by the
+    symbol ends the whole call.
     """
     sign = 1.0 if t1 >= t0 else -1.0
+    fixed, m, n_strips = integ.method == "fixed", E.dim, len(Y0)
+    if fixed:
+        n_steps = max(1, int(round(abs(t1 - t0) / integ.dt)))
+        h_fix, k_step, n_cols = (t1 - t0) / n_steps, 0, n_steps + 1
     if tau_eval is not None:
         tau_eval = np.asarray(tau_eval, dtype=float)
         if (tau_eval.ndim != 1 or np.any(tau_eval < min(t0, t1))
                 or np.any(tau_eval > max(t0, t1)) or np.any(sign * np.diff(tau_eval) <= 0)):
             raise ContractViolation("tau_eval must be a 1-D grid inside tau_span, "
                                     "strictly ordered from its start to its end")
-        ahead = sign * tau_eval   # ascending
-    fixed, m, n_strips = integ.method == "fixed", E.dim, len(Y0)
-    chunks = [(np.zeros(0, int), np.zeros(0), Y0[:0])]   # (strip ids, taus, states) recorded
+        ahead, n_cols = sign * tau_eval, len(tau_eval) + 1   # ascending; a spare column
+    buf, counts = np.empty((Y0.shape[1] + 1, n_strips, n_cols)), np.zeros(n_strips, int)
+
+    def record(i, col, tau, y):   # strip i's samples (tau, y), y component-major
+        buf[0, i, col], buf[1:, i, col] = tau, y
 
     def last(i):
-        """The last state recorded for strip i (its start if none), and
-        whether there is one."""
-        for sid, taus, ys in reversed(chunks):
-            at = (sid == i).nonzero()[0]
-            if at.size:
-                return _unpack(E, ys[at[-1]], taus[at[-1]]), True
-        return _unpack(E, Y0[i], t0), False
+        """The last state recorded for strip i, its start if none."""
+        c = counts[i] - 1
+        return _unpack(E, buf[1:, i, c], buf[0, i, c]) if c >= 0 else _unpack(E, Y0[i], t0)
 
     def event_values(T, Y, F):
         """Per row: the chart clearance, the degeneracy gap and the extras."""
@@ -485,20 +501,17 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
     out, F = _start_errors(E, Y0, t0, integ.tol_onshell)
     ids = np.array([i for i, e in enumerate(out) if e is None], dtype=int)
     if tau_eval is None:
-        chunks.append((ids, np.full(len(ids), t0), Y0[ids]))
+        record(ids, 0, t0, Y0[ids].T)
+        counts[ids] = 1
     if t0 == t1:
         out = ["span_end" if e is None else e for e in out]
         ids = ids[:0]
     # the working set: row r is strip ids[r]; a strip's row leaves when it stops
     T, Y, F = np.full(len(ids), t0), Y0[ids], F[ids]
-    nxt = np.zeros(len(ids), dtype=int)      # next tau_eval index
     H, retry = np.zeros(len(ids)), np.zeros(len(ids), bool)   # |step| to try, last try failed
     if ids.size:
         Gev = event_values(T, Y, F)
-        if fixed:
-            n_steps = max(1, int(round(abs(t1 - t0) / integ.dt)))
-            h_fix, k_step = (t1 - t0) / n_steps, 0
-        else:
+        if not fixed:
             rtol, atol = max(integ.rel_tol, 100 * _EPS), integ.abs_tol
             H = _first_step(E, Y, F, abs(t1 - t0), sign, rtol, atol)
 
@@ -517,31 +530,30 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
                 for i in ids[small]:
                     out[i] = DegeneracyError(
                         "integration failed: Required step size is less than spacing "
-                        "between numbers.", state=last(i)[0])
-                ids, T, Y, F, Gev, nxt, H, retry = (
-                    a[~small] for a in (ids, T, Y, F, Gev, nxt, H, retry))
+                        "between numbers.", state=last(i))
+                ids, T, Y, F, Gev, H, retry = (a[~small] for a in (ids, T, Y, F, Gev, H, retry))
                 continue
             y_new, K = _rk45_step(E, Y, F, h)
             scale = atol + np.maximum(np.abs(Y), np.abs(y_new)) * rtol
-            err = _rms(dot(K.transpose(0, 2, 1), _E45) * h[:, None] / scale)
+            err = _rms(dot(K.transpose(1, 2, 0), _E45) * h[:, None] / scale)
             H = np.abs(h) * _step_factors(err, retry)
             accept = err < 1
             retry, acc = ~accept, accept.nonzero()[0]
             if not acc.size:
                 continue
-        t_old, y_old, sid, g_old, start = (a.take(acc, axis=0) for a in (T, Y, ids, Gev, nxt))
-        t_new, y_new, K, h = (a.take(acc, axis=0) for a in (t_new, y_new, K, h))
-        T[acc], Y[acc], F[acc] = t_new, y_new, K[:, -1]   # the last stage starts the next step
+        part = acc.size < len(ids)   # some rows retry: gather the others (else no copies)
+        t_old, y_old, sid, g_old, t_new, y_new, h = (
+            a.take(acc, axis=0) if part else a for a in (T, Y, ids, Gev, t_new, y_new, h))
+        K = K.take(acc, axis=1) if part else K
 
         # terminal events: the earliest root on the step's interpolant ends the strip
-        g_new = event_values(t_new, y_new, K[:, -1])
-        Gev[acc] = g_new
+        g_new = event_values(t_new, y_new, K[-1])
         active = (np.minimum(g_old, g_new) <= 0) & (np.maximum(g_old, g_new) >= 0)
         hit, t_end, y_end = np.full(len(acc), -1), t_new.copy(), y_new.copy()
         erow, ecol = active.nonzero()   # the (row, event) pairs with a sign change in the step
         if erow.size:
             def sol(tau, r):
-                return _interpolate(K[r], y_old[r], t_old[r], h[r], tau[:, None], fixed)[:, :, 0]
+                return _interpolate(K[:, r], y_old[r], t_old[r], h[r], tau[None], fixed)[:, 0].T
 
             def g(tau, q):
                 y = sol(tau, erow[q])
@@ -555,21 +567,29 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             r = erow[first]
             hit[r], t_end[r], y_end[r] = ecol[first], roots[first], sol(roots[first], r)
 
-        # samples up to the step end, or up to the event
+        # samples up to the step end, or up to the event, at each strip's next columns
+        start = counts[sid]
         if tau_eval is None:
-            chunks.append((sid, t_end, y_end))
+            upto = start + 1
+            record(sid, start, t_end, y_end.T)
         else:
-            upto = np.searchsorted(ahead, t_end if sign > 0 else -t_end, side="right")
-            count = upto - start
-            sub = count.nonzero()[0]
+            upto = np.searchsorted(ahead, sign * t_end, side="right")
+            sub = (upto > start).nonzero()[0]
             if sub.size:
-                j = start[sub, None] + np.arange(count[sub].max())
-                taus = tau_eval[np.minimum(j, len(tau_eval) - 1)]
-                ys = _interpolate(K[sub], y_old[sub], t_old[sub], h[sub], taus, fixed)
-                keep = j < upto[sub, None]
-                chunks.append((np.repeat(sid[sub], count[sub]), taus[keep],
-                               ys.transpose(0, 2, 1)[keep]))
-            nxt[acc] = upto
+                lo, hi = start[sub], upto[sub]
+                j = lo + np.arange((hi - lo).max())[:, None]   # (k, rows)
+                keep, taus = j < hi, tau_eval[np.minimum(j, len(tau_eval) - 1)]
+                ys = _interpolate(K[:, sub], y_old[sub], t_old[sub], h[sub], taus, fixed)
+                if keep.all() and (lo == lo[0]).all():   # the rows share one block of columns
+                    record(sid[sub], slice(lo[0], hi[0]), taus.T, ys.transpose(0, 2, 1))
+                else:
+                    record(np.broadcast_to(sid[sub], j.shape)[keep], j[keep], taus[keep],
+                           ys[:, keep])
+        counts[sid] = upto
+        if part:
+            T[acc], Y[acc], F[acc], Gev[acc] = t_new, y_new, K[-1], g_new
+        else:
+            T, Y, F, Gev = t_new, y_new, K[-1], g_new   # the last stage starts the next step
 
         stop = (t_new == t1) | (hit >= 0)
         for r in stop.nonzero()[0]:
@@ -579,28 +599,25 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             elif hit[r] == 1:
                 out[i] = DegeneracyError(
                     f"degenerate (touching) point reached near tau = {t_end[r]:.6g}",
-                    state=last(i)[0])
+                    state=last(i))
             else:
-                state, recorded = last(i)
-                if not recorded or state.tau != t_end[r]:
-                    chunks.append((sid[r:r + 1], t_end[r:r + 1], y_end[r:r + 1]))
+                if not counts[i] or last(i).tau != t_end[r]:
+                    record(i, counts[i], t_end[r], y_end[r])
+                    counts[i] += 1
                 out[i] = "boundary" if hit[r] == 0 else "event"
         if stop.any():
             keep = np.ones(len(ids), bool)
             keep[acc[stop]] = False
-            ids, T, Y, F, Gev, nxt, H, retry = (
-                a[keep] for a in (ids, T, Y, F, Gev, nxt, H, retry))
+            ids, T, Y, F, Gev, H, retry = (a[keep] for a in (ids, T, Y, F, Gev, H, retry))
 
     ok = np.array([not isinstance(o, Exception) for o in out], bool)
-    sid = np.concatenate([c[0] for c in chunks])
-    # a strip with no tau_eval point in its run is its start point
-    bare = (ok & (np.bincount(sid, minlength=n_strips) == 0)).nonzero()[0]
-    chunks.append((bare, np.full(len(bare), t0), Y0[bare]))
-    sid = np.concatenate([c[0] for c in chunks])
-    order = np.argsort(sid, kind="stable")
-    order = order[ok[sid[order]]]
-    taus, ys = (np.concatenate([c[k] for c in chunks])[order] for k in (1, 2))
-    return out, taus, ys, np.bincount(sid[order], minlength=n_strips)
+    bare = (ok & (counts == 0)).nonzero()[0]   # no sample in its run (an empty grid): its start
+    record(bare, 0, t0, Y0[bare].T)
+    counts[bare], counts[~ok] = 1, 0
+    k = counts.max(initial=0)
+    full = (counts == k).all()   # then the samples are a reshape, else a mask
+    return out, (buf[:, :, :k].reshape(len(buf), -1) if full
+                 else buf[:, np.arange(n_cols) < counts[:, None]]), counts
 
 
 def flow_to_event(E: SymbolSurface, init: CharacteristicState, tau_end: float, event,
@@ -609,13 +626,13 @@ def flow_to_event(E: SymbolSurface, init: CharacteristicState, tau_end: float, e
     ``event(tau, y)`` changes sign, y = (x, s, p, p_s) stacked.
 
     Returns the (unprojected) state at the event, or None when the span end
-    or the chart boundary comes first.
+    or the chart boundary comes first.  It samples no grid, only the event.
     """
-    (stop,), taus, ys, _ = _integrate(E, _pack(init)[None], 0.0, float(tau_end), None, integ,
-                                      events=(event,))
+    (stop,), samples, _ = _integrate(E, _pack(init)[None], 0.0, float(tau_end), (), integ,
+                                     events=(event,))
     if isinstance(stop, Exception):
         raise stop
-    return _unpack(E, ys[-1], taus[-1]) if stop == "event" else None
+    return _unpack(E, samples[1:, -1], samples[0, -1]) if stop == "event" else None
 
 
 def action_increment(strip: Strip) -> float:
@@ -640,7 +657,8 @@ def _propagate_stack(E: SymbolSurface, Y0, tau_span, integ: IntegratorConfig | N
     """propagate() over the packed state stack Y0, rows (x, s, p, p_s): one
     integrator call, one projection call.  Returns per strip its stop or the
     exception that ended it, each strip's number of samples, and the samples
-    (taus, X, S, P, PS, G) in strip order (None if no strip ran).  When the
+    (taus, X, S, P, PS, G) in strip order (None if no strip ran), taus, X, S
+    and PS views of the integrator's sample array.  When the
     stacked run raises (say, the symbol raises at one strip's state), each
     row runs on its own, so the error reaches only the strips that raise it."""
     try:
@@ -649,13 +667,13 @@ def _propagate_stack(E: SymbolSurface, Y0, tau_span, integ: IntegratorConfig | N
         if not (np.isfinite(t0) and np.isfinite(t1)):
             raise ContractViolation("tau_span must be finite")
         if t0 == t1:
-            tau_eval = None          # the strip is its start point
+            tau_eval = ()            # an empty grid: the strip is its start point
         elif tau_eval is None and integ.method != "fixed":   # fixed mode returns its step grid
             tau_eval = np.linspace(t0, t1, integ.n_out)
-        stops, taus, ys, counts = _integrate(E, Y0, t0, t1, tau_eval, integ)
+        stops, run, counts = _integrate(E, Y0, t0, t1, tau_eval, integ)
         samples, m = None, E.dim
-        if len(taus):
-            X, S, P, PS = ys[:, :m], ys[:, m], ys[:, m + 1:2 * m + 1], ys[:, 2 * m + 1]
+        if run.shape[1]:
+            taus, X, S, P, PS = run[0], run[1:m + 1].T, run[m + 1], run[m + 2:-1].T, run[-1]
             # the projection acts sample by sample, so all strips take one call
             P, G = (P, E.value(X, P, PS)) if t0 == t1 else _project_strip(E, X, P, PS,
                                                                           integ.tol_onshell)

@@ -414,6 +414,58 @@ def test_cli_misspelled_or_truncated_block_is_a_config_error(tmp_path, capsys, s
     assert not list(out.glob("*.csv")) and not (out / "report.json").exists()
 
 
+_SYMBOL = "scenario: {symbol: {expression: p_t*p_s + p_x**2/2, degree: 2}}\n"
+
+
+@pytest.mark.parametrize("sub,block,message", [
+    ("propagate", "chart: {bounds: [[-5, 5], [-5, 5]]}\n" + _SYMBOL,
+     "missing key 'axes' in the 'chart' block"),
+    ("propagate", "chart: {axes: [t, x]}\n" + _SYMBOL,
+     "missing key 'bounds' in the 'chart' block"),
+    ("propagate", _SYMBOL_RUN + "scenario: {symbol: {degree: 2}}\n",
+     "missing key 'expression' in the 'symbol' block"),
+    ("propagate", _SYMBOL_RUN + "scenario: {symbol: {expression: p_t*p_s + p_x**2/2}}\n",
+     "missing key 'degree' in the 'symbol' block"),
+    ("propagate", "scenario: {builtin: free}\nstrips: [{p: [-0.245, 0.7]}]\n",
+     "missing key 'x' in the strip #0 block"),
+    ("propagate", "scenario: {builtin: free}\nstrips: [{x: [0.0, 0.0]}]\n",
+     "missing key 'p' in the strip #0 block"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {kind: flat, value: 0.0}\n",
+     "missing key 'axis' in the 'front' block"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {kind: flat, axis: x}\n",
+     "missing key 'value' in the 'front' block"),
+    ("noether-check", "scenario: {builtin: free}\ntau_span: [0, 1]\nsymmetries: [{f: x}]\n",
+     "missing key 'v' in the symmetry #0 block"),
+    ("symbol", "scenario: {builtin: schrodinger}\nphases: [{poly: [{powers: {x: 2}}]}]\n",
+     "missing key 'c' in the poly term #0 block"),
+    ("symbol", "chart: {axes: [t, x, s], bounds: [[-5, 5], [-5, 5], [-5, 5]]}\n"
+               "operator: {terms: [{multi: {x: 2}}]}\n"
+               "phases: [{poly: [{powers: {x: 2}, c: 1.0}]}]\n",
+     "missing key 'coeff' in the operator term #0 block"),
+    ("holonomy", "loops: [{center: [0.0, 0.0]}]\n", "missing key 'side' in the loop #0 block"),
+    ("symbol", "scenario: {builtin: schrodinger}\n"
+               "phases: [{poly: [{powers: {x: 2}, c: 1.0}], mode: eikonall}]\n",
+     "phase #0 mode must be one of ['scaling', 'eikonal'], got 'eikonall'"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {kind: sqare}\n",
+     "'front' kind must be one of ['circle', 'flat'], got 'sqare'"),
+    ("propagate", _SYMBOL_RUN + "fiber: {group: torus}\n" + _SYMBOL,
+     "'fiber' group must be one of ['line', 'circle'], got 'torus'"),
+], ids=["chart-axes", "chart-bounds", "symbol-expression", "symbol-degree",
+        "strip-x", "strip-p", "front-axis", "front-value", "symmetry-v", "poly-c",
+        "operator-coeff", "loop-side", "phase-mode", "front-kind", "fiber-group"])
+def test_cli_missing_key_or_unknown_choice_is_a_config_error(tmp_path, capsys, sub, block,
+                                                              message):
+    # at the parent most of these ended in a KeyError traceback; the phase
+    # mode ran the scaling check at exit 0 and the fiber group exited 2
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema_version: 1\n" + block)
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not list(out.glob("*.csv")) and not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("sub,config", [("symbol", "schrodinger_symbol.yaml"),
                                         ("holonomy", "holonomy.yaml"),
                                         ("wave-diagram", "wave_diagram_eikonal.yaml")])

@@ -407,3 +407,49 @@ def test_batch_equals_its_strips_bit_for_bit(name, tau_end, method):
             assert np.array_equal(getattr(item.strip, key), getattr(one, key)), key
         exits.append(one.boundary_exit)
     assert any(exits) and not all(exits)   # a strip leaves the chart mid-span
+
+
+@pytest.mark.parametrize("method", ["adaptive", "fixed"])
+@pytest.mark.parametrize("case", ["grid-ends-before-exits", "empty-grid", "zero-span"])
+def test_ragged_samples_stack_like_their_rows(case, method):
+    # strips reaching t1 next to strips that leave the chart and one that
+    # raises at its start, at speeds that differ by row, so the rows of a
+    # step sample different grid columns: per strip, the stack keeps the
+    # samples, their count and the stop of that strip run alone
+    E = _with_touching_face(_SYMBOLS["eikonal"], 2.0)
+    integ = cf.IntegratorConfig(method=method, dt=0.01)
+    states = cf.sample_onshell(E, np.random.default_rng(1), 6, margin=0.5)
+    touching = cf.CharacteristicState([-2.0, 0.0], 0.0, [0.3, 0.3], 1.0)
+    inits = states[:3] + [touching] + states[3:]
+    grid = np.linspace(0.0, 0.45, 10)   # every exit is past tau = 0.5
+    span, tau_eval = {"grid-ends-before-exits": ((0.0, 2.5), grid),
+                      "empty-grid": ((0.0, 2.5), []), "zero-span": ((0.0, 0.0), [])}[case]
+    # the integrator itself: a stacked run that raised would fall back to rows
+    Y0 = np.array([_pack(s) for s in inits])
+    stops, samples, counts = strips._integrate(E, Y0, *span, tau_eval, integ)
+    parts = np.split(samples, np.cumsum(counts)[:-1], axis=1)
+    for r, (stop, part) in enumerate(zip(stops, parts)):
+        (alone,), row, n = strips._integrate(E, Y0[r:r + 1], *span, tau_eval, integ)
+        assert str(stop) == str(alone) and type(stop) is type(alone)
+        assert list(n) == [counts[r]] and np.array_equal(part, row)
+    assert isinstance(stops[3], cf.DegeneracyError) and counts[3] == 0
+    # and the strips the public calls return
+    items = cf.batch_propagate(E, inits, span, integ, tau_eval)
+    assert isinstance(items[3].error, cf.DegeneracyError)
+    strips_alone = []
+    for init, item in zip(states, items[:3] + items[4:]):
+        one = cf.propagate(E, init, span, integ, tau_eval)
+        for key in ("taus", "x", "s", "p", "p_s", "g_residual", "boundary_exit"):
+            assert np.array_equal(getattr(item.strip, key), getattr(one, key)), key
+        strips_alone.append(one)
+    exits = [one.boundary_exit for one in strips_alone]
+    if case == "zero-span":
+        assert not any(exits) and all(list(one.taus) == [0.0] for one in strips_alone)
+        return
+    assert any(exits) and not all(exits)
+    for one in strips_alone:   # the grid, then the exit point (past the grid: the spare column)
+        if one.boundary_exit:
+            assert list(one.taus[:-1]) == list(tau_eval) and one.taus[-1] > 0.5
+            assert abs(E.chart.boundary_clearance(one.x[-1])) < 1e-7
+        else:   # with no grid point in its run, a strip is its start point
+            assert list(one.taus) == (list(tau_eval) or [0.0])
