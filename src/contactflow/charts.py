@@ -254,6 +254,17 @@ def dot(a, b):
     return total
 
 
+def lead_dot(a, b):
+    """sum_i a[i] * b[i] over a's leading index, the products added in index
+    order: dot's slab sum for stacks whose summed axis comes first, where a
+    slab is contiguous (the terms broadcast to one shape)."""
+    total = a[0] * b[0]
+    term = np.empty_like(total)
+    for i in range(1, len(a)):
+        total += np.multiply(a[i], b[i], out=term)
+    return total
+
+
 def libm_pow(a, b):
     """a ** b elementwise, on floats or on arrays that broadcast, with the
     same bits for a float and for an array element.

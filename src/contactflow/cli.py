@@ -86,10 +86,7 @@ def _load_config(path: str) -> dict:
 
 
 def _chart_from(cfg: dict) -> Chart:
-    spec = cfg.get("chart")
-    if spec is None:
-        raise ConfigError("key 'chart' is required when no builtin scenario is used")
-    spec = _Block(spec, {"axes", "bounds"}, "'chart'")
+    spec = _Block(cfg["chart"], {"axes", "bounds"}, "'chart'")   # a symbol scenario's chart
     try:
         return Chart(spec["axes"], spec["bounds"])
     except TypeError as exc:

@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import _EPS, Chart, brentq, dot, fd_gradient, fd_steps, libm_pow, scan_roots
+from .charts import (_EPS, Chart, brentq, dot, fd_gradient, fd_steps, lead_dot, libm_pow,
+                     scan_roots)
 from .errors import ContractViolation, DegeneracyError
 
 #: strips with |p_s| below this are treated as the lightlike class
@@ -420,8 +421,8 @@ def _interpolate(K, y_old, t_old, h, taus, fixed: bool):
     """A step's continuous extension y_old + h * sum_j M[j] w_j(theta) at
     times taus (k, rows), theta = (tau - t_old) / h, from its stages K; returns
     (component, k, rows).  M (4, component, row) is K's first four stages
-    with cubic weights w_j for RK4, and K^T P (stages added in order) with
-    w_j = theta^(j + 1) for Dormand-Prince; the terms add in order of j."""
+    with cubic weights w_j for RK4, and K^T P with w_j = theta^(j + 1) for
+    Dormand-Prince; both sums are lead_dot's, in index order."""
     Ks = np.ascontiguousarray(K.transpose(0, 2, 1))   # the row axis innermost
     th = (taus - t_old) / h
     sq = th * th
@@ -430,13 +431,8 @@ def _interpolate(K, y_old, t_old, h, taus, fixed: bool):
         b23 = sq - 2.0 * cu / 3.0
         M, W = Ks, (th - 1.5 * sq + 2.0 * cu / 3.0, b23, b23, -0.5 * sq + 2.0 * cu / 3.0)
     else:
-        M, W = _P45[0][:, None, None] * Ks[0], (th, sq, cu, cu * th)
-        for s in range(1, len(_P45)):
-            M += _P45[s][:, None, None] * Ks[s]
-    S = M[0][:, None] * W[0]
-    term = np.empty_like(S)
-    for j in range(1, 4):
-        S += np.multiply(M[j][:, None], W[j], out=term)
+        M, W = lead_dot(_P45[:, :, None, None], Ks), (th, sq, cu, cu * th)
+    S = lead_dot(W, M[:, :, None])
     S *= h
     S += y_old.T[:, None]
     return S
@@ -456,13 +452,16 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
 
     Samples go straight into a (component, strip, column) buffer, rows
     (tau, x, s, p, p_s): column j is tau_eval[j] (with no grid, step j), and
-    an event point takes the strip's next column, past the grid a spare one.
+    an event point takes the strip's next column.  Past its count a strip's
+    columns are scratch: a step writes one block of columns for all its rows
+    (at most a grid's length past it, hence the width).
     The interpolant runs with the row axis innermost and adds in index order.
 
     Returns (stops, samples, counts): per strip "span_end", "boundary" or
     "event" (then its last sample is the event point) or the exception that
     ended it, a failed start check or a DegeneracyError at a touching point
-    or when the step size underflows; the samples (tau, x, s, p, p_s) of the
+    or when the step size underflows (its state the strip's last sample, or
+    where it stopped if it has none); the samples (tau, x, s, p, p_s) of the
     strips that did not raise, a (2m + 3, n) array in strip order; and each
     strip's sample count (0 if it raised).  An exception raised by the
     symbol ends the whole call.
@@ -478,16 +477,18 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
                 or np.any(tau_eval > max(t0, t1)) or np.any(sign * np.diff(tau_eval) <= 0)):
             raise ContractViolation("tau_eval must be a 1-D grid inside tau_span, "
                                     "strictly ordered from its start to its end")
-        ahead, n_cols = sign * tau_eval, len(tau_eval) + 1   # ascending; a spare column
+        ahead, n_cols = sign * tau_eval, 2 * len(tau_eval) + 1   # ascending; room past it
+    elif not fixed:
+        raise ContractViolation("adaptive mode samples a tau_eval grid")
     buf, counts = np.empty((Y0.shape[1] + 1, n_strips, n_cols)), np.zeros(n_strips, int)
 
     def record(i, col, tau, y):   # strip i's samples (tau, y), y component-major
         buf[0, i, col], buf[1:, i, col] = tau, y
 
-    def last(i):
-        """The last state recorded for strip i, its start if none."""
+    def last(i, tau, y):
+        """The last state recorded for strip i, else the state (tau, y)."""
         c = counts[i] - 1
-        return _unpack(E, buf[1:, i, c], buf[0, i, c]) if c >= 0 else _unpack(E, Y0[i], t0)
+        return _unpack(E, buf[1:, i, c], buf[0, i, c]) if c >= 0 else _unpack(E, y, tau)
 
     def event_values(T, Y, F):
         """Per row: the chart clearance, the degeneracy gap and the extras."""
@@ -527,10 +528,10 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             t_new, h = _step_tries(T, H, retry, t1, sign)
             small = np.isnan(h)
             if small.any():
-                for i in ids[small]:
-                    out[i] = DegeneracyError(
+                for r in small.nonzero()[0]:   # the state: the last sample or step end
+                    out[ids[r]] = DegeneracyError(
                         "integration failed: Required step size is less than spacing "
-                        "between numbers.", state=last(i))
+                        "between numbers.", state=last(ids[r], T[r], Y[r]))
                 ids, T, Y, F, Gev, H, retry = (a[~small] for a in (ids, T, Y, F, Gev, H, retry))
                 continue
             y_new, K = _rk45_step(E, Y, F, h)
@@ -567,7 +568,8 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             r = erow[first]
             hit[r], t_end[r], y_end[r] = ecol[first], roots[first], sol(roots[first], r)
 
-        # samples up to the step end, or up to the event, at each strip's next columns
+        # samples up to the step end, or up to the event, at each strip's next columns, one
+        # block for all rows: past a row's count it is scratch that later samples overwrite
         start = counts[sid]
         if tau_eval is None:
             upto = start + 1
@@ -576,15 +578,10 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             upto = np.searchsorted(ahead, sign * t_end, side="right")
             sub = (upto > start).nonzero()[0]
             if sub.size:
-                lo, hi = start[sub], upto[sub]
-                j = lo + np.arange((hi - lo).max())[:, None]   # (k, rows)
-                keep, taus = j < hi, tau_eval[np.minimum(j, len(tau_eval) - 1)]
+                j = start[sub] + np.arange((upto[sub] - start[sub]).max())[:, None]   # (k, rows)
+                taus = tau_eval[np.minimum(j, len(tau_eval) - 1)]
                 ys = _interpolate(K[:, sub], y_old[sub], t_old[sub], h[sub], taus, fixed)
-                if keep.all() and (lo == lo[0]).all():   # the rows share one block of columns
-                    record(sid[sub], slice(lo[0], hi[0]), taus.T, ys.transpose(0, 2, 1))
-                else:
-                    record(np.broadcast_to(sid[sub], j.shape)[keep], j[keep], taus[keep],
-                           ys[:, keep])
+                record(sid[sub], j, taus, ys)
         counts[sid] = upto
         if part:
             T[acc], Y[acc], F[acc], Gev[acc] = t_new, y_new, K[-1], g_new
@@ -599,9 +596,9 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             elif hit[r] == 1:
                 out[i] = DegeneracyError(
                     f"degenerate (touching) point reached near tau = {t_end[r]:.6g}",
-                    state=last(i))
+                    state=last(i, t_end[r], y_end[r]))
             else:
-                if not counts[i] or last(i).tau != t_end[r]:
+                if not counts[i] or buf[0, i, counts[i] - 1] != t_end[r]:
                     record(i, counts[i], t_end[r], y_end[r])
                     counts[i] += 1
                 out[i] = "boundary" if hit[r] == 0 else "event"
@@ -658,9 +655,9 @@ def _propagate_stack(E: SymbolSurface, Y0, tau_span, integ: IntegratorConfig | N
     integrator call, one projection call.  Returns per strip its stop or the
     exception that ended it, each strip's number of samples, and the samples
     (taus, X, S, P, PS, G) in strip order (None if no strip ran), taus, X, S
-    and PS views of the integrator's sample array.  When the
-    stacked run raises (say, the symbol raises at one strip's state), each
-    row runs on its own, so the error reaches only the strips that raise it."""
+    and PS views of the integrator's sample array.  When the stacked run
+    raises (say, the symbol raises at one strip's state), each row runs on
+    its own, so the error reaches only the strips that raise it."""
     try:
         integ = integ or IntegratorConfig()
         t0, t1 = float(tau_span[0]), float(tau_span[1])

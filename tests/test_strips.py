@@ -368,11 +368,13 @@ def test_step_control_has_the_per_row_bits():
             assert np.array_equal(a, b, equal_nan=True)
 
 
-def _with_touching_face(E, half_width):
-    """E times the distance to the lower face of axis 0, on the box
-    |x_i| <= half_width: inside it has E's characteristics at another speed,
-    and on that face every covector is a touching zero."""
-    chart = cf.Chart(E.chart.axis_names, [(-half_width, half_width)] * E.dim)
+def _with_touching_face(E, half_width, reach=None):
+    """E times the distance to the face x_0 = -half_width, on the box
+    |x_i| <= reach (default: half_width, so the face is the lower one of
+    axis 0): inside it has E's characteristics at another speed, and on that
+    face every covector is a touching zero."""
+    reach = reach or half_width
+    chart = cf.Chart(E.chart.axis_names, [(-reach, reach)] * E.dim)
 
     def value(x, p, p_s):
         return (x[..., 0] + half_width) * E.value(x, p, p_s)
@@ -410,20 +412,24 @@ def test_batch_equals_its_strips_bit_for_bit(name, tau_end, method):
 
 
 @pytest.mark.parametrize("method", ["adaptive", "fixed"])
-@pytest.mark.parametrize("case", ["grid-ends-before-exits", "empty-grid", "zero-span"])
+@pytest.mark.parametrize("case", ["grid-ends-before-exits", "empty-grid", "zero-span",
+                                  "dense-grid"])
 def test_ragged_samples_stack_like_their_rows(case, method):
     # strips reaching t1 next to strips that leave the chart and one that
     # raises at its start, at speeds that differ by row, so the rows of a
-    # step sample different grid columns: per strip, the stack keeps the
-    # samples, their count and the stop of that strip run alone
+    # step sample different grid columns (on the dense grid, a step's block
+    # of columns runs past the grid for some rows): per strip, the stack
+    # keeps the samples, their count and the stop of that strip run alone
     E = _with_touching_face(_SYMBOLS["eikonal"], 2.0)
     integ = cf.IntegratorConfig(method=method, dt=0.01)
-    states = cf.sample_onshell(E, np.random.default_rng(1), 6, margin=0.5)
+    n = 12 if case == "dense-grid" else 6
+    states = cf.sample_onshell(E, np.random.default_rng(1), n, margin=0.5)
     touching = cf.CharacteristicState([-2.0, 0.0], 0.0, [0.3, 0.3], 1.0)
     inits = states[:3] + [touching] + states[3:]
     grid = np.linspace(0.0, 0.45, 10)   # every exit is past tau = 0.5
     span, tau_eval = {"grid-ends-before-exits": ((0.0, 2.5), grid),
-                      "empty-grid": ((0.0, 2.5), []), "zero-span": ((0.0, 0.0), [])}[case]
+                      "empty-grid": ((0.0, 2.5), []), "zero-span": ((0.0, 0.0), []),
+                      "dense-grid": ((0.0, 2.5), np.linspace(0.0, 2.5, 201))}[case]
     # the integrator itself: a stacked run that raised would fall back to rows
     Y0 = np.array([_pack(s) for s in inits])
     stops, samples, counts = strips._integrate(E, Y0, *span, tau_eval, integ)
@@ -447,9 +453,38 @@ def test_ragged_samples_stack_like_their_rows(case, method):
         assert not any(exits) and all(list(one.taus) == [0.0] for one in strips_alone)
         return
     assert any(exits) and not all(exits)
-    for one in strips_alone:   # the grid, then the exit point (past the grid: the spare column)
+    if case == "dense-grid":
+        return
+    for one in strips_alone:   # the grid, then the exit point, past the grid
         if one.boundary_exit:
             assert list(one.taus[:-1]) == list(tau_eval) and one.taus[-1] > 0.5
             assert abs(E.chart.boundary_clearance(one.x[-1])) < 1e-7
         else:   # with no grid point in its run, a strip is its start point
             assert list(one.taus) == (list(tau_eval) or [0.0])
+
+
+@pytest.mark.parametrize("method", ["adaptive", "fixed"])
+def test_touching_point_error_carries_where_the_strip_stopped(method):
+    # the touching face x_0 = -1 lies inside the chart; flow_to_event samples
+    # no grid, so its error carries the touching point it names, and
+    # propagate its last sample (with no grid, in fixed mode: the same point)
+    E = _with_touching_face(_SYMBOLS["eikonal"], 1.0, reach=3.0)
+    st0 = cf.sample_onshell(E, np.random.default_rng(0), 1, margin=2.5)[0]
+    st0 = cf.CharacteristicState(st0.x, 0.0, -st0.p, 1.0)   # heading for the face
+    integ = cf.IntegratorConfig(method=method, dt=0.01)
+    with pytest.raises(cf.DegeneracyError) as err:
+        strips.flow_to_event(E, st0, 50.0, lambda t, y: y[0] - 2.9, integ)
+    state = err.value.state
+    assert f"near tau = {state.tau:.6g}" in str(err.value) and state.tau > 1.0
+    assert state.x[0] == pytest.approx(-1.0, abs=1e-6)
+    with pytest.raises(cf.DegeneracyError) as err:
+        cf.propagate(E, st0, (0.0, 50.0), integ)
+    grid = np.linspace(0.0, 50.0, integ.n_out)
+    last = state.tau if method == "fixed" else grid[grid < state.tau][-1]
+    assert err.value.state.tau == last
+
+
+def test_adaptive_integration_needs_a_grid(free):
+    Y0 = _pack(free.initial_states[0])[None]
+    with pytest.raises(cf.ContractViolation, match="tau_eval grid"):
+        strips._integrate(free.surface, Y0, 0.0, 1.0, None, cf.IntegratorConfig())
