@@ -241,23 +241,19 @@ def dot(a, b):
     Elementwise * and + are exactly rounded, so the bits depend on neither
     the BLAS kernel nor numpy's SIMD dispatch, and a row of a stack gets the
     bits it gets alone.  Few rows take one np.add.accumulate call, whose
-    r[i] = r[i - 1] + t[i] is that order by definition; many rows take one
-    slab addition per index, which is faster there.
+    r[i] = r[i - 1] + t[i] is that order by definition; many rows take
+    lead_dot over the components, which is faster there.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    n = a.shape[-1]
-    if max(a.size, b.size) < 128 * n:
+    if max(a.size, b.size) < 128 * a.shape[-1]:
         return np.add.accumulate(a * b, axis=-1)[..., -1]
-    total = a[..., 0] * b[..., 0]
-    for i in range(1, n):
-        total += a[..., i] * b[..., i]
-    return total
+    return lead_dot(components(a), components(b))
 
 
 def lead_dot(a, b):
-    """sum_i a[i] * b[i] over a's leading index, the products added in index
-    order: dot's slab sum for stacks whose summed axis comes first, where a
-    slab is contiguous (the terms broadcast to one shape)."""
+    """sum_i a[i] * b[i] over the leading index of a and b, arrays or lists
+    of slabs (dot passes its components), the products added in index order;
+    the terms broadcast to one shape."""
     total = a[0] * b[0]
     term = np.empty_like(total)
     for i in range(1, len(a)):
@@ -267,27 +263,41 @@ def lead_dot(a, b):
 
 def libm_pow(a, b):
     """a ** b elementwise, on floats or on arrays that broadcast, with the
-    same bits for a float and for an array element.
+    same bits for a Python float, an np.float64 (either keeps its type) and
+    an array element.
 
     A non-negative integer exponent is repeated multiplication; any other
     goes through the C library's pow (math.pow), which numpy's ** does not
-    match on arrays.
+    match on arrays.  Where math.pow raises (a domain edge, an overflow) the
+    value is numpy's NaN or +-inf: it never raises, warns or is complex.
     """
     if isinstance(b, (int, float)):
-        if not isinstance(a, float):
-            a = np.asarray(a, dtype=float)
-        if b >= 0 and float(b).is_integer():
-            out = 1.0 if isinstance(a, float) else np.ones(a.shape)
-            for _ in range(int(b)):
-                out = out * a   # 1 * a is exact
-            return out
-        if isinstance(a, float):
-            return a ** b
-        return np.fromiter(map(math.pow, memoryview(a.ravel()), itertools.repeat(b)),
-                           float, a.size).reshape(a.shape)
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    return np.fromiter(map(math.pow, memoryview(a.ravel()), memoryview(b.ravel())),
-                       float, a.size).reshape(a.shape)
+        chain = b >= 0 and float(b).is_integer()
+        if isinstance(a, float):   # in Python floats, which never warn
+            x = float(a)
+            return type(a)(math.prod(itertools.repeat(x, int(b))) if chain else _pow(x, b))
+        a = np.asarray(a, dtype=float)
+        if chain:
+            with np.errstate(over="ignore"):   # an overflow is inf; 1 * a is exact
+                return math.prod(itertools.repeat(a, int(b)), start=np.ones(a.shape))
+        bs = [b] * a.size
+    else:
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        bs = memoryview(b.ravel())
+    try:
+        out = np.fromiter(map(math.pow, memoryview(a.ravel()), bs), float, a.size)
+    except (ValueError, OverflowError):   # some element is at a domain edge or overflows
+        out = np.fromiter(map(_pow, memoryview(a.ravel()), bs), float, a.size)
+    return out.reshape(a.shape)
+
+
+def _pow(a: float, b: float) -> float:
+    """math.pow, or numpy's NaN or +-inf where math.pow raises."""
+    try:
+        return math.pow(a, b)
+    except (ValueError, OverflowError):
+        with np.errstate(all="ignore"):
+            return float(np.power(a, b))
 
 
 class ScalarField:

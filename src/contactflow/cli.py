@@ -24,16 +24,16 @@ from .operators import (LinearDiffOperator, eikonal_residual, poly_phase,
                         symbol_scaling_check)
 from .phase import holonomy, square_loop
 from .scenarios import Scenario, _zero_connection, builtin
-from .strips import CharacteristicState, Fiber, IntegratorConfig, propagate
+from .strips import CharacteristicState, IntegratorConfig, propagate
 
 SCHEMA_VERSION = 1
 SUBCOMMANDS = ("propagate", "wavefront", "noether-check", "symbol",
                "holonomy", "wave-diagram")
 STRIP_SUBCOMMANDS = SUBCOMMANDS[:3]   # the runs that integrate strips
 SCENARIO_KEYS = {"builtin", "builtin_args", "symbol", "name"}
-CONFIG_KEYS = {"schema_version", "chart", "fiber", "scenario", "constants", "connection",
-               "strips", "tau_span", "integrator", "front", "symmetries", "operator",
-               "lambdas", "phases", "loops", "diagram"}   # the top-level keys runs read
+CONFIG_KEYS = {"schema_version", "chart", "scenario", "constants", "connection", "strips",
+               "tau_span", "integrator", "front", "symmetries", "operator", "lambdas",
+               "phases", "loops", "diagram"}   # the top-level keys runs read
 
 
 class _Block(dict):
@@ -93,12 +93,6 @@ def _chart_from(cfg: dict) -> Chart:
         raise ConfigError(f"bad 'chart' block: {exc}") from exc
 
 
-def _fiber_from(cfg: dict) -> Fiber:
-    spec = _Block(cfg.get("fiber") or {"group": "line"}, {"group", "period"}, "'fiber'")
-    return Fiber(group=spec.choice("group", ("line", "circle")),
-                 period=float(spec.get("period", 2 * np.pi)))
-
-
 def _scenario_from(cfg: dict) -> Scenario:
     spec = _Block(cfg["scenario"], SCENARIO_KEYS, "'scenario'")
     sources = [k for k in ("builtin", "symbol") if k in spec]
@@ -112,8 +106,7 @@ def _scenario_from(cfg: dict) -> Scenario:
         sym = _Block(spec["symbol"], {"expression", "degree"}, "'symbol'")
         chart = _chart_from(cfg)
         E = symbol_surface(sym["expression"], chart, _integral(sym["degree"], "symbol degree"),
-                           constants=constants, fiber=_fiber_from(cfg),
-                           name=spec.get("name", "custom"))
+                           constants=constants, name=spec.get("name", "custom"))
         scen = Scenario(spec.get("name", "custom"), E, _zero_connection(chart))
     conn_exprs = cfg.get("connection")
     if conn_exprs:
@@ -389,15 +382,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except out_io.OutputError as exc:
+    except OSError as exc:   # out_io.OutputError too
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except ContactFlowError as exc:
         print(f"numerical failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
     report_path = args.report or os.path.join(args.out, "report.json")
     try:
         out_io.write_report(report_path, report)

@@ -16,7 +16,7 @@ from sympy.printing.numpy import NumPyPrinter
 
 from .charts import Chart, ScalarField, components, libm_pow, stack_last
 from .errors import ConfigError
-from .strips import Fiber, SymbolSurface
+from .strips import SymbolSurface
 
 #: function names the grammar admits (EBNF in the README)
 ALLOWED_FUNCTIONS = {
@@ -154,7 +154,7 @@ def momentum_names(chart: Chart) -> list[str]:
 
 def symbol_surface(expr: str, chart: Chart, degree: int,
                    constants: Mapping[str, float] | None = None,
-                   fiber: Fiber | None = None, name: str = "") -> SymbolSurface:
+                   name: str = "") -> SymbolSurface:
     """Symbol G(x, p, p_s) from an expression over axes and p_<axis>, p_s."""
     names = list(chart.axis_names) + momentum_names(chart)
     tree, syms = _parse(expr, names, constants)
@@ -170,7 +170,6 @@ def symbol_surface(expr: str, chart: Chart, degree: int,
         vals = _stack_partials([g(*cols) for g in partials], p_s.shape)
         return vals[..., :m], vals[..., m:2 * m], vals[..., 2 * m]
 
-    E = SymbolSurface(chart, value, degree, grad=grad,
-                      fiber=fiber or Fiber(), name=name or expr)
+    E = SymbolSurface(chart, value, degree, grad=grad, name=name or expr)
     E.expression = expr
     return E

@@ -219,7 +219,9 @@ def propagate_front(E: SymbolSurface, lift: Lift, taus, integ: IntegratorConfig 
     event is recorded wherever the determinant changes sign between
     consecutive tau samples.  A closed front must be uniformly sampled in u
     (over its period, when its lift carries one), so a closed lift that
-    dropped samples, an end sample included, raises ContractViolation.
+    dropped samples, an end sample included, raises ContractViolation, as
+    does a ray that stops early.  An exception the symbol raises, or a NaN
+    inside an event's bracket (brentq's ValueError), reaches the caller.
     """
     if not lift:
         raise ContractViolation("empty lift")

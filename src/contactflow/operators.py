@@ -19,7 +19,7 @@ import numpy as np
 
 from .charts import Chart, PolyField, dot, libm_pow
 from .errors import (ContractViolation, DataQualityError, FitQualityError)
-from .strips import Fiber, SymbolSurface
+from .strips import SymbolSurface
 
 Coefficient = "float | PolyField"
 
@@ -114,8 +114,7 @@ class PrincipalSymbol:
         return self.poly.gradient(_joined(x, xi))[..., :self.chart.dim]
 
 
-def equivariant_reduce(symbol: PrincipalSymbol, weight: float,
-                       fiber: Fiber | None = None) -> SymbolSurface:
+def equivariant_reduce(symbol: PrincipalSymbol, weight: float) -> SymbolSurface:
     """Fold the fiber momentum out: xi_s := weight * p_s on a base-axes chart.
 
     At p_s = 1 this is the plain substitution xi_s = weight; keeping the p_s
@@ -145,8 +144,7 @@ def equivariant_reduce(symbol: PrincipalSymbol, weight: float,
         return g[..., :m], g[..., m:2 * m], g[..., 2 * m]
 
     name = f"reduced({D.name or 'operator'}, w={weight:g})"
-    return SymbolSurface(base, value, symbol.degree, grad=grad,
-                         fiber=fiber or Fiber(), name=name)
+    return SymbolSurface(base, value, symbol.degree, grad=grad, name=name)
 
 
 # --- exact oscillatory expansion -------------------------------------------

@@ -76,13 +76,11 @@ class SymbolSurface:
     """
 
     def __init__(self, chart: Chart, value: Callable, degree: int,
-                 grad: Callable | None = None, fiber: Fiber = Fiber(),
-                 name: str = ""):
+                 grad: Callable | None = None, name: str = ""):
         self.chart = chart
         self._value = value
         self._grad = grad
         self.degree = int(degree)
-        self.fiber = fiber
         self.name = name
         if self.degree < 1:
             raise ContractViolation("homogeneity degree must be a positive integer")
@@ -95,21 +93,25 @@ class SymbolSurface:
         """G at one point (a float), or at stacked points (an array).
 
         x and p have shape (..., m) and p_s shape (...); stacks broadcast
-        against each other and against single-point arguments.
+        against each other and against single-point arguments.  A stacked
+        value is a new array, which the projection writes into.
         """
         x, p, p_s, shape = _symbol_args(x, p, p_s)
         g = self._value(x, p, p_s)
-        return float(g) if shape is None else _filled(g, shape)
+        return float(g) if shape is None else np.array(np.broadcast_to(g, shape), float)
 
     def gradient(self, x, p, p_s):
         """Return (dG/dx, dG/dp, dG/dp_s), of shapes (..., m), (..., m) and
-        (...) at stacked points; dG/dp_s is a float at a single point."""
+        (...) at stacked points; dG/dp_s is a float at a single point.  The
+        arrays may be views (of the arguments, or read-only broadcasts of a
+        partial given below the stack shape): read them, never write.
+        """
         x, p, p_s, shape = _symbol_args(x, p, p_s)
         gx, gp, gps = (self._grad or self._fd_gradient)(x, p, p_s)
         if shape is None:
             return np.asarray(gx, float), np.asarray(gp, float), float(gps)
         vec = shape + (self.dim,)
-        return _filled(gx, vec), _filled(gp, vec), _filled(gps, shape)
+        return _at_shape(gx, vec), _at_shape(gp, vec), _at_shape(gps, shape)
 
     def _fd_gradient(self, x, p, p_s):
         m = self.dim
@@ -145,14 +147,15 @@ def _symbol_args(x, p, p_s):
             return x, p, np.float64(p_s), None
     p_s = np.asarray(p_s, float)
     shape = np.broadcast_shapes(x.shape[:-1], p.shape[:-1], p_s.shape)
-    x, p = (a if a.shape[:-1] == shape else np.broadcast_to(a, shape + a.shape[-1:])
-            for a in (x, p))
-    return x, p, p_s if p_s.shape == shape else np.broadcast_to(p_s, shape), shape
+    return (_at_shape(x, shape + x.shape[-1:]), _at_shape(p, shape + p.shape[-1:]),
+            _at_shape(p_s, shape), shape)
 
 
-def _filled(a, shape) -> np.ndarray:
-    """A new float array of the given shape from a (a scalar broadcasts)."""
-    return np.array(np.broadcast_to(np.asarray(a, float), shape))
+def _at_shape(a, shape) -> np.ndarray:
+    """a as a float array of the given shape: a itself if it has that shape,
+    else a read-only broadcast view (a scalar broadcasts)."""
+    a = np.asarray(a, float)
+    return a if a.shape == shape else np.broadcast_to(a, shape)
 
 
 @dataclass(frozen=True)
@@ -194,17 +197,12 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("adaptive", "fixed"):
             raise ContractViolation(f"unknown integrator method {self.method!r}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol >= 0):
-            raise ContractViolation(
-                f"abs_tol must be finite and not negative, got {self.abs_tol!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ContractViolation(f"dt must be finite and positive, got {self.dt!r}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0):
-            raise ContractViolation(
-                f"rel_tol must be finite and not negative, got {self.rel_tol!r}")
-        if not (math.isfinite(self.tol_onshell) and self.tol_onshell > 0):
-            raise ContractViolation(
-                f"tol_onshell must be finite and positive, got {self.tol_onshell!r}")
+        for key, zero in (("abs_tol", True), ("dt", False), ("rel_tol", True),
+                          ("tol_onshell", False)):
+            v = getattr(self, key)
+            if not (math.isfinite(v) and (v >= 0 if zero else v > 0)):
+                raise ContractViolation(f"{key} must be finite and "
+                                        f"{'not negative' if zero else 'positive'}, got {v!r}")
         if not (isinstance(self.n_out, (int, np.integer)) and self.n_out >= 2):
             raise ContractViolation(f"n_out must be an integer of at least 2, got {self.n_out!r}")
 
@@ -251,7 +249,7 @@ def _start_errors(E: SymbolSurface, Y, t0: float, tol_onshell: float) -> tuple[l
     X, P, PS = Y[:, :m], Y[:, m + 1:2 * m + 1], Y[:, 2 * m + 1]
     G = E.value(X, P, PS)
     scale = _onshell_scale(E, P, PS)
-    off = np.abs(G) > tol_onshell * np.where(scale > 1.0, scale, 1.0)
+    off = ~(np.abs(G) <= tol_onshell * np.where(scale > 1.0, scale, 1.0))   # NaN is off
     ok = ~off & E.chart.contains(X)
     errors = [None if ok[r] else ContractViolation(
         f"initial state is off-shell: G = {G[r]:.3e}" if off[r]
@@ -459,12 +457,14 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
 
     Returns (stops, samples, counts): per strip "span_end", "boundary" or
     "event" (then its last sample is the event point) or the exception that
-    ended it, a failed start check or a DegeneracyError at a touching point
-    or when the step size underflows (its state the strip's last sample, or
-    where it stopped if it has none); the samples (tau, x, s, p, p_s) of the
-    strips that did not raise, a (2m + 3, n) array in strip order; and each
-    strip's sample count (0 if it raised).  An exception raised by the
-    symbol ends the whole call.
+    ended it, a failed start check (a NaN G is off shell) or a
+    DegeneracyError at a touching point, when the step size underflows (a
+    NaN error norm rejects a step) or at a fixed step whose stages are not
+    finite (its state the strip's last sample, or where it stopped if it has
+    none); the samples (tau, x, s, p, p_s) of the strips that did not raise,
+    a (2m + 3, n) array in strip order; and each strip's sample count (0 if
+    it raised).  An exception that the symbol or an event raises ends the
+    whole call, and so does a NaN inside an event's bracket (brentq raises).
     """
     sign = 1.0 if t1 >= t0 else -1.0
     fixed, m, n_strips = integ.method == "fixed", E.dim, len(Y0)
@@ -489,6 +489,12 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
         """The last state recorded for strip i, else the state (tau, y)."""
         c = counts[i] - 1
         return _unpack(E, buf[1:, i, c], buf[0, i, c]) if c >= 0 else _unpack(E, y, tau)
+
+    def fail(bad, message):   # the rows bad sets end, at their last sample or their T, Y
+        nonlocal ids, T, Y, F, Gev, H, retry
+        for r in bad.nonzero()[0]:
+            out[ids[r]] = DegeneracyError(message, state=last(ids[r], T[r], Y[r]))
+        ids, T, Y, F, Gev, H, retry = (a[~bad] for a in (ids, T, Y, F, Gev, H, retry))
 
     def event_values(T, Y, F):
         """Per row: the chart clearance, the degeneracy gap and the extras."""
@@ -520,19 +526,20 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
         # propose a step per row; acc are the rows that take it
         if fixed:
             k_step += 1
+            y_new, K = _rk4_step(E, Y, F, h_fix)
+            if not np.isfinite(K).all():   # one check a step, the rows only on a failure
+                bad = ~np.isfinite(K).all(axis=(0, 2))
+                fail(bad, "integration failed: a step's stages are not finite")
+                y_new, K = y_new[~bad], K[:, ~bad]
             t_new = np.full(len(ids), t1 if k_step == n_steps else t0 + k_step * h_fix)
             h = np.full(len(ids), h_fix)
-            y_new, K = _rk4_step(E, Y, F, h_fix)
             acc = np.arange(len(ids))
         else:
             t_new, h = _step_tries(T, H, retry, t1, sign)
             small = np.isnan(h)
             if small.any():
-                for r in small.nonzero()[0]:   # the state: the last sample or step end
-                    out[ids[r]] = DegeneracyError(
-                        "integration failed: Required step size is less than spacing "
-                        "between numbers.", state=last(ids[r], T[r], Y[r]))
-                ids, T, Y, F, Gev, H, retry = (a[~small] for a in (ids, T, Y, F, Gev, H, retry))
+                fail(small, "integration failed: Required step size is less than spacing "
+                            "between numbers.")
                 continue
             y_new, K = _rk45_step(E, Y, F, h)
             scale = atol + np.maximum(np.abs(Y), np.abs(y_new)) * rtol
@@ -653,37 +660,27 @@ def _propagate_stack(E: SymbolSurface, Y0, tau_span, integ: IntegratorConfig | N
                      tau_eval) -> tuple:
     """propagate() over the packed state stack Y0, rows (x, s, p, p_s): one
     integrator call, one projection call.  Returns per strip its stop or the
-    exception that ended it, each strip's number of samples, and the samples
-    (taus, X, S, P, PS, G) in strip order (None if no strip ran), taus, X, S
-    and PS views of the integrator's sample array.  When the stacked run
-    raises (say, the symbol raises at one strip's state), each row runs on
-    its own, so the error reaches only the strips that raise it."""
-    try:
-        integ = integ or IntegratorConfig()
-        t0, t1 = float(tau_span[0]), float(tau_span[1])
-        if not (np.isfinite(t0) and np.isfinite(t1)):
-            raise ContractViolation("tau_span must be finite")
-        if t0 == t1:
-            tau_eval = ()            # an empty grid: the strip is its start point
-        elif tau_eval is None and integ.method != "fixed":   # fixed mode returns its step grid
-            tau_eval = np.linspace(t0, t1, integ.n_out)
-        stops, run, counts = _integrate(E, Y0, t0, t1, tau_eval, integ)
-        samples, m = None, E.dim
-        if run.shape[1]:
-            taus, X, S, P, PS = run[0], run[1:m + 1].T, run[m + 1], run[m + 2:-1].T, run[-1]
-            # the projection acts sample by sample, so all strips take one call
-            P, G = (P, E.value(X, P, PS)) if t0 == t1 else _project_strip(E, X, P, PS,
-                                                                          integ.tol_onshell)
-            samples = (taus, X, S, P, PS, G)
-    except Exception as exc:  # noqa: BLE001 - per-strip isolation is the contract
-        if len(Y0) == 1:
-            return [exc], np.zeros(1, int), None
-        parts = [_propagate_stack(E, Y0[r:r + 1], tau_span, integ, tau_eval)
-                 for r in range(len(Y0))]
-        ran = [part[2] for part in parts if part[2] is not None]
-        return ([part[0][0] for part in parts], np.concatenate([part[1] for part in parts]),
-                tuple(map(np.concatenate, zip(*ran))) if ran else None)
-    return stops, counts, samples
+    exception that ended it, as _integrate decides, each strip's number of
+    samples, and the samples (taus, X, S, P, PS, G) in strip order (None if
+    no strip ran), taus, X, S and PS views of the integrator's sample array.
+    Any exception raised (by the symbol, say) ends the whole call."""
+    integ = integ or IntegratorConfig()
+    t0, t1 = float(tau_span[0]), float(tau_span[1])
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ContractViolation("tau_span must be finite")
+    if t0 == t1:
+        tau_eval = ()            # an empty grid: the strip is its start point
+    elif tau_eval is None and integ.method != "fixed":   # fixed mode returns its step grid
+        tau_eval = np.linspace(t0, t1, integ.n_out)
+    stops, run, counts = _integrate(E, Y0, t0, t1, tau_eval, integ)
+    if not run.shape[1]:
+        return stops, counts, None
+    m = E.dim
+    taus, X, S, P, PS = run[0], run[1:m + 1].T, run[m + 1], run[m + 2:-1].T, run[-1]
+    # the projection acts sample by sample, so all strips take one call
+    P, G = (P, E.value(X, P, PS)) if t0 == t1 else _project_strip(E, X, P, PS,
+                                                                  integ.tol_onshell)
+    return stops, counts, (taus, X, S, P, PS, G)
 
 
 def _strip_items(E: SymbolSurface, stops: list, counts, samples) -> list[BatchItem]:
@@ -716,8 +713,10 @@ def batch_propagate(E: SymbolSurface, inits: Sequence[CharacteristicState], tau_
                     tau_eval: Sequence[float] | None = None) -> list[BatchItem]:
     """propagate() over a list of initial states, integrated as one stack.
 
-    Failures are carried per item, and an error the symbol raises at one
-    strip's state reaches only that item.
+    A strip that ends in a failed start check or a DegeneracyError carries
+    it in its item, as propagate would raise it.  An exception that the
+    symbol raises at any strip's state, a bad argument, or a NaN met inside
+    an event's bracket (brentq's ValueError) reaches the caller.
     """
     if not inits:
         return []

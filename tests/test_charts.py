@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 import contactflow as cf
-from contactflow.charts import Chart, PolyField, ScalarField, brentq, dot, scan_roots
+from contactflow.charts import (Chart, PolyField, ScalarField, brentq, dot, libm_pow,
+                               scan_roots)
 
 
 def test_chart_validation():
@@ -79,6 +81,51 @@ def test_random_polynomial_gradient_consistency(deg, x0):
     pt = np.array([x0, -x0 / 2])
     fd = ScalarField(ch, f.value)   # no grad: central differences
     assert np.allclose(f.gradient(pt), fd.gradient(pt), rtol=0.0, atol=1e-8)
+
+
+# ------------------------------------------------------------------ libm_pow
+
+_POW_BASES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, -2.0, 1e300,
+                     -1e300, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False))
+_POW_EXPONENTS = st.one_of(
+    st.integers(0, 7), st.integers(-7, 7).map(float),
+    st.sampled_from([0.5, -0.5, 1.5, -1.5, 1 / 3, -0.2, 2.5, 400.5, -400.5, -1e300]),
+    st.floats(-60.0, 60.0))
+
+
+def _same(x, y) -> bool:
+    """Bit for bit, or both NaN."""
+    return (math.isnan(x) and math.isnan(y)) or np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@given(a=_POW_BASES, b=_POW_EXPONENTS)
+@settings(max_examples=400, deadline=None)
+def test_libm_pow_has_one_value_for_a_float_an_np_float64_and_an_array_element(a, b):
+    # at a domain edge or on overflow math.pow raises, a float's ** raises or
+    # is complex and an np.float64's warns; every form gives numpy's value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one, scalar = libm_pow(a, b), libm_pow(np.float64(a), b)
+        element = libm_pow(np.array([1.0, a]), b)[1]
+        both = libm_pow(np.array([1.0, a]), np.array([1.0, b]))[1]
+        with np.errstate(all="ignore"):
+            edge = float(np.power(a, b))
+    assert type(one) is float and type(scalar) is np.float64
+    assert _same(one, scalar) and _same(one, element)
+    if b >= 0 and float(b).is_integer():   # the product chain
+        chain = 1.0
+        for _ in range(int(b)):
+            chain = chain * a
+        assert _same(one, chain)
+    else:   # an array of exponents goes through math.pow for every element
+        assert _same(one, both)
+        try:
+            want = math.pow(a, b)
+        except (ValueError, OverflowError):
+            want = edge
+        assert _same(one, want)
 
 
 # ------------------------------------------------------------------ root scan

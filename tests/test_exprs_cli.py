@@ -365,6 +365,29 @@ _SYMBOL_RUN = ("chart: {axes: [t, x], bounds: [[-5, 5], [-5, 5]]}\n"
                "strips: [{x: [0.0, 0.0], p: [-0.5, 1.0]}]\ntau_span: [0, 1]\n")
 
 
+_ROOT_RUN = ("chart: {axes: [t, x], bounds: [[-5, 5], [-5, 5]]}\n"
+             "scenario: {symbol: {expression: 'p_t*p_s + 0.5*p_x**2 + 0.1*(x + 1)**1.5*p_s**2',"
+             " degree: 2}}\ntau_span: [0, 1]\n")   # NaN for x < -1
+
+
+@pytest.mark.parametrize("strip,extra,message", [
+    ("{x: [0.0, -2.0], p: [-0.5, 1.0]}", [],
+     "numerical failure (ContractViolation): initial state is off-shell: G = nan"),
+    ("{x: [0.0, 0.0], p: [-4.6, -3.0]}", ["--fixed-step", "0.01"],
+     "numerical failure (DegeneracyError): integration failed: a step's stages are not finite"),
+], ids=["nan-start", "fixed-step-crosses-x=-1"])
+def test_cli_symbol_outside_its_domain_is_a_numerical_failure(tmp_path, capsys, strip, extra,
+                                                              message):
+    # the start ended in a ValueError traceback (exit 1); the fixed-step run
+    # wrote NaN rows from tau 0.38 on and reported max_abs_g "nan" at exit 0
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"schema_version: 1\n{_ROOT_RUN}strips: [{strip}]\n")
+    out = tmp_path / "out"
+    assert main(["propagate", "--config", str(cfg), "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err.strip() == message
+    assert not list(out.glob("*.csv")) and not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("sub,block,message", [
     ("wavefront", "scenario: {builtin: eikonal}\nfront: {n: 8, ntau: 5}\n",
      "unknown 'front' keys ['ntau']"),
@@ -377,7 +400,7 @@ _SYMBOL_RUN = ("chart: {axes: [t, x], bounds: [[-5, 5], [-5, 5]]}\n"
      "unknown strip #0 keys ['ps']"),
     ("propagate", _SYMBOL_RUN + "fiber: {group: circle, perod: 1}\n"
                   "scenario: {symbol: {expression: p_t*p_s + p_x**2/2, degree: 2}}\n",
-     "unknown 'fiber' keys ['perod']"),
+     "unknown top-level keys ['fiber']"),
     ("propagate", _SYMBOL_RUN + "scenario: {symbol: {expression: p_t*p_s + p_x**2/2, "
                                 "degree: 2.9}}\n",
      "symbol degree must be an integer, got 2.9"),
@@ -449,14 +472,14 @@ _SYMBOL = "scenario: {symbol: {expression: p_t*p_s + p_x**2/2, degree: 2}}\n"
     ("wavefront", "scenario: {builtin: eikonal}\nfront: {kind: sqare}\n",
      "'front' kind must be one of ['circle', 'flat'], got 'sqare'"),
     ("propagate", _SYMBOL_RUN + "fiber: {group: torus}\n" + _SYMBOL,
-     "'fiber' group must be one of ['line', 'circle'], got 'torus'"),
+     "unknown top-level keys ['fiber']"),
 ], ids=["chart-axes", "chart-bounds", "symbol-expression", "symbol-degree",
         "strip-x", "strip-p", "front-axis", "front-value", "symmetry-v", "poly-c",
         "operator-coeff", "loop-side", "phase-mode", "front-kind", "fiber-group"])
 def test_cli_missing_key_or_unknown_choice_is_a_config_error(tmp_path, capsys, sub, block,
                                                               message):
-    # at the parent most of these ended in a KeyError traceback; the phase
-    # mode ran the scaling check at exit 0 and the fiber group exited 2
+    # most of these ended in a KeyError traceback and the phase mode ran the
+    # scaling check at exit 0; no run reads a fiber block, so it is unknown
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("schema_version: 1\n" + block)
     out = tmp_path / "out"

@@ -280,10 +280,11 @@ def test_front_samples_that_leave_the_chart_are_counted():
         cf.propagate_front(sc.surface, lift, np.linspace(0.0, 3.0, 11), closed=True)
 
 
-def test_a_symbol_error_reaches_only_the_front_samples_that_raise_it():
+def test_a_symbol_error_reaches_the_caller_of_a_front_or_a_batch():
     # the symbol raises on x > 1.2, which the outward rays at u = 0 and
-    # u = +-2pi/16 reach before tau = 0.5; the stacked run raises, each ray
-    # is rerun on its own and the other 13 propagate
+    # u = +-2pi/16 reach before tau = 0.5: the stacked run ends there, and
+    # the error reaches the caller unchanged (not a ContractViolation, and
+    # not an item's error); the 13 other rays alone propagate
     E = _eik().surface
 
     def guarded(f):
@@ -295,8 +296,14 @@ def test_a_symbol_error_reaches_only_the_front_samples_that_raise_it():
 
     F = cf.SymbolSurface(E.chart, guarded(E.value), E.degree, grad=guarded(E.gradient))
     lift = cf.legendre_lift(F, cf.circle_front(E.chart, 1.0, 16))
-    with pytest.raises(cf.ContractViolation, match=r"^3 front samples failed .* u index 0\)$"):
-        cf.propagate_front(F, lift, np.linspace(0.0, 0.5, 6), closed=True)
+    states = [cf.CharacteristicState(*row) for row in zip(lift.x, lift.s, lift.p, lift.p_s)]
+    for call in (lambda: cf.propagate_front(F, lift, np.linspace(0.0, 0.5, 6), closed=True),
+                 lambda: cf.batch_propagate(F, states, (0.0, 0.5))):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert type(err.value) is ValueError and str(err.value) == "outside the model"
+    items = cf.batch_propagate(F, states[2:-1], (0.0, 0.5))
+    assert len(items) == 13 and all(item.ok for item in items)
 
 
 # ------------------------------------------ caustic scan and branch tags, one pass

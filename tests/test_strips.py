@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -430,7 +431,7 @@ def test_ragged_samples_stack_like_their_rows(case, method):
     span, tau_eval = {"grid-ends-before-exits": ((0.0, 2.5), grid),
                       "empty-grid": ((0.0, 2.5), []), "zero-span": ((0.0, 0.0), []),
                       "dense-grid": ((0.0, 2.5), np.linspace(0.0, 2.5, 201))}[case]
-    # the integrator itself: a stacked run that raised would fall back to rows
+    # the integrator itself
     Y0 = np.array([_pack(s) for s in inits])
     stops, samples, counts = strips._integrate(E, Y0, *span, tau_eval, integ)
     parts = np.split(samples, np.cumsum(counts)[:-1], axis=1)
@@ -461,6 +462,49 @@ def test_ragged_samples_stack_like_their_rows(case, method):
             assert abs(E.chart.boundary_clearance(one.x[-1])) < 1e-7
         else:   # with no grid point in its run, a strip is its start point
             assert list(one.taus) == (list(tau_eval) or [0.0])
+
+
+_ROOT_SYMBOL = "p_t*p_s + 0.5*p_x**2 + 0.1*(x + 1)**1.5*p_s**2"   # NaN for x < -1
+
+
+@pytest.mark.parametrize("method", ["adaptive", "fixed"])
+def test_a_symbol_that_turns_nan_ends_each_strip_as_it_ends_alone(method):
+    # (x + 1)**1.5 is NaN past x = -1 on a stack and at one point alike: a
+    # NaN step is rejected (adaptive) or ends the strip (fixed) at its last
+    # sample, a NaN start is off shell, and the stack ends each strip as it
+    # ends alone
+    E = cf.symbol_surface(_ROOT_SYMBOL, cf.Chart(["t", "x"], [(-5, 5), (-5, 5)]), 2)
+    integ = cf.IntegratorConfig(method=method, dt=0.01, n_out=21)
+    inits = [cf.CharacteristicState([0.0, x], 0.0, [-0.5 * px * px - 0.1 * (x + 1) ** 1.5, px],
+                                    1.0)
+             for x, px in [(0.0, -3.0), (0.5, 1.0), (-0.5, -2.5), (0.0, 0.5), (2.0, -4.0),
+                           (-0.8, 0.3), (1.0, -1.0), (0.2, -3.5)]]
+    inits.insert(3, cf.CharacteristicState([0.0, -2.0], 0.0, [-0.5, 1.0], 1.0))   # G = NaN
+    Y0 = np.array([_pack(s) for s in inits])
+    tau_eval = None if method == "fixed" else np.linspace(0.0, 1.0, 21)
+    stops, samples, counts = strips._integrate(E, Y0, 0.0, 1.0, tau_eval, integ)
+    parts = np.split(samples, np.cumsum(counts)[:-1], axis=1)
+    for r, (stop, part) in enumerate(zip(stops, parts)):
+        (alone,), row, n = strips._integrate(E, Y0[r:r + 1], 0.0, 1.0, tau_eval, integ)
+        assert str(stop) == str(alone) and type(stop) is type(alone)
+        assert list(n) == [counts[r]] and np.array_equal(part, row)
+    assert str(stops[3]) == "initial state is off-shell: G = nan"
+    crossed = [r for r, stop in enumerate(stops) if isinstance(stop, cf.DegeneracyError)]
+    assert len(crossed) >= 3 and len(crossed) < len(inits) - 2
+    for r in crossed:   # stopped short of x = -1, where the last sample lies
+        assert -1.0 < stops[r].state.x[1] < inits[r].x[1] and np.isfinite(stops[r].state.p).all()
+    # and the public calls
+    items = cf.batch_propagate(E, inits, (0.0, 1.0), integ)
+    for init, stop, item in zip(inits, stops, items):
+        if isinstance(stop, Exception):
+            with pytest.raises(type(stop), match=re.escape(str(stop))):
+                cf.propagate(E, init, (0.0, 1.0), integ)
+            assert type(item.error) is type(stop) and str(item.error) == str(stop)
+            continue
+        one = cf.propagate(E, init, (0.0, 1.0), integ)
+        for key in ("taus", "x", "s", "p", "p_s", "g_residual", "boundary_exit"):
+            assert np.array_equal(getattr(item.strip, key), getattr(one, key)), key
+        assert np.isfinite(one.x).all() and one.taus[-1] == 1.0
 
 
 @pytest.mark.parametrize("method", ["adaptive", "fixed"])
