@@ -64,7 +64,7 @@ class ConnectionData:
     def curvature(self, x) -> np.ndarray:
         """F_{mu nu} = d_mu A_nu - d_nu A_mu (antisymmetric by construction)."""
         J = self.jacobian(x)
-        return J - J.T
+        return J - np.swapaxes(J, -1, -2)
 
     def bianchi_residual(self, x) -> float:
         """Max cyclic-sum residual of dF over 3-axis combinations (0 for dim < 3)."""

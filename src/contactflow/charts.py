@@ -21,6 +21,7 @@ from .errors import BoundaryError, ContractViolation
 DEFAULT_FD_STEP = 1e-5
 
 _EPS = np.finfo(float).eps
+POW_CHAIN_MAX = 64   # the largest exponent libm_pow multiplies out
 
 
 @dataclass(frozen=True)
@@ -266,13 +267,13 @@ def libm_pow(a, b):
     same bits for a Python float, an np.float64 (either keeps its type) and
     an array element.
 
-    A non-negative integer exponent is repeated multiplication; any other
-    goes through the C library's pow (math.pow), which numpy's ** does not
-    match on arrays.  Where math.pow raises (a domain edge, an overflow) the
-    value is numpy's NaN or +-inf: it never raises, warns or is complex.
+    An integral exponent up to POW_CHAIN_MAX is repeated multiplication; any
+    other goes through the C library's pow (math.pow), which numpy's ** does
+    not match on arrays.  Where math.pow raises (a domain edge, an overflow)
+    the value is numpy's NaN or +-inf: it never raises, warns or is complex.
     """
     if isinstance(b, (int, float)):
-        chain = b >= 0 and float(b).is_integer()
+        chain = 0 <= b <= POW_CHAIN_MAX and float(b).is_integer()
         if isinstance(a, float):   # in Python floats, which never warn
             x = float(a)
             return type(a)(math.prod(itertools.repeat(x, int(b))) if chain else _pow(x, b))

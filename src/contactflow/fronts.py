@@ -33,40 +33,41 @@ _LIFT_GRID = np.linspace(-20.0, 20.0, 801)
 class FrontSpec:
     """Parametrized initial hypersurface: u -> x(u) in M with initial action S0(u).
 
-    ``params`` is a 1D grid of front parameters: only codimension-1 fronts
-    with a single parameter are supported, so the chart must be 2D.  A closed
-    front's ``period`` in u lets propagate_front check its lift's wrap-around gap.
+    ``params`` is a 1D grid of front parameters (codimension 1, so a 2D chart);
+    a closed front's ``period`` in u lets propagate_front check its lift's
+    wrap-around gap.  ``x`` (``position``) and ``s0`` (zero by default) map
+    parameters (n,) to (n, m) and (n,), and refuse any other shape.
     """
 
     def __init__(self, chart: Chart, position: Callable, params: np.ndarray,
                  s0: Callable | None = None, closed: bool = False, period: float | None = None):
         self.chart = chart
-        self.position = position
+        self.x = _on_stacks(position, "position", (chart.dim,))
         self.params = np.asarray(params, float)
-        self.s0 = s0 or (lambda u: 0.0)
+        self.s0 = _on_stacks(s0 or np.zeros_like, "s0", ())
         self.closed = closed
         self.period = period
 
-    def x(self, u) -> np.ndarray:
-        return np.asarray(self.position(u), float)
-
     def tangent(self, u) -> np.ndarray:
-        """dx/du: shape (m,) at one parameter, (n, m) at an array of n."""
-        return _param_derivative(self.x, u)
+        """dx/du, shape (n, m), at parameters u of shape (n,)."""
+        return fd_gradient(lambda v: self.x(v[:, 0]), np.reshape(u, (-1, 1)),
+                           FRONT_FD_STEP)[:, 0]
 
-    def s0_du(self, u):
-        """dS0/du: a float at one parameter, shape (n,) at an array of n."""
-        d = _param_derivative(lambda w: float(self.s0(w)), u)
-        return float(d) if d.ndim == 0 else d
+    def s0_du(self, u) -> np.ndarray:
+        """dS0/du, shape (n,), at parameters u of shape (n,)."""
+        return fd_gradient(lambda v: self.s0(v[:, 0]), np.reshape(u, (-1, 1)),
+                           FRONT_FD_STEP)[:, 0]
 
 
-def _param_derivative(f, u) -> np.ndarray:
-    """Central differences of f in the front parameter at one u or an array
-    of them, in one fd_gradient call; f takes one parameter at a time."""
-    u = np.asarray(u, float)
-    d = fd_gradient(lambda v: np.array([f(w) for w in v[:, 0]]), u.reshape(-1, 1),
-                    FRONT_FD_STEP)[:, 0]
-    return d.reshape(u.shape + d.shape[1:])
+def _on_stacks(f: Callable, name: str, tail: tuple) -> Callable:
+    def call(u):   # f on parameters (n,), its result checked to be (n,) + tail
+        u = np.asarray(u, float)
+        out = np.asarray(f(u), float)
+        if u.ndim != 1 or out.shape != u.shape + tail:
+            raise ContractViolation(f"a front's {name} must map parameters (n,) to shape (n,"
+                                    f"{' %d' % tail if tail else ''}), not {u.shape} to {out.shape}")
+        return out
+    return call
 
 
 def flat_front(chart: Chart, axis: str, value: float, span, n: int,
@@ -77,8 +78,8 @@ def flat_front(chart: Chart, axis: str, value: float, span, n: int,
         raise ContractViolation("flat_front currently supports 2D charts")
 
     def pos(u):
-        x = np.zeros(2)
-        x[i_fixed], x[1 - i_fixed] = value, u
+        x = np.empty((len(u), 2))
+        x[:, i_fixed], x[:, 1 - i_fixed] = value, u
         return x
 
     params = np.linspace(span[0], span[1], n)
@@ -90,8 +91,9 @@ def circle_front(chart: Chart, radius: float, n: int, center=(0.0, 0.0)) -> Fron
         raise ContractViolation("circle_front needs a 2D chart")
     cx, cy = center
 
-    def pos(u):
-        return np.array([cx + radius * math.cos(u), cy + radius * math.sin(u)])
+    def pos(u):   # glibc's cos and sin per angle, whose bits numpy's need not match
+        return np.column_stack([cx + radius * np.fromiter(map(math.cos, u), float, len(u)),
+                                cy + radius * np.fromiter(map(math.sin, u), float, len(u))])
 
     params = np.linspace(0.0, 2 * math.pi, n, endpoint=False)
     return FrontSpec(chart, pos, params, closed=True, period=2 * math.pi)
@@ -129,7 +131,7 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec, branch: tuple[int, int] = 
     if E.dim != 2:
         raise ContractViolation("conormal construction implemented for 2D charts")
     U = sigma.params
-    X, T = np.array([sigma.x(u) for u in U]), sigma.tangent(U)
+    X, T = sigma.x(U), sigma.tangent(U)
     nt = np.sqrt(dot(T, T))
     rows = np.flatnonzero(nt != 0.0)   # samples with a tangent
     X, T, nt = X[rows], T[rows], nt[rows]
@@ -154,7 +156,7 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec, branch: tuple[int, int] = 
     if not ok.any():
         raise NoLiftError(f"no front sample admitted a lift: {failures[:3]}")
     lam, u = np.array([r[root_idx] for r in roots if len(r) > root_idx]), U[rows[ok]]
-    return Lift(u, X[ok], np.array([float(sigma.s0(w)) for w in u]), P0[ok] + lam[:, None] * N[ok],
+    return Lift(u, X[ok], sigma.s0(u), P0[ok] + lam[:, None] * N[ok],
                 np.full(len(u), float(ps_sign)), sigma.period, failures)
 
 

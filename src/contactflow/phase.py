@@ -62,8 +62,8 @@ def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec,
 
     check_start(E, state, SECTION_INTEGRATOR.tol_onshell)
 
-    def crossing(tau, y):   # y[:dim] is the base point
-        return y[i_sec] - section.value
+    def crossing(tau, y):   # y[:, :dim] are the base points
+        return y[:, i_sec] - section.value
 
     if abs(state.x[i_sec] - section.value) <= 1e-13 * max(abs(section.value), 1.0):
         hits = [state]

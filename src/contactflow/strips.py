@@ -445,8 +445,8 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
     in round(|t1 - t0| / dt) equal steps, the last landing exactly on t1.
     Each start is checked as check_start does.  A strip stops at the span
     end, on the chart boundary, at a degenerate (touching) point, or where
-    one of the extra terminal ``events(tau, y)`` changes sign; every event
-    of a step is located on its interpolant by one brentq call.
+    an extra terminal ``event(T, Y)`` (T (k,), Y (k, 2m + 2)) changes sign;
+    a step's events are located on its interpolant by one brentq call.
 
     Samples go straight into a (component, strip, column) buffer, rows
     (tau, x, s, p, p_s): column j is tau_eval[j] (with no grid, step j), and
@@ -498,12 +498,9 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
 
     def event_values(T, Y, F):
         """Per row: the chart clearance, the degeneracy gap and the extras."""
-        g = np.empty((len(Y), 2 + len(events)))
-        g[:, 0] = E.chart.boundary_clearance(Y[:, :m])
-        g[:, 1] = _degeneracy_gap(E, Y[:, m + 1:], _dG_dq(F, m))
-        for k, ev in enumerate(events, start=2):
-            g[:, k] = [ev(t, y) for t, y in zip(T, Y)]
-        return g
+        return np.column_stack([E.chart.boundary_clearance(Y[:, :m]),
+                                _degeneracy_gap(E, Y[:, m + 1:], _dG_dq(F, m)),
+                                *(ev(T, Y) for ev in events)])
 
     out, F = _start_errors(E, Y0, t0, integ.tol_onshell)
     ids = np.array([i for i, e in enumerate(out) if e is None], dtype=int)
@@ -627,7 +624,7 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
 def flow_to_event(E: SymbolSurface, init: CharacteristicState, tau_end: float, event,
                   integ: IntegratorConfig) -> CharacteristicState | None:
     """Flow the strip through ``init`` from tau = 0 toward ``tau_end`` until
-    ``event(tau, y)`` changes sign, y = (x, s, p, p_s) stacked.
+    ``event(T, Y)`` changes sign: T (k,), Y (k, 2m + 2) rows (x, s, p, p_s).
 
     Returns the (unprojected) state at the event, or None when the span end
     or the chart boundary comes first.  It samples no grid, only the event.

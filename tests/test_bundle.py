@@ -29,6 +29,11 @@ def test_connection_jacobian_and_curvature_polynomial():
     F = conn.curvature(pt)
     assert np.allclose(F, [[0.0, 0.7], [-0.7, 0.0]], atol=1e-12)
     assert np.allclose(F, -F.T, atol=0)
+    # at stacked points, the curvature of each point; a gradless potential
+    # takes central differences over the stack
+    pts = np.array([[0.7, -0.3], [1.5, 2.0], [-0.4, 0.9]])
+    for c in (conn, cf.ConnectionData(ch, lambda x: np.stack([A0.value(x), A1.value(x)], -1))):
+        assert np.array_equal(c.curvature(pts), [c.curvature(p) for p in pts])
 
 
 def test_connection_callable_matches_polynomial():

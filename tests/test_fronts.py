@@ -22,22 +22,75 @@ def _eik():
 def test_flat_front_geometry():
     ch = cf.Chart(["x", "y"], [(-5, 5), (-5, 5)])
     front = cf.flat_front(ch, "x", 1.5, (-2.0, 2.0), 11)
-    assert front.x(0.7)[0] == 1.5
-    assert front.x(0.7)[1] == 0.7
-    t = front.tangent(0.3)
+    x = front.x(np.array([0.7, -1.2]))
+    assert x.shape == (2, 2)
+    assert np.all(x[:, 0] == 1.5)
+    assert x[:, 1].tolist() == [0.7, -1.2]
+    t = front.tangent(np.array([0.3, 1.9]))
     assert np.allclose(t, [0.0, 1.0], atol=1e-8)
-    assert front.s0_du(0.1) == 0.0
+    assert front.s0_du(np.array([0.1, 0.4])).tolist() == [0.0, 0.0]
 
 
 def test_circle_front_geometry():
     ch = cf.Chart(["x", "y"], [(-5, 5), (-5, 5)])
     front = cf.circle_front(ch, 2.0, 32, center=(0.5, -0.5))
     assert front.closed
-    for u in (0.0, 1.0, 4.0):
-        x = front.x(u)
-        assert np.hypot(x[0] - 0.5, x[1] + 0.5) == pytest.approx(2.0)
-        # tangent orthogonal to the radius
-        assert abs(np.dot(front.tangent(u), x - [0.5, -0.5])) < 1e-6
+    u = np.array([0.0, 1.0, 4.0])
+    x = front.x(u)
+    assert np.hypot(x[:, 0] - 0.5, x[:, 1] + 0.5) == pytest.approx(2.0)
+    # tangent orthogonal to the radius
+    assert np.all(np.abs(np.sum(front.tangent(u) * (x - [0.5, -0.5]), axis=1)) < 1e-6)
+
+
+@pytest.mark.parametrize("front,ref", [
+    (cf.circle_front(_eik().chart, 1.5, 256, center=(0.25, -0.5)),
+     lambda u: [0.25 + 1.5 * math.cos(u), -0.5 + 1.5 * math.sin(u)]),
+    (cf.flat_front(_eik().chart, "y", 0.3, (-2.0, 2.0), 256), lambda u: [u, 0.3]),
+], ids=["circle", "flat"])
+def test_front_arrays_have_the_bits_of_per_sample_glibc_evaluation(front, ref):
+    # one array call per stack keeps the bits of glibc's cos and sin at
+    # every sample (numpy's cos and sin need not match them)
+    U, h = front.params, fronts.FRONT_FD_STEP
+    x = np.array([ref(u) for u in U.tolist()])
+    t = np.array([(np.array(ref(u + h)) - np.array(ref(u - h))) / (2.0 * h) for u in U.tolist()])
+    assert np.array_equal(front.x(U), x)
+    assert np.array_equal(front.tangent(U), t)
+
+
+@pytest.mark.parametrize("position,s0,shape", [
+    (lambda u: np.array([0.1, 0.2]), None, r"\(n, 2\), not \(21,\) to \(2,\)"),
+    (lambda u: np.array([np.cos(u), np.sin(u)]), None, r"\(n, 2\), not \(21,\) to \(2, 21\)"),
+    (lambda u: np.column_stack([u, u]), lambda u: 0.0, r"\(n,\), not \(21,\) to \(\)"),
+], ids=["constant", "transposed", "scalar-action"])
+def test_a_front_callable_written_per_point_is_refused(position, s0, shape):
+    # position and s0 take a stack of parameters; a callable written for one
+    # parameter returns another shape, and the lift names the one it wants
+    front = cf.FrontSpec(_eik().chart, position, np.linspace(-1.0, 1.0, 21), s0=s0)
+    with pytest.raises(cf.ContractViolation, match=shape):
+        cf.legendre_lift(_eik().surface, front, branch=(1, 0))
+
+
+def _counted(f, calls):
+    def call(u):
+        calls.append(np.shape(u))
+        return f(u)
+    return call
+
+
+@pytest.mark.parametrize("front", [
+    cf.circle_front(_eik().chart, 1.0, 256),
+    cf.flat_front(_eik().chart, "x", 0.0, (-1.0, 1.0), 256, s0=lambda u: 0.3 * u),
+], ids=["circle", "flat-with-action"])
+def test_legendre_lift_calls_each_front_callable_three_times(front):
+    # x, and the two sides of the central differences of x and of S0, and
+    # S0 at the lifted samples: three calls each, whatever the sample count
+    positions, actions = [], []
+    counted = cf.FrontSpec(front.chart, _counted(front.x, positions), front.params,
+                           s0=_counted(front.s0, actions), closed=front.closed,
+                           period=front.period)
+    lift = cf.legendre_lift(_eik().surface, counted, branch=(1, 0))
+    assert len(lift) == 256
+    assert positions == actions == [(256,)] * 3
 
 
 # ---------------------------------------------------------------------- lift
@@ -89,7 +142,7 @@ def test_legendre_lift_no_root_raises():
 
 @pytest.mark.parametrize("front,branch", [
     (cf.circle_front(_eik().chart, 1.0, 48), (1, 1)),
-    (cf.flat_front(_eik().chart, "x", 0.2, (-1.0, 1.0), 21, s0=lambda u: 0.5 * math.sin(u)),
+    (cf.flat_front(_eik().chart, "x", 0.2, (-1.0, 1.0), 21, s0=lambda u: 0.5 * np.sin(u)),
      (1, 0)),
 ], ids=["circle", "flat-with-action"])
 def test_legendre_lift_equals_a_per_sample_scan(front, branch):
@@ -98,13 +151,13 @@ def test_legendre_lift_equals_a_per_sample_scan(front, branch):
     lift = cf.legendre_lift(E, front, branch=branch)
     assert np.array_equal(lift.u, front.params) and lift.failures == []
     for k, u in enumerate(front.params):
-        x, t = front.x(u), front.tangent(u)
-        p_part = (ps * front.s0_du(u) / np.linalg.norm(t) ** 2) * t
+        x, t = front.x([u])[0], front.tangent([u])[0]
+        p_part = (ps * front.s0_du([u])[0] / np.linalg.norm(t) ** 2) * t
         nrm = np.array([-t[1], t[0]]) / np.linalg.norm([-t[1], t[0]])
         roots, = scan_roots(lambda lam, i: E.value(x, p_part + np.multiply.outer(lam, nrm),
                                                    float(ps)), fronts._LIFT_GRID)
         assert np.array_equal(lift.x[k], x)
-        assert lift.s[k] == float(front.s0(u))
+        assert lift.s[k] == front.s0([u])[0]
         assert np.array_equal(lift.p[k], p_part + roots[idx] * nrm)
         assert lift.p_s[k] == ps
 
@@ -114,17 +167,19 @@ def test_legendre_lift_skips_a_sample_with_zero_tangent():
     sc = _eik()
 
     def pos(u):
-        return np.array([math.copysign(max(abs(u) - 0.05, 0.0), u), 0.5])
+        return np.column_stack([np.copysign(np.maximum(np.abs(u) - 0.05, 0.0), u),
+                                np.full(len(u), 0.5)])
 
     front = cf.FrontSpec(sc.chart, pos, np.linspace(-1.0, 1.0, 21))
-    assert np.array_equal(front.tangent(0.0), [0.0, 0.0])
+    assert np.array_equal(front.tangent([0.0]), [[0.0, 0.0]])
     lift = cf.legendre_lift(sc.surface, front, branch=(1, 0))
     assert lift.u.tolist() == [u for u in front.params.tolist() if u != 0.0]
     assert lift.failures == [(0.0, "degenerate parametrization (zero tangent)")]
-    assert np.array_equal(lift.x, [front.x(u) for u in lift.u])
+    assert np.array_equal(lift.x, front.x(lift.u))
     assert np.allclose(lift.p, [0.0, -1.0], rtol=0.0, atol=1e-12)
     # a front that never moves has no sample to lift
-    still = cf.FrontSpec(sc.chart, lambda u: np.array([0.1, 0.2]), np.linspace(0.0, 1.0, 5))
+    still = cf.FrontSpec(sc.chart, lambda u: np.tile([0.1, 0.2], (len(u), 1)),
+                         np.linspace(0.0, 1.0, 5))
     with pytest.raises(cf.NoLiftError, match="zero tangent"):
         cf.legendre_lift(sc.surface, still, branch=(1, 0))
 
@@ -213,7 +268,7 @@ def test_open_front_with_nonuniform_params():
     # p = (sqrt(0.91), 0.3), so x_u = (0, 1), dG/dp = p and det = -sqrt(0.91)
     sc = _eik()
     params = np.array([-1.0, -0.7, -0.55, -0.1, 0.0, 0.35, 0.4, 0.9])
-    front = cf.FrontSpec(sc.chart, lambda u: np.array([0.0, u]), params,
+    front = cf.FrontSpec(sc.chart, lambda u: np.column_stack([np.zeros_like(u), u]), params,
                          s0=lambda u: 0.3 * u)
     lift = cf.legendre_lift(sc.surface, front, branch=(1, 0))
     hist = cf.propagate_front(sc.surface, lift, np.linspace(0.0, 0.5, 6))
@@ -227,7 +282,7 @@ def test_closed_front_with_nonuniform_params_is_refused():
     # unit circle used to give |jacobian_det| from 0.25 to 2.36 (exact: 1)
     sc = _eik()
     params = np.sort(np.random.default_rng(3).uniform(0.0, 2 * math.pi, 64))
-    front = cf.FrontSpec(sc.chart, lambda u: np.array([math.cos(u), math.sin(u)]),
+    front = cf.FrontSpec(sc.chart, lambda u: np.column_stack([np.cos(u), np.sin(u)]),
                          params, closed=True)
     lift = cf.legendre_lift(sc.surface, front, branch=(1, 0))
     with pytest.raises(cf.ContractViolation, match="uniformly spaced params: gap 0"):

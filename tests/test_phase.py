@@ -70,7 +70,7 @@ def test_to_phase_flows_back_no_further_than_the_forward_crossing(oscillator, mo
     # flow stops at tau = -3 instead of running the whole budget of 50
     E, st = oscillator.surface, oscillator.initial_states[0]
     section = cf.SectionSpec("t", 3.0)
-    ahead = strips.flow_to_event(E, st, 50.0, lambda tau, y: y[0] - 3.0,
+    ahead = strips.flow_to_event(E, st, 50.0, lambda tau, y: y[:, 0] - 3.0,
                                  phase.SECTION_INTEGRATOR)
     points = []
     gradient = strips.SymbolSurface.gradient
@@ -95,7 +95,7 @@ def test_to_phase_flows_toward_a_section_behind_the_start_first(oscillator, monk
     # backward flow meets it at tau = -2, and the forward flow stops at
     # tau = 2 instead of running the whole budget of 50 without a crossing
     E, st = oscillator.surface, oscillator.initial_states[0]
-    full = [strips.flow_to_event(E, st, tau, lambda tau, y: y[0] + 2.0, phase.SECTION_INTEGRATOR)
+    full = [strips.flow_to_event(E, st, tau, lambda tau, y: y[:, 0] + 2.0, phase.SECTION_INTEGRATOR)
             for tau in (50.0, -50.0)]
     assert full[0] is None
     behind = full[1]

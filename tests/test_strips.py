@@ -95,7 +95,7 @@ def test_flow_to_event_returns_the_earlier_crossing_in_one_step(at, expect):
     # boundary at tau = 1; one RK4 step of size 5 covers both crossings
     E = cf.builtin("eikonal", bound=1.0).surface
     init = cf.CharacteristicState([0.0, 0.0], 0.0, [1.0, 0.0], 1.0)
-    hit = flow_to_event(E, init, 5.0, lambda tau, y: y[0] - at,
+    hit = flow_to_event(E, init, 5.0, lambda tau, y: y[:, 0] - at,
                         cf.IntegratorConfig(method="fixed", dt=5.0))
     if expect is None:
         assert hit is None
@@ -464,6 +464,34 @@ def test_ragged_samples_stack_like_their_rows(case, method):
             assert list(one.taus) == (list(tau_eval) or [0.0])
 
 
+@pytest.mark.parametrize("method", ["adaptive", "fixed"])
+def test_a_stacked_event_stops_each_row_where_it_stops_alone(method):
+    # unit-speed rays from the origin cross y = 0.2 at tau = 0.2 / sin(angle),
+    # and the one heading down never does; the event sees the working rows
+    # as one stack, in the step and in the root polish alike
+    E = cf.builtin("eikonal").surface
+    Y0 = np.array([_pack(cf.CharacteristicState([0.0, 0.0], 0.0, [math.cos(a), math.sin(a)], 1.0))
+                   for a in (0.3, 1.2, -0.5)])
+    calls = []
+
+    def event(T, Y):
+        calls.append((T.shape, Y.shape))
+        return Y[:, 1] - 0.2
+
+    integ, tau_eval = cf.IntegratorConfig(method=method, dt=0.01), np.linspace(0.0, 1.0, 11)
+    stops, samples, counts = strips._integrate(E, Y0, 0.0, 1.0, tau_eval, integ, events=(event,))
+    assert stops == ["event", "event", "span_end"]
+    assert calls[0] == ((3,), (3, 6)) and all(y == t + (6,) for t, y in calls)
+    parts = np.split(samples, np.cumsum(counts)[:-1], axis=1)
+    for r, part in enumerate(parts):
+        (alone,), row, n = strips._integrate(E, Y0[r:r + 1], 0.0, 1.0, tau_eval, integ,
+                                             events=(event,))
+        assert alone == stops[r] and list(n) == [counts[r]] and np.array_equal(part, row)
+    for r, a in enumerate((0.3, 1.2)):
+        assert parts[r][0, -1] == pytest.approx(0.2 / math.sin(a), abs=1e-9)
+        assert parts[r][2, -1] == pytest.approx(0.2, abs=1e-12)
+
+
 _ROOT_SYMBOL = "p_t*p_s + 0.5*p_x**2 + 0.1*(x + 1)**1.5*p_s**2"   # NaN for x < -1
 
 
@@ -517,7 +545,7 @@ def test_touching_point_error_carries_where_the_strip_stopped(method):
     st0 = cf.CharacteristicState(st0.x, 0.0, -st0.p, 1.0)   # heading for the face
     integ = cf.IntegratorConfig(method=method, dt=0.01)
     with pytest.raises(cf.DegeneracyError) as err:
-        strips.flow_to_event(E, st0, 50.0, lambda t, y: y[0] - 2.9, integ)
+        strips.flow_to_event(E, st0, 50.0, lambda t, y: y[:, 0] - 2.9, integ)
     state = err.value.state
     assert f"near tau = {state.tau:.6g}" in str(err.value) and state.tau > 1.0
     assert state.x[0] == pytest.approx(-1.0, abs=1e-6)
