@@ -66,14 +66,16 @@ class ConnectionData:
         J = self.jacobian(x)
         return J - np.swapaxes(J, -1, -2)
 
-    def bianchi_residual(self, x) -> float:
-        """Max cyclic-sum residual of dF over 3-axis combinations (0 for dim < 3)."""
-        m = self.chart.dim
-        if m < 3:
-            return 0.0
-        dF = fd_gradient(self.curvature, x, fd_steps(x))   # dF[i, mu, nu] = d_i F_mu,nu
-        return float(max(abs(dF[a, b, c] + dF[b, c, a] + dF[c, a, b])
-                         for a, b, c in itertools.combinations(range(m), 3)))
+    def bianchi_residual(self, x):
+        """Max cyclic-sum residual of dF over 3-axis combinations (0 for dim < 3):
+        a float at a point x of shape (m,), an array over stacked points (..., m)."""
+        x = np.asarray(x, float)
+        if self.chart.dim < 3:
+            return 0.0 if x.ndim == 1 else np.zeros(x.shape[:-1])
+        dF = fd_gradient(self.curvature, x, fd_steps(x))   # dF[..., i, mu, nu] = d_i F_mu,nu
+        a, b, c = np.array(list(itertools.combinations(range(self.chart.dim), 3))).T
+        r = np.abs(dF[..., a, b, c] + dF[..., b, c, a] + dF[..., c, a, b]).max(axis=-1)
+        return float(r) if x.ndim == 1 else r
 
     def shifted(self, chi: PolyField | ScalarField) -> "ConnectionData":
         """Connection with potential A + d(chi)."""

@@ -22,6 +22,7 @@ DEFAULT_FD_STEP = 1e-5
 
 _EPS = np.finfo(float).eps
 POW_CHAIN_MAX = 64   # the largest exponent libm_pow multiplies out
+SCAN_BLOCK = 2 ** 15   # the most grid values scan_roots passes f in one call
 
 
 @dataclass(frozen=True)
@@ -196,27 +197,52 @@ def brentq(f: Callable, a, b, i, xtol: float = 2e-12, rtol: float = 4 * _EPS,
     return root
 
 
-def scan_roots(f: Callable, grid, n: int = 1) -> list[list[float]]:
+def scan_roots(f: Callable, grid, n: int = 1, need: int | None = None) -> list[list[float]]:
     """Ascending roots of the n scalar functions t -> f(t, i), i < n, found
-    by scanning one grid: a list of n root lists.
+    by scanning one ascending grid: a list of n root lists.
 
-    f is called once on the whole grid for all n functions, with t of shape
-    (1, k) and i of shape (n, 1), and returns values of shape (n, k).  Every
-    sign change between neighbouring grid values is then polished by one
-    brentq call, which calls f with matching 1-D arrays t and i.  A grid
-    value that is exactly zero (the last one included) counts once.
+    f is called on ascending blocks of the grid, with t of shape (1, k) and
+    i of shape (r, 1) for the r functions still scanning, and returns values
+    of shape (r, k); a block holds at most SCAN_BLOCK values (and at least
+    one column), so a grid of n * len(grid) <= SCAN_BLOCK values is one
+    call.  A function leaves the scan once it has ``need`` roots, and its
+    list holds its first ``need``; with need None every function scans the
+    whole grid.  Every sign change between neighbouring grid values is then
+    polished by one brentq call, which calls f with matching 1-D arrays t
+    and i.  A grid value that is exactly zero (the last one included) counts
+    once; each function's last value carries across a block edge.
     """
     grid = np.asarray(grid, dtype=float)
-    vals = np.asarray(f(grid[None, :], np.arange(n)[:, None]), dtype=float)
-    # an exact zero, or a sign change between a grid value and the next one
-    hit = vals == 0.0
-    hit[:, :-1] |= vals[:, :-1] * vals[:, 1:] < 0
-    fi, j = np.nonzero(hit)
+    need = len(grid) if need is None else need   # at most one root per grid value
+    rows, have = np.arange(n), np.zeros(n, int)   # the functions still scanning, roots found
+    # per hit: the function, the grid index and whether it brackets (not an exact zero)
+    fi, j, polish = [np.arange(0)], [np.arange(0)], [np.zeros(0, bool)]
+    lo, last = 0, None   # the next block's start and the scanning rows' values before it
+    while lo < len(grid) and rows.size:
+        hi = min(len(grid), lo + max(1, SCAN_BLOCK // rows.size))
+        vals = np.asarray(f(grid[None, lo:hi], rows[:, None]), dtype=float)
+        if last is not None:   # the column before the block: its zero counted already
+            vals = np.concatenate([last[:, None], vals], axis=1)
+            lo -= 1
+        # an exact zero, or a sign change between a grid value and the next one
+        hit = vals == 0.0
+        hit[:, :-1] |= vals[:, :-1] * vals[:, 1:] < 0
+        if last is not None:
+            hit[:, 0] &= vals[:, 0] != 0.0
+        r, c = divmod(np.flatnonzero(hit), vals.shape[1])
+        # the hits come in (row, column) order: keep each row's first need - have
+        rank = np.arange(len(r)) - np.searchsorted(r, r)
+        keep = rank < need - have[r]
+        r, c = r[keep], c[keep]
+        fi.append(rows[r]); j.append(lo + c); polish.append(vals[r, c] != 0.0)
+        have += np.bincount(r, minlength=rows.size)
+        scan = have < need
+        rows, have, last, lo = rows[scan], have[scan], vals[scan, -1], hi
+    fi, j, polish = (np.concatenate(v) for v in (fi, j, polish))
     roots = grid[j]
-    bracket = vals[fi, j] != 0.0
-    if bracket.any():
-        jb = j[bracket]
-        roots[bracket] = brentq(f, grid[jb], grid[jb + 1], fi[bracket], xtol=1e-14)
+    if polish.any():
+        jb = j[polish]
+        roots[polish] = brentq(f, grid[jb], grid[jb + 1], fi[polish], xtol=1e-14)
     roots = roots[np.lexsort((roots, fi))].tolist()
     ends = np.cumsum(np.bincount(fi, minlength=n)).tolist()
     return [roots[lo:hi] for lo, hi in zip([0] + ends, ends)]

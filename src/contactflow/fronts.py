@@ -10,6 +10,7 @@ finite-difference Jacobian of the projected front map (u, tau) -> x.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -122,12 +123,15 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec, branch: tuple[int, int] = 
 
     The momentum must annihilate the front tangent in the contact sense
     (<p, x_u> = p_s dS0/du); the remaining conormal scale is fixed by root
-    finding G = 0 along the conormal ray, all samples in one grid scan.
-    ``branch`` is (sign of p_s, root index among the ascending roots).
+    finding G = 0 along the conormal ray, all samples in one grid scan that
+    stops each sample at its branch root.  ``branch`` is (sign of p_s, root
+    index among the ascending roots).
     """
     ps_sign, root_idx = branch
     if ps_sign not in (1, -1):
         raise ContractViolation("branch p_s sign must be +1 or -1 (null lifts unsupported)")
+    if not (isinstance(root_idx, numbers.Integral) and root_idx >= 0):
+        raise ContractViolation(f"branch root index must be an integer >= 0, not {root_idx!r}")
     if E.dim != 2:
         raise ContractViolation("conormal construction implemented for 2D charts")
     U = sigma.params
@@ -146,8 +150,8 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec, branch: tuple[int, int] = 
             np.add(P0[i, c], lam * N[i, c], out=p[c])
         return E.value(X[i], np.moveaxis(p, 0, -1), float(ps_sign))
 
-    roots = scan_roots(g, _LIFT_GRID, len(rows))
-    found = np.full(len(U), -1)   # roots per sample, -1 without a tangent
+    roots = scan_roots(g, _LIFT_GRID, len(rows), need=root_idx + 1)
+    found = np.full(len(U), -1)   # roots per sample (up to need), -1 without a tangent
     found[rows] = [len(r) for r in roots]
     failures = [(u, "degenerate parametrization (zero tangent)" if k < 0 else
                  f"no on-shell root (found {k}, wanted index {root_idx})")

@@ -41,6 +41,8 @@ SYMBOL_FD_STEP = 1e-6
 SAMPLE_MAX_TRIES = 200
 _SAMPLE_GRID = np.linspace(-20.0, 20.0, 81)   # momentum offsets it scans for G = 0
 
+_NOT_FINITE = "integration failed: a step's stages are not finite"
+
 
 @dataclass(frozen=True)
 class Fiber:
@@ -459,7 +461,8 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
     "event" (then its last sample is the event point) or the exception that
     ended it, a failed start check (a NaN G is off shell) or a
     DegeneracyError at a touching point, when the step size underflows (a
-    NaN error norm rejects a step) or at a fixed step whose stages are not
+    NaN error norm rejects a step; after tries whose stages are not finite
+    it says so, and at which tau) or at a fixed step whose stages are not
     finite (its state the strip's last sample, or where it stopped if it has
     none); the samples (tau, x, s, p, p_s) of the strips that did not raise,
     a (2m + 3, n) array in strip order; and each strip's sample count (0 if
@@ -491,10 +494,12 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
         return _unpack(E, buf[1:, i, c], buf[0, i, c]) if c >= 0 else _unpack(E, y, tau)
 
     def fail(bad, message):   # the rows bad sets end, at their last sample or their T, Y
-        nonlocal ids, T, Y, F, Gev, H, retry
-        for r in bad.nonzero()[0]:
-            out[ids[r]] = DegeneracyError(message, state=last(ids[r], T[r], Y[r]))
-        ids, T, Y, F, Gev, H, retry = (a[~bad] for a in (ids, T, Y, F, Gev, H, retry))
+        nonlocal ids, T, Y, F, Gev, H, retry, nonfinite
+        for r in bad.nonzero()[0]:   # message may name the row's tau as {tau}
+            out[ids[r]] = DegeneracyError(message.format(tau=T[r]),
+                                          state=last(ids[r], T[r], Y[r]))
+        ids, T, Y, F, Gev, H, retry, nonfinite = (
+            a[~bad] for a in (ids, T, Y, F, Gev, H, retry, nonfinite))
 
     def event_values(T, Y, F):
         """Per row: the chart clearance, the degeneracy gap and the extras."""
@@ -513,6 +518,7 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
     # the working set: row r is strip ids[r]; a strip's row leaves when it stops
     T, Y, F = np.full(len(ids), t0), Y0[ids], F[ids]
     H, retry = np.zeros(len(ids)), np.zeros(len(ids), bool)   # |step| to try, last try failed
+    nonfinite = np.zeros(len(ids), bool)   # a try since the last step had non-finite stages
     if ids.size:
         Gev = event_values(T, Y, F)
         if not fixed:
@@ -526,7 +532,7 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             y_new, K = _rk4_step(E, Y, F, h_fix)
             if not np.isfinite(K).all():   # one check a step, the rows only on a failure
                 bad = ~np.isfinite(K).all(axis=(0, 2))
-                fail(bad, "integration failed: a step's stages are not finite")
+                fail(bad, _NOT_FINITE)
                 y_new, K = y_new[~bad], K[:, ~bad]
             t_new = np.full(len(ids), t1 if k_step == n_steps else t0 + k_step * h_fix)
             h = np.full(len(ids), h_fix)
@@ -535,8 +541,10 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             t_new, h = _step_tries(T, H, retry, t1, sign)
             small = np.isnan(h)
             if small.any():
-                fail(small, "integration failed: Required step size is less than spacing "
-                            "between numbers.")
+                nan = small & nonfinite
+                fail(nan, _NOT_FINITE + " (the step size underflowed at tau = {tau:.6g})")
+                fail(small[~nan], "integration failed: Required step size is less than "
+                                  "spacing between numbers.")
                 continue
             y_new, K = _rk45_step(E, Y, F, h)
             scale = atol + np.maximum(np.abs(Y), np.abs(y_new)) * rtol
@@ -544,6 +552,9 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             H = np.abs(h) * _step_factors(err, retry)
             accept = err < 1
             retry, acc = ~accept, accept.nonzero()[0]
+            if not np.isfinite(err).all():   # a finite norm has finite stages
+                nonfinite |= ~np.isfinite(K).all(axis=(0, 2))
+            nonfinite &= retry
             if not acc.size:
                 continue
         part = acc.size < len(ids)   # some rows retry: gather the others (else no copies)
@@ -609,7 +620,8 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
         if stop.any():
             keep = np.ones(len(ids), bool)
             keep[acc[stop]] = False
-            ids, T, Y, F, Gev, H, retry = (a[keep] for a in (ids, T, Y, F, Gev, H, retry))
+            ids, T, Y, F, Gev, H, retry, nonfinite = (
+                a[keep] for a in (ids, T, Y, F, Gev, H, retry, nonfinite))
 
     ok = np.array([not isinstance(o, Exception) for o in out], bool)
     bare = (ok & (counts == 0)).nonzero()[0]   # no sample in its run (an empty grid): its start
@@ -744,7 +756,7 @@ def sample_onshell(E: SymbolSurface, rng: np.random.Generator, n: int,
             d = rng.standard_normal(E.dim)
             D[j] = d / np.linalg.norm(d)
         roots = scan_roots(lambda t, i: E.value(X[i], P0[i] + t[..., None] * D[i], p_s),
-                           _SAMPLE_GRID, k)
+                           _SAMPLE_GRID, k, need=1)
         hit = [j for j in range(k) if roots[j]]
         if not hit:
             continue

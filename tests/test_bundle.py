@@ -78,6 +78,31 @@ def test_bianchi_residual_vanishes_for_polynomial_connection():
     assert bad.bianchi_residual(pt) == pytest.approx(1.0, abs=1e-7)
 
 
+def test_bianchi_residual_at_stacked_points_equals_per_point_calls():
+    # it raised IndexError at points of shape (2, 3) and TypeError at (3, 3)
+    ch = cf.Chart(["a", "b", "c", "d"], [(-5.0, 5.0)] * 4)
+    rng = np.random.default_rng(3)
+    conn = cf.ConnectionData(ch, [cf.random_polynomial(ch, rng, 3) for _ in range(4)])
+
+    def dA(x):   # d_c F_ab = 1, d_d F_ab = x_d: not closed
+        J = np.zeros(np.shape(x) + (4,))
+        J[..., 0, 1] = x[..., 2] + 0.5 * x[..., 3] ** 2
+        return J
+
+    bad = cf.ConnectionData(ch, lambda x: np.zeros(np.shape(x)), dA=dA)
+    pts = rng.uniform(-2.0, 2.0, (2, 3, 4))
+    for c in (conn, bad):
+        got = c.bianchi_residual(pts)
+        assert got.shape == (2, 3)
+        assert got.tolist() == [[c.bianchi_residual(p) for p in row] for row in pts]
+    assert np.all(conn.bianchi_residual(pts) < 1e-6)
+    assert np.allclose(bad.bianchi_residual(pts), np.maximum(1.0, np.abs(pts[..., 3])),
+                       atol=1e-6)
+    plane = _plane_chart()
+    flat = cf.ConnectionData(plane, [cf.PolyField(plane, {(1, 1): 1.0}), 0.0])
+    assert flat.bianchi_residual(np.zeros((3, 3, 2))).tolist() == [[0.0] * 3] * 3
+
+
 def test_hessian_of_gradless_field_matches_analytic():
     ch = _plane_chart()
     chi = cf.ScalarField(ch, lambda x: math.sin(x[0]) * x[1] ** 2)

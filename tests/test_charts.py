@@ -1,13 +1,15 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 import contactflow as cf
+from contactflow import charts
 from contactflow.charts import (Chart, PolyField, ScalarField, brentq, dot, libm_pow,
                                scan_roots)
 
@@ -177,6 +179,66 @@ def test_scan_roots_evaluates_the_grid_in_one_call():
     assert calls[1] == calls[2] == ((8,), (8,))
     assert all(len(ts) == 1 and ts == ix for ts, ix in calls[1:])
     assert len(calls) < 20
+
+
+def _scan_roots_in_one_call(f, grid, n):
+    """The scan without blocks or early exits: every function on the whole
+    grid in one call, every bracket polished, every root kept."""
+    grid = np.asarray(grid, dtype=float)
+    vals = np.asarray(f(grid[None, :], np.arange(n)[:, None]), dtype=float)
+    hit = vals == 0.0
+    hit[:, :-1] |= vals[:, :-1] * vals[:, 1:] < 0
+    fi, j = np.nonzero(hit)
+    roots = grid[j]
+    bracket = vals[fi, j] != 0.0
+    if bracket.any():
+        jb = j[bracket]
+        roots[bracket] = brentq(f, grid[jb], grid[jb + 1], fi[bracket], xtol=1e-14)
+    return [sorted(roots[fi == i].tolist()) for i in range(n)]
+
+
+@st.composite
+def _polynomial_families(draw):
+    """A grid, n polynomials a_i prod_j (t - r_ij) (some roots on the grid,
+    so exact zeros; a_i = 0 is zero everywhere), need and a block size.
+    The roots are apart, since brentq need not converge at a multiple one."""
+    k = draw(st.integers(2, 40))
+    grid = np.linspace(-3.0, 3.0, k)
+    n, degree = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    root = st.one_of(st.sampled_from(grid.tolist()), st.floats(-4.0, 4.0))
+    R = np.array(draw(st.lists(st.lists(root, min_size=degree, max_size=degree),
+                               min_size=n, max_size=n)))
+    assume((np.diff(np.sort(R), axis=1) > 0.01).all())   # brentq needs simple roots
+    a = np.array(draw(st.lists(st.sampled_from([1.0, -0.5, 2.0, 0.0]), min_size=n,
+                               max_size=n)))
+    need = draw(st.one_of(st.none(), st.integers(1, degree + 1)))
+    return grid, R, a, need, draw(st.integers(1, n * k + 3))
+
+
+@given(_polynomial_families())
+@example((np.linspace(-2.0, 2.0, 5), np.array([[0.0], [-1.0], [-0.5], [1.5]]), np.ones(4),
+          None, 8))
+@example((np.linspace(-2.0, 2.0, 5), np.array([[0.0, -1.0]]), np.ones(1), 1, 2))
+@settings(max_examples=300, deadline=None)
+def test_blocked_scan_equals_one_call(family):
+    # in the first example blocks of 8 values over 4 functions end after the
+    # grid values -1 and 1: exact zeros on either side of the first edge, and
+    # a sign change across each edge; the second stops at its first root,
+    # the zero at -1 that ends a block of 2
+    grid, R, a, need, block = family
+    n = len(R)
+    calls = []
+
+    def f(t, i):
+        calls.append(np.ndim(t))
+        return a[i] * np.prod(np.asarray(t)[..., None] - R[i], axis=-1)
+
+    want = [r[:need] for r in _scan_roots_in_one_call(f, grid, n)]
+    calls.clear()
+    with mock.patch.object(charts, "SCAN_BLOCK", block):
+        assert scan_roots(f, grid, n, need=need) == want
+    if need is None:   # every function scans the whole grid
+        assert calls.count(2) == -(-len(grid) // max(1, block // n))
 
 
 # ------------------------------------------------------------------ brentq

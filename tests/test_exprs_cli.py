@@ -375,11 +375,16 @@ _ROOT_RUN = ("chart: {axes: [t, x], bounds: [[-5, 5], [-5, 5]]}\n"
      "numerical failure (ContractViolation): initial state is off-shell: G = nan"),
     ("{x: [0.0, 0.0], p: [-4.6, -3.0]}", ["--fixed-step", "0.01"],
      "numerical failure (DegeneracyError): integration failed: a step's stages are not finite"),
-], ids=["nan-start", "fixed-step-crosses-x=-1"])
+    ("{x: [0.0, 0.0], p: [-4.6, -3.0]}", [],
+     "numerical failure (DegeneracyError): integration failed: a step's stages are not finite"
+     " (the step size underflowed at tau = 0.331138)"),
+], ids=["nan-start", "fixed-step-crosses-x=-1", "adaptive-crosses-x=-1"])
 def test_cli_symbol_outside_its_domain_is_a_numerical_failure(tmp_path, capsys, strip, extra,
                                                               message):
     # the start ended in a ValueError traceback (exit 1); the fixed-step run
-    # wrote NaN rows from tau 0.38 on and reported max_abs_g "nan" at exit 0
+    # wrote NaN rows from tau 0.38 on and reported max_abs_g "nan" at exit 0;
+    # the adaptive run said "Required step size is less than spacing between
+    # numbers", naming neither the NaN nor where it began
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(f"schema_version: 1\n{_ROOT_RUN}strips: [{strip}]\n")
     out = tmp_path / "out"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contactflow as cf
-from contactflow import fronts
+from contactflow import charts, fronts
 from contactflow.charts import scan_roots
 
 
@@ -137,6 +137,12 @@ def test_legendre_lift_no_root_raises():
     front = cf.circle_front(sc.chart, 1.0, 8)
     with pytest.raises(cf.NoLiftError):
         cf.legendre_lift(sc.surface, front, branch=(1, 5))
+    # the scan stops each sample after root index + 1 roots, so an index below
+    # 0 is refused; -1 used to pick the largest root, or raise IndexError on a
+    # sample with none
+    for idx in (-1, 0.0):
+        with pytest.raises(cf.ContractViolation, match="branch root index must be an integer"):
+            cf.legendre_lift(sc.surface, front, branch=(1, idx))
 
 
 
@@ -182,6 +188,59 @@ def test_legendre_lift_skips_a_sample_with_zero_tangent():
                          np.linspace(0.0, 1.0, 5))
     with pytest.raises(cf.NoLiftError, match="zero tangent"):
         cf.legendre_lift(sc.surface, still, branch=(1, 0))
+
+
+def _dropping_front():
+    # |p0| = |dS0/du| = 2 |cos u| > 1 leaves no on-shell root on the eikonal
+    # conormal ray for |cos u| > 1/2, and the front stands still at u = 0
+    def pos(u):
+        return np.column_stack([np.copysign(np.maximum(np.abs(u) - 0.05, 0.0), u),
+                                np.full(len(u), 0.5)])
+
+    return cf.FrontSpec(_eik().chart, pos, np.linspace(-3.0, 3.0, 61),
+                        s0=lambda u: 2.0 * np.sin(u))
+
+
+@pytest.mark.parametrize("front,branch,dropped", [
+    (cf.circle_front(_eik().chart, 1.0, 256), (1, 1), 0),
+    (_dropping_front(), (1, 0), 41),
+    (_dropping_front(), (1, 1), 41),
+    (cf.circle_front(_eik().chart, 1.0, 256), (1, 2), 256),   # no sample has a third root
+], ids=["circle", "dropping-first-root", "dropping-second-root", "no-third-root"])
+@pytest.mark.parametrize("block", [1, 997, 2 ** 15])
+def test_legendre_lift_in_blocks_equals_the_one_block_lift(front, branch, dropped, block,
+                                                           monkeypatch):
+    E = _eik().surface
+
+    def lift():
+        try:
+            return cf.legendre_lift(E, front, branch=branch)
+        except cf.NoLiftError as e:
+            return str(e)
+
+    monkeypatch.setattr(charts, "SCAN_BLOCK", 2 ** 30)
+    want = lift()
+    monkeypatch.setattr(charts, "SCAN_BLOCK", block)
+    got = lift()
+    if isinstance(want, str):
+        assert got == want and "found 2, wanted index 2" in want
+        return
+    assert len(want.failures) == dropped and len(want) + dropped == len(front.params)
+    assert got.failures == want.failures and got.period == want.period
+    for a, b in zip((got.u, got.x, got.s, got.p, got.p_s), (want.u, want.x, want.s, want.p,
+                                                            want.p_s)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_legendre_lift_scans_only_up_to_its_branch_root(monkeypatch):
+    # each inward sample's second root sits near grid value 420 of 801
+    E = _eik().surface
+    seen = []
+    real = E.value
+    monkeypatch.setattr(E, "value", lambda *a: seen.append(np.size(r := real(*a))) or r)
+    lift = cf.legendre_lift(E, cf.circle_front(_eik().chart, 1.0, 256), branch=(1, 1))
+    assert len(lift) == 256
+    assert sum(seen) < 0.7 * 256 * len(fronts._LIFT_GRID)
 
 
 # --------------------------------------------------------------- propagation
