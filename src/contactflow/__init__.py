@@ -20,14 +20,11 @@ from .errors import (BoundaryError, ConfigError, ContactFlowError,
 from .fronts import (CausticEvent, FrontHistory, FrontSpec, Lift, circle_front,
                      flat_front, front_action_function, legendre_lift,
                      propagate_front)
-from .noether import (SymmetryField, check_symmetry,
-                      conservation_drift, conservation_series,
-                      conserved_quantity, gauge_shifted_symmetry,
-                      symmetry_residual)
+from .noether import (SymmetryField, check_symmetry, conservation_drift,
+                      conservation_series, gauge_shifted_symmetry, symmetry_residual)
 from .operators import (LinearDiffOperator, PrincipalSymbol, ScalingReport,
-                        eikonal_residual, equivariant_reduce,
-                        fit_quadratic_phase, oscillatory_coefficients,
-                        poly_phase, principal_symbol, schrodinger_operator,
+                        eikonal_residual, equivariant_reduce, fit_quadratic_phase,
+                        oscillatory_coefficients, poly_phase, schrodinger_operator,
                         symbol_scaling_check)
 from .phase import (HolonomyResult, PhasePoint, SectionSpec, holonomy, square_loop,
                     to_phase)

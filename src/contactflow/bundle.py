@@ -8,7 +8,6 @@ diagrams are unit-level sections of the Monge cone by the plane alpha = 1.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -65,17 +64,6 @@ class ConnectionData:
         """F_{mu nu} = d_mu A_nu - d_nu A_mu (antisymmetric by construction)."""
         J = self.jacobian(x)
         return J - np.swapaxes(J, -1, -2)
-
-    def bianchi_residual(self, x):
-        """Max cyclic-sum residual of dF over 3-axis combinations (0 for dim < 3):
-        a float at a point x of shape (m,), an array over stacked points (..., m)."""
-        x = np.asarray(x, float)
-        if self.chart.dim < 3:
-            return 0.0 if x.ndim == 1 else np.zeros(x.shape[:-1])
-        dF = fd_gradient(self.curvature, x, fd_steps(x))   # dF[..., i, mu, nu] = d_i F_mu,nu
-        a, b, c = np.array(list(itertools.combinations(range(self.chart.dim), 3))).T
-        r = np.abs(dF[..., a, b, c] + dF[..., b, c, a] + dF[..., c, a, b]).max(axis=-1)
-        return float(r) if x.ndim == 1 else r
 
     def shifted(self, chi: PolyField | ScalarField) -> "ConnectionData":
         """Connection with potential A + d(chi)."""
@@ -198,28 +186,20 @@ def _null_class_momenta(E: SymbolSurface, x, n_samples: int) -> list[np.ndarray]
 
 
 def legendre_dual(samples: np.ndarray) -> np.ndarray:
-    """Supporting-hyperplane (polar) dual of a sampled convex hypersurface.
+    """Supporting-line (polar) dual of a sampled convex curve in the plane.
 
-    For each sample v with estimated tangent plane T the unique covector p
-    with p(v) = 1 and p|_T = 0 is returned.  2D samples are taken as a ring
-    in order and the tangent is the symmetric chord through the neighbours;
-    in higher dimensions it is a local least-squares plane over the
-    2*dim nearest samples.  Samples whose tangent estimate is degenerate
-    (p(v) near 0) are left out.
+    The samples, of shape (n, 2), are taken as a ring in order; for each
+    sample v with tangent T, the symmetric chord through its neighbours,
+    the unique covector p with p(v) = 1 and p|_T = 0 is returned.  Samples
+    whose tangent estimate is degenerate (p(v) near 0) are left out.
     """
     samples = np.asarray(samples, float)
     n, m = samples.shape
-    if n < m + 1:
-        raise ContractViolation("need at least dim+1 samples to estimate tangent planes")
-    if m == 2:
-        t = np.roll(samples, -1, axis=0) - np.roll(samples, 1, axis=0)
-        nrm = np.stack([-t[:, 1], t[:, 0]], axis=-1)
-        tol = 1e-14 * np.sqrt(dot(nrm, nrm)) * np.maximum(np.sqrt(dot(samples, samples)), 1.0)
-    else:
-        d2 = np.sum((samples[None, :, :] - samples[:, None, :]) ** 2, axis=-1)
-        near = np.argsort(d2, axis=1)[:, 1:2 * m + 1]
-        nrm = np.linalg.svd(samples[near] - samples[:, None, :])[2][:, -1]   # plane normals
-        tol = 1e-12
+    if m != 2 or n < 3:
+        raise ContractViolation(f"legendre_dual takes n >= 3 samples in 2D, not shape {(n, m)}")
+    t = np.roll(samples, -1, axis=0) - np.roll(samples, 1, axis=0)
+    nrm = np.stack([-t[:, 1], t[:, 0]], axis=-1)
+    tol = 1e-14 * np.sqrt(dot(nrm, nrm)) * np.maximum(np.sqrt(dot(samples, samples)), 1.0)
     denom = dot(nrm, samples)
     fit = ~(np.abs(denom) < tol)
     duals = nrm[fit] / denom[fit, None]
@@ -245,21 +225,18 @@ def strip_in_gauge(strip: Strip, chi: PolyField | ScalarField) -> Strip:
                  strip.p_s.copy(), strip.g_residual.copy(), strip.boundary_exit)
 
 
-def classify_characteristic(strip: Strip, time_orientation: int = +1) -> str:
+def classify_characteristic(strip: Strip) -> str:
     """Particle / antiparticle / lightlike class by the sign of p_s.
 
     p_s is conserved, so a sign change along the strip indicates corruption
     and raises InternalConsistencyError.
     """
-    if time_orientation not in (+1, -1):
-        raise ContractViolation("time_orientation must be +1 or -1")
-    ps = strip.p_s * time_orientation
-    signs = np.sign(ps[np.abs(ps) > PS_ZERO_TOL])
+    signs = np.sign(strip.p_s[np.abs(strip.p_s) > PS_ZERO_TOL])
     if signs.size and not np.all(signs == signs[0]):
         raise InternalConsistencyError("p_s changed sign along a strip")
     if not signs.size:
         return "lightlike"
-    if np.any(np.abs(ps) <= PS_ZERO_TOL):
+    if np.any(np.abs(strip.p_s) <= PS_ZERO_TOL):
         raise InternalConsistencyError("p_s jumped between zero and nonzero along a strip")
     return "particle" if signs[0] > 0 else "antiparticle"
 
@@ -270,9 +247,7 @@ class RelativisticScenario:
     connection: ConnectionData
     metric: np.ndarray          # constant Lorentzian metric on the M axes
     mass: float
-    charge: float
     fiber_coeff: float          # coefficient of p_s^2 in G (m^2 c^2 for flat diag(c^2,-1,...))
-    em_potential: ConnectionData
 
 
 def lorentzian_metric(c: float, dim: int = 2) -> np.ndarray:
@@ -283,8 +258,7 @@ def lorentzian_metric(c: float, dim: int = 2) -> np.ndarray:
 
 
 def relativistic_scenario(mass: float, charge: float, em_potential,
-                          metric, chart: Chart | None = None,
-                          fiber_coeff: float | None = None) -> RelativisticScenario:
+                          metric, chart: Chart | None = None) -> RelativisticScenario:
     """Light-cone symbol on U for a charged relativistic particle.
 
     The Monge cones are the null cones of a Lorentzian metric on U whose
@@ -292,8 +266,8 @@ def relativistic_scenario(mass: float, charge: float, em_potential,
 
         G = g^{mu nu} (p - e A p_s)_mu (p - e A p_s)_nu - (fiber_coeff) p_s^2
 
-    normalized so the p_s = +/-1 sections are the two mass-shell branches
-    (fiber_coeff defaults to m^2 g_{00}, i.e. m^2 c^2 for diag(c^2, -1...)).
+    normalized so the p_s = +/-1 sections are the two mass-shell branches:
+    fiber_coeff is m^2 g_{00}, i.e. m^2 c^2 for diag(c^2, -1...).
     """
     g = np.asarray(metric, float)
     m_dim = g.shape[0]
@@ -303,8 +277,7 @@ def relativistic_scenario(mass: float, charge: float, em_potential,
     if chart is None:
         names = ("t",) + tuple(f"x{i}" if m_dim > 2 else "x" for i in range(1, m_dim))
         chart = Chart(names, [[-1e4, 1e4]] * m_dim)
-    if fiber_coeff is None:
-        fiber_coeff = mass * mass * g[0, 0]
+    fiber_coeff = mass * mass * g[0, 0]
     if not fiber_coeff > 0:
         raise ContractViolation("fiber coefficient must be positive (spacelike fiber)")
     ginv = np.linalg.inv(g)
@@ -337,7 +310,7 @@ def relativistic_scenario(mass: float, charge: float, em_potential,
         return e * em.jacobian(x)
 
     conn = ConnectionData(chart, A_conn, dA=dA_conn)
-    return RelativisticScenario(surface, conn, g, mass, e, float(fiber_coeff), em)
+    return RelativisticScenario(surface, conn, g, mass, float(fiber_coeff))
 
 
 def constant_field_potential(chart: Chart, field_strength: float) -> ConnectionData:

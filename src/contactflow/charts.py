@@ -208,9 +208,10 @@ def scan_roots(f: Callable, grid, n: int = 1, need: int | None = None) -> list[l
     call.  A function leaves the scan once it has ``need`` roots, and its
     list holds its first ``need``; with need None every function scans the
     whole grid.  Every sign change between neighbouring grid values is then
-    polished by one brentq call, which calls f with matching 1-D arrays t
-    and i.  A grid value that is exactly zero (the last one included) counts
-    once; each function's last value carries across a block edge.
+    polished by one brentq call of up to 1000 iterations (a multiple root
+    needs more than 100), which calls f with matching 1-D arrays t and i.
+    A grid value that is exactly zero (the last one included) counts once;
+    each function's last value carries across a block edge.
     """
     grid = np.asarray(grid, dtype=float)
     need = len(grid) if need is None else need   # at most one root per grid value
@@ -242,7 +243,7 @@ def scan_roots(f: Callable, grid, n: int = 1, need: int | None = None) -> list[l
     roots = grid[j]
     if polish.any():
         jb = j[polish]
-        roots[polish] = brentq(f, grid[jb], grid[jb + 1], fi[polish], xtol=1e-14)
+        roots[polish] = brentq(f, grid[jb], grid[jb + 1], fi[polish], xtol=1e-14, maxiter=1000)
     roots = roots[np.lexsort((roots, fi))].tolist()
     ends = np.cumsum(np.bincount(fi, minlength=n)).tolist()
     return [roots[lo:hi] for lo, hi in zip([0] + ends, ends)]

@@ -308,11 +308,10 @@ def _run_holonomy(cfg, scen_unused, args, report):
         raise ConfigError("key 'loops' is required for the holonomy run")
     results = []
     for i, b in enumerate(blocks):
-        b = _Block(b, {"points", "center", "side", "p_s"}, f"loop #{i}")
+        b = _Block(b, {"points", "center", "side"}, f"loop #{i}")
         loop = (np.asarray(b["points"], float) if "points" in b
                 else square_loop(tuple(b.get("center", (0.0, 0.0))), float(b["side"])))
-        res = holonomy(loop, p_s=float(b.get("p_s", 1.0)))
-        results.append({"loop": i, "delta_s": res.delta_s})
+        results.append({"loop": i, "delta_s": holonomy(loop).delta_s})
     report["loops"] = results
     report["files"] = {}
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .charts import Chart, PolyField, ScalarField, VectorField, dot
 from .errors import ContractViolation
-from .strips import CharacteristicState, Strip, SymbolSurface, _onshell_scale, sample_onshell
+from .strips import Strip, SymbolSurface, _onshell_scale, sample_onshell
 
 
 @dataclass
@@ -34,10 +34,6 @@ class SymmetryField:
 def _charge(sym: SymmetryField, x, p, p_s):
     """Q = <p, v(x)> + p_s f(x), at one point or over stacked points."""
     return dot(p, sym.v.value(x)) + p_s * sym.f.value(x)
-
-
-def conserved_quantity(sym: SymmetryField, state: CharacteristicState) -> float:
-    return float(_charge(sym, state.x, state.p, state.p_s))
 
 
 def symmetry_residual(E: SymbolSurface, sym: SymmetryField, x, p, p_s):

@@ -68,10 +68,6 @@ class LinearDiffOperator:
         return self.chart.dim
 
 
-def principal_symbol(D: LinearDiffOperator) -> "PrincipalSymbol":
-    return PrincipalSymbol(D)
-
-
 def _cotangent_chart(chart: Chart, prefix: str, extra=()) -> Chart:
     """A chart over positions, momenta named prefix + axis, then the extra
     axes.  PolyField reads only axis names and count off a chart, so the
@@ -106,12 +102,6 @@ class PrincipalSymbol:
 
     def value(self, x, xi):
         return self.poly.value(_joined(x, xi))
-
-    def xi_gradient(self, x, xi) -> np.ndarray:
-        return self.poly.gradient(_joined(x, xi))[..., self.chart.dim:]
-
-    def x_gradient(self, x, xi) -> np.ndarray:
-        return self.poly.gradient(_joined(x, xi))[..., :self.chart.dim]
 
 
 def equivariant_reduce(symbol: PrincipalSymbol, weight: float) -> SymbolSurface:
@@ -227,7 +217,7 @@ class ScalingReport:
     degree: int
     fitted_exponent: float       # of |D e^{i lam g} e^{-i lam g} - (i lam)^n s_D(dg)|
     leading_coeff: complex       # A_n / i^n, should equal s_D(x, dg)
-    symbol_value: float          # s_D(x, dg) from principal_symbol
+    symbol_value: float          # s_D(x, dg) from PrincipalSymbol
     leading_rel_error: float
     residuals: np.ndarray
 
@@ -240,7 +230,7 @@ def symbol_scaling_check(D: LinearDiffOperator, phase, lams, x) -> ScalingReport
     A = oscillatory_coefficients(D, phase, x)
     dg = np.array([phase.deriv_value(tuple(1 if i == j else 0 for i in range(D.dim)), x)
                    for j in range(D.dim)])
-    sval = principal_symbol(D).value(x, dg)
+    sval = PrincipalSymbol(D).value(x, dg)
     lead = A[n] / (1j ** n)
     rel = abs(lead - sval) / max(abs(sval), 1e-300)
     # the residual is the exact lower-order tail
@@ -269,9 +259,10 @@ def eikonal_residual(D: LinearDiffOperator, phase, lams, points) -> float:
 
 # --- phases from sampled data ----------------------------------------------
 
+PHASE_FIT_MAX_RESIDUAL = 1e-4   # the quadratic model's largest residual / max(|values|, 1)
+
 def fit_quadratic_phase(chart: Chart, points, values, center, radius: float,
-                        s_axis: str | None = "s", s_weight: float = 1.0,
-                        max_residual: float = 1e-4) -> PolyField:
+                        s_axis: str | None = "s", s_weight: float = 1.0) -> PolyField:
     """Local quadratic least-squares model of sampled action data.
 
     ``points``/``values`` sample S over the base axes of ``chart`` (the fiber
@@ -297,9 +288,9 @@ def fit_quadratic_phase(chart: Chart, points, values, center, radius: float,
     sol, *_ = np.linalg.lstsq(M, vals, rcond=None)
     resid = np.abs(M @ sol - vals).max()
     scale = max(np.abs(vals).max(), 1.0)
-    if resid > max_residual * scale:
-        raise DataQualityError(
-            f"quadratic model residual {resid:.3e} exceeds {max_residual:.1e} * scale")
+    if resid > PHASE_FIT_MAX_RESIDUAL * scale:
+        raise DataQualityError(f"quadratic model residual {resid:.3e} exceeds "
+                               f"{PHASE_FIT_MAX_RESIDUAL:.1e} * scale")
     # the absolute coefficients are the Taylor coefficients at the origin
     centred = PolyField(base, dict(zip(monos, sol)))
     coeffs = {chart.multi_index(dict(zip(base.axis_names, k))):

@@ -13,12 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import dot
-from .errors import BoundaryError, ContractViolation, CrossingError
+from .errors import ContractViolation, CrossingError
 from .strips import (PS_ZERO_TOL, CharacteristicState, Fiber, IntegratorConfig,
                      SymbolSurface, check_start, flow_to_event)
 
 #: integrator settings of the flow to the section
 SECTION_INTEGRATOR = IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+SECTION_TAU_BUDGET = 50.0   # the largest |tau| the flow to the section covers either way
 
 
 @dataclass(frozen=True)
@@ -45,16 +46,15 @@ def _branch_of(p_s: float, scale: float) -> str:
     return "particle" if p_s > 0 else "antiparticle"
 
 
-def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec,
-             tau_budget: float = 50.0) -> PhasePoint:
+def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec) -> PhasePoint:
     """Flow the characteristic through ``state`` to the section and reduce.
 
     Both tau directions are tried; the crossing nearest tau = 0 wins, the
     forward one on a tie.  The direction that dx/dtau = dG/dp points to the
-    section at the start flows first, over the budget; the other stops at
-    |tau| of its crossing, or at the budget if there is none.  The result
-    is independent of where on the characteristic ``state`` sits and of its
-    s value.
+    section at the start flows first, over SECTION_TAU_BUDGET; the other
+    stops at |tau| of its crossing, or at the budget if there is none.  The
+    result is independent of where on the characteristic ``state`` sits and
+    of its s value.
     """
     i_sec = E.chart.axis_index(section.axis)
     keep = [i for i in range(E.dim) if i != i_sec]
@@ -70,14 +70,15 @@ def to_phase(E: SymbolSurface, state: CharacteristicState, section: SectionSpec,
     else:
         dx = E.gradient(state.x, state.p, state.p_s)[1][i_sec]   # dx/dtau on the axis
         sign = -1.0 if dx * (section.value - state.x[i_sec]) < 0 else 1.0   # toward it
-        first = flow_to_event(E, state, sign * tau_budget, crossing, SECTION_INTEGRATOR)
-        reach = tau_budget if first is None else abs(first.tau)
+        first = flow_to_event(E, state, sign * SECTION_TAU_BUDGET, crossing,
+                              SECTION_INTEGRATOR)
+        reach = SECTION_TAU_BUDGET if first is None else abs(first.tau)
         hits = [h for h in (first, flow_to_event(E, state, -sign * reach, crossing,
                                                  SECTION_INTEGRATOR)) if h is not None]
     if not hits:
         raise CrossingError(
             f"characteristic does not cross {{{section.axis} = {section.value}}} "
-            f"within |tau| <= {tau_budget}")
+            f"within |tau| <= {SECTION_TAU_BUDGET}")
     end = min(hits, key=lambda h: (abs(h.tau), h.tau < 0))   # forward wins a tie
     branch = _branch_of(end.p_s, np.linalg.norm(end.covector()))
     if branch == "lightlike-boundary":
@@ -104,7 +105,7 @@ class HolonomyResult:
     delta_s_mod: float | None  # reduced by the fiber period, circle fibers only
 
 
-def holonomy(loop, p_s: float = 1.0, fiber: Fiber | None = None) -> HolonomyResult:
+def holonomy(loop, fiber: Fiber | None = None) -> HolonomyResult:
     """Fiber displacement of the horizontal lift of a closed polygonal loop.
 
     The loop has shape (n, 2k) in a phase chart: k positions x_i, then the
@@ -114,8 +115,6 @@ def holonomy(loop, p_s: float = 1.0, fiber: Fiber | None = None) -> HolonomyResu
     signed area enclosed in the (q_i, x_i) planes, summed over i -- the
     curvature is the symplectic form sum_i dq_i ^ dx_i.
     """
-    if abs(p_s) <= PS_ZERO_TOL:
-        raise BoundaryError("holonomy is undefined on the p_s = 0 boundary")
     pts = _require_loop(loop)
     closed = np.vstack([pts, pts[:1]])
     k = pts.shape[1] // 2

@@ -16,7 +16,7 @@ from .bundle import (ConnectionData, constant_field_potential, lorentzian_metric
                      relativistic_scenario)
 from .charts import Chart, PolyField, components, stack_last
 from .errors import ConfigError
-from .operators import equivariant_reduce, principal_symbol, schrodinger_operator
+from .operators import PrincipalSymbol, equivariant_reduce, schrodinger_operator
 from .strips import CharacteristicState, SymbolSurface
 
 
@@ -109,8 +109,7 @@ def relativistic(mass: float = 1.0, charge: float = 1.0, field_strength: float =
     # at rest at the origin: p = (m c^2, 0), p_s = 1
     inits = [CharacteristicState([0.0, 0.0], 0.0, [mass * c * c, 0.0], 1.0)]
     return Scenario("relativistic", rel.surface, rel.connection, inits,
-                    extras={"relativistic": rel, "c": c, "mass": mass,
-                            "charge": charge, "field_strength": field_strength})
+                    extras={"relativistic": rel})
 
 
 def schrodinger(mass: float = 1.0, V: "PolyField | dict | float" = 0.0,
@@ -124,12 +123,11 @@ def schrodinger(mass: float = 1.0, V: "PolyField | dict | float" = 0.0,
     if isinstance(V, dict):
         V = PolyField(u_chart, {u_chart.multi_index({"x": power}): c for power, c in V.items()})
     D = schrodinger_operator(u_chart, mass=mass, V=V)
-    E = equivariant_reduce(principal_symbol(D), 1.0)
+    E = equivariant_reduce(PrincipalSymbol(D), 1.0)
     # G is p_t p_s plus terms free of p_t, so p_t = -G(x0, (0, p_x), 1) is on shell
     x0, p_x = [0.0, 0.5], 0.8
     inits = [CharacteristicState(x0, 0.0, [-E.value(x0, [0.0, p_x], 1.0), p_x], 1.0)]
-    return Scenario("schrodinger", E, _zero_connection(E.chart), inits,
-                    extras={"operator": D, "mass": mass})
+    return Scenario("schrodinger", E, _zero_connection(E.chart), inits, extras={"operator": D})
 
 
 _BUILDERS = {

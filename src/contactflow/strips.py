@@ -225,9 +225,6 @@ class Strip:
     def __len__(self) -> int:
         return len(self.taus)
 
-    def state(self, i: int) -> CharacteristicState:
-        return CharacteristicState(self.x[i], self.s[i], self.p[i], self.p_s[i], self.taus[i])
-
 
 def _onshell_scale(E: SymbolSurface, p, p_s):
     """max(|(p, p_s)|^degree, 1e-300), at one point or over stacked points."""
@@ -669,10 +666,10 @@ def _propagate_stack(E: SymbolSurface, Y0, tau_span, integ: IntegratorConfig | N
                      tau_eval) -> tuple:
     """propagate() over the packed state stack Y0, rows (x, s, p, p_s): one
     integrator call, one projection call.  Returns per strip its stop or the
-    exception that ended it, as _integrate decides, each strip's number of
-    samples, and the samples (taus, X, S, P, PS, G) in strip order (None if
-    no strip ran), taus, X, S and PS views of the integrator's sample array.
-    Any exception raised (by the symbol, say) ends the whole call."""
+    exception that ended it (as _integrate decides, or a DegeneracyError at
+    its first sample that the projection leaves off shell), its number of
+    samples, and the samples (taus, X, S, P, PS, G) of the strips that did
+    not raise (None if no strip ran).  Any exception raised ends the call."""
     integ = integ or IntegratorConfig()
     t0, t1 = float(tau_span[0]), float(tau_span[1])
     if not (np.isfinite(t0) and np.isfinite(t1)):
@@ -687,8 +684,22 @@ def _propagate_stack(E: SymbolSurface, Y0, tau_span, integ: IntegratorConfig | N
     m = E.dim
     taus, X, S, P, PS = run[0], run[1:m + 1].T, run[m + 1], run[m + 2:-1].T, run[-1]
     # the projection acts sample by sample, so all strips take one call
-    P, G = (P, E.value(X, P, PS)) if t0 == t1 else _project_strip(E, X, P, PS,
-                                                                  integ.tol_onshell)
+    tol = integ.tol_onshell
+    P, G = (P, E.value(X, P, PS)) if t0 == t1 else _project_strip(E, X, P, PS, tol)
+    # a sample off shell by the start check's bound ends its strip
+    off = np.flatnonzero(~(np.abs(G) <= tol))   # the bound's scale only at these
+    if off.size:
+        bound = tol * np.maximum(_onshell_scale(E, P[off], PS[off]), 1.0)
+        rows = np.searchsorted(np.cumsum(counts), off, side="right")
+        for k in np.flatnonzero(~(np.abs(G[off]) <= bound))[::-1]:   # a strip's first wins
+            j = off[k]
+            stops[rows[k]] = DegeneracyError(
+                f"projection failed: |G| = {abs(G[j]):.3e} exceeds the on-shell bound "
+                f"{bound[k]:.3e} at tau = {taus[j]:.6g}",
+                state=CharacteristicState(X[j], S[j], P[j], PS[j], taus[j]))
+        failed = np.array([isinstance(stop, Exception) for stop in stops])
+        counts, keep = np.where(failed, 0, counts), np.repeat(~failed, counts)
+        taus, X, S, P, PS, G = (a[keep] for a in (taus, X, S, P, PS, G))
     return stops, counts, (taus, X, S, P, PS, G)
 
 

@@ -142,6 +142,16 @@ def test_scan_roots_of_cubic_come_back_ascending():
     assert np.allclose(roots, [-0.4, 1.3, 2.9], rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("f,grid,root", [
+    (lambda t, i: (t - 1.0) ** 3, [-3.0, 3.0], 1.0),
+    (lambda t, i: (t - 0.3) ** 5, [-20.0, 20.0], 0.3),
+], ids=["triple", "quintuple"])
+def test_scan_roots_polishes_a_multiple_root(f, grid, root):
+    # brentq's 100 default iterations ran out here (RuntimeError)
+    (got,), = scan_roots(f, grid)
+    assert got == pytest.approx(root, rel=0.0, abs=1e-12)
+
+
 def test_scan_roots_counts_exact_grid_roots_once():
     grid = np.linspace(-2.0, 2.0, 5)   # -2, -1, 0, 1, 2
     assert scan_roots(lambda t, i: t, grid) == [[0.0]]

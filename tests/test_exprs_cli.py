@@ -393,6 +393,19 @@ def test_cli_symbol_outside_its_domain_is_a_numerical_failure(tmp_path, capsys, 
     assert not list(out.glob("*.csv")) and not (out / "report.json").exists()
 
 
+def test_cli_projection_failure_is_a_numerical_failure(tmp_path, capsys):
+    # it exited 0 with max_abs_g 64.6 in report.json
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema_version: 1\nscenario: {builtin: oscillator}\ntau_span: [0.0, 10.0]\n"
+                   "integrator: {rel_tol: 0.1, abs_tol: 1.0}\n")
+    out = tmp_path / "out"
+    assert main(["propagate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure (DegeneracyError): projection failed: |G| = ")
+    assert err.strip().endswith("at tau = 4.55")
+    assert not list(out.glob("*.csv")) and not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("sub,block,message", [
     ("wavefront", "scenario: {builtin: eikonal}\nfront: {n: 8, ntau: 5}\n",
      "unknown 'front' keys ['ntau']"),
@@ -418,6 +431,8 @@ def test_cli_symbol_outside_its_domain_is_a_numerical_failure(tmp_path, capsys, 
      "unknown symmetry #0 keys ['g']"),
     ("holonomy", "loops: [{centre: [1.0, 0.0], side: 1.0}]\n",
      "unknown loop #0 keys ['centre']"),
+    ("holonomy", "loops: [{center: [1.0, 0.0], side: 1.0, p_s: 2.0}]\n",
+     "unknown loop #0 keys ['p_s']; allowed: ['center', 'points', 'side']"),
     ("symbol", "scenario: {builtin: schrodinger}\n"
                "phases: [{poly: [{powers: {x: 2.5}, c: 1.0}]}]\n",
      "power of 'x' must be a non-negative integer, got 2.5"),
@@ -428,7 +443,7 @@ def test_cli_symbol_outside_its_domain_is_a_numerical_failure(tmp_path, capsys, 
      "unexpected keyword argument 'bund'; allowed: ['bound']"),
 ], ids=["front-ntau", "front-n_tau-1.7", "front-n-16.9", "strip-ps", "fiber-perod",
         "symbol-degree-2.9", "diagram-n-16.9", "diagram-bidualty", "symmetry-g",
-        "loop-centre", "powers-2.5", "symbol-scenario-key", "builtin-args-bund"])
+        "loop-centre", "loop-p_s", "powers-2.5", "symbol-scenario-key", "builtin-args-bund"])
 def test_cli_misspelled_or_truncated_block_is_a_config_error(tmp_path, capsys, sub, block,
                                                               message):
     # each of these ran at exit 0, with the key ignored or the count truncated,

@@ -20,7 +20,7 @@ def test_free_momentum_conserved_along_strip(free):
     st0 = cf.CharacteristicState([0.0, 0.0], 0.0, [-0.245, 0.7], 1.0)
     strip = cf.propagate(free.surface, st0, (0.0, 3.0))
     assert cf.conservation_drift(free.surface, sym, strip) < 1e-12
-    assert cf.conserved_quantity(sym, strip.state(0)) == pytest.approx(0.7)
+    assert cf.conservation_series(sym, strip)[0] == pytest.approx(0.7)
 
 
 def test_eikonal_rotation_symmetry(eikonal):
@@ -100,9 +100,9 @@ def test_stacked_noether_layer_equals_its_rows(seed, n, scenario):
                cf.conservation_series(sym, cf.Strip(E, np.arange(n), x, np.zeros(n), p, p_s,
                                                     np.zeros(n)))]
     for r in range(n):
-        state = cf.CharacteristicState(x[r], 0.0, p[r], p_s[r])
+        v = sym.v.value(x[r])   # Q = <p, v> + p_s f, added in index order
         rows = [cf.symmetry_residual(E, sym, x[r], p[r], p_s[r]), shifted.value(x[r]),
-                shifted.gradient(x[r]), cf.conserved_quantity(sym, state)]
+                shifted.gradient(x[r]), p[r, 0] * v[0] + p[r, 1] * v[1] + p_s[r] * f.value(x[r])]
         for got, want in zip(stacked, rows):
             assert np.array_equal(got[r], want)
 

@@ -182,6 +182,27 @@ def test_batch_propagate_carries_failures(free):
     assert isinstance(items[1].error, cf.ContractViolation)
 
 
+def test_a_sample_the_projection_leaves_off_shell_ends_its_strip(oscillator):
+    # at these tolerances propagate returned a strip with |G| up to 64.6 and
+    # 102 of its 201 samples above the start check's bound
+    E, init = oscillator.surface, oscillator.initial_states[0]
+    loose = cf.IntegratorConfig(rel_tol=0.1, abs_tol=1.0)
+    with pytest.raises(cf.DegeneracyError, match=r"projection failed: \|G\| = .* exceeds the "
+                                                 r"on-shell bound .* at tau = 4\.55$") as err:
+        cf.propagate(E, init, (0.0, 10.0), loose)
+    state = err.value.state
+    assert state.tau == 4.55 and abs(E.value(state.x, state.p, state.p_s)) > 1e-8
+    # a batch keeps its other strips; a front refuses as for a ray that stops early
+    rest = cf.CharacteristicState([0.0, 0.0], 0.0, [0.0, 0.0], 1.0)   # x stays 0
+    bad, good = cf.batch_propagate(E, [init, rest], (0.0, 10.0), loose)
+    assert isinstance(bad.error, cf.DegeneracyError) and bad.strip is None
+    alone = cf.propagate(E, rest, (0.0, 10.0), loose)
+    assert good.ok and np.array_equal(good.strip.p, alone.p)
+    front = cf.flat_front(E.chart, "t", 0.0, (-1.0, 1.0), 5, s0=lambda u: np.asarray(u, float))
+    with pytest.raises(cf.ContractViolation, match="5 front samples failed to propagate"):
+        cf.propagate_front(E, cf.legendre_lift(E, front), np.linspace(0.0, 10.0, 201), loose)
+
+
 def test_fixed_step_strip_takes_four_gradients_a_step(free, monkeypatch):
     # the degeneracy check at a step point reuses the gradient the next step
     # starts from; counting points, not calls, means the same on a stack
