@@ -222,7 +222,8 @@ def strip_in_gauge(strip: Strip, chi: PolyField | ScalarField) -> Strip:
     return Strip(strip.surface, strip.taus.copy(), strip.x.copy(),
                  strip.s + chi.value(strip.x),
                  strip.p + strip.p_s[:, None] * chi.gradient(strip.x),
-                 strip.p_s.copy(), strip.g_residual.copy(), strip.boundary_exit)
+                 strip.p_s.copy(), strip.g_residual.copy(), strip.g_raw.copy(),
+                 strip.p_correction.copy(), strip.boundary_exit)
 
 
 def classify_characteristic(strip: Strip) -> str:

@@ -186,6 +186,7 @@ def _run_propagate(cfg, scen, args, report):
         files[path] = out_io.sha256_of(path)
         metrics.append({"strip": i,
                         "max_abs_g": float(np.max(np.abs(strip.g_residual))),
+                        **_projection_report(strip),
                         "delta_p_s": float(np.max(np.abs(strip.p_s - strip.p_s[0]))),
                         "delta_s": float(strip.s[-1] - strip.s[0]),
                         "boundary_exit": bool(strip.boundary_exit)})
@@ -229,6 +230,14 @@ def _run_wavefront(cfg, scen, args, report):
     report["first_caustic_tau"] = hist.first_caustic_tau()
     report["contact_residual"] = hist.contact_residual()
     report["lift_dropped"] = {"count": len(lift.failures), "u": [u for u, _ in lift.failures]}
+    report.update(_projection_report(hist))
+
+
+def _projection_report(run) -> dict:
+    """The integrator's max |G| before the on-shell projection of a Strip
+    or FrontHistory, and the largest |delta p| the projection applied."""
+    return {"max_abs_g_raw": float(np.max(np.abs(run.g_raw))),
+            "max_projection_correction": float(np.max(run.p_correction))}
 
 
 def _run_noether(cfg, scen, args, report):

@@ -184,6 +184,8 @@ class FrontHistory:
     p_s: np.ndarray              # (nu, nt)
     jacobian_det: np.ndarray     # (nu, nt)
     caustics: list[CausticEvent]
+    g_raw: np.ndarray            # (nu, nt) G as integrated, before the on-shell projection
+    p_correction: np.ndarray     # (nu, nt) the length of the change it made to p
     closed: bool = False
 
     def first_caustic_tau(self) -> float | None:
@@ -245,13 +247,13 @@ def propagate_front(E: SymbolSurface, lift: Lift, taus, integ: IntegratorConfig 
             f"{len(bad)} front samples failed to propagate over the full grid "
             f"(first failure at u index {bad[0]})")
     # every strip covers the tau grid, so the stacked samples are (u, tau) arrays
-    X, S, P, PS = (a.reshape((nu, nt) + a.shape[1:]) for a in run[1:5])
+    X, S, P, PS, _, G_raw, dP = (a.reshape((nu, nt) + a.shape[1:]) for a in run[1:])
 
     # the Jacobian columns dx/du and dx/dtau = dG/dp; an open front's end
     # samples have no dx/du, so their determinant is NaN
     du, dtau = _u_derivative(X, lift.u, closed), E.gradient(X, P, PS)[1]
     J = du[..., 0] * dtau[..., 1] - du[..., 1] * dtau[..., 0]
-    return FrontHistory(E, lift.u, taus, X, S, P, PS, J, _caustic_events(J, taus),
+    return FrontHistory(E, lift.u, taus, X, S, P, PS, J, _caustic_events(J, taus), G_raw, dP,
                         closed=closed)
 
 

@@ -277,28 +277,46 @@ def fit_quadratic_phase(chart: Chart, points, values, center, radius: float,
     center = np.asarray(center, float)
     pts = np.asarray(points, float).reshape(-1, nb)
     vals = np.asarray(values, float).ravel()
-    keep = np.linalg.norm(pts - center, axis=1) <= radius
+    keep = np.sqrt(dot(pts - center, pts - center)) <= radius
     pts, vals = pts[keep], vals[keep]
     monos = [m for m in itertools.product(range(3), repeat=nb) if sum(m) <= 2]
     if len(pts) < len(monos) + 2:
         raise DataQualityError(
             f"only {len(pts)} samples within radius {radius}; need {len(monos) + 2}")
-    M = np.array([[float(np.prod((row - center) ** np.array(m))) for m in monos]
-                  for row in pts])
-    sol, *_ = np.linalg.lstsq(M, vals, rcond=None)
-    resid = np.abs(M @ sol - vals).max()
+    # row j of M is monomial j at every sample, in u = (x - center) / radius: columns
+    # scaled by powers of the radius keep the normal equations well conditioned
+    u = (pts - center) / radius
+    M = np.array([math.prod((libm_pow(u[:, i], e) for i, e in enumerate(k)),
+                            start=np.ones(len(u))) for k in monos])
+    sol = _solve(dot(M[:, None], M[None]), dot(M, vals))
+    resid = np.abs(dot(M.T, sol) - vals).max()
     scale = max(np.abs(vals).max(), 1.0)
     if resid > PHASE_FIT_MAX_RESIDUAL * scale:
         raise DataQualityError(f"quadratic model residual {resid:.3e} exceeds "
                                f"{PHASE_FIT_MAX_RESIDUAL:.1e} * scale")
     # the absolute coefficients are the Taylor coefficients at the origin
-    centred = PolyField(base, dict(zip(monos, sol)))
+    centred = PolyField(base, {k: c / libm_pow(radius, sum(k)) for k, c in zip(monos, sol)})
     coeffs = {chart.multi_index(dict(zip(base.axis_names, k))):
               centred.deriv_value(k, -center) / math.prod(map(math.factorial, k))
               for k in monos}
     if si is not None:
         coeffs[chart.multi_index({s_axis: 1})] = s_weight
     return PolyField(chart, coeffs)
+
+
+def _solve(A, b) -> list[float]:
+    """x with A x = b, for a small symmetric positive definite A, by
+    Gauss-Jordan elimination in Python floats in index order (no pivoting);
+    a pivot that is not finite and positive is a DataQualityError."""
+    n = len(b)
+    rows = [[float(v) for v in A[i]] + [float(b[i])] for i in range(n)]
+    for k in range(n):
+        if not (math.isfinite(rows[k][k]) and rows[k][k] > 0.0):
+            raise DataQualityError("the samples do not determine a quadratic model")
+        for r in [*range(k), *range(k + 1, n)]:
+            f = rows[r][k] / rows[k][k]
+            rows[r][k:] = [v - f * w for v, w in zip(rows[r][k:], rows[k][k:])]
+    return [row[n] / row[k] for k, row in enumerate(rows)]
 
 
 def poly_phase(chart: Chart, coeffs: Mapping, s_axis: str | None = "s",

@@ -22,13 +22,14 @@ s grows by the Lagrangian integral along the projected extremal.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import (_EPS, Chart, brentq, dot, fd_gradient, fd_steps, lead_dot, libm_pow,
-                     scan_roots)
+from .charts import (_EPS, SCAN_BLOCK, Chart, brentq, dot, fd_gradient, fd_steps, lead_dot,
+                     libm_pow, scan_roots)
 from .errors import ContractViolation, DegeneracyError
 
 #: strips with |p_s| below this are treated as the lightlike class
@@ -219,7 +220,9 @@ class Strip:
     s: np.ndarray        # (n,)
     p: np.ndarray        # (n, m)
     p_s: np.ndarray      # (n,)
-    g_residual: np.ndarray
+    g_residual: np.ndarray     # (n,) G after the on-shell projection
+    g_raw: np.ndarray          # (n,) G as integrated, before it
+    p_correction: np.ndarray   # (n,) the length of the change it made to p
     boundary_exit: bool = False
 
     def __len__(self) -> int:
@@ -294,17 +297,17 @@ def _dG_dq(F, m: int) -> np.ndarray:
     return gq
 
 
-def _project_strip(E: SymbolSurface, X, P, PS, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Newton-correct the M-momenta of stacked samples to restore G = 0;
-    x and p_s are held fixed.  Returns the corrected (P, G).
+def _project_strip(E: SymbolSurface, X, P, PS, G, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Newton-correct the M-momenta of stacked samples, whose symbol values
+    are G, to restore G = 0; x and p_s are held fixed.  Returns the
+    corrected (P, G), new arrays.
 
     Radial rescaling would only scale a homogeneous G, so the correction acts
     along the p-gradient instead, which leaves the projected characteristic
     unchanged to the order of the defect.  Each sample takes up to four
     steps and stops once |G| <= tol / 2 or its p-gradient vanishes.
     """
-    P = np.array(P, float)
-    G = E.value(X, P, PS)
+    P, G = np.array(P, float), np.array(G, float)
     todo = np.arange(len(G))
     for _ in range(4):
         todo = todo[~(np.abs(G[todo]) <= 0.5 * tol)]
@@ -332,8 +335,10 @@ def _project_strip(E: SymbolSurface, X, P, PS, tol: float) -> tuple[np.ndarray, 
 # order from elementwise * and +, so a strip has the same bits in any stack,
 # any layout and under any BLAS kernel or SIMD dispatch.  Wide arrays keep
 # the row axis innermost: stages (stage, row, component), interpolant
-# coefficients (stage, component, row), samples one (component, strip,
-# column) buffer.
+# coefficients (stage, component, row), and samples one (component, column,
+# strip) buffer with no scratch columns, which each step fills with one
+# masked block write; the interpolant passes over chunks of components of
+# at most charts.SCAN_BLOCK values, so a front's wide steps stay in cache.
 
 _A45 = [np.array(a) for a in ([1/5], [3/40, 9/40], [44/45, -56/15, 32/9],
                               [19372/6561, -25360/2187, 64448/6561, -212/729],
@@ -416,10 +421,11 @@ def _rk4_step(E: SymbolSurface, Y, F, h: float):
 
 def _interpolate(K, y_old, t_old, h, taus, fixed: bool):
     """A step's continuous extension y_old + h * sum_j M[j] w_j(theta) at
-    times taus (k, rows), theta = (tau - t_old) / h, from its stages K; returns
-    (component, k, rows).  M (4, component, row) is K's first four stages
-    with cubic weights w_j for RK4, and K^T P with w_j = theta^(j + 1) for
-    Dormand-Prince; both sums are lead_dot's, in index order."""
+    times taus, theta = (tau - t_old) / h (k, rows), from its stages K; returns
+    (component, k, rows).  M (4, component, row) is K's first four stages with
+    cubic weights w_j for RK4, and K^T P with w_j = theta^(j + 1) for
+    Dormand-Prince; lead_dot adds both in index order, whole components of at
+    most SCAN_BLOCK values at a time, so a wide step stays in cache."""
     Ks = np.ascontiguousarray(K.transpose(0, 2, 1))   # the row axis innermost
     th = (taus - t_old) / h
     sq = th * th
@@ -429,10 +435,9 @@ def _interpolate(K, y_old, t_old, h, taus, fixed: bool):
         M, W = Ks, (th - 1.5 * sq + 2.0 * cu / 3.0, b23, b23, -0.5 * sq + 2.0 * cu / 3.0)
     else:
         M, W = lead_dot(_P45[:, :, None, None], Ks), (th, sq, cu, cu * th)
-    S = lead_dot(W, M[:, :, None])
-    S *= h
-    S += y_old.T[:, None]
-    return S
+    n = max(1, SCAN_BLOCK // th.size)
+    return np.concatenate([lead_dot(W, M[:, c:c + n, None]) * h + y_old.T[c:c + n, None]
+                           for c in range(0, M.shape[1], n)])
 
 
 def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: IntegratorConfig,
@@ -447,12 +452,13 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
     an extra terminal ``event(T, Y)`` (T (k,), Y (k, 2m + 2)) changes sign;
     a step's events are located on its interpolant by one brentq call.
 
-    Samples go straight into a (component, strip, column) buffer, rows
-    (tau, x, s, p, p_s): column j is tau_eval[j] (with no grid, step j), and
-    an event point takes the strip's next column.  Past its count a strip's
-    columns are scratch: a step writes one block of columns for all its rows
-    (at most a grid's length past it, hence the width).
-    The interpolant runs with the row axis innermost and adds in index order.
+    Samples go straight into a (component, column, strip) buffer with no
+    scratch columns, rows (tau, x, s, p, p_s): column j is tau_eval[j] (with
+    no grid, step j), and an event point takes the strip's next column.
+    Working row r is slot r; a row that leaves moves its slot past them.  A
+    step writes one masked block, each row only its own columns; its
+    interpolant runs once over the block's columns at the grid's taus, in
+    chunks of at most SCAN_BLOCK values.
 
     Returns (stops, samples, counts): per strip "span_end", "boundary" or
     "event" (then its last sample is the event point) or the exception that
@@ -477,26 +483,34 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
                 or np.any(tau_eval > max(t0, t1)) or np.any(sign * np.diff(tau_eval) <= 0)):
             raise ContractViolation("tau_eval must be a 1-D grid inside tau_span, "
                                     "strictly ordered from its start to its end")
-        ahead, n_cols = sign * tau_eval, 2 * len(tau_eval) + 1   # ascending; room past it
+        ahead, n_cols = sign * tau_eval, len(tau_eval) + 1   # ascending; an event point past it
+        cols = np.arange(n_cols)[:, None]
     elif not fixed:
         raise ContractViolation("adaptive mode samples a tau_eval grid")
-    buf, counts = np.empty((Y0.shape[1] + 1, n_strips, n_cols)), np.zeros(n_strips, int)
+    out, F = _start_errors(E, Y0, t0, integ.tol_onshell)
+    slots = np.argsort([e is not None for e in out], kind="stable")   # each buffer slot's strip
+    ids = slots[:out.count(None)].copy()
+    buf, counts = np.empty((Y0.shape[1] + 1, n_cols, n_strips)), np.zeros(n_strips, int)
 
-    def record(i, col, tau, y):   # strip i's samples (tau, y), y component-major
-        buf[0, i, col], buf[1:, i, col] = tau, y
+    def last(r, tau, y):
+        """The last state recorded for working row r (a copy: slots move), else (tau, y)."""
+        c = counts[ids[r]] - 1
+        return _unpack(E, buf[1:, c, r].copy(), buf[0, c, r]) if c >= 0 else _unpack(E, y, tau)
 
-    def last(i, tau, y):
-        """The last state recorded for strip i, else the state (tau, y)."""
-        c = counts[i] - 1
-        return _unpack(E, buf[1:, i, c], buf[0, i, c]) if c >= 0 else _unpack(E, y, tau)
+    def move(order):   # slot j takes the samples of slot order[j] (only slots that change)
+        d = np.flatnonzero(order != np.arange(len(order)))
+        buf[:, :, d], slots[d] = buf[:, :, order[d]], slots[order[d]]
+
+    def leave(keep):   # the other rows leave the working set, their slots moved past it
+        nonlocal ids, T, Y, F, Gev, H, retry, nonfinite
+        move(np.argsort(~keep, kind="stable"))
+        ids, T, Y, F, Gev, H, retry, nonfinite = (
+            a[keep] for a in (ids, T, Y, F, Gev, H, retry, nonfinite))
 
     def fail(bad, message):   # the rows bad sets end, at their last sample or their T, Y
-        nonlocal ids, T, Y, F, Gev, H, retry, nonfinite
         for r in bad.nonzero()[0]:   # message may name the row's tau as {tau}
-            out[ids[r]] = DegeneracyError(message.format(tau=T[r]),
-                                          state=last(ids[r], T[r], Y[r]))
-        ids, T, Y, F, Gev, H, retry, nonfinite = (
-            a[~bad] for a in (ids, T, Y, F, Gev, H, retry, nonfinite))
+            out[ids[r]] = DegeneracyError(message.format(tau=T[r]), state=last(r, T[r], Y[r]))
+        leave(~bad)
 
     def event_values(T, Y, F):
         """Per row: the chart clearance, the degeneracy gap and the extras."""
@@ -504,10 +518,8 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
                                 _degeneracy_gap(E, Y[:, m + 1:], _dG_dq(F, m)),
                                 *(ev(T, Y) for ev in events)])
 
-    out, F = _start_errors(E, Y0, t0, integ.tol_onshell)
-    ids = np.array([i for i, e in enumerate(out) if e is None], dtype=int)
     if tau_eval is None:
-        record(ids, 0, t0, Y0[ids].T)
+        buf[0, 0, :len(ids)], buf[1:, 0, :len(ids)] = t0, Y0[ids].T
         counts[ids] = 1
     if t0 == t1:
         out = ["span_end" if e is None else e for e in out]
@@ -555,18 +567,18 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             if not acc.size:
                 continue
         part = acc.size < len(ids)   # some rows retry: gather the others (else no copies)
-        t_old, y_old, sid, g_old, t_new, y_new, h = (
+        t_old, y_old, sid, g_old, t_new, y_new, ha = (
             a.take(acc, axis=0) if part else a for a in (T, Y, ids, Gev, t_new, y_new, h))
-        K = K.take(acc, axis=1) if part else K
+        Ka = K.take(acc, axis=1) if part else K   # the accepted rows' stages and h
 
         # terminal events: the earliest root on the step's interpolant ends the strip
-        g_new = event_values(t_new, y_new, K[-1])
+        g_new = event_values(t_new, y_new, Ka[-1])
         active = (np.minimum(g_old, g_new) <= 0) & (np.maximum(g_old, g_new) >= 0)
         hit, t_end, y_end = np.full(len(acc), -1), t_new.copy(), y_new.copy()
         erow, ecol = active.nonzero()   # the (row, event) pairs with a sign change in the step
         if erow.size:
             def sol(tau, r):
-                return _interpolate(K[:, r], y_old[r], t_old[r], h[r], tau[None], fixed)[:, 0].T
+                return _interpolate(Ka[:, r], y_old[r], t_old[r], ha[r], tau[None], fixed)[:, 0].T
 
             def g(tau, q):
                 y = sol(tau, erow[q])
@@ -580,25 +592,29 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             r = erow[first]
             hit[r], t_end[r], y_end[r] = ecol[first], roots[first], sol(roots[first], r)
 
-        # samples up to the step end, or up to the event, at each strip's next columns, one
-        # block for all rows: past a row's count it is scratch that later samples overwrite
-        start = counts[sid]
-        if tau_eval is None:
-            upto = start + 1
-            record(sid, start, t_end, y_end.T)
+        # samples up to the step end, or up to the event: working row r takes the columns
+        # [start, upto) of slot r (none if it retries), one masked block for all rows
+        start = counts[ids]
+        if tau_eval is None:   # no grid: every row takes every (fixed) step, in column k_step
+            lo, hi, upto, into = k_step, k_step + 1, start + 1, True
+            taus, ys = t_end, y_end.T[:, None]
         else:
-            upto = np.searchsorted(ahead, sign * t_end, side="right")
-            sub = (upto > start).nonzero()[0]
-            if sub.size:
-                j = start[sub] + np.arange((upto[sub] - start[sub]).max())[:, None]   # (k, rows)
-                taus = tau_eval[np.minimum(j, len(tau_eval) - 1)]
-                ys = _interpolate(K[:, sub], y_old[sub], t_old[sub], h[sub], taus, fixed)
-                record(sid[sub], j, taus, ys)
-        counts[sid] = upto
+            upto = start.copy()
+            upto[acc] = np.searchsorted(ahead, sign * t_end, side="right")
+            lo, hi = (start.min(), upto.max()) if np.count_nonzero(upto > start) else (0, 0)
+        if hi > lo:
+            if tau_eval is not None:   # at the grid's own taus; masked entries (a retry) stay quiet
+                into = (start <= cols[lo:hi]) & (cols[lo:hi] < upto)
+                taus = tau_eval[lo:hi, None]
+                with nullcontext() if into.all() else np.errstate(invalid="ignore", over="ignore"):
+                    ys = _interpolate(K, Y, T, h, taus, fixed)
+            np.copyto(buf[0, lo:hi, :len(ids)], taus, where=into)
+            np.copyto(buf[1:, lo:hi, :len(ids)], ys, where=into)
+        counts[ids] = upto
         if part:
-            T[acc], Y[acc], F[acc], Gev[acc] = t_new, y_new, K[-1], g_new
+            T[acc], Y[acc], F[acc], Gev[acc] = t_new, y_new, Ka[-1], g_new
         else:
-            T, Y, F, Gev = t_new, y_new, K[-1], g_new   # the last stage starts the next step
+            T, Y, F, Gev = t_new, y_new, Ka[-1], g_new   # the last stage starts the next step
 
         stop = (t_new == t1) | (hit >= 0)
         for r in stop.nonzero()[0]:
@@ -608,26 +624,27 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             elif hit[r] == 1:
                 out[i] = DegeneracyError(
                     f"degenerate (touching) point reached near tau = {t_end[r]:.6g}",
-                    state=last(i, t_end[r], y_end[r]))
+                    state=last(acc[r], t_end[r], y_end[r]))
             else:
-                if not counts[i] or buf[0, i, counts[i] - 1] != t_end[r]:
-                    record(i, counts[i], t_end[r], y_end[r])
+                if not counts[i] or buf[0, counts[i] - 1, acc[r]] != t_end[r]:
+                    buf[0, counts[i], acc[r]], buf[1:, counts[i], acc[r]] = t_end[r], y_end[r]
                     counts[i] += 1
                 out[i] = "boundary" if hit[r] == 0 else "event"
         if stop.any():
             keep = np.ones(len(ids), bool)
             keep[acc[stop]] = False
-            ids, T, Y, F, Gev, H, retry, nonfinite = (
-                a[keep] for a in (ids, T, Y, F, Gev, H, retry, nonfinite))
+            leave(keep)
 
     ok = np.array([not isinstance(o, Exception) for o in out], bool)
     bare = (ok & (counts == 0)).nonzero()[0]   # no sample in its run (an empty grid): its start
-    record(bare, 0, t0, Y0[bare].T)
     counts[bare], counts[~ok] = 1, 0
     k = counts.max(initial=0)
+    move(np.argsort(slots))   # back in strip order
+    buf[0, 0, bare], buf[1:, 0, bare] = t0, Y0[bare].T
+    run = buf[:, :k].transpose(0, 2, 1)   # (component, strip, column)
     full = (counts == k).all()   # then the samples are a reshape, else a mask
-    return out, (buf[:, :, :k].reshape(len(buf), -1) if full
-                 else buf[:, np.arange(n_cols) < counts[:, None]]), counts
+    return out, (run.reshape(len(run), -1) if full
+                 else run[:, np.arange(k) < counts[:, None]]), counts
 
 
 def flow_to_event(E: SymbolSurface, init: CharacteristicState, tau_end: float, event,
@@ -668,8 +685,10 @@ def _propagate_stack(E: SymbolSurface, Y0, tau_span, integ: IntegratorConfig | N
     integrator call, one projection call.  Returns per strip its stop or the
     exception that ended it (as _integrate decides, or a DegeneracyError at
     its first sample that the projection leaves off shell), its number of
-    samples, and the samples (taus, X, S, P, PS, G) of the strips that did
-    not raise (None if no strip ran).  Any exception raised ends the call."""
+    samples, and the samples (taus, X, S, P, PS, G, G_raw, dP) of the strips
+    that did not raise (None if no strip ran): G after the projection, G_raw
+    before it and dP the length of its change to p.  Any exception raised
+    ends the call."""
     integ = integ or IntegratorConfig()
     t0, t1 = float(tau_span[0]), float(tau_span[1])
     if not (np.isfinite(t0) and np.isfinite(t1)):
@@ -684,8 +703,10 @@ def _propagate_stack(E: SymbolSurface, Y0, tau_span, integ: IntegratorConfig | N
     m = E.dim
     taus, X, S, P, PS = run[0], run[1:m + 1].T, run[m + 1], run[m + 2:-1].T, run[-1]
     # the projection acts sample by sample, so all strips take one call
-    tol = integ.tol_onshell
-    P, G = (P, E.value(X, P, PS)) if t0 == t1 else _project_strip(E, X, P, PS, tol)
+    tol, P0, G_raw = integ.tol_onshell, P, E.value(X, P, PS)
+    P, G = (P, G_raw) if t0 == t1 else _project_strip(E, X, P, PS, G_raw, tol)
+    dP = P - P0
+    dP = np.sqrt(dot(dP, dP))
     # a sample off shell by the start check's bound ends its strip
     off = np.flatnonzero(~(np.abs(G) <= tol))   # the bound's scale only at these
     if off.size:
@@ -699,8 +720,8 @@ def _propagate_stack(E: SymbolSurface, Y0, tau_span, integ: IntegratorConfig | N
                 state=CharacteristicState(X[j], S[j], P[j], PS[j], taus[j]))
         failed = np.array([isinstance(stop, Exception) for stop in stops])
         counts, keep = np.where(failed, 0, counts), np.repeat(~failed, counts)
-        taus, X, S, P, PS, G = (a[keep] for a in (taus, X, S, P, PS, G))
-    return stops, counts, (taus, X, S, P, PS, G)
+        taus, X, S, P, PS, G, G_raw, dP = (a[keep] for a in (taus, X, S, P, PS, G, G_raw, dP))
+    return stops, counts, (taus, X, S, P, PS, G, G_raw, dP)
 
 
 def _strip_items(E: SymbolSurface, stops: list, counts, samples) -> list[BatchItem]:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import contactflow as cf
+from contactflow import strips
 from contactflow.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -161,6 +162,54 @@ def test_cli_oscillator_report_metrics(tmp_path):
     assert all(r["max_abs_g"] < 1e-8 for r in runs)
     assert all(abs(r["delta_p_s"]) < 1e-12 for r in runs)
     assert not any(r["boundary_exit"] for r in runs)
+
+
+def _raw_residual_and_correction(E, Y0, span, tau_eval, integ, P):
+    """max |G| of the integrator's samples before the projection, and the
+    largest distance from their p to the projected P."""
+    _, run, _ = strips._integrate(E, Y0, *span, tau_eval, integ)
+    m = E.dim
+    X, P_raw = run[1:m + 1].T, run[m + 2:-1].T
+    G = E.value(X, P_raw, run[-1])
+    return float(np.max(np.abs(G))), float(np.max(np.linalg.norm(P - P_raw, axis=-1)))
+
+
+def test_cli_reports_the_raw_residual_and_the_projection_correction(tmp_path):
+    # the RK4 steps of 0.05 drift off shell by more than tol_onshell / 2, so
+    # the projection acts: max_abs_g_raw is the |G| of the samples as
+    # integrated and max_projection_correction the largest |delta p|, and
+    # neither is the projected max_abs_g
+    out = tmp_path / "osc"
+    assert main(["propagate", "--config", _cfg("oscillator.yaml"), "--out", str(out),
+                 "--fixed-step", "0.05"]) == 0
+    (run,) = json.loads((out / "report.json").read_text())["strips"]
+    E, integ = cf.builtin("oscillator").surface, cf.IntegratorConfig(method="fixed", dt=0.05)
+    init = cf.builtin("oscillator").initial_states[0]
+    strip = cf.propagate(E, init, (0.0, 10.0), integ)
+    raw, dp = _raw_residual_and_correction(E, strips._pack(init)[None], (0.0, 10.0), None,
+                                           integ, strip.p)
+    assert run["max_abs_g_raw"] == raw and raw > 2 * run["max_abs_g"]
+    assert run["max_projection_correction"] == pytest.approx(dp, rel=1e-12) and dp > 0
+    # the same fields of a front: an oscillator flat front, whose cubic RK4
+    # continuous extension drifts off shell between steps of 0.1
+    cfg = tmp_path / "front.yaml"
+    cfg.write_text("schema_version: 1\nscenario: {builtin: oscillator}\ntau_span: [0.0, 2.0]\n"
+                   "front: {kind: flat, axis: t, value: 0.0, span: [-1.0, 1.0], n: 21, "
+                   "n_tau: 41, branch: [1, 0]}\n")
+    out = tmp_path / "front"
+    assert main(["wavefront", "--config", str(cfg), "--out", str(out),
+                 "--fixed-step", "0.1"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    sigma = cf.flat_front(E.chart, "t", 0.0, (-1.0, 1.0), 21)
+    lift = cf.legendre_lift(E, sigma, branch=(1, 0))
+    taus, integ = np.linspace(0.0, 2.0, 41), cf.IntegratorConfig(method="fixed", dt=0.1)
+    hist = cf.propagate_front(E, lift, taus, integ)
+    Y0 = np.column_stack([lift.x, lift.s, lift.p, lift.p_s])
+    raw, dp = _raw_residual_and_correction(E, Y0, (0.0, 2.0), taus, integ,
+                                           hist.p.reshape(-1, 2))
+    assert report["max_abs_g_raw"] == raw and raw > 2 * float(np.max(np.abs(
+        E.value(hist.x, hist.p, hist.p_s))))
+    assert report["max_projection_correction"] == pytest.approx(dp, rel=1e-12) and dp > 0
 
 
 def test_cli_wavefront_reports_caustic(tmp_path):

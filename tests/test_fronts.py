@@ -300,7 +300,7 @@ def test_front_action_function_scales_tolerance_per_sample():
     nu, nt = det.shape
     hist = cf.FrontHistory(_eik().surface, np.arange(nu, dtype=float), np.array([0.0, 1.0]),
                            np.zeros((nu, nt, 2)), np.zeros((nu, nt)), np.zeros((nu, nt, 2)),
-                           np.ones((nu, nt)), det, [])
+                           np.ones((nu, nt)), det, [], *np.zeros((2, nu, nt)))
     for sl in cf.front_action_function(hist):
         assert sl.branch.tolist() == [0, 0, 1, 1]
 
@@ -469,7 +469,7 @@ def test_one_pass_scans_equal_the_loops(det):
     assert repr(fronts._caustic_events(det, taus)) == repr(_caustics_by_loop(det, taus))
     hist = cf.FrontHistory(_eik().surface, np.arange(nu, dtype=float), taus,
                            np.zeros((nu, nt, 2)), np.zeros((nu, nt)), np.zeros((nu, nt, 2)),
-                           np.ones((nu, nt)), det, [])
+                           np.ones((nu, nt)), det, [], *np.zeros((2, nu, nt)))
     slices = cf.front_action_function(hist)
     assert len(slices) == nt
     for sl, ref in zip(slices, _branches_by_loop(det)):

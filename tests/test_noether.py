@@ -98,7 +98,7 @@ def test_stacked_noether_layer_equals_its_rows(seed, n, scenario):
     p_s = rng.uniform(0.5, 2.0, n)
     stacked = [cf.symmetry_residual(E, sym, x, p, p_s), shifted.value(x), shifted.gradient(x),
                cf.conservation_series(sym, cf.Strip(E, np.arange(n), x, np.zeros(n), p, p_s,
-                                                    np.zeros(n)))]
+                                                    *np.zeros((3, n))))]
     for r in range(n):
         v = sym.v.value(x[r])   # Q = <p, v> + p_s f, added in index order
         rows = [cf.symmetry_residual(E, sym, x[r], p[r], p_s[r]), shifted.value(x[r]),

@@ -1,5 +1,11 @@
 """Differential operators, principal symbols, oscillatory scaling checks."""
 
+import json
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,6 +287,36 @@ def test_eikonal_residual_exact_annihilation_reports_minus_inf():
     g = cf.PolyField(ch, {(1, 0): c, (0, 1): 1.0})    # g = c t + x
     lams = np.logspace(0.0, 2.5, 8)
     assert cf.eikonal_residual(D, g, lams, [[0.3, 0.4]]) == float("-inf")
+
+
+_FIT_CHILD = """
+import json
+import numpy as np
+import contactflow as cf
+ch = cf.Chart(["t", "x", "s"], [(-10.0, 10.0)] * 3)
+pts = np.array([[t, x] for t in np.linspace(0.95, 1.05, 9) for x in np.linspace(0.45, 0.55, 9)])
+phase = cf.fit_quadratic_phase(ch, pts, pts[:, 1] ** 2 / (2.0 * pts[:, 0]), center=[1.0, 0.5],
+                               radius=0.05)
+print(json.dumps(sorted([str(k), float(c).hex()] for k, c in phase.coeffs.items())))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the forced OpenBLAS core is an x86-64 kernel")
+def test_fit_quadratic_phase_keeps_its_bits_under_another_blas_kernel():
+    # criterion 7's fit of the point-source action: the same coefficients,
+    # bit for bit, with OpenBLAS forced to its Nehalem kernels (np.linalg.lstsq
+    # moved the constant coefficient from 0x1.6837106dc2a00p-11 to ...db7400p-11)
+    def child(**env):
+        src = os.path.dirname(os.path.dirname(cf.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _FIT_CHILD], capture_output=True, text=True,
+                              env=dict(os.environ, **env, PYTHONPATH=path), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    default = child()
+    assert len(default) == 7 and child(OPENBLAS_CORETYPE="Nehalem") == default
 
 
 def test_fit_quadratic_phase_data_contracts(monkeypatch):

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import contactflow as cf
@@ -132,7 +132,10 @@ def test_projection_restores_shell(free):
     y = _pack(cf.CharacteristicState([0.0, 0.0], 0.0, [-0.245, 0.7], 1.0))
     y[3] += 1e-6  # perturb p_t
     # a one-sample stack: (x, p, p_s) rows of shapes (1, 2), (1, 2), (1,)
-    P, G = _project_strip(free.surface, y[None, :2], y[None, 3:5], y[None, 5], 1e-10)
+    X, P0, PS = y[None, :2], y[None, 3:5], y[None, 5]
+    G0 = free.surface.value(X, P0, PS)
+    P, G = _project_strip(free.surface, X, P0, PS, G0, 1e-10)
+    assert G0[0] == free.surface.value(y[:2], y[3:5], y[5])   # the argument is not written
     assert abs(G[0]) < 5e-11
     assert abs(P[0, 0] - y[3]) < 1e-5  # small correction
     assert P.shape == (1, 2)  # only the M-momenta come back: p_s untouched
@@ -146,7 +149,65 @@ def test_symbol_homogeneity(lam):
     v0 = E.value([0.3, 0.1], p, 1.0)
     v1 = E.value([0.3, 0.1], lam * p, lam)
     assert v1 == pytest.approx(lam ** 2 * v0, rel=1e-10, abs=1e-12)
-    assert E.euler_residual([0.3, 0.1], p, 1.0) < 1e-9
+    assert abs(E.euler_residual([0.3, 0.1], p, 1.0)) < 1e-9
+
+
+def _random_potential_symbol(seed):
+    """G = p_t p_s + p_x^2 / 2 + V(t, x) p_s^2 with a random quadratic V, its
+    gradient given, and V."""
+    chart = cf.Chart(["t", "x"], [(-5.0, 5.0), (-5.0, 5.0)])
+    V = cf.random_polynomial(chart, np.random.default_rng(seed), max_degree=2, scale=0.5)
+
+    def value(x, p, p_s):
+        return p[..., 0] * p_s + p[..., 1] * p[..., 1] / 2 + V.value(x) * p_s * p_s
+
+    def grad(x, p, p_s):
+        dp = np.stack([np.broadcast_to(p_s, p[..., 0].shape), p[..., 1]], axis=-1)
+        return V.gradient(x) * (p_s * p_s)[..., None], dp, p[..., 0] + 2.0 * V.value(x) * p_s
+
+    return cf.SymbolSurface(chart, value, 2, grad=grad), V
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_random_potential_symbols_are_homogeneous(seed):
+    # Euler's identity <q, dG/dq> = 2 G on (p, p_s), with the hand gradient
+    # and with the finite-difference one of the same values
+    E, V = _random_potential_symbol(seed)
+    E_fd = cf.SymbolSurface(E.chart, E._value, 2)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        x, p, p_s = rng.uniform(-5.0, 5.0, 2), rng.uniform(-3.0, 3.0, 2), rng.uniform(-2.0, 2.0)
+        scale = 1.0 + p @ p + p_s * p_s * (1.0 + abs(V.value(x)))
+        assert abs(E.euler_residual(x, p, p_s)) <= 1e-14 * scale
+        assert abs(E_fd.euler_residual(x, p, p_s)) <= 1e-8 * scale
+        lam = rng.uniform(0.1, 10.0)
+        assert E.value(x, lam * p, lam * p_s) == pytest.approx(lam ** 2 * E.value(x, p, p_s),
+                                                               rel=1e-12, abs=1e-14 * scale)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_p_s_is_bitwise_constant_along_random_potential_strips(seed):
+    # G never depends on s, so p_s is an exact constant of motion: every
+    # sample of an on-shell strip carries its start's p_s, bit for bit
+    E, V = _random_potential_symbol(seed)
+    rng = np.random.default_rng(seed)
+    inits = []
+    for _ in range(4):
+        x, p_x = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0)
+        p_s = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
+        p_t = -(p_x * p_x / 2 + V.value(x) * p_s * p_s) / p_s   # on shell
+        inits.append(cf.CharacteristicState(x, 0.0, [p_t, p_x], p_s))
+    for method in ("adaptive", "fixed"):
+        integ = cf.IntegratorConfig(method=method, dt=0.05, n_out=21)
+        items = cf.batch_propagate(E, inits, (0.0, 1.0), integ)
+        assert any(item.ok for item in items)
+        for init, item in zip(inits, items):
+            if item.ok:
+                assert (item.strip.p_s == init.p_s).all() and len(item.strip) > 1
+                one = cf.propagate(E, init, (0.0, 1.0), integ)
+                assert (one.p_s == init.p_s).all()
 
 
 def test_fixed_step_matches_adaptive(oscillator):
@@ -483,6 +544,36 @@ def test_ragged_samples_stack_like_their_rows(case, method):
             assert abs(E.chart.boundary_clearance(one.x[-1])) < 1e-7
         else:   # with no grid point in its run, a strip is its start point
             assert list(one.taus) == (list(tau_eval) or [0.0])
+
+
+@pytest.mark.parametrize("method", ["adaptive", "fixed"])
+@pytest.mark.parametrize("backward", [False, True])
+@pytest.mark.parametrize("with_event", [False, True])
+@given(seed=st.integers(0, 2 ** 32 - 1), n_tau=st.integers(0, 60))
+@example(seed=1, n_tau=0)   # with no grid, fixed mode samples its steps
+@settings(max_examples=5, deadline=None)
+def test_sample_blocks_give_every_row_its_solo_bits(method, backward, with_event, seed, n_tau):
+    # rows at speeds from 0 to 4, so a step's rows start on different grid
+    # columns; a strip in the middle of the stack that leaves through the
+    # chart boundary first, so the working rows are not contiguous; an event
+    # that stops some rows within a step; either tau direction, and fixed
+    # mode with no grid: each row keeps the bits, stop and count of its solo run
+    E = _with_touching_face(_SYMBOLS["eikonal"], 2.0)
+    sign = -1.0 if backward else 1.0
+    states = cf.sample_onshell(E, np.random.default_rng(seed), 6, margin=0.5)
+    Y0 = np.array([_pack(s) for s in states])
+    Y0[3] = [1.0, 1.95, 0.0, 0.6 * sign, 0.8 * sign, 1.0]   # on shell, heading out at x_1 = 2
+    t1 = 1.5 * sign
+    tau_eval = None if method == "fixed" and not n_tau else np.linspace(0.0, t1, n_tau)
+    integ = cf.IntegratorConfig(method=method, dt=0.02)
+    events = (lambda T, Y: Y[:, 0] - 0.3,) if with_event else ()
+    stops, samples, counts = strips._integrate(E, Y0, 0.0, t1, tau_eval, integ, events)
+    assert stops[3] == "boundary"
+    parts = np.split(samples, np.cumsum(counts)[:-1], axis=1)
+    for r, (stop, part) in enumerate(zip(stops, parts)):
+        (alone,), row, n = strips._integrate(E, Y0[r:r + 1], 0.0, t1, tau_eval, integ, events)
+        assert str(stop) == str(alone) and type(stop) is type(alone)
+        assert list(n) == [counts[r]] and np.array_equal(part, row)
 
 
 @pytest.mark.parametrize("method", ["adaptive", "fixed"])
