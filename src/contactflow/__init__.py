@@ -13,7 +13,7 @@ from .bundle import (ConnectionData, DiagramPoint, RelativisticScenario,
                      legendre_dual, lorentzian_metric, null_norm, ray_alpha,
                      relativistic_scenario, strip_in_gauge, wave_diagram)
 from .charts import Chart, PolyField, ScalarField, VectorField, random_polynomial
-from .errors import (BoundaryError, ConfigError, ContactFlowError,
+from .errors import (ConfigError, ContactFlowError,
                      ContractViolation, CrossingError, DataQualityError,
                      DegeneracyError, EmptyDiagramError, FitQualityError,
                      InternalConsistencyError, NoLiftError)
@@ -26,10 +26,9 @@ from .operators import (LinearDiffOperator, PrincipalSymbol, ScalingReport,
                         eikonal_residual, equivariant_reduce, fit_quadratic_phase,
                         oscillatory_coefficients, poly_phase, schrodinger_operator,
                         symbol_scaling_check)
-from .phase import (HolonomyResult, PhasePoint, SectionSpec, holonomy, square_loop,
-                    to_phase)
+from .phase import PhasePoint, SectionSpec, holonomy, square_loop, to_phase
 from .scenarios import Scenario, builtin
-from .strips import (BatchItem, CharacteristicState, Fiber, IntegratorConfig,
+from .strips import (BatchItem, CharacteristicState, IntegratorConfig,
                      Strip, SymbolSurface, action_increment, batch_propagate,
                      propagate, sample_onshell)
 

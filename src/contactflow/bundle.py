@@ -14,8 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import (Chart, PolyField, ScalarField, VectorField, dot, fd_gradient,
-                     fd_steps, scan_roots)
+from .charts import Chart, PolyField, VectorField, dot, scan_roots
 from .errors import (ContractViolation, EmptyDiagramError,
                      InternalConsistencyError)
 from .strips import PS_ZERO_TOL, Strip, SymbolSurface, _degeneracy_gap
@@ -23,25 +22,24 @@ from .strips import PS_ZERO_TOL, Strip, SymbolSurface, _degeneracy_gap
 #: rays whose alpha-value is below this (relative to the ray norm) are lightlike
 LIGHTLIKE_RTOL = 1e-9
 
-#: relative finite-difference step for the Jacobian of a callable potential
-CONNECTION_FD_STEP = 1e-6
-
-#: relative step of the value second differences behind the Hessian of a
-#: field without a gradient: ~eps**(1/4) balances truncation and rounding
-HESSIAN_FD_STEP = 1e-4
-
 #: radii scanned for on-shell momenta along each direction
 _RADII = np.linspace(1e-9, 20.0, 400)
 
 
 class ConnectionData:
-    """Connection potential A on M and its curvature F = dA."""
+    """Connection potential A on M and its curvature F = dA.
+
+    A is one component per axis (fields or constants), or a callable
+    together with its Jacobian dA.
+    """
 
     def __init__(self, chart: Chart, A: Callable | Sequence, dA: Callable | None = None):
         self.chart = chart
         if not callable(A):
             field = VectorField(chart, A)
             A, dA = field.value, dA or field.jacobian
+        elif dA is None:
+            raise ContractViolation("a callable connection potential A needs its Jacobian dA")
         self._A = A
         self._dA = dA
 
@@ -54,8 +52,6 @@ class ConnectionData:
     def jacobian(self, x) -> np.ndarray:
         """J[..., i, j] = d A_j / d x_i."""
         x = np.asarray(x, float)
-        if self._dA is None:
-            return fd_gradient(self.A, x, fd_steps(x, CONNECTION_FD_STEP))
         J = np.asarray(self._dA(x), float)
         shape = x.shape + x.shape[-1:]
         return J if J.shape == shape else np.broadcast_to(J, shape)
@@ -65,27 +61,16 @@ class ConnectionData:
         J = self.jacobian(x)
         return J - np.swapaxes(J, -1, -2)
 
-    def shifted(self, chi: PolyField | ScalarField) -> "ConnectionData":
-        """Connection with potential A + d(chi)."""
+    def shifted(self, chi: PolyField) -> "ConnectionData":
+        """Connection with potential A + d(chi); its Jacobian adds chi's
+        Hessian, the gradients of its partials."""
         def A_new(x, old=self.A, chi=chi):
             return old(x) + chi.gradient(x)
 
         def dA_new(x, oldJ=self.jacobian, chi=chi):
-            return oldJ(x) + _hessian_of(chi, x)
+            return oldJ(x) + np.stack([d.gradient(x) for d in chi.partials], axis=-2)
 
         return ConnectionData(self.chart, A_new, dA=dA_new)
-
-
-def _hessian_of(chi, x):
-    x = np.asarray(x, float)
-    if isinstance(chi, PolyField):
-        return np.stack([d.gradient(x) for d in chi.partials], axis=-2)
-    if chi.grad is None:
-        # second differences of values; a central difference of the
-        # finite-difference gradient would amplify its rounding by 1 / h
-        steps = fd_steps(x, HESSIAN_FD_STEP)
-        return fd_gradient(lambda y: fd_gradient(chi.value, y, steps), x, steps)
-    return fd_gradient(chi.gradient, x, fd_steps(x))
 
 
 @dataclass
@@ -216,7 +201,7 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
 
-def strip_in_gauge(strip: Strip, chi: PolyField | ScalarField) -> Strip:
+def strip_in_gauge(strip: Strip, chi: PolyField) -> Strip:
     """Re-express a strip in the trivialization matching A -> A + d(chi):
     s -> s + chi(x), p -> p + p_s * d(chi)."""
     return Strip(strip.surface, strip.taus.copy(), strip.x.copy(),

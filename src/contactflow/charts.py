@@ -15,10 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BoundaryError, ContractViolation
-
-#: default relative finite-difference step (scaled per axis by max(1, |x_i|))
-DEFAULT_FD_STEP = 1e-5
+from .errors import ContractViolation
 
 _EPS = np.finfo(float).eps
 POW_CHAIN_MAX = 64   # the largest exponent libm_pow multiplies out
@@ -92,11 +89,6 @@ class Chart:
 
     def interior_sample(self, rng: np.random.Generator, margin: float = 0.0) -> np.ndarray:
         return rng.uniform(self.bounds[:, 0] + margin, self.bounds[:, 1] - margin)
-
-
-def fd_steps(x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Per-axis central-difference steps: h * max(1, |x_i|)."""
-    return h * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
 
 
 def fd_gradient(f: Callable, x, steps) -> np.ndarray:
@@ -329,15 +321,13 @@ def _pow(a: float, b: float) -> float:
 
 
 class ScalarField:
-    """A real function on a chart with an optional analytic gradient.
+    """A real function on a chart with its gradient.
 
     ``fn`` and ``grad`` get one point of shape (dim,), or stacked points of
     shape (..., dim) when a stack is evaluated; then they must broadcast.
-    When no gradient callable is supplied, central finite differences are
-    used (O(h^2) accurate for C^3 fields).
     """
 
-    def __init__(self, chart: Chart, fn: Callable, grad: Callable | None = None):
+    def __init__(self, chart: Chart, fn: Callable, grad: Callable):
         self.chart = chart
         self.fn = fn
         self.grad = grad
@@ -352,13 +342,7 @@ class ScalarField:
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.chart.dim,):
             raise ContractViolation(f"point shape {x.shape} does not match dim {self.chart.dim}")
-        if self.grad is not None:
-            return np.asarray(self.grad(x), dtype=float)
-        steps = fd_steps(x)
-        bounds = self.chart.bounds
-        if np.any(x - steps < bounds[:, 0]) or np.any(x + steps > bounds[:, 1]):
-            raise BoundaryError(f"point {x} closer than one step to the chart boundary")
-        return fd_gradient(self.value, x, steps)
+        return np.asarray(self.grad(x), dtype=float)
 
 
 class PolyField:

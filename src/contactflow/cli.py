@@ -320,7 +320,7 @@ def _run_holonomy(cfg, scen_unused, args, report):
         b = _Block(b, {"points", "center", "side"}, f"loop #{i}")
         loop = (np.asarray(b["points"], float) if "points" in b
                 else square_loop(tuple(b.get("center", (0.0, 0.0))), float(b["side"])))
-        results.append({"loop": i, "delta_s": holonomy(loop).delta_s})
+        results.append({"loop": i, "delta_s": holonomy(loop)})
     report["loops"] = results
     report["files"] = {}
 

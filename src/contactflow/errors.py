@@ -9,10 +9,6 @@ class ContractViolation(ContactFlowError, ValueError):
     """An argument violated a documented precondition (dimension mismatch, off-shell state, ...)."""
 
 
-class BoundaryError(ContactFlowError):
-    """A point was too close to (or outside) the chart boundary for the requested operation."""
-
-
 class DegeneracyError(ContactFlowError):
     """The momentum gradient of the symbol became radial (touching point); propagation cannot continue."""
 

@@ -31,11 +31,6 @@ class SymmetryField:
         return cls(VectorField(chart, v_components), f)
 
 
-def _charge(sym: SymmetryField, x, p, p_s):
-    """Q = <p, v(x)> + p_s f(x), at one point or over stacked points."""
-    return dot(p, sym.v.value(x)) + p_s * sym.f.value(x)
-
-
 def symmetry_residual(E: SymbolSurface, sym: SymmetryField, x, p, p_s):
     """dQ/dtau at on-shell points (stacks broadcast), through the symbol gradient.
 
@@ -73,10 +68,11 @@ def conservation_drift(E: SymbolSurface, sym: SymmetryField, strip: Strip) -> fl
 
 
 def conservation_series(sym: SymmetryField, strip: Strip) -> np.ndarray:
-    return _charge(sym, strip.x, strip.p, strip.p_s)
+    """Q = <p, v(x)> + p_s f(x) at each sample of the strip."""
+    return dot(strip.p, sym.v.value(strip.x)) + strip.p_s * sym.f.value(strip.x)
 
 
-def gauge_shifted_symmetry(sym: SymmetryField, chi: PolyField | ScalarField) -> SymmetryField:
+def gauge_shifted_symmetry(sym: SymmetryField, chi: PolyField) -> SymmetryField:
     """Covariant transport of a symmetry under A -> A + d(chi): (v, f) -> (v, f - d(chi)(v)).
 
     Paired with the strip re-trivialization s -> s + chi, p -> p + p_s d(chi),
@@ -88,8 +84,8 @@ def gauge_shifted_symmetry(sym: SymmetryField, chi: PolyField | ScalarField) -> 
         return sym.f.value(x) - dot(chi.gradient(x), sym.v.value(x))
 
     def grad_new(x, sym=sym, chi=chi):
-        from .bundle import _hessian_of
-        Hv = dot(_hessian_of(chi, x), sym.v.value(x)[..., None, :])
+        H = np.stack([d.gradient(x) for d in chi.partials], axis=-2)
+        Hv = dot(H, sym.v.value(x)[..., None, :])
         return sym.f.gradient(x) - Hv - dot(sym.v.jacobian(x), chi.gradient(x)[..., None, :])
 
     return SymmetryField(sym.v, ScalarField(chart, f_new, grad=grad_new))

@@ -21,8 +21,6 @@ from .charts import Chart, PolyField, dot, libm_pow
 from .errors import (ContractViolation, DataQualityError, FitQualityError)
 from .strips import SymbolSurface
 
-Coefficient = "float | PolyField"
-
 
 def _as_multi(multi, dim) -> tuple[int, ...]:
     m = tuple(int(k) for k in multi)

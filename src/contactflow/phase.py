@@ -14,7 +14,7 @@ import numpy as np
 
 from .charts import dot
 from .errors import ContractViolation, CrossingError
-from .strips import (PS_ZERO_TOL, CharacteristicState, Fiber, IntegratorConfig,
+from .strips import (PS_ZERO_TOL, CharacteristicState, IntegratorConfig,
                      SymbolSurface, check_start, flow_to_event)
 
 #: integrator settings of the flow to the section
@@ -99,14 +99,8 @@ def _require_loop(loop) -> np.ndarray:
     return arr
 
 
-@dataclass
-class HolonomyResult:
-    delta_s: float
-    delta_s_mod: float | None  # reduced by the fiber period, circle fibers only
-
-
-def holonomy(loop, fiber: Fiber | None = None) -> HolonomyResult:
-    """Fiber displacement of the horizontal lift of a closed polygonal loop.
+def holonomy(loop) -> float:
+    """The fiber displacement delta_s of the horizontal lift of a closed polygonal loop.
 
     The loop has shape (n, 2k) in a phase chart: k positions x_i, then the
     k ratios q_i = p_i/p_s.  On the contact hyperplane p.dx = p_s ds, so
@@ -119,9 +113,7 @@ def holonomy(loop, fiber: Fiber | None = None) -> HolonomyResult:
     closed = np.vstack([pts, pts[:1]])
     k = pts.shape[1] // 2
     x, q = closed[:, :k], closed[:, k:]
-    ds = float(dot((0.5 * (q[:-1] + q[1:])).ravel(), (x[1:] - x[:-1]).ravel()))
-    mod = fiber.reduce(ds) if (fiber is not None and fiber.group == "circle") else None
-    return HolonomyResult(ds, mod)
+    return float(dot((0.5 * (q[:-1] + q[1:])).ravel(), (x[1:] - x[:-1]).ravel()))
 
 
 def square_loop(center, side: float) -> np.ndarray:

@@ -28,8 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import (_EPS, SCAN_BLOCK, Chart, brentq, dot, fd_gradient, fd_steps, lead_dot,
-                     libm_pow, scan_roots)
+from .charts import (_EPS, SCAN_BLOCK, Chart, brentq, dot, fd_gradient, lead_dot, libm_pow,
+                     scan_roots)
 from .errors import ContractViolation, DegeneracyError
 
 #: strips with |p_s| below this are treated as the lightlike class
@@ -43,25 +43,6 @@ SAMPLE_MAX_TRIES = 200
 _SAMPLE_GRID = np.linspace(-20.0, 20.0, 81)   # momentum offsets it scans for G = 0
 
 _NOT_FINITE = "integration failed: a step's stages are not finite"
-
-
-@dataclass(frozen=True)
-class Fiber:
-    """Fiber group of the bundle: the real line or a circle of given period."""
-
-    group: str = "line"  # "line" | "circle"
-    period: float = 2.0 * math.pi
-
-    def __post_init__(self):
-        if self.group not in ("line", "circle"):
-            raise ContractViolation(f"unknown fiber group {self.group!r}")
-        if self.group == "circle" and not self.period > 0:
-            raise ContractViolation("circle fiber needs a positive period")
-
-    def reduce(self, s: float) -> float:
-        if self.group == "circle":
-            return float(s % self.period)
-        return float(s)
 
 
 class SymbolSurface:
@@ -120,7 +101,7 @@ class SymbolSurface:
         m = self.dim
         q = np.concatenate([x, p, p_s[..., None]], axis=-1)
         g = fd_gradient(lambda q: self.value(q[..., :m], q[..., m:2 * m], q[..., 2 * m]), q,
-                        fd_steps(q, SYMBOL_FD_STEP))
+                        SYMBOL_FD_STEP * np.maximum(1.0, np.abs(q)))
         return g[..., :m], g[..., m:2 * m], g[..., 2 * m]
 
     def euler_residual(self, x, p, p_s: float) -> float:
@@ -663,7 +644,7 @@ def flow_to_event(E: SymbolSurface, init: CharacteristicState, tau_end: float, e
 
 
 def action_increment(strip: Strip) -> float:
-    """Fiber increment s_end - s_start (never reduced mod the circle period)."""
+    """The fiber increment s_end - s_start."""
     if len(strip) == 0:
         raise ContractViolation("empty strip")
     return float(strip.s[-1] - strip.s[0])

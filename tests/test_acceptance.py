@@ -291,7 +291,7 @@ def _orbit_curvature_errors(E, start, period):
         strip = cf.propagate(E, start, (0.0, period), cf.IntegratorConfig(n_out=n_out))
         fiber = (strip.s[-1] - strip.s[0]) - strip.p[0, 0] * (strip.x[-1, 0] - strip.x[0, 0])
         loop = np.column_stack([strip.x[:-1, 1:], strip.p[:-1, 1:] / strip.p_s[:-1, None]])
-        errs.append(abs(cf.holonomy(loop).delta_s - fiber) / abs(fiber))
+        errs.append(abs(cf.holonomy(loop) - fiber) / abs(fiber))
     errs = np.array(errs)
     return errs, np.log2(errs[:-1] / errs[1:])
 

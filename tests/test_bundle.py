@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contactflow as cf
 from contactflow import bundle
@@ -29,10 +31,12 @@ def test_connection_jacobian_and_curvature_polynomial():
     F = conn.curvature(pt)
     assert np.allclose(F, [[0.0, 0.7], [-0.7, 0.0]], atol=1e-12)
     assert np.allclose(F, -F.T, atol=0)
-    # at stacked points, the curvature of each point; a gradless potential
-    # takes central differences over the stack
+    # at stacked points, the curvature of each point, also for a callable
+    # potential with its Jacobian
     pts = np.array([[0.7, -0.3], [1.5, 2.0], [-0.4, 0.9]])
-    for c in (conn, cf.ConnectionData(ch, lambda x: np.stack([A0.value(x), A1.value(x)], -1))):
+    fn = cf.ConnectionData(ch, lambda x: np.stack([A0.value(x), A1.value(x)], -1),
+                           dA=lambda x: np.stack([A0.gradient(x), A1.gradient(x)], -1))
+    for c in (conn, fn):
         assert np.array_equal(c.curvature(pts), [c.curvature(p) for p in pts])
 
 
@@ -40,7 +44,8 @@ def test_connection_callable_matches_polynomial():
     ch = _plane_chart()
     conn_poly = cf.ConnectionData(ch, [cf.PolyField(ch, {(1, 1): 1.0}),
                                        cf.PolyField(ch, {(2, 0): 1.0})])
-    conn_fn = cf.ConnectionData(ch, lambda x: np.array([x[0] * x[1], x[0] ** 2]))
+    conn_fn = cf.ConnectionData(ch, lambda x: np.array([x[0] * x[1], x[0] ** 2]),
+                                dA=lambda x: np.array([[x[1], 2 * x[0]], [x[0], 0.0]]))
     pt = np.array([1.2, 0.4])
     assert np.allclose(conn_poly.A(pt), conn_fn.A(pt), atol=1e-12)
     assert np.allclose(conn_poly.jacobian(pt), conn_fn.jacobian(pt), atol=1e-8)
@@ -57,19 +62,15 @@ def test_shifted_connection_keeps_curvature():
     assert np.allclose(shifted.curvature(pt), conn.curvature(pt), atol=1e-7)
 
 
-def test_hessian_of_gradless_field_matches_analytic():
-    ch = _plane_chart()
-    chi = cf.ScalarField(ch, lambda x: math.sin(x[0]) * x[1] ** 2)
-    x, y = 0.7, -1.2
-    exact = [[-math.sin(x) * y ** 2, 2 * math.cos(x) * y],
-             [2 * math.cos(x) * y, 2 * math.sin(x)]]
-    assert np.allclose(bundle._hessian_of(chi, [x, y]), exact, rtol=0.0, atol=1e-7)
-
-
 def test_connection_component_count_checked():
     ch = _plane_chart()
     with pytest.raises(cf.ContractViolation):
         cf.ConnectionData(ch, [cf.PolyField.from_const(ch, 1.0)])
+
+
+def test_callable_connection_needs_its_jacobian():
+    with pytest.raises(cf.ContractViolation, match="dA"):
+        cf.ConnectionData(_plane_chart(), lambda x: np.array([x[0] * x[1], x[0] ** 2]))
 
 
 # --------------------------------------------------------------- wave diagram
@@ -77,7 +78,7 @@ def test_connection_component_count_checked():
 def test_wave_diagram_relativistic_is_unit_pseudosphere():
     # free particle, c = 1, m = 1: the plus branch of the diagram satisfies
     # g(v, v) = 1 / (m c)^2 = 1 exactly (unit pseudosphere)
-    sc = cf.relativistic_scenario(1.0, 0.0, lambda x: np.zeros(2),
+    sc = cf.relativistic_scenario(1.0, 0.0, [0.0, 0.0],
                                   cf.lorentzian_metric(1.0))
     diag = cf.wave_diagram(sc.surface, sc.connection, [0.0, 0.0], n_samples=64)
     plus = diag.branch("plus")
@@ -151,7 +152,7 @@ def test_wave_diagram_empty_raises():
         return p[..., 0] ** 2 + p[..., 1] ** 2 + p_s ** 2   # elliptic: no nonzero real zeros
 
     E = cf.SymbolSurface(ch, val, 2)
-    conn = cf.ConnectionData(ch, lambda x: np.zeros(2))
+    conn = cf.ConnectionData(ch, [0.0, 0.0])
     with pytest.raises(cf.EmptyDiagramError):
         cf.wave_diagram(E, conn, [0.0, 0.0])
 
@@ -160,12 +161,12 @@ def test_wave_diagram_empty_raises():
 def test_wave_diagram_needs_a_2d_chart():
     ch = cf.Chart(["t", "x", "y"], [(-5.0, 5.0)] * 3)
     E = cf.SymbolSurface(ch, lambda x, p, p_s: p[..., 0] * p_s + 0.5 * p[..., 1] ** 2, 2)
-    conn = cf.ConnectionData(ch, lambda x: np.zeros(3))
+    conn = cf.ConnectionData(ch, [0.0, 0.0, 0.0])
     with pytest.raises(cf.ContractViolation, match="2D"):
         cf.wave_diagram(E, conn, [0.0, 0.0, 0.0])
 
 def test_ray_alpha_signs_for_mass_shell():
-    sc = cf.relativistic_scenario(1.0, 0.0, lambda x: np.zeros(2),
+    sc = cf.relativistic_scenario(1.0, 0.0, [0.0, 0.0],
                                   cf.lorentzian_metric(2.0))
     x = np.array([0.0, 0.0])
     p_rest = np.array([sc.mass * 4.0, 0.0])     # m c^2 with c = 2
@@ -284,10 +285,35 @@ def test_gauge_shift_adds_dchi_to_connection():
                        atol=1e-12)
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_strips_are_gauge_covariant_under_random_gauges(seed):
+    """A charged strip integrated under the connection shifted by d(chi)
+    equals the strip under the connection re-expressed in the gauge e chi,
+    started at the transformed state: x, s and p agree."""
+    e = 0.8
+    chart = cf.Chart(["t", "x"], [(-50.0, 50.0), (-50.0, 50.0)])
+    em = cf.constant_field_potential(chart, 0.3)
+    chi = cf.random_polynomial(chart, np.random.default_rng(seed), max_degree=3, scale=0.3)
+    e_chi = cf.PolyField(chart, {k: e * c for k, c in chi.coeffs.items()})
+    metric = cf.lorentzian_metric(1.0)
+    E = cf.relativistic_scenario(1.0, e, em, metric, chart=chart).surface
+    E_chi = cf.relativistic_scenario(1.0, e, em.shifted(chi), metric, chart=chart).surface
+    st0 = cf.CharacteristicState([0.0, 0.0], 0.0, [1.0, 0.0], 1.0)
+    st_chi = cf.CharacteristicState(st0.x, st0.s + e_chi.value(st0.x),
+                                    st0.p + st0.p_s * e_chi.gradient(st0.x), st0.p_s)
+    taus = np.linspace(0.0, 2.0, 81)
+    want = cf.strip_in_gauge(cf.propagate(E, st0, (0.0, 2.0), tau_eval=taus), e_chi)
+    got = cf.propagate(E_chi, st_chi, (0.0, 2.0), tau_eval=taus)
+    assert len(got) == len(want) == len(taus)
+    for name in ("x", "s", "p"):
+        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-7, name
+
+
 # ------------------------------------------------------------- classification
 
 def test_classify_particle_antiparticle_lightlike():
-    sc = cf.relativistic_scenario(1.0, 0.0, lambda x: np.zeros(2),
+    sc = cf.relativistic_scenario(1.0, 0.0, [0.0, 0.0],
                                   cf.lorentzian_metric(1.0))
     p_rest = np.array([1.0, 0.0])
     plus = cf.propagate(sc.surface, cf.CharacteristicState([0.0, 0.0], 0.0, p_rest, 1.0),
@@ -313,7 +339,7 @@ def test_classify_detects_corrupted_p_s():
 
 def test_relativistic_scenario_rejects_bad_metric():
     with pytest.raises(cf.ContractViolation):
-        cf.relativistic_scenario(1.0, 0.0, lambda x: np.zeros(2), np.eye(2))
+        cf.relativistic_scenario(1.0, 0.0, [0.0, 0.0], np.eye(2))
 
 
 def test_null_class_scan_closes_the_angle_grid():

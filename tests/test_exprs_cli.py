@@ -634,20 +634,28 @@ def test_cli_undeclared_symbol_name_cited(tmp_path, capsys):
     assert "omega" in capsys.readouterr().err
 
 
-def _readme_config_block():
-    """The YAML example of README's "Command line" section."""
+def _readme_block(heading, lang):
+    """The first ``lang`` code block of README's section ``heading``."""
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
         readme = fh.read()
-    section = readme[readme.index("## Command line"):]
-    return section[section.index("```yaml\n") + 8:section.index("```\n", section.index("```yaml"))]
+    section = readme[readme.index(heading):]
+    start = section.index(f"```{lang}\n") + len(lang) + 4
+    return section[start:section.index("```\n", start)]
 
 
 def test_cli_readme_config_example_runs(tmp_path):
     cfg = tmp_path / "readme.yaml"
-    cfg.write_text(_readme_config_block())
+    cfg.write_text(_readme_block("## Command line", "yaml"))
     assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["scenario"] == "custom" and len(report["strips"]) == 1
+
+
+def test_readme_library_quickstart_runs(capsys):
+    scope = {}
+    exec(_readme_block("## Library quickstart", "python"), scope)
+    assert scope["hist"].first_caustic_tau() == pytest.approx(1.0, abs=0.05)
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_cli_nested_scenario_connection_is_a_config_error(tmp_path, capsys):

@@ -88,11 +88,11 @@ def test_gauge_shifted_symmetry_preserves_q(free):
 def test_stacked_noether_layer_equals_its_rows(seed, n, scenario):
     """On a stack of points, the residual, Q and the gauge-shifted f and its
     gradient have the bits each row gets alone, for random polynomial
-    symmetries (one component a gradless ScalarField) and gauge functions."""
+    symmetries (one component a ScalarField) and gauge functions."""
     E = cf.builtin(scenario).surface
     chart, rng = E.chart, np.random.default_rng(seed)
     v1, v2, f, chi = (cf.random_polynomial(chart, rng) for _ in range(4))
-    sym = cf.SymmetryField(cf.VectorField(chart, [v1, cf.ScalarField(chart, v2.value)]), f)
+    sym = cf.SymmetryField(cf.VectorField(chart, [v1, cf.ScalarField(chart, v2.value, v2.gradient)]), f)
     shifted = cf.gauge_shifted_symmetry(sym, chi).f
     x, p = rng.uniform(-3.0, 3.0, (2, n, 2))
     p_s = rng.uniform(0.5, 2.0, n)
@@ -110,15 +110,6 @@ def test_stacked_noether_layer_equals_its_rows(seed, n, scenario):
 def test_vector_field_component_count_checked(free):
     with pytest.raises(cf.ContractViolation):
         cf.VectorField(free.chart, [cf.PolyField.from_const(free.chart, 1.0)])
-
-
-def test_vector_field_jacobian_with_gradless_component(free):
-    ch = free.chart
-    comp = cf.ScalarField(ch, lambda x: np.sin(x[0]) * x[1])
-    vf = cf.VectorField(ch, [comp, cf.PolyField(ch, {(1, 1): 2.0})])
-    t, x = 0.7, -1.2
-    exact = np.column_stack([[np.cos(t) * x, np.sin(t)], [2 * x, 2 * t]])
-    assert np.allclose(vf.jacobian([t, x]), exact, rtol=0.0, atol=1e-7)
 
 
 def test_conservation_drift_rejects_empty_strip(free):

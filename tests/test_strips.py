@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import contactflow as cf
 from contactflow import strips
 from contactflow.charts import scan_roots
-from contactflow.strips import (Fiber, _degeneracy_gap, _onshell_scale, _pack, _project_strip,
+from contactflow.strips import (_degeneracy_gap, _onshell_scale, _pack, _project_strip,
                                _step_factors, _step_tries, flow_to_event)
 
 
@@ -20,13 +20,6 @@ def test_state_validation():
         cf.CharacteristicState([0.0, 0.0], 0.0, [0.0, 0.0], 0.0)  # zero covector
     st0 = cf.CharacteristicState([1.0, 2.0], 0.5, [0.3, -0.4], 1.0)
     assert np.allclose(st0.covector(), [0.3, -0.4, 1.0])
-
-
-def test_fiber_circle_reduce():
-    fib = Fiber("circle", period=2.0)
-    assert fib.reduce(5.3) == pytest.approx(1.3)
-    with pytest.raises(cf.ContractViolation):
-        Fiber("torus")
 
 
 def test_free_particle_straight_lines(free):
