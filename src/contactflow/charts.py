@@ -84,7 +84,7 @@ class Chart:
         """Smallest signed distance to the boundary (negative outside): a
         float at one point, an array over stacked points (..., dim)."""
         x = np.asarray(x, dtype=float)
-        clear = np.minimum(x - self.bounds[:, 0], self.bounds[:, 1] - x).min(axis=-1)
+        clear = np.minimum.reduce(np.minimum(x - self.bounds[:, 0], self.bounds[:, 1] - x), -1)
         return float(clear) if x.ndim == 1 else clear
 
     def interior_sample(self, rng: np.random.Generator, margin: float = 0.0) -> np.ndarray:
@@ -299,7 +299,7 @@ def libm_pow(a, b):
         a = np.asarray(a, dtype=float)
         if chain:
             with np.errstate(over="ignore"):   # an overflow is inf; 1 * a is exact
-                return math.prod(itertools.repeat(a, int(b)), start=np.ones(a.shape))
+                return math.prod(itertools.repeat(a, int(b)), start=1.0 if b else np.ones(a.shape))
         bs = [b] * a.size
     else:
         a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -370,8 +370,8 @@ class PolyField:
         for k, c in self.coeffs.items():
             term = 1
             for xi, ki in zip(xs, k):
-                if ki:   # a zero power is a factor of exactly 1
-                    term = term * libm_pow(xi, ki)
+                if ki:   # a zero power is a factor of exactly 1, and x ** 1 is x
+                    term = term * (xi if ki == 1 else libm_pow(xi, ki))
             total += c * term
         return total if x.ndim == 1 else np.broadcast_to(total, x.shape[:-1])
 

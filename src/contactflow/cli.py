@@ -24,7 +24,7 @@ from .operators import (LinearDiffOperator, eikonal_residual, poly_phase,
                         symbol_scaling_check)
 from .phase import holonomy, square_loop
 from .scenarios import Scenario, _zero_connection, builtin
-from .strips import CharacteristicState, IntegratorConfig, propagate
+from .strips import CharacteristicState, IntegratorConfig, batch_propagate
 
 SCHEMA_VERSION = 1
 SUBCOMMANDS = ("propagate", "wavefront", "noether-check", "symbol",
@@ -66,6 +66,16 @@ def _integral(value, where: str) -> int:
     if isinstance(value, (int, float)) and float(value).is_integer():
         return int(value)
     raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
+def _finite(value, where: str) -> np.ndarray:
+    """A finite number or list of numbers from the config (YAML's string 1e-3 too)."""
+    try:
+        if np.isfinite(out := np.asarray(value, float)).all():
+            return out
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{where} must be a finite number or numbers, got {value!r}")
 
 
 def _load_config(path: str) -> dict:
@@ -150,7 +160,7 @@ def _tau_span(cfg: dict):
     span = cfg.get("tau_span", [0.0, 10.0])
     if not (isinstance(span, (list, tuple)) and len(span) == 2):
         raise ConfigError("'tau_span' must be [start, end]")
-    return float(span[0]), float(span[1])
+    return tuple(_finite(span, "'tau_span'").tolist())
 
 
 def _multi_index(chart: Chart, powers, key: str) -> tuple[int, ...]:
@@ -175,11 +185,8 @@ def _poly_from_spec(chart: Chart, spec) -> PolyField:
 # --- subcommands ------------------------------------------------------------
 
 def _run_propagate(cfg, scen, args, report):
-    integ = _integrator_from(cfg, args.fixed_step)
-    span = _tau_span(cfg)
     files, metrics = {}, []
-    for i, st in enumerate(_states_from(cfg, scen)):
-        strip = propagate(scen.surface, st, span, integ)
+    for i, strip in enumerate(_strips(cfg, scen, args)):
         header, rows = out_io.strip_rows(strip)
         path = os.path.join(args.out, f"strip_{i}.csv")
         out_io.write_csv(path, header, rows)
@@ -194,16 +201,25 @@ def _run_propagate(cfg, scen, args, report):
     report["strips"] = metrics
 
 
+def _strips(cfg, scen, args) -> list:
+    """The config's strips as one stack; the first failed one raises, before any output."""
+    integ, span = _integrator_from(cfg, args.fixed_step), _tau_span(cfg)
+    items = batch_propagate(scen.surface, _states_from(cfg, scen), span, integ)
+    for error in (item.error for item in items if not item.ok):
+        raise error
+    return [item.strip for item in items]
+
+
 def _front_from(cfg, scen):
     spec = _Block(cfg["front"], {"kind", "n", "n_tau", "radius", "center", "axis", "value",
                                 "span", "branch"}, "'front'")
     n = _integral(spec.get("n", 64), "front n")
     if spec.choice("kind", ("circle", "flat")) == "circle":
-        sigma = circle_front(scen.chart, float(spec.get("radius", 1.0)), n,
+        sigma = circle_front(scen.chart, _finite(spec.get("radius", 1.0), "front radius"), n,
                              center=tuple(spec.get("center", (0.0, 0.0))))
     else:
         _multi_index(scen.chart, {spec["axis"]: 1}, "front")
-        sigma = flat_front(scen.chart, spec["axis"], float(spec["value"]),
+        sigma = flat_front(scen.chart, spec["axis"], _finite(spec["value"], "front value"),
                            spec.get("span", (-1.0, 1.0)), n)
     return sigma, tuple(spec.get("branch", (1, 0)))
 
@@ -241,16 +257,13 @@ def _projection_report(run) -> dict:
 
 
 def _run_noether(cfg, scen, args, report):
-    integ = _integrator_from(cfg, args.fixed_step)
-    span = _tau_span(cfg)
     constants = cfg.get("constants") or {}
     blocks = cfg.get("symmetries")
     if not blocks:
         raise ConfigError("key 'symmetries' is required for the noether-check run")
     from .exprs import scalar_field
     rng = np.random.default_rng(args.seed)
-    strips = [propagate(scen.surface, st, span, integ)
-              for st in _states_from(cfg, scen)]
+    strips = _strips(cfg, scen, args)
     results = []
     for i, b in enumerate(blocks):
         b = _Block(b, {"v", "f"}, f"symmetry #{i}")
@@ -318,8 +331,8 @@ def _run_holonomy(cfg, scen_unused, args, report):
     results = []
     for i, b in enumerate(blocks):
         b = _Block(b, {"points", "center", "side"}, f"loop #{i}")
-        loop = (np.asarray(b["points"], float) if "points" in b
-                else square_loop(tuple(b.get("center", (0.0, 0.0))), float(b["side"])))
+        loop = (np.asarray(b["points"], float) if "points" in b else
+                square_loop(b.get("center", (0.0, 0.0)), _finite(b["side"], f"loop #{i} side")))
         results.append({"loop": i, "delta_s": holonomy(loop)})
     report["loops"] = results
     report["files"] = {}
@@ -327,7 +340,7 @@ def _run_holonomy(cfg, scen_unused, args, report):
 
 def _run_wave_diagram(cfg, scen, args, report):
     spec = _Block(cfg.get("diagram") or {}, {"at", "n", "biduality_check"}, "'diagram'")
-    x0 = np.asarray(spec.get("at", [0.0] * scen.chart.dim), float)
+    x0 = _finite(spec.get("at", [0.0] * scen.chart.dim), "diagram at")
     n = _integral(spec.get("n", 64), "diagram n")
     diag = wave_diagram(scen.surface, scen.connection, x0, n_samples=n)
     path = os.path.join(args.out, "wave_diagram.csv")

@@ -111,12 +111,13 @@ class SymbolSurface:
 
 
 def _degeneracy_gap(E: SymbolSurface, q, gq) -> np.ndarray:
-    """Degeneracy measure minus threshold at stacked covectors q = (p, p_s)
-    with gradients gq = (dG/dp, dG/dp_s): the norm of the non-radial part of
-    gq less 1e-10 |q|^(degree - 1).  Negative at a touching point."""
-    nq = np.sqrt(dot(q, q))
-    r = gq - (dot(gq, q) / (nq * nq))[:, None] * q
-    return np.sqrt(dot(r, r)) - 1e-10 * libm_pow(nq, E.degree - 1)
+    """Degeneracy measure minus threshold at stacked covectors q = (p, p_s), gradients
+    gq = (dG/dp, dG/dp_s): |gq's non-radial part| - 1e-10 |q|^(degree - 1) (multiplied out),
+    negative at a touching point; the same bits with q's and gq's last entries negated."""
+    qq, gqq = dot(np.array((q, gq)), q)
+    nq = np.sqrt(qq)
+    r = gq - (gqq / (nq * nq))[:, None] * q
+    return np.sqrt(dot(r, r)) - 1e-10 * math.prod([nq] * (E.degree - 1), start=1.0)
 
 
 def _symbol_args(x, p, p_s):
@@ -130,7 +131,7 @@ def _symbol_args(x, p, p_s):
         if np.ndim(p_s) == 0:
             return x, p, np.float64(p_s), None
     p_s = np.asarray(p_s, float)
-    shape = np.broadcast_shapes(x.shape[:-1], p.shape[:-1], p_s.shape)
+    shape = np.broadcast(x[..., 0], p[..., 0], p_s).shape   # faster than broadcast_shapes
     return (_at_shape(x, shape + x.shape[-1:]), _at_shape(p, shape + p.shape[-1:]),
             _at_shape(p_s, shape), shape)
 
@@ -239,8 +240,8 @@ def _start_errors(E: SymbolSurface, Y, t0: float, tol_onshell: float) -> tuple[l
         else f"initial point {X[r]} outside chart bounds") for r in range(len(Y))]
     F = np.full_like(Y, np.nan)
     if ok.any():
-        F[ok] = _rhs(E, Y[ok])
-        gap = _degeneracy_gap(E, Y[ok, m + 1:], _dG_dq(F[ok], m))
+        F[ok] = _rhs(E, Y[ok])   # F holds (dG/dp, -dG/dp_s): flip p_s's sign to match
+        gap = _degeneracy_gap(E, Y[ok, m + 1:] * np.append(np.ones(m), -1.0), F[ok, :m + 1])
         for r in np.flatnonzero(ok)[gap < 0]:
             errors[r] = DegeneracyError("initial state is a degenerate (touching) point",
                                         state=_unpack(E, Y[r], t0))
@@ -258,24 +259,14 @@ def _unpack(E: SymbolSurface, y, tau: float) -> CharacteristicState:
     return CharacteristicState(y[:m], y[m], y[m + 1:2 * m + 1], y[2 * m + 1], tau)
 
 
-def _rhs(E: SymbolSurface, Y) -> np.ndarray:
-    """Strip right-hand sides (dG/dp, -dG/dp_s, -dG/dx, 0) of a state stack
-    (a one-row stack is evaluated as a single point: the same bits, faster)."""
-    m, F = Y.shape[1] // 2 - 1, np.empty(Y.shape)
+def _rhs(E: SymbolSurface, Y, F=None) -> np.ndarray:
+    """Strip right-hand sides (dG/dp, -dG/dp_s, -dG/dx, 0) of a state stack, into
+    F if given, its last column 0 (one row is a single point: same bits, faster)."""
+    m, F = Y.shape[1] // 2 - 1, np.zeros(Y.shape) if F is None else F
     row = 0 if len(Y) == 1 else slice(None)
     gx, gp, gps = E.gradient(Y[row, :m], Y[row, m + 1:2 * m + 1], Y[row, 2 * m + 1])
-    F[:, :m] = gp
-    F[:, m] = -gps
-    F[:, m + 1:2 * m + 1] = -gx
-    F[:, 2 * m + 1] = 0.0
+    F[row, :m], F[row, m], F[row, m + 1:2 * m + 1] = gp, -gps, -gx   # the last column stays 0
     return F
-
-
-def _dG_dq(F, m: int) -> np.ndarray:
-    """(dG/dp, dG/dp_s) from right-hand sides F = (dG/dp, -dG/dp_s, ...)."""
-    gq = F[:, :m + 1].copy()
-    gq[:, m] = -gq[:, m]
-    return gq
 
 
 def _project_strip(E: SymbolSurface, X, P, PS, G, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -314,18 +305,15 @@ def _project_strip(E: SymbolSurface, X, P, PS, G, tol: float) -> tuple[np.ndarra
 # mode is classic RK4 with a cubic continuous extension.  Every sum of
 # products (stage sums, error norms, interpolants) adds its terms in index
 # order from elementwise * and +, so a strip has the same bits in any stack,
-# any layout and under any BLAS kernel or SIMD dispatch.  Wide arrays keep
-# the row axis innermost: stages (stage, row, component), interpolant
-# coefficients (stage, component, row), and samples one (component, column,
-# strip) buffer with no scratch columns, which each step fills with one
-# masked block write; the interpolant passes over chunks of components of
-# at most charts.SCAN_BLOCK values, so a front's wide steps stay in cache.
+# any layout and under any BLAS kernel or SIMD dispatch.  A step's arrays
+# are few and wide, since a one-row stack pays numpy's call overhead per
+# array operation: a new stage joins every sum that uses it in one product.
 
-_A45 = [np.array(a) for a in ([1/5], [3/40, 9/40], [44/45, -56/15, 32/9],
-                              [19372/6561, -25360/2187, 64448/6561, -212/729],
-                              [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656])]
-_B45 = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_E45 = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_A45 = [[1/5], [3/40, 9/40], [44/45, -56/15, 32/9],
+        [19372/6561, -25360/2187, 64448/6561, -212/729],
+        [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]]
+_B45 = [35/384, 0, 500/1113, 125/192, -2187/6784, 11/84]
+_E45 = [-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40]
 _P45 = np.array([
     [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
     [0, 0, 0, 0],
@@ -334,6 +322,10 @@ _P45 = np.array([
     [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# _W45[j]: K_j's weights in the stage sums j + 1..5, y_new's and the error estimate's
+_W45 = [np.array([(w + [0] * 7)[j] for w in (_A45 + [_B45, _E45])[j:]])[:, None, None]
+        for j in range(7)]
+_B4 = np.array([1.0, 2.0, 2.0, 1.0])[:, None, None]   # RK4's weights, times 6
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 
 
@@ -341,24 +333,20 @@ def _rms(v) -> np.ndarray:
     return np.sqrt(dot(v, v)) / math.sqrt(v.shape[-1])
 
 
-def _step_tries(T, H, retry, t1: float, sign: float):
-    """Per row, the step to try from time t with |step| H: at least 10 ulp
-    of t (a retry is not raised to it), cut to end on t1.  Returns (t_new,
-    h), h NaN where the step fell below 10 ulp."""
+def _step_control(T, h, err, retry, t1: float, sign: float):
+    """Per row, the next try after a try of signed size h from T with error norm err
+    (retry: it followed a rejected try): |h| grows after an accepted try (err < 1),
+    at most 10-fold and not right after a rejected try, and shrinks after a rejected
+    one (NaN err too), at most 5-fold; at least 10 ulp of T (a retry is not raised to
+    it), cut to end on t1.  Returns (t_new, h_new NaN below 10 ulp, retry_new)."""
+    f = _SAFETY * libm_pow(np.maximum(err, 5e-324), -0.2)   # err = 0 grows the most
+    H = np.abs(h) * np.fmax(np.minimum(f, np.where(retry, 1.0, _MAX_FACTOR)), _MIN_FACTOR)
+    retry = ~(err < 1)
     min_step = 10 * np.abs(np.nextafter(T, sign * np.inf) - T)
     step = np.where(retry, H, np.maximum(H, min_step))
     end = np.where(step >= min_step, T + step * sign, np.nan)
-    end = np.where(sign * (end - t1) > 0, t1, end)
-    return end, end - T
-
-
-def _step_factors(err, retry) -> np.ndarray:
-    """Per row, the step-size factor after a try with error norm err: an
-    accepted step (err < 1) grows, at most 10-fold and not at all right
-    after a rejected try; a rejected one shrinks, at most 5-fold."""
-    f = _SAFETY * libm_pow(np.maximum(err, 5e-324), -0.2)   # err = 0 grows the most
-    grow = np.minimum(f, np.where(retry, 1.0, _MAX_FACTOR))
-    return np.where(err < 1, grow, np.fmax(f, _MIN_FACTOR))   # fmax: a NaN err shrinks
+    end = (np.minimum if sign > 0 else np.maximum)(end, t1)   # a NaN stays
+    return end, end - T, retry
 
 
 def _first_step(E: SymbolSurface, Y, F, span: float, sign: float, rtol: float, atol: float):
@@ -375,28 +363,27 @@ def _first_step(E: SymbolSurface, Y, F, span: float, sign: float, rtol: float, a
 
 
 def _rk45_step(E: SymbolSurface, Y, F, h):
-    """A Dormand-Prince step of signed size h per row from (Y, F): (y_new,
-    K), stages K[s] of shape (rows, component), K[6] the RHS at y_new."""
-    K, h = np.empty((7,) + Y.shape), h[:, None]
-    Kt = K.transpose(1, 2, 0)
+    """A Dormand-Prince step of signed size h per row from (Y, F): (y_new, K, e), stages
+    K[s] (rows, component), K[6] the RHS at y_new, e the error sum before its factor h."""
+    K, h = np.zeros((7,) + Y.shape), h[:, None]
     K[0] = F
-    for s, a in enumerate(_A45, start=1):
-        K[s] = _rhs(E, Y + dot(Kt[:, :, :s], a) * h)
-    y_new = Y + h * dot(Kt[:, :, :6], _B45)
-    K[6] = _rhs(E, y_new)
-    return y_new, K
+    S = _W45[0] * F   # the stage sums, y_new's and the error estimate's
+    for s in range(1, 7):
+        y = Y + S[s - 1] * h
+        S[s:] += _W45[s] * _rhs(E, y, K[s])
+    return y, K, S[6]
 
 
 def _rk4_step(E: SymbolSurface, Y, F, h: float):
     """A classic RK4 step of size h from (Y, F): (y_new, K), stages K[s] of
     shape (rows, component), K[4] the right-hand side at y_new."""
-    K = np.empty((5,) + Y.shape)
+    K = np.zeros((5,) + Y.shape)
     K[0] = F
-    K[1] = _rhs(E, Y + 0.5 * h * K[0])
-    K[2] = _rhs(E, Y + 0.5 * h * K[1])
-    K[3] = _rhs(E, Y + h * K[2])
-    y_new = Y + (h / 6.0) * (K[0] + 2.0 * K[1] + 2.0 * K[2] + K[3])
-    K[4] = _rhs(E, y_new)
+    _rhs(E, Y + 0.5 * h * K[0], K[1])
+    _rhs(E, Y + 0.5 * h * K[1], K[2])
+    _rhs(E, Y + h * K[2], K[3])
+    y_new = Y + (h / 6.0) * np.add.accumulate(K[:4] * _B4, axis=0)[-1]
+    _rhs(E, y_new, K[4])
     return y_new, K
 
 
@@ -412,8 +399,8 @@ def _interpolate(K, y_old, t_old, h, taus, fixed: bool):
     sq = th * th
     cu = sq * th
     if fixed:
-        b23 = sq - 2.0 * cu / 3.0
-        M, W = Ks, (th - 1.5 * sq + 2.0 * cu / 3.0, b23, b23, -0.5 * sq + 2.0 * cu / 3.0)
+        c23 = 2.0 * cu / 3.0
+        M, W = Ks, (th - 1.5 * sq + c23, sq - c23, sq - c23, -0.5 * sq + c23)
     else:
         M, W = lead_dot(_P45[:, :, None, None], Ks), (th, sq, cu, cu * th)
     n = max(1, SCAN_BLOCK // th.size)
@@ -483,10 +470,10 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
         buf[:, :, d], slots[d] = buf[:, :, order[d]], slots[order[d]]
 
     def leave(keep):   # the other rows leave the working set, their slots moved past it
-        nonlocal ids, T, Y, F, Gev, H, retry, nonfinite
+        nonlocal ids, T, Y, F, Gev, h, err, retry, nonfinite
         move(np.argsort(~keep, kind="stable"))
-        ids, T, Y, F, Gev, H, retry, nonfinite = (
-            a[keep] for a in (ids, T, Y, F, Gev, H, retry, nonfinite))
+        ids, T, Y, F, Gev, h, err, retry, nonfinite = (
+            a[keep] for a in (ids, T, Y, F, Gev, h, err, retry, nonfinite))
 
     def fail(bad, message):   # the rows bad sets end, at their last sample or their T, Y
         for r in bad.nonzero()[0]:   # message may name the row's tau as {tau}
@@ -495,9 +482,9 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
 
     def event_values(T, Y, F):
         """Per row: the chart clearance, the degeneracy gap and the extras."""
-        return np.column_stack([E.chart.boundary_clearance(Y[:, :m]),
-                                _degeneracy_gap(E, Y[:, m + 1:], _dG_dq(F, m)),
-                                *(ev(T, Y) for ev in events)])
+        return np.array([E.chart.boundary_clearance(Y[:, :m]),   # F: (dG/dp, -dG/dp_s, ...)
+                         _degeneracy_gap(E, Y[:, m + 1:] * flip, F[:, :m + 1]),
+                         *(ev(T, Y) for ev in events)]).T
 
     if tau_eval is None:
         buf[0, 0, :len(ids)], buf[1:, 0, :len(ids)] = t0, Y0[ids].T
@@ -506,45 +493,45 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
         out = ["span_end" if e is None else e for e in out]
         ids = ids[:0]
     # the working set: row r is strip ids[r]; a strip's row leaves when it stops
-    T, Y, F = np.full(len(ids), t0), Y0[ids], F[ids]
-    H, retry = np.zeros(len(ids)), np.zeros(len(ids), bool)   # |step| to try, last try failed
-    nonfinite = np.zeros(len(ids), bool)   # a try since the last step had non-finite stages
+    T, Y, F, flip = np.full(len(ids), t0), Y0[ids], F[ids], np.append(np.ones(m), -1.0)
+    # per row the last try's step, error norm and whether it retried (an error norm 0 after
+    # a retry keeps _first_step's step); nonfinite: a try since the last step was not finite
+    h, err = np.full(len(ids), h_fix if fixed else 0.0), np.zeros(len(ids))
+    retry, nonfinite = np.ones(len(ids), bool), np.zeros(len(ids), bool)
     if ids.size:
-        Gev = event_values(T, Y, F)
+        Gev = np.sign(event_values(T, Y, F))   # a step's events: a sign change or a zero
         if not fixed:
             rtol, atol = max(integ.rel_tol, 100 * _EPS), integ.abs_tol
-            H = _first_step(E, Y, F, abs(t1 - t0), sign, rtol, atol)
+            h = _first_step(E, Y, F, abs(t1 - t0), sign, rtol, atol)
 
     while ids.size:
         # propose a step per row; acc are the rows that take it
         if fixed:
             k_step += 1
             y_new, K = _rk4_step(E, Y, F, h_fix)
-            if not np.isfinite(K).all():   # one check a step, the rows only on a failure
+            if np.count_nonzero(np.isfinite(K)) < K.size:   # the rows only on a failure
                 bad = ~np.isfinite(K).all(axis=(0, 2))
                 fail(bad, _NOT_FINITE)
                 y_new, K = y_new[~bad], K[:, ~bad]
             t_new = np.full(len(ids), t1 if k_step == n_steps else t0 + k_step * h_fix)
-            h = np.full(len(ids), h_fix)
             acc = np.arange(len(ids))
         else:
-            t_new, h = _step_tries(T, H, retry, t1, sign)
-            small = np.isnan(h)
-            if small.any():
+            t_new, h_try, retry_try = _step_control(T, h, err, retry, t1, sign)
+            small = np.isnan(h_try)
+            if np.count_nonzero(small):
                 nan = small & nonfinite
                 fail(nan, _NOT_FINITE + " (the step size underflowed at tau = {tau:.6g})")
                 fail(small[~nan], "integration failed: Required step size is less than "
                                   "spacing between numbers.")
                 continue
-            y_new, K = _rk45_step(E, Y, F, h)
+            h, retry = h_try, retry_try
+            y_new, K, e = _rk45_step(E, Y, F, h)
             scale = atol + np.maximum(np.abs(Y), np.abs(y_new)) * rtol
-            err = _rms(dot(K.transpose(1, 2, 0), _E45) * h[:, None] / scale)
-            H = np.abs(h) * _step_factors(err, retry)
-            accept = err < 1
-            retry, acc = ~accept, accept.nonzero()[0]
-            if not np.isfinite(err).all():   # a finite norm has finite stages
-                nonfinite |= ~np.isfinite(K).all(axis=(0, 2))
-            nonfinite &= retry
+            err = _rms(e * h[:, None] / scale)
+            acc = (err < 1).nonzero()[0]
+            if acc.size < len(err) and np.count_nonzero(np.isfinite(err)) < len(err):
+                nonfinite |= ~np.isfinite(K).all(axis=(0, 2))   # a finite norm: finite stages
+            nonfinite[acc] = False
             if not acc.size:
                 continue
         part = acc.size < len(ids)   # some rows retry: gather the others (else no copies)
@@ -553,9 +540,9 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
         Ka = K.take(acc, axis=1) if part else K   # the accepted rows' stages and h
 
         # terminal events: the earliest root on the step's interpolant ends the strip
-        g_new = event_values(t_new, y_new, Ka[-1])
-        active = (np.minimum(g_old, g_new) <= 0) & (np.maximum(g_old, g_new) >= 0)
-        hit, t_end, y_end = np.full(len(acc), -1), t_new.copy(), y_new.copy()
+        g_new = np.sign(event_values(t_new, y_new, Ka[-1]))
+        active = g_old * g_new <= 0   # NaN is never active
+        hit, t_end, y_end = np.full(len(acc), -1), t_new, y_new
         erow, ecol = active.nonzero()   # the (row, event) pairs with a sign change in the step
         if erow.size:
             def sol(tau, r):
@@ -570,7 +557,7 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             # per row the earliest root, the first event on a tie
             order = np.lexsort((sign * roots, erow))
             first = order[np.diff(erow[order], prepend=-1) != 0]
-            r = erow[first]
+            r, t_end, y_end = erow[first], t_new.copy(), y_new.copy()
             hit[r], t_end[r], y_end[r] = ecol[first], roots[first], sol(roots[first], r)
 
         # samples up to the step end, or up to the event: working row r takes the columns
@@ -582,7 +569,8 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
         else:
             upto = start.copy()
             upto[acc] = np.searchsorted(ahead, sign * t_end, side="right")
-            lo, hi = (start.min(), upto.max()) if np.count_nonzero(upto > start) else (0, 0)
+            lo, hi = ((min(start.tolist()), max(upto.tolist())) if np.count_nonzero(upto > start)
+                      else (0, 0))
         if hi > lo:
             if tau_eval is not None:   # at the grid's own taus; masked entries (a retry) stay quiet
                 into = (start <= cols[lo:hi]) & (cols[lo:hi] < upto)
@@ -597,8 +585,8 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
         else:
             T, Y, F, Gev = t_new, y_new, Ka[-1], g_new   # the last stage starts the next step
 
-        stop = (t_new == t1) | (hit >= 0)
-        for r in stop.nonzero()[0]:
+        stop = ((t_new == t1) | (hit >= 0)).nonzero()[0]
+        for r in stop:
             i = sid[r]
             if hit[r] < 0:
                 out[i] = "span_end"
@@ -611,10 +599,8 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
                     buf[0, counts[i], acc[r]], buf[1:, counts[i], acc[r]] = t_end[r], y_end[r]
                     counts[i] += 1
                 out[i] = "boundary" if hit[r] == 0 else "event"
-        if stop.any():
-            keep = np.ones(len(ids), bool)
-            keep[acc[stop]] = False
-            leave(keep)
+        if stop.size:
+            leave(np.isin(np.arange(len(ids)), acc[stop], invert=True))
 
     ok = np.array([not isinstance(o, Exception) for o in out], bool)
     bare = (ok & (counts == 0)).nonzero()[0]   # no sample in its run (an empty grid): its start

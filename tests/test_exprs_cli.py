@@ -558,6 +558,50 @@ def test_cli_missing_key_or_unknown_choice_is_a_config_error(tmp_path, capsys, s
     assert not list(out.glob("*.csv")) and not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("sub,block,message", [
+    ("propagate", "scenario: {builtin: free}\ntau_span: [a, 1.0]\n",
+     "'tau_span' must be a finite number or numbers, got ['a', 1.0]"),
+    ("propagate", "scenario: {builtin: free}\ntau_span: [null, 1.0]\n",
+     "'tau_span' must be a finite number or numbers, got [None, 1.0]"),
+    ("propagate", "scenario: {builtin: free}\ntau_span: [0.0, .inf]\n",
+     "'tau_span' must be a finite number or numbers, got [0.0, inf]"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {radius: r}\n",
+     "front radius must be a finite number or numbers, got 'r'"),
+    ("holonomy", "loops: [{side: s}]\n", "loop #0 side must be a finite number or numbers"),
+    ("wave-diagram", "scenario: {builtin: eikonal}\ndiagram: {at: [a, 0.0]}\n",
+     "diagram at must be a finite number or numbers, got ['a', 0.0]"),
+], ids=["tau_span-a", "tau_span-null", "tau_span-inf", "front-radius", "loop-side",
+        "diagram-at"])
+def test_cli_non_numeric_or_non_finite_number_is_a_config_error(tmp_path, capsys, sub, block,
+                                                                 message):
+    # the first five ended in a ValueError or TypeError traceback, and the
+    # infinite span exited 2 as a numerical failure
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema_version: 1\n" + block)
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not list(out.glob("*.csv")) and not (out / "report.json").exists()
+
+
+def test_cli_a_failed_strip_writes_no_csv(tmp_path, capsys):
+    # the strips run as one stack, and the first that fails, in config order,
+    # ends the run before any CSV is written (strip_0.csv was written first);
+    # the third strip meets x = -1 sooner, but the second is reported
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"schema_version: 1\n{_ROOT_RUN}strips:\n"
+                   "  - {x: [0.0, 0.0], p: [-0.6, 1.0]}\n"
+                   "  - {x: [0.0, 0.0], p: [-4.6, -3.0]}\n"
+                   "  - {x: [0.0, -0.5], p: [-4.535355339059327, -3.0]}\n")
+    out = tmp_path / "out"
+    assert main(["propagate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "numerical failure (DegeneracyError): integration failed: a step's stages are not finite"
+        " (the step size underflowed at tau = 0.331138)")
+    assert not list(out.glob("strip_*.csv")) and not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("sub,config", [("symbol", "schrodinger_symbol.yaml"),
                                         ("holonomy", "holonomy.yaml"),
                                         ("wave-diagram", "wave_diagram_eikonal.yaml")])

@@ -3,14 +3,14 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import contactflow as cf
 from contactflow import strips
 from contactflow.charts import scan_roots
 from contactflow.strips import (_degeneracy_gap, _onshell_scale, _pack, _project_strip,
-                               _step_factors, _step_tries, flow_to_event)
+                               _step_control, flow_to_event)
 
 
 def test_state_validation():
@@ -203,6 +203,28 @@ def test_p_s_is_bitwise_constant_along_random_potential_strips(seed):
                 assert (one.p_s == init.p_s).all()
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_random_potential_fronts_keep_the_legendre_condition(seed):
+    # a flat front t = t0 with a quadratic initial action, lifted and
+    # propagated: <p, dx/du> = p_s ds/du holds along it to the front-caustic
+    # oracle's tolerance (V and the action are quadratic, so the rays are
+    # linear and the action quadratic in u, and centred differences in u
+    # are exact up to rounding)
+    E, V = _random_potential_symbol(seed)
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.uniform(-1.0, 1.0, 3)
+    lo = rng.uniform(-1.0, 0.0)
+    front = cf.flat_front(E.chart, "t", rng.uniform(-1.0, 1.0), (lo, lo + 1.0), 21,
+                          s0=lambda u: a + b * u + c * u * u)
+    lift = cf.legendre_lift(E, front)
+    assume(not lift.failures)   # every root inside the lift's scan
+    for method in ("adaptive", "fixed"):
+        hist = cf.propagate_front(E, lift, np.linspace(0.0, rng.uniform(0.2, 1.0), 11),
+                                  cf.IntegratorConfig(method=method, dt=0.01))
+        assert hist.contact_residual() <= 1e-6
+
+
 def test_fixed_step_matches_adaptive(oscillator):
     st0 = oscillator.initial_states[0]
     a = cf.propagate(oscillator.surface, st0, (0.0, 5.0))
@@ -273,6 +295,29 @@ def test_fixed_step_strip_takes_four_gradients_a_step(free, monkeypatch):
                          cf.IntegratorConfig(method="fixed", dt=0.01))
     assert len(strip) == n + 1
     assert sum(points) <= 4 * n + 8
+
+
+@pytest.mark.parametrize("name,method,one_by_one,calls", [
+    ("oscillator", "adaptive", False, 2294), ("oscillator", "fixed", False, 4001),
+    ("free", "fixed", False, 4001), ("free", "fixed", True, 8002)],
+    ids=["oscillator-adaptive", "oscillator-fixed", "free-stack", "free-one-by-one"])
+def test_strips_take_their_pinned_gradient_calls(name, method, one_by_one, calls, monkeypatch):
+    # the counts of the integrator before its step was made cheaper: a cheaper
+    # step adds no right-hand side and takes the same steps; a stack takes one
+    # gradient call a stage for all its rows
+    scen, count = cf.builtin(name), []
+    gradient = cf.SymbolSurface.gradient
+
+    def counted(self, x, p, p_s):
+        count.append(1)
+        return gradient(self, x, p, p_s)
+
+    monkeypatch.setattr(cf.SymbolSurface, "gradient", counted)
+    integ = cf.IntegratorConfig(method=method, dt=0.01)   # adaptive: 201 samples
+    for inits in [[s] for s in scen.initial_states] if one_by_one else [scen.initial_states]:
+        assert all(item.ok for item in cf.batch_propagate(scen.surface, inits, (0.0, 10.0),
+                                                          integ))
+    assert len(count) == calls
 
 
 def test_fd_symbol_gradient_matches_analytic(oscillator):
@@ -398,7 +443,7 @@ def test_libm_pow_rounds_like_float_power():
 
 
 def _step_tries_by_row(T, H, retry, t1, sign):
-    """The per-row loop that _step_tries replaced, kept as its reference."""
+    """The per-row loop of the step to try next, kept as _step_control's reference."""
     t_new, h = [], []
     for t, step, again in zip(T.tolist(), H.tolist(), retry.tolist()):
         min_step = 10 * abs(math.nextafter(t, sign * math.inf) - t)
@@ -412,7 +457,7 @@ def _step_tries_by_row(T, H, retry, t1, sign):
 
 
 def _step_factors_by_row(err, retry):
-    """The per-row loop that _step_factors replaced, kept as its reference."""
+    """The per-row loop of the step-size factor, kept as _step_control's reference."""
     out = []
     for e, again in zip(err.tolist(), retry.tolist()):
         if e < 1:
@@ -424,23 +469,24 @@ def _step_factors_by_row(err, retry):
 
 
 def test_step_control_has_the_per_row_bits():
+    # the fused step control against the two per-row loops: the factor after
+    # a try, then the next try from the grown or shrunk step
     rng = np.random.default_rng(3)
     n = 20000
     retry = rng.random(n) < 0.3
     err = np.exp(rng.uniform(-40.0, 10.0, n))
     err[::7] = rng.uniform(0.9, 1.1, len(err[::7]))   # around the accept threshold
     err[::97], err[::101], err[::103] = 0.0, np.nan, np.inf
-    assert np.array_equal(_step_factors(err, retry), _step_factors_by_row(err, retry),
-                          equal_nan=True)
     for sign in (1.0, -1.0):
         T = rng.uniform(-1e3, 1e3, n) * np.exp(rng.uniform(-30.0, 5.0, n))
         T[::11] = 0.0
-        H = np.abs(T) * np.exp(rng.uniform(-60.0, 0.0, n))   # many below 10 ulp
-        H[::13] = 0.0
+        h = sign * np.abs(T) * np.exp(rng.uniform(-60.0, 0.0, n))   # many below 10 ulp
+        h[::13] = 0.0
         t1 = 500.0 * sign
-        want = _step_tries_by_row(T, H, retry, t1, sign)
+        H = np.abs(h) * _step_factors_by_row(err, retry)
+        want = _step_tries_by_row(T, H, ~(err < 1), t1, sign) + (~(err < 1),)
         assert np.isnan(want[1]).any() and (want[0] == t1).any()
-        for a, b in zip(_step_tries(T, H, retry, t1, sign), want):
+        for a, b in zip(_step_control(T, h, err, retry, t1, sign), want):
             assert np.array_equal(a, b, equal_nan=True)
 
 
