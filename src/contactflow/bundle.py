@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .charts import Chart, PolyField, VectorField, dot, scan_roots
+from .charts import Chart, PolyField, ScalarField, VectorField, dot, scan_roots, stack_last
 from .errors import (ContractViolation, EmptyDiagramError,
                      InternalConsistencyError)
 from .strips import PS_ZERO_TOL, Strip, SymbolSurface, _degeneracy_gap
@@ -26,35 +25,13 @@ LIGHTLIKE_RTOL = 1e-9
 _RADII = np.linspace(1e-9, 20.0, 400)
 
 
-class ConnectionData:
-    """Connection potential A on M and its curvature F = dA.
-
-    A is one component per axis (fields or constants), or a callable
-    together with its Jacobian dA.
-    """
-
-    def __init__(self, chart: Chart, A: Callable | Sequence, dA: Callable | None = None):
-        self.chart = chart
-        if not callable(A):
-            field = VectorField(chart, A)
-            A, dA = field.value, dA or field.jacobian
-        elif dA is None:
-            raise ContractViolation("a callable connection potential A needs its Jacobian dA")
-        self._A = A
-        self._dA = dA
+class ConnectionData(VectorField):
+    """Connection potential A on M, one component per axis (fields or
+    constants), and its curvature F, the exterior derivative of A."""
 
     def A(self, x) -> np.ndarray:
         """A at a point x of shape (m,), or at stacked points (..., m)."""
-        x = np.asarray(x, float)
-        a = np.asarray(self._A(x), float)
-        return a if a.shape == x.shape else np.broadcast_to(a, x.shape)
-
-    def jacobian(self, x) -> np.ndarray:
-        """J[..., i, j] = d A_j / d x_i."""
-        x = np.asarray(x, float)
-        J = np.asarray(self._dA(x), float)
-        shape = x.shape + x.shape[-1:]
-        return J if J.shape == shape else np.broadcast_to(J, shape)
+        return self.value(x)
 
     def curvature(self, x) -> np.ndarray:
         """F_{mu nu} = d_mu A_nu - d_nu A_mu (antisymmetric by construction)."""
@@ -62,15 +39,14 @@ class ConnectionData:
         return J - np.swapaxes(J, -1, -2)
 
     def shifted(self, chi: PolyField) -> "ConnectionData":
-        """Connection with potential A + d(chi); its Jacobian adds chi's
-        Hessian, the gradients of its partials."""
-        def A_new(x, old=self.A, chi=chi):
-            return old(x) + chi.gradient(x)
+        """Connection with potential A + d(chi): component j is A_j + d_j chi,
+        and its gradient adds column j of chi's Hessian, H[i, j] = d_j d_i chi."""
+        def part(a, j):
+            return ScalarField(self.chart, lambda x: a.value(x) + chi.partials[j].value(x),
+                               lambda x: a.gradient(x) + stack_last(
+                                   [d.partials[j].value(x) for d in chi.partials]))
 
-        def dA_new(x, oldJ=self.jacobian, chi=chi):
-            return oldJ(x) + np.stack([d.gradient(x) for d in chi.partials], axis=-2)
-
-        return ConnectionData(self.chart, A_new, dA=dA_new)
+        return ConnectionData(self.chart, [part(a, j) for j, a in enumerate(self.components)])
 
 
 @dataclass
@@ -268,10 +244,8 @@ def relativistic_scenario(mass: float, charge: float, em_potential,
         raise ContractViolation("fiber coefficient must be positive (spacelike fiber)")
     ginv = np.linalg.inv(g)
 
-    if isinstance(em_potential, ConnectionData):
-        em = em_potential
-    else:
-        em = ConnectionData(chart, em_potential)
+    em = (em_potential if isinstance(em_potential, ConnectionData)
+          else ConnectionData(chart, em_potential))
     e = float(charge)
 
     def value(x, p, ps):
@@ -289,25 +263,17 @@ def relativistic_scenario(mass: float, charge: float, em_potential,
 
     surface = SymbolSurface(chart, value, degree=2, grad=grad, name="relativistic")
 
-    def A_conn(x):
-        return e * em.A(x)
-
-    def dA_conn(x):
-        return e * em.jacobian(x)
-
-    conn = ConnectionData(chart, A_conn, dA=dA_conn)
+    conn = ConnectionData(chart, [ScalarField(chart, lambda x, a=a: e * a.value(x),
+                                              lambda x, a=a: e * a.gradient(x))
+                                  for a in em.components])
     return RelativisticScenario(surface, conn, g, mass, float(fiber_coeff))
 
 
 def constant_field_potential(chart: Chart, field_strength: float) -> ConnectionData:
     """EM potential with F = E0 dt ^ dx: A_t = -E0 * x (so F_tx = +E0)."""
-    m = chart.dim
-    comps = [PolyField.from_const(chart, 0.0) for _ in range(m)]
-    idx_x = 1  # first spatial axis
-    e_x = [0] * m
-    e_x[idx_x] = 1
-    comps[0] = PolyField(chart, {tuple(e_x): -field_strength})
-    return ConnectionData(chart, comps)
+    x_axis = tuple(int(i == 1) for i in range(chart.dim))   # the first spatial axis
+    return ConnectionData(chart, [PolyField(chart, {x_axis: -field_strength}),
+                                  *[0.0] * (chart.dim - 1)])
 
 
 def null_norm(scenario: RelativisticScenario, strip: Strip) -> float:

@@ -414,12 +414,13 @@ class VectorField:
     (exact for polynomial components); constants become constant polynomials."""
 
     def __init__(self, chart: Chart, components: Sequence):
+        if callable(components) or len(components) != chart.dim:
+            raise ContractViolation("a vector field takes one component per axis "
+                                    "(fields or constants)")
         self.chart = chart
         self.components = [c if isinstance(c, (PolyField, ScalarField))
                            else PolyField.from_const(chart, float(c))
                            for c in components]
-        if len(self.components) != chart.dim:
-            raise ContractViolation("vector field needs one component per axis")
 
     def value(self, x) -> np.ndarray:
         """Components on the last axis, at one point or at stacked points."""

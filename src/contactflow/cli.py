@@ -23,7 +23,7 @@ from .noether import SymmetryField, check_symmetry, conservation_drift
 from .operators import (LinearDiffOperator, eikonal_residual, poly_phase,
                         symbol_scaling_check)
 from .phase import holonomy, square_loop
-from .scenarios import Scenario, _zero_connection, builtin
+from .scenarios import Scenario, builtin
 from .strips import CharacteristicState, IntegratorConfig, batch_propagate
 
 SCHEMA_VERSION = 1
@@ -78,6 +78,13 @@ def _finite(value, where: str) -> np.ndarray:
     raise ConfigError(f"{where} must be a finite number or numbers, got {value!r}")
 
 
+def _number(value, where: str) -> float:
+    """One finite number from the config."""
+    if (out := _finite(value, where)).ndim:
+        raise ConfigError(f"{where} must be one number, got {value!r}")
+    return float(out)
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -98,7 +105,7 @@ def _load_config(path: str) -> dict:
 def _chart_from(cfg: dict) -> Chart:
     spec = _Block(cfg["chart"], {"axes", "bounds"}, "'chart'")   # a symbol scenario's chart
     try:
-        return Chart(spec["axes"], spec["bounds"])
+        return Chart(spec["axes"], _finite(spec["bounds"], "chart bounds"))
     except TypeError as exc:
         raise ConfigError(f"bad 'chart' block: {exc}") from exc
 
@@ -108,22 +115,39 @@ def _scenario_from(cfg: dict) -> Scenario:
     sources = [k for k in ("builtin", "symbol") if k in spec]
     if len(sources) != 1:
         raise ConfigError("scenario needs exactly one of 'builtin' or 'symbol'")
-    constants = cfg.get("constants") or {}
+    constants = _constants(cfg)
     if sources[0] == "builtin":
-        scen = builtin(spec["builtin"], **(spec.get("builtin_args") or {}))
+        scen = _builtin(spec)
     else:
         from .exprs import symbol_surface
         sym = _Block(spec["symbol"], {"expression", "degree"}, "'symbol'")
         chart = _chart_from(cfg)
         E = symbol_surface(sym["expression"], chart, _integral(sym["degree"], "symbol degree"),
                            constants=constants, name=spec.get("name", "custom"))
-        scen = Scenario(spec.get("name", "custom"), E, _zero_connection(chart))
+        scen = Scenario(spec.get("name", "custom"), E, ConnectionData(chart, [0.0] * chart.dim))
     conn_exprs = cfg.get("connection")
     if conn_exprs:
         from .exprs import connection_components
         scen.connection = ConnectionData(
             scen.chart, connection_components(conn_exprs, scen.chart, constants))
     return scen
+
+
+def _builtin(spec: dict) -> Scenario:
+    """The builtin scenario of a 'scenario' block; each of its builtin_args
+    is a finite number, or for schrodinger's V a map of powers to them."""
+    args = spec.get("builtin_args") or {}
+    if not isinstance(args, dict):
+        raise ConfigError(f"builtin_args must be a mapping, got {args!r}")
+    return builtin(spec["builtin"], **{
+        k: {p: _number(c, f"builtin_args {k}[{p!r}]") for p, c in v.items()}
+        if k == "V" and isinstance(v, dict) else _number(v, f"builtin_args {k}")
+        for k, v in args.items()})
+
+
+def _constants(cfg: dict) -> dict:
+    """The config's named constants, each a finite number."""
+    return {k: _number(v, f"constant {k!r}") for k, v in (cfg.get("constants") or {}).items()}
 
 
 def _integrator_from(cfg: dict, fixed_step: float | None) -> IntegratorConfig:
@@ -178,7 +202,7 @@ def _poly_from_spec(chart: Chart, spec) -> PolyField:
     for i, ent in enumerate(spec):
         ent = _Block(ent, {"powers", "c"}, f"poly term #{i}")
         mono = _multi_index(chart, ent.get("powers"), "powers")
-        coeffs[mono] = coeffs.get(mono, 0.0) + float(ent["c"])
+        coeffs[mono] = coeffs.get(mono, 0.0) + _number(ent["c"], f"poly term #{i} c")
     return PolyField(chart, coeffs)
 
 
@@ -216,11 +240,11 @@ def _front_from(cfg, scen):
     n = _integral(spec.get("n", 64), "front n")
     if spec.choice("kind", ("circle", "flat")) == "circle":
         sigma = circle_front(scen.chart, _finite(spec.get("radius", 1.0), "front radius"), n,
-                             center=tuple(spec.get("center", (0.0, 0.0))))
+                             center=_finite(spec.get("center", (0.0, 0.0)), "front center"))
     else:
         _multi_index(scen.chart, {spec["axis"]: 1}, "front")
         sigma = flat_front(scen.chart, spec["axis"], _finite(spec["value"], "front value"),
-                           spec.get("span", (-1.0, 1.0)), n)
+                           _finite(spec.get("span", (-1.0, 1.0)), "front span"), n)
     return sigma, tuple(spec.get("branch", (1, 0)))
 
 
@@ -257,7 +281,7 @@ def _projection_report(run) -> dict:
 
 
 def _run_noether(cfg, scen, args, report):
-    constants = cfg.get("constants") or {}
+    constants = _constants(cfg)
     blocks = cfg.get("symmetries")
     if not blocks:
         raise ConfigError("key 'symmetries' is required for the noether-check run")
@@ -280,7 +304,7 @@ def _run_noether(cfg, scen, args, report):
 def _operator_from(cfg) -> LinearDiffOperator:
     scen_spec = _Block(cfg.get("scenario") or {}, SCENARIO_KEYS, "'scenario'")
     if scen_spec.get("builtin") == "schrodinger":
-        scen = builtin("schrodinger", **(scen_spec.get("builtin_args") or {}))
+        scen = _builtin(scen_spec)
         return scen.extras["operator"]
     spec = cfg.get("operator")
     if not spec:
@@ -292,13 +316,14 @@ def _operator_from(cfg) -> LinearDiffOperator:
     for i, ent in enumerate(spec.get("terms", [])):
         c = _Block(ent, {"multi", "coeff"}, f"operator term #{i}")["coeff"]
         terms[_multi_index(chart, ent.get("multi"), "multi")] = (
-            _poly_from_spec(chart, c) if isinstance(c, list) else float(c))
+            _poly_from_spec(chart, c) if isinstance(c, list)
+            else _number(c, f"operator term #{i} coeff"))
     return LinearDiffOperator(chart, terms, s_axis=spec.get("s_axis", "s"))
 
 
 def _run_symbol(cfg, scen_unused, args, report):
     D = _operator_from(cfg)
-    lams = [float(v) for v in cfg.get("lambdas", np.geomspace(2.0, 500.0, 12))]
+    lams = _finite(cfg.get("lambdas", np.geomspace(2.0, 500.0, 12)), "lambdas").tolist()
     phases = cfg.get("phases")
     if not phases:
         raise ConfigError("key 'phases' is required for the symbol run")
@@ -307,11 +332,12 @@ def _run_symbol(cfg, scen_unused, args, report):
         ph = _Block(ph, {"poly", "s_weight", "at", "mode", "points"}, f"phase #{i}")
         poly = _poly_from_spec(D.chart, ph.get("poly", []))
         if ph.get("s_weight"):
-            poly = poly_phase(D.chart, poly.coeffs, s_weight=float(ph["s_weight"]))
-        x0 = np.asarray(ph.get("at", [0.0] * D.dim), float)
+            s_weight = _number(ph["s_weight"], f"phase #{i} s_weight")
+            poly = poly_phase(D.chart, poly.coeffs, s_weight=s_weight)
+        x0 = _finite(ph.get("at", [0.0] * D.dim), f"phase #{i} at")
         entry = {"phase": i}
         if ph.choice("mode", ("scaling", "eikonal")) == "eikonal":
-            pts = [np.asarray(p, float) for p in ph.get("points", [x0])]
+            pts = [_finite(p, f"phase #{i} points") for p in ph.get("points", [x0])]
             entry["fitted_order"] = eikonal_residual(D, poly, lams, pts)
         else:
             rep = symbol_scaling_check(D, poly, lams, x0)
@@ -331,8 +357,9 @@ def _run_holonomy(cfg, scen_unused, args, report):
     results = []
     for i, b in enumerate(blocks):
         b = _Block(b, {"points", "center", "side"}, f"loop #{i}")
-        loop = (np.asarray(b["points"], float) if "points" in b else
-                square_loop(b.get("center", (0.0, 0.0)), _finite(b["side"], f"loop #{i} side")))
+        loop = (_finite(b["points"], f"loop #{i} points") if "points" in b else
+                square_loop(_finite(b.get("center", (0.0, 0.0)), f"loop #{i} center"),
+                            _finite(b["side"], f"loop #{i} side")))
         results.append({"loop": i, "delta_s": holonomy(loop)})
     report["loops"] = results
     report["files"] = {}

@@ -33,11 +33,6 @@ class Scenario:
         return self.surface.chart
 
 
-def _zero_connection(chart: Chart) -> ConnectionData:
-    return ConnectionData(chart, [PolyField.from_const(chart, 0.0)
-                                  for _ in range(chart.dim)])
-
-
 def free_scenario(bound: float = 60.0) -> Scenario:
     """Free particle on axes (t, x): G = p_t p_s + p_x^2 / 2."""
     chart = Chart(["t", "x"], [(-bound, bound), (-bound, bound)])
@@ -54,7 +49,7 @@ def free_scenario(bound: float = 60.0) -> Scenario:
     # at rest origin: p_x = 0.7, p_t = -p_x^2/2
     inits = [CharacteristicState([0.0, 0.0], 0.0, [-0.245, 0.7], 1.0),
              CharacteristicState([0.0, 1.0], 0.0, [-0.5, -1.0], 1.0)]
-    return Scenario("free", E, _zero_connection(chart), inits)
+    return Scenario("free", E, ConnectionData(chart, [0.0] * chart.dim), inits)
 
 
 def oscillator_scenario(bound: float = 60.0) -> Scenario:
@@ -76,7 +71,7 @@ def oscillator_scenario(bound: float = 60.0) -> Scenario:
     E = SymbolSurface(chart, value, 2, grad=grad, name="oscillator")
     # x(tau) = sin(tau): start at x=0 with p_x=1, energy 1/2
     inits = [CharacteristicState([0.0, 0.0], 0.0, [-0.5, 1.0], 1.0)]
-    return Scenario("oscillator", E, _zero_connection(chart), inits)
+    return Scenario("oscillator", E, ConnectionData(chart, [0.0] * chart.dim), inits)
 
 
 def eikonal_scenario(bound: float = 40.0) -> Scenario:
@@ -97,7 +92,7 @@ def eikonal_scenario(bound: float = 40.0) -> Scenario:
 
     E = SymbolSurface(chart, value, 1, grad=grad, name="eikonal")
     inits = [CharacteristicState([0.0, 0.0], 0.0, [1.0, 0.0], 1.0)]
-    return Scenario("eikonal", E, _zero_connection(chart), inits)
+    return Scenario("eikonal", E, ConnectionData(chart, [0.0] * chart.dim), inits)
 
 
 def relativistic(mass: float = 1.0, charge: float = 1.0, field_strength: float = 0.0,
@@ -127,7 +122,8 @@ def schrodinger(mass: float = 1.0, V: "PolyField | dict | float" = 0.0,
     # G is p_t p_s plus terms free of p_t, so p_t = -G(x0, (0, p_x), 1) is on shell
     x0, p_x = [0.0, 0.5], 0.8
     inits = [CharacteristicState(x0, 0.0, [-E.value(x0, [0.0, p_x], 1.0), p_x], 1.0)]
-    return Scenario("schrodinger", E, _zero_connection(E.chart), inits, extras={"operator": D})
+    return Scenario("schrodinger", E, ConnectionData(E.chart, [0.0] * E.chart.dim), inits,
+                    extras={"operator": D})
 
 
 _BUILDERS = {

@@ -31,24 +31,33 @@ def test_connection_jacobian_and_curvature_polynomial():
     F = conn.curvature(pt)
     assert np.allclose(F, [[0.0, 0.7], [-0.7, 0.0]], atol=1e-12)
     assert np.allclose(F, -F.T, atol=0)
-    # at stacked points, the curvature of each point, also for a callable
-    # potential with its Jacobian
+    # at stacked points, the values of each point, also for parsed components
+    # and for a connection shifted by d(chi)
     pts = np.array([[0.7, -0.3], [1.5, 2.0], [-0.4, 0.9]])
-    fn = cf.ConnectionData(ch, lambda x: np.stack([A0.value(x), A1.value(x)], -1),
-                           dA=lambda x: np.stack([A0.gradient(x), A1.gradient(x)], -1))
-    for c in (conn, fn):
-        assert np.array_equal(c.curvature(pts), [c.curvature(p) for p in pts])
+    parsed = cf.ConnectionData(ch, [cf.scalar_field("x*y", ch), cf.scalar_field("x**2", ch)])
+    chi = cf.PolyField(ch, {(2, 1): 0.5, (0, 3): -0.2, (1, 0): 0.3})
+    for c in (conn, parsed, conn.shifted(chi), parsed.shifted(chi)):
+        for f in (c.A, c.jacobian, c.curvature):
+            assert np.array_equal(f(pts), [f(p) for p in pts])
 
 
-def test_connection_callable_matches_polynomial():
+def test_connection_parsed_matches_polynomial():
+    # parsed components give the polynomial's potential and Jacobian, and a
+    # shift by d(chi) adds chi's gradient and Hessian to each, on stacks too
     ch = _plane_chart()
     conn_poly = cf.ConnectionData(ch, [cf.PolyField(ch, {(1, 1): 1.0}),
                                        cf.PolyField(ch, {(2, 0): 1.0})])
-    conn_fn = cf.ConnectionData(ch, lambda x: np.array([x[0] * x[1], x[0] ** 2]),
-                                dA=lambda x: np.array([[x[1], 2 * x[0]], [x[0], 0.0]]))
+    conn_parsed = cf.ConnectionData(ch, [cf.scalar_field("x*y", ch), cf.scalar_field("x**2", ch)])
     pt = np.array([1.2, 0.4])
-    assert np.allclose(conn_poly.A(pt), conn_fn.A(pt), atol=1e-12)
-    assert np.allclose(conn_poly.jacobian(pt), conn_fn.jacobian(pt), atol=1e-8)
+    assert np.allclose(conn_poly.A(pt), conn_parsed.A(pt), atol=1e-12)
+    assert np.allclose(conn_poly.jacobian(pt), conn_parsed.jacobian(pt), atol=1e-12)
+    chi = cf.PolyField(ch, {(2, 1): 0.5, (0, 3): -0.2, (1, 0): 0.3})
+    pts = np.array([[0.7, -0.3], [1.5, 2.0], [-0.4, 0.9]])
+    hess = np.stack([d.gradient(pts) for d in chi.partials], axis=-2)
+    for conn in (conn_poly, conn_parsed):
+        shifted = conn.shifted(chi)
+        assert np.array_equal(shifted.A(pts), conn.A(pts) + chi.gradient(pts))
+        assert np.array_equal(shifted.jacobian(pts), conn.jacobian(pts) + hess)
 
 
 def test_shifted_connection_keeps_curvature():
@@ -68,9 +77,13 @@ def test_connection_component_count_checked():
         cf.ConnectionData(ch, [cf.PolyField.from_const(ch, 1.0)])
 
 
-def test_callable_connection_needs_its_jacobian():
-    with pytest.raises(cf.ContractViolation, match="dA"):
+def test_callable_connection_potential_is_a_contract_violation():
+    # a potential is one component per axis; the callable form with its
+    # Jacobian dA is gone
+    with pytest.raises(cf.ContractViolation, match="one component per axis"):
         cf.ConnectionData(_plane_chart(), lambda x: np.array([x[0] * x[1], x[0] ** 2]))
+    with pytest.raises(TypeError, match="dA"):
+        cf.ConnectionData(_plane_chart(), [0.0, 0.0], dA=lambda x: np.zeros((2, 2)))
 
 
 # --------------------------------------------------------------- wave diagram

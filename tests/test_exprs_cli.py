@@ -507,6 +507,8 @@ def test_cli_misspelled_or_truncated_block_is_a_config_error(tmp_path, capsys, s
 
 
 _SYMBOL = "scenario: {symbol: {expression: p_t*p_s + p_x**2/2, degree: 2}}\n"
+_SCHRO = "scenario: {builtin: schrodinger}\n"
+_X2 = "[{powers: {x: 2}, c: 1.0}]"
 
 
 @pytest.mark.parametrize("sub,block,message", [
@@ -570,12 +572,51 @@ def test_cli_missing_key_or_unknown_choice_is_a_config_error(tmp_path, capsys, s
     ("holonomy", "loops: [{side: s}]\n", "loop #0 side must be a finite number or numbers"),
     ("wave-diagram", "scenario: {builtin: eikonal}\ndiagram: {at: [a, 0.0]}\n",
      "diagram at must be a finite number or numbers, got ['a', 0.0]"),
+    ("symbol", _SCHRO + "lambdas: [2.0, x]\nphases: [{poly: " + _X2 + "}]\n",
+     "lambdas must be a finite number or numbers, got [2.0, 'x']"),
+    ("symbol", _SCHRO + "phases: [{poly: " + _X2 + ", at: [a, 0.7, 0.0]}]\n",
+     "phase #0 at must be a finite number or numbers, got ['a', 0.7, 0.0]"),
+    ("symbol", _SCHRO + "phases: [{poly: " + _X2 + ", mode: eikonal, points: [[a, 0.3, 0.0]]}]\n",
+     "phase #0 points must be a finite number or numbers, got ['a', 0.3, 0.0]"),
+    ("symbol", _SCHRO + "phases: [{poly: " + _X2 + ", s_weight: w}]\n",
+     "phase #0 s_weight must be a finite number or numbers, got 'w'"),
+    ("symbol", _SCHRO + "phases: [{poly: " + _X2 + ", s_weight: [1.0, 2.0]}]\n",
+     "phase #0 s_weight must be one number, got [1.0, 2.0]"),
+    ("symbol", _SCHRO + "phases: [{poly: [{powers: {x: 2}, c: c}]}]\n",
+     "poly term #0 c must be a finite number or numbers, got 'c'"),
+    ("symbol", "chart: {axes: [t, x, s], bounds: [[-5, 5], [-5, 5], [-5, 5]]}\n"
+               "operator: {terms: [{multi: {x: 2}, coeff: k}]}\nphases: [{poly: " + _X2 + "}]\n",
+     "operator term #0 coeff must be a finite number or numbers, got 'k'"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {center: [a, 0.0]}\n",
+     "front center must be a finite number or numbers, got ['a', 0.0]"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {kind: flat, axis: x, value: 0.0, "
+                  "span: [0, .inf]}\n",
+     "front span must be a finite number or numbers, got [0, inf]"),
+    ("holonomy", "loops: [{center: [a, 0.0], side: 1.0}]\n",
+     "loop #0 center must be a finite number or numbers, got ['a', 0.0]"),
+    ("holonomy", "loops: [{points: [[a, 0.0], [1.0, 0.0], [1.0, 1.0]]}]\n",
+     "loop #0 points must be a finite number or numbers"),
+    ("propagate", "chart: {axes: [t, x], bounds: [[a, 5], [-5, 5]]}\n" + _SYMBOL,
+     "chart bounds must be a finite number or numbers, got [['a', 5], [-5, 5]]"),
+    ("propagate", _SYMBOL_RUN + "constants: {k: a}\n"
+                  "scenario: {symbol: {expression: p_t*p_s + k*p_x**2, degree: 2}}\n",
+     "constant 'k' must be a finite number or numbers, got 'a'"),
+    ("propagate", "scenario: {builtin: relativistic, builtin_args: {mass: a}}\n",
+     "builtin_args mass must be a finite number or numbers, got 'a'"),
+    ("symbol", "scenario: {builtin: schrodinger, builtin_args: {V: {2: a}}}\n"
+               "phases: [{poly: " + _X2 + "}]\n",
+     "builtin_args V[2] must be a finite number or numbers, got 'a'"),
+    ("propagate", "scenario: {builtin: free, builtin_args: [60.0]}\n",
+     "builtin_args must be a mapping, got [60.0]"),
 ], ids=["tau_span-a", "tau_span-null", "tau_span-inf", "front-radius", "loop-side",
-        "diagram-at"])
+        "diagram-at", "lambdas", "phase-at", "phase-points", "phase-s_weight",
+        "phase-s_weight-list", "poly-c", "operator-coeff", "front-center", "front-span-inf",
+        "loop-center", "loop-points", "chart-bounds", "constants", "builtin_args",
+        "builtin_args-V", "builtin_args-list"])
 def test_cli_non_numeric_or_non_finite_number_is_a_config_error(tmp_path, capsys, sub, block,
                                                                  message):
-    # the first five ended in a ValueError or TypeError traceback, and the
-    # infinite span exited 2 as a numerical failure
+    # the infinite spans exited 2 as numerical failures, and every other case
+    # ended in a traceback (ValueError, TypeError or UFuncNoLoopError)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("schema_version: 1\n" + block)
     out = tmp_path / "out"
