@@ -214,20 +214,19 @@ def scan_roots(f: Callable, grid, n: int = 1, need: int | None = None) -> list[l
     while lo < len(grid) and rows.size:
         hi = min(len(grid), lo + max(1, SCAN_BLOCK // rows.size))
         vals = np.asarray(f(grid[None, lo:hi], rows[:, None]), dtype=float)
-        if last is not None:   # the column before the block: its zero counted already
-            vals = np.concatenate([last[:, None], vals], axis=1)
-            lo -= 1
-        # an exact zero, or a sign change between a grid value and the next one
-        hit = vals == 0.0
-        hit[:, :-1] |= vals[:, :-1] * vals[:, 1:] < 0
-        if last is not None:
-            hit[:, 0] &= vals[:, 0] != 0.0
-        r, c = divmod(np.flatnonzero(hit), vals.shape[1])
+        # hit column c is grid value lo - 1 + c: an exact zero, or a sign change between
+        # it and the next one; column 0 is the carried value, whose zero counted already
+        hit = np.empty((len(vals), vals.shape[1] + 1), bool)
+        np.equal(vals, 0.0, out=hit[:, 1:])
+        hit[:, 1:-1] |= vals[:, :-1] * vals[:, 1:] < 0
+        hit[:, 0] = False if last is None else last * vals[:, 0] < 0
+        r, c = divmod(np.flatnonzero(hit), hit.shape[1])
         # the hits come in (row, column) order: keep each row's first need - have
         rank = np.arange(len(r)) - np.searchsorted(r, r)
         keep = rank < need - have[r]
         r, c = r[keep], c[keep]
-        fi.append(rows[r]); j.append(lo + c); polish.append(vals[r, c] != 0.0)
+        # a carried sign change brackets (its value is not 0)
+        fi.append(rows[r]); j.append(lo - 1 + c); polish.append(vals[r, c - (c > 0)] != 0.0)
         have += np.bincount(r, minlength=rows.size)
         scan = have < need
         rows, have, last, lo = rows[scan], have[scan], vals[scan, -1], hi
@@ -270,11 +269,11 @@ def dot(a, b):
     return lead_dot(components(a), components(b))
 
 
-def lead_dot(a, b):
+def lead_dot(a, b, out=None):
     """sum_i a[i] * b[i] over the leading index of a and b, arrays or lists
     of slabs (dot passes its components), the products added in index order;
-    the terms broadcast to one shape."""
-    total = a[0] * b[0]
+    the terms broadcast to one shape, that of ``out`` if given (the sum goes there)."""
+    total = np.multiply(a[0], b[0], out=out)
     term = np.empty_like(total)
     for i in range(1, len(a)):
         total += np.multiply(a[i], b[i], out=term)
@@ -399,9 +398,18 @@ class PolyField:
         dim = self.chart.dim
         return [self.derivative([int(i == axis) for i in range(dim)]) for axis in range(dim)]
 
+    @cached_property
+    def _constant_gradient(self) -> np.ndarray | None:
+        """At degree <= 1 each partial's constant, the float its value is; else None."""
+        const = (0,) * self.chart.dim
+        linear = all(set(d.coeffs) <= {const} for d in self.partials)
+        return np.array([d.coeffs.get(const, 0.0) for d in self.partials]) if linear else None
+
     def gradient(self, x) -> np.ndarray:
         """The partials stacked on the last axis: shape (dim,) or (..., dim)."""
         x = np.asarray(x, dtype=float)
+        if self._constant_gradient is not None:   # no monomial to evaluate
+            return np.full(x.shape, self._constant_gradient)
         return stack_last([d.value(x) for d in self.partials])
 
     @classmethod

@@ -68,21 +68,25 @@ def _integral(value, where: str) -> int:
     raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
-def _finite(value, where: str) -> np.ndarray:
-    """A finite number or list of numbers from the config (YAML's string 1e-3 too)."""
+def _finite(value, where: str, shape: tuple = ()) -> np.ndarray:
+    """Finite numbers from the config (YAML's string 1e-3 too) as an array
+    of the given shape, in which None is a length that may be any."""
     try:
-        if np.isfinite(out := np.asarray(value, float)).all():
-            return out
+        out = np.asarray(value, float)
+        ok = np.isfinite(out).all()
     except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"{where} must be a finite number or numbers, got {value!r}")
+        ok = False
+    if not ok:
+        raise ConfigError(f"{where} must be a finite number or numbers, got {value!r}")
+    if out.ndim != len(shape) or any(k not in (None, n) for k, n in zip(shape, out.shape)):
+        want = "numbers of shape " + str(shape).replace("None", "n") if shape else "one number"
+        raise ConfigError(f"{where} must be {want}, got {value!r}")
+    return out
 
 
 def _number(value, where: str) -> float:
     """One finite number from the config."""
-    if (out := _finite(value, where)).ndim:
-        raise ConfigError(f"{where} must be one number, got {value!r}")
-    return float(out)
+    return float(_finite(value, where))
 
 
 def _load_config(path: str) -> dict:
@@ -105,7 +109,7 @@ def _load_config(path: str) -> dict:
 def _chart_from(cfg: dict) -> Chart:
     spec = _Block(cfg["chart"], {"axes", "bounds"}, "'chart'")   # a symbol scenario's chart
     try:
-        return Chart(spec["axes"], _finite(spec["bounds"], "chart bounds"))
+        return Chart(spec["axes"], _finite(spec["bounds"], "chart bounds", (None, 2)))
     except TypeError as exc:
         raise ConfigError(f"bad 'chart' block: {exc}") from exc
 
@@ -181,10 +185,7 @@ def _states_from(cfg: dict, scen: Scenario) -> list[CharacteristicState]:
 
 
 def _tau_span(cfg: dict):
-    span = cfg.get("tau_span", [0.0, 10.0])
-    if not (isinstance(span, (list, tuple)) and len(span) == 2):
-        raise ConfigError("'tau_span' must be [start, end]")
-    return tuple(_finite(span, "'tau_span'").tolist())
+    return tuple(_finite(cfg.get("tau_span", [0.0, 10.0]), "'tau_span'", (2,)).tolist())
 
 
 def _multi_index(chart: Chart, powers, key: str) -> tuple[int, ...]:
@@ -239,12 +240,12 @@ def _front_from(cfg, scen):
                                 "span", "branch"}, "'front'")
     n = _integral(spec.get("n", 64), "front n")
     if spec.choice("kind", ("circle", "flat")) == "circle":
-        sigma = circle_front(scen.chart, _finite(spec.get("radius", 1.0), "front radius"), n,
-                             center=_finite(spec.get("center", (0.0, 0.0)), "front center"))
+        sigma = circle_front(scen.chart, _number(spec.get("radius", 1.0), "front radius"), n,
+                             center=_finite(spec.get("center", (0.0, 0.0)), "front center", (2,)))
     else:
         _multi_index(scen.chart, {spec["axis"]: 1}, "front")
-        sigma = flat_front(scen.chart, spec["axis"], _finite(spec["value"], "front value"),
-                           _finite(spec.get("span", (-1.0, 1.0)), "front span"), n)
+        sigma = flat_front(scen.chart, spec["axis"], _number(spec["value"], "front value"),
+                           _finite(spec.get("span", (-1.0, 1.0)), "front span", (2,)), n)
     return sigma, tuple(spec.get("branch", (1, 0)))
 
 
@@ -323,7 +324,7 @@ def _operator_from(cfg) -> LinearDiffOperator:
 
 def _run_symbol(cfg, scen_unused, args, report):
     D = _operator_from(cfg)
-    lams = _finite(cfg.get("lambdas", np.geomspace(2.0, 500.0, 12)), "lambdas").tolist()
+    lams = _finite(cfg.get("lambdas", np.geomspace(2.0, 500.0, 12)), "lambdas", (None,)).tolist()
     phases = cfg.get("phases")
     if not phases:
         raise ConfigError("key 'phases' is required for the symbol run")
@@ -334,10 +335,12 @@ def _run_symbol(cfg, scen_unused, args, report):
         if ph.get("s_weight"):
             s_weight = _number(ph["s_weight"], f"phase #{i} s_weight")
             poly = poly_phase(D.chart, poly.coeffs, s_weight=s_weight)
-        x0 = _finite(ph.get("at", [0.0] * D.dim), f"phase #{i} at")
+        x0 = _finite(ph.get("at", [0.0] * D.dim), f"phase #{i} at", (D.dim,))
         entry = {"phase": i}
         if ph.choice("mode", ("scaling", "eikonal")) == "eikonal":
-            pts = [_finite(p, f"phase #{i} points") for p in ph.get("points", [x0])]
+            pts = ph.get("points", [x0])
+            pts = [_finite(p, f"phase #{i} points", (D.dim,)) for p in
+                   (pts if isinstance(pts, list) else [pts])]
             entry["fitted_order"] = eikonal_residual(D, poly, lams, pts)
         else:
             rep = symbol_scaling_check(D, poly, lams, x0)
@@ -357,9 +360,9 @@ def _run_holonomy(cfg, scen_unused, args, report):
     results = []
     for i, b in enumerate(blocks):
         b = _Block(b, {"points", "center", "side"}, f"loop #{i}")
-        loop = (_finite(b["points"], f"loop #{i} points") if "points" in b else
-                square_loop(_finite(b.get("center", (0.0, 0.0)), f"loop #{i} center"),
-                            _finite(b["side"], f"loop #{i} side")))
+        loop = (_finite(b["points"], f"loop #{i} points", (None, None)) if "points" in b else
+                square_loop(_finite(b.get("center", (0.0, 0.0)), f"loop #{i} center", (2,)),
+                            _number(b["side"], f"loop #{i} side")))
         results.append({"loop": i, "delta_s": holonomy(loop)})
     report["loops"] = results
     report["files"] = {}
@@ -367,7 +370,7 @@ def _run_holonomy(cfg, scen_unused, args, report):
 
 def _run_wave_diagram(cfg, scen, args, report):
     spec = _Block(cfg.get("diagram") or {}, {"at", "n", "biduality_check"}, "'diagram'")
-    x0 = _finite(spec.get("at", [0.0] * scen.chart.dim), "diagram at")
+    x0 = _finite(spec.get("at", [0.0] * scen.chart.dim), "diagram at", (scen.chart.dim,))
     n = _integral(spec.get("n", 64), "diagram n")
     diag = wave_diagram(scen.surface, scen.connection, x0, n_samples=n)
     path = os.path.join(args.out, "wave_diagram.csv")

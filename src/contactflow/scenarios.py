@@ -82,12 +82,13 @@ def eikonal_scenario(bound: float = 40.0) -> Scenario:
     """
     chart = Chart(["x", "y"], [(-bound, bound), (-bound, bound)])
 
-    def value(x, p, p_s):
-        return np.hypot(*components(p)) - p_s
+    def value(x, p, p_s):   # |p| as sqrt(p_x^2 + p_y^2): np.hypot calls libm per element
+        p_x, p_y = components(p)
+        return np.sqrt(p_x * p_x + p_y * p_y) - p_s
 
     def grad(x, p, p_s):
         p_x, p_y = components(p)
-        n = np.hypot(p_x, p_y)
+        n = np.sqrt(p_x * p_x + p_y * p_y)
         return np.zeros(x.shape), stack_last([p_x / n, p_y / n]), -1.0
 
     E = SymbolSurface(chart, value, 1, grad=grad, name="eikonal")

@@ -22,7 +22,6 @@ s grows by the Lagrangian integral along the projected extremal.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -78,11 +77,16 @@ class SymbolSurface:
 
         x and p have shape (..., m) and p_s shape (...); stacks broadcast
         against each other and against single-point arguments.  A stacked
-        value is a new array, which the projection writes into.
+        value may be the array the symbol returned, when that is a float
+        array of the stack shape that owns its data and is not p_s: read it,
+        never write (_project_strip, which corrects values, copies them).
         """
         x, p, p_s, shape = _symbol_args(x, p, p_s)
         g = self._value(x, p, p_s)
-        return float(g) if shape is None else np.array(np.broadcast_to(g, shape), float)
+        if shape is None:
+            return float(g)
+        fresh = type(g) is np.ndarray and g.dtype == float and g.flags.owndata and g is not p_s
+        return g if fresh and g.shape == shape else np.array(np.broadcast_to(g, shape), float)
 
     def gradient(self, x, p, p_s):
         """Return (dG/dx, dG/dp, dG/dp_s), of shapes (..., m), (..., m) and
@@ -131,6 +135,8 @@ def _symbol_args(x, p, p_s):
         if np.ndim(p_s) == 0:
             return x, p, np.float64(p_s), None
     p_s = np.asarray(p_s, float)
+    if x.shape[:-1] == p.shape[:-1] == p_s.shape:   # the integrator's stacks
+        return x, p, p_s, p_s.shape
     shape = np.broadcast(x[..., 0], p[..., 0], p_s).shape   # faster than broadcast_shapes
     return (_at_shape(x, shape + x.shape[-1:]), _at_shape(p, shape + p.shape[-1:]),
             _at_shape(p_s, shape), shape)
@@ -138,9 +144,10 @@ def _symbol_args(x, p, p_s):
 
 def _at_shape(a, shape) -> np.ndarray:
     """a as a float array of the given shape: a itself if it has that shape,
-    else a read-only broadcast view (a scalar broadcasts)."""
+    a new array filled with it if it is a scalar, else a read-only broadcast
+    view."""
     a = np.asarray(a, float)
-    return a if a.shape == shape else np.broadcast_to(a, shape)
+    return a if a.shape == shape else np.broadcast_to(a, shape) if a.ndim else np.full(shape, a)
 
 
 @dataclass(frozen=True)
@@ -387,13 +394,14 @@ def _rk4_step(E: SymbolSurface, Y, F, h: float):
     return y_new, K
 
 
-def _interpolate(K, y_old, t_old, h, taus, fixed: bool):
+def _interpolate(K, y_old, t_old, h, taus, fixed: bool, out=None):
     """A step's continuous extension y_old + h * sum_j M[j] w_j(theta) at
     times taus, theta = (tau - t_old) / h (k, rows), from its stages K; returns
-    (component, k, rows).  M (4, component, row) is K's first four stages with
-    cubic weights w_j for RK4, and K^T P with w_j = theta^(j + 1) for
-    Dormand-Prince; lead_dot adds both in index order, whole components of at
-    most SCAN_BLOCK values at a time, so a wide step stays in cache."""
+    (component, k, rows), written into ``out`` if given.  M (4, component,
+    row) is K's first four stages with cubic weights w_j for RK4, and K^T P
+    with w_j = theta^(j + 1) for Dormand-Prince; lead_dot adds both in index
+    order, whole components of at most SCAN_BLOCK values at a time, so a wide
+    step stays in cache."""
     Ks = np.ascontiguousarray(K.transpose(0, 2, 1))   # the row axis innermost
     th = (taus - t_old) / h
     sq = th * th
@@ -404,8 +412,12 @@ def _interpolate(K, y_old, t_old, h, taus, fixed: bool):
     else:
         M, W = lead_dot(_P45[:, :, None, None], Ks), (th, sq, cu, cu * th)
     n = max(1, SCAN_BLOCK // th.size)
-    return np.concatenate([lead_dot(W, M[:, c:c + n, None]) * h + y_old.T[c:c + n, None]
-                           for c in range(0, M.shape[1], n)])
+    out = np.empty((M.shape[1],) + th.shape) if out is None else out
+    for c in range(0, M.shape[1], n):
+        part = lead_dot(W, M[:, c:c + n, None], out=out[c:c + n])
+        part *= h
+        part += y_old.T[c:c + n, None]
+    return out
 
 
 def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: IntegratorConfig,
@@ -424,9 +436,12 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
     scratch columns, rows (tau, x, s, p, p_s): column j is tau_eval[j] (with
     no grid, step j), and an event point takes the strip's next column.
     Working row r is slot r; a row that leaves moves its slot past them.  A
-    step writes one masked block, each row only its own columns; its
-    interpolant runs once over the block's columns at the grid's taus, in
-    chunks of at most SCAN_BLOCK values.
+    step writes one block of columns, each row only its own; its interpolant
+    runs once over the block's columns at the grid's taus, in chunks of at
+    most SCAN_BLOCK values.  When every row takes every column of the block,
+    the interpolant writes straight into the buffer; else (some row retries,
+    or the rows' steps end in different columns) it goes to a scratch block,
+    copied under a mask.  Both add the same terms in the same order.
 
     Returns (stops, samples, counts): per strip "span_end", "boundary" or
     "event" (then its last sample is the event point) or the exception that
@@ -561,24 +576,25 @@ def _integrate(E: SymbolSurface, Y0, t0: float, t1: float, tau_eval, integ: Inte
             hit[r], t_end[r], y_end[r] = ecol[first], roots[first], sol(roots[first], r)
 
         # samples up to the step end, or up to the event: working row r takes the columns
-        # [start, upto) of slot r (none if it retries), one masked block for all rows
+        # [start, upto) of slot r (none if it retries), one block of columns for all rows
         start = counts[ids]
         if tau_eval is None:   # no grid: every row takes every (fixed) step, in column k_step
-            lo, hi, upto, into = k_step, k_step + 1, start + 1, True
-            taus, ys = t_end, y_end.T[:, None]
-        else:
+            upto = start + 1
+            buf[0, k_step, :len(ids)], buf[1:, k_step, :len(ids)] = t_end, y_end.T
+        else:   # at the grid's own taus
             upto = start.copy()
             upto[acc] = np.searchsorted(ahead, sign * t_end, side="right")
-            lo, hi = ((min(start.tolist()), max(upto.tolist())) if np.count_nonzero(upto > start)
-                      else (0, 0))
-        if hi > lo:
-            if tau_eval is not None:   # at the grid's own taus; masked entries (a retry) stay quiet
-                into = (start <= cols[lo:hi]) & (cols[lo:hi] < upto)
-                taus = tau_eval[lo:hi, None]
-                with nullcontext() if into.all() else np.errstate(invalid="ignore", over="ignore"):
+            lo, hi = min(start.tolist()), max(upto.tolist())
+            block, taus = buf[:, lo:hi, :len(ids)], tau_eval[lo:hi, None]
+            into = (start <= cols[lo:hi]) & (cols[lo:hi] < upto)
+            if into.size and into.all():   # every row takes every column: written in place
+                block[0] = taus
+                _interpolate(K, Y, T, h, taus, fixed, out=block[1:])
+            elif into.any():   # the entries a row does not take stay quiet and unwritten
+                with np.errstate(invalid="ignore", over="ignore"):
                     ys = _interpolate(K, Y, T, h, taus, fixed)
-            np.copyto(buf[0, lo:hi, :len(ids)], taus, where=into)
-            np.copyto(buf[1:, lo:hi, :len(ids)], ys, where=into)
+                np.copyto(block[0], taus, where=into)
+                np.copyto(block[1:], ys, where=into)
         counts[ids] = upto
         if part:
             T[acc], Y[acc], F[acc], Gev[acc] = t_new, y_new, Ka[-1], g_new

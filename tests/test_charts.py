@@ -68,6 +68,30 @@ def test_random_polynomial_gradient_consistency(deg, x0):
     assert np.allclose(f.gradient(pt), fd, rtol=0.0, atol=1e-8)
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 4),
+       shape=st.sampled_from([(), (1,), (7,), (3, 4)]))
+@settings(max_examples=60, deadline=None)
+def test_a_linear_polynomial_gradient_has_the_bits_of_its_partials(seed, dim, shape):
+    # degree <= 1: the gradient is the stored constant of each partial, with
+    # the bits of evaluating the partials; a zero partial (an empty dict) too
+    rng = np.random.default_rng(seed)
+    ch = Chart([f"x{i}" for i in range(dim)], [(-9, 9)] * dim)
+    coeffs = {k: rng.standard_normal() for k in [(0,) * dim] + [
+        tuple(int(i == a) for i in range(dim)) for a in range(dim)] if rng.random() < 0.7}
+    f = PolyField(ch, coeffs)
+    x = rng.uniform(-9.0, 9.0, shape + (dim,))
+    got = f.gradient(x)
+    want = charts.stack_last([d.value(x) for d in f.partials])
+    assert got.shape == shape + (dim,) and got.tobytes() == np.asarray(want, float).tobytes()
+    got[...] = 0.0   # a new array: writing it leaves the next call alone
+    assert f.gradient(x).tobytes() == np.asarray(want, float).tobytes()
+    # a quadratic term sends the gradient through the monomials
+    g = PolyField(ch, {**coeffs, (2,) + (0,) * (dim - 1): 1.0})
+    assert g._constant_gradient is None
+    assert np.array_equal(g.gradient(x)[..., 0], 2.0 * x[..., 0] + coeffs.get(
+        (1,) + (0,) * (dim - 1), 0.0))
+
+
 # ------------------------------------------------------------------ libm_pow
 
 _POW_BASES = st.one_of(

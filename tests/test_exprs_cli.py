@@ -255,12 +255,12 @@ _PINNED_CSV = [
     ("propagate", "free.yaml", "strip_0.csv", "84efdd56bf0c", _FIXED),
     ("propagate", "oscillator.yaml", "strip_0.csv", "c5ab7482f2db", _FIXED),
     ("propagate", "relativistic.yaml", "strip_0.csv", "41621ce8a53b", _FIXED),
-    ("wavefront", "eikonal_front.yaml", "front.csv", "47e895656193", _FIXED),
+    ("wavefront", "eikonal_front.yaml", "front.csv", "fbdc39d30971", _FIXED),
     ("propagate", "free.yaml", "strip_0.csv", "32f549abb2a5", ()),
     ("propagate", "oscillator.yaml", "strip_0.csv", "954251a7a080", ()),
     ("propagate", "relativistic.yaml", "strip_0.csv", "7b76ee90ce1c", ()),
-    ("wavefront", "eikonal_front.yaml", "front.csv", "69badb7ca4ce", ()),
-    ("wave-diagram", "wave_diagram_eikonal.yaml", "wave_diagram.csv", "31dab04c87c6", ()),
+    ("wavefront", "eikonal_front.yaml", "front.csv", "c539094293b4", ()),
+    ("wave-diagram", "wave_diagram_eikonal.yaml", "wave_diagram.csv", "50e0fb4a3966", ()),
     ("wave-diagram", "wave_diagram_rel.yaml", "wave_diagram.csv", "0178a498af45", ()),
 ]
 
@@ -608,15 +608,25 @@ def test_cli_missing_key_or_unknown_choice_is_a_config_error(tmp_path, capsys, s
      "builtin_args V[2] must be a finite number or numbers, got 'a'"),
     ("propagate", "scenario: {builtin: free, builtin_args: [60.0]}\n",
      "builtin_args must be a mapping, got [60.0]"),
+    ("symbol", _SCHRO + "lambdas: 2.0\nphases: [{poly: " + _X2 + "}]\n",
+     "lambdas must be numbers of shape (n,), got 2.0"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {center: [0.0]}\n",
+     "front center must be numbers of shape (2,), got [0.0]"),
+    ("holonomy", "loops: [{center: [0.0], side: 1.0}]\n",
+     "loop #0 center must be numbers of shape (2,), got [0.0]"),
+    ("symbol", _SCHRO + "phases: [{poly: " + _X2 + ", mode: eikonal, points: 2.0}]\n",
+     "phase #0 points must be numbers of shape (3,), got 2.0"),
 ], ids=["tau_span-a", "tau_span-null", "tau_span-inf", "front-radius", "loop-side",
         "diagram-at", "lambdas", "phase-at", "phase-points", "phase-s_weight",
         "phase-s_weight-list", "poly-c", "operator-coeff", "front-center", "front-span-inf",
         "loop-center", "loop-points", "chart-bounds", "constants", "builtin_args",
-        "builtin_args-V", "builtin_args-list"])
+        "builtin_args-V", "builtin_args-list", "lambdas-one-number", "front-center-short",
+        "loop-center-short", "phase-points-one-number"])
 def test_cli_non_numeric_or_non_finite_number_is_a_config_error(tmp_path, capsys, sub, block,
                                                                  message):
     # the infinite spans exited 2 as numerical failures, and every other case
-    # ended in a traceback (ValueError, TypeError or UFuncNoLoopError)
+    # ended in a traceback (ValueError, TypeError or UFuncNoLoopError), those
+    # of the wrong shape too
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("schema_version: 1\n" + block)
     out = tmp_path / "out"

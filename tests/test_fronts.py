@@ -305,6 +305,48 @@ def test_front_action_function_scales_tolerance_per_sample():
         assert sl.branch.tolist() == [0, 0, 1, 1]
 
 
+@pytest.mark.parametrize("case", ["eikonal-circle", "oscillator-flat"])
+def test_front_rows_equal_per_ray_strips_bit_for_bit(case, monkeypatch):
+    # the circle's rays are alike, so every row takes every step and the dense
+    # output goes straight into the buffer; the oscillator's rays swing with
+    # amplitudes that differ by row, so rows take steps of their own sizes,
+    # some retry, and the dense output is copied under a mask
+    from contactflow import strips
+    if case == "eikonal-circle":
+        sc = _eik()
+        sigma, branch, taus = cf.circle_front(sc.chart, 1.0, 24, (0.3, -0.2)), (1, 1), 1.3
+    else:
+        sc = cf.builtin("oscillator")
+        sigma, branch, taus = cf.flat_front(sc.chart, "t", 0.0, (-2.0, 2.0), 16), (1, 0), 3.0
+    E, taus = sc.surface, np.linspace(0.0, taus, 41)
+    lift = cf.legendre_lift(E, sigma, branch=branch)
+    in_place, retries = [], []
+    step_control, interpolate = strips._step_control, strips._interpolate
+
+    def control(*args):   # its third result: per row, whether the last try was rejected
+        out = step_control(*args)
+        retries.append(out[2].any() and not out[2].all())
+        return out
+
+    def dense(*args, out=None):
+        in_place.append(out is not None)
+        return interpolate(*args, out=out)
+
+    monkeypatch.setattr(strips, "_step_control", control)
+    monkeypatch.setattr(strips, "_interpolate", dense)
+    hist = cf.propagate_front(E, lift, taus, closed=sigma.closed)
+    if case == "eikonal-circle":
+        assert in_place and all(in_place) and not any(retries)
+    else:
+        assert any(retries) and not all(in_place)
+    for i in range(len(lift)):
+        one = cf.propagate(E, cf.CharacteristicState(lift.x[i], lift.s[i], lift.p[i],
+                                                     lift.p_s[i]), taus[[0, -1]], tau_eval=taus)
+        assert list(one.taus) == list(taus)
+        for key in ("x", "s", "p", "p_s", "g_raw"):
+            assert getattr(hist, key)[i].tobytes() == getattr(one, key).tobytes(), (i, key)
+
+
 def test_propagate_front_rejects_empty_lift():
     sc = _eik()
     with pytest.raises(cf.ContractViolation):

@@ -426,6 +426,25 @@ def test_stacked_evaluation_equals_per_point(name, seed, shape):
         assert np.array_equal(G1[i], E.value(X[(0,) * len(shape)], P[i], 1.0))
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+@settings(max_examples=20, deadline=None)
+def test_eikonal_norm_is_within_an_ulp_of_hypot(seed, scale):
+    # |p| is sqrt(p_x^2 + p_y^2), not np.hypot: at p_s = 0, G is |p|, within
+    # 1 ulp of hypot's; dG/dp = p / |p| divides by it, so within 2 ulps
+    E = _SYMBOLS["eikonal"]
+    rng = np.random.default_rng(seed)
+    P = scale * rng.standard_normal((2000, 2))
+    X, PS = rng.uniform(-2.0, 2.0, P.shape), rng.uniform(0.5, 2.0, len(P))
+    norm = np.hypot(P[:, 0], P[:, 1])
+    G = E.value(X, P, np.zeros(len(P)))
+    assert np.all(np.abs(G - norm) <= np.spacing(norm))
+    gx, gp, gps = E.gradient(X, P, PS)
+    unit = P / norm[:, None]
+    assert np.all(np.abs(gp - unit) <= 2 * np.abs(np.spacing(unit)))
+    assert not gx.any() and np.all(gps == -1.0)
+    assert np.array_equal(E.value(X, P, PS), G - PS)
+
+
 def test_libm_pow_rounds_like_float_power():
     from contactflow.charts import libm_pow
 
