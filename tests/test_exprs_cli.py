@@ -1,6 +1,8 @@
 """Expression parsing and the command-line runner, end to end."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,9 +10,14 @@ import platform
 import re
 import subprocess
 import sys
+import tempfile
+from functools import reduce
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contactflow as cf
 from contactflow import strips
@@ -379,14 +386,15 @@ def test_cli_refused_step_is_a_config_error(tmp_path, capsys, block, extra):
 
 
 @pytest.mark.parametrize("block,message", [
-    ("integrator: {n_out: 0}\n", "n_out must be an integer of at least 2"),
-    ("integrator: {n_out: 1}\n", "n_out must be an integer of at least 2"),
-    ("integrator: {n_out: 2.7}\n", "n_out must be an integer of at least 2, got 2.7"),
-    ("integrator: {rel_tol: .nan}\n", "rel_tol must be finite and not negative"),
+    ("integrator: {n_out: 0}\n", "integrator.n_out must be an integer of at least 2"),
+    ("integrator: {n_out: 1}\n", "integrator.n_out must be an integer of at least 2"),
+    ("integrator: {n_out: 2.7}\n", "integrator.n_out must be an integer of at least 2, got 2.7"),
+    ("integrator: {rel_tol: .nan}\n", "integrator.rel_tol must be a finite number, got nan"),
     ("integrator: {rel_tol: -1.0e-9}\n", "rel_tol must be finite and not negative"),
     ("integrator: {tol_onshell: -1}\n", "tol_onshell must be finite and positive"),
-    ("integrator: {tol_onshell: .inf}\n", "tol_onshell must be finite and positive"),
-    ("integrator: {abs_tol: .inf}\n", "abs_tol must be finite and not negative, got inf"),
+    ("integrator: {tol_onshell: .inf}\n",
+     "integrator.tol_onshell must be a finite number, got inf"),
+    ("integrator: {abs_tol: .inf}\n", "integrator.abs_tol must be a finite number, got inf"),
 ], ids=["n_out-0", "n_out-1", "n_out-2.7", "rel_tol-nan", "rel_tol-negative",
         "tol_onshell-negative", "tol_onshell-inf", "abs_tol-inf"])
 def test_cli_refused_integrator_setting_is_a_config_error(tmp_path, capsys, block, message):
@@ -406,7 +414,8 @@ def test_cli_unknown_top_level_key_is_a_config_error(tmp_path, capsys, key):
                    f"{key}:\n  - {{x: [0, 5], s: 0, p: [-0.245, 0.7], p_s: 1.0}}\n")
     assert main(["propagate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert f"unknown top-level keys ['{key}']" in err and "'strips'" in err
+    assert f"config error: {key} is an unknown key; the config takes [" in err
+    assert "'strips'" in err
     assert not (tmp_path / "strip_0.csv").exists()
 
 
@@ -457,37 +466,37 @@ def test_cli_projection_failure_is_a_numerical_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("sub,block,message", [
     ("wavefront", "scenario: {builtin: eikonal}\nfront: {n: 8, ntau: 5}\n",
-     "unknown 'front' keys ['ntau']"),
+     "front.ntau is an unknown key; front takes ['axis', 'branch'"),
     ("wavefront", "scenario: {builtin: eikonal}\nfront: {n: 8, n_tau: 1.7}\n",
-     "front n_tau must be an integer, got 1.7"),
+     "front.n_tau must be an integer of at least 1, got 1.7"),
     ("wavefront", "scenario: {builtin: eikonal}\nfront: {n: 16.9, n_tau: 3}\n",
-     "front n must be an integer, got 16.9"),
+     "front.n must be an integer of at least 2, got 16.9"),
     ("propagate", "scenario: {builtin: free}\n"
                   "strips: [{x: [0.0, 0.0], p: [-0.245, 0.7], ps: 2.0}]\n",
-     "unknown strip #0 keys ['ps']"),
+     "strips[0].ps is an unknown key; strips[0] takes ['p', 'p_s', 's', 'x']"),
     ("propagate", _SYMBOL_RUN + "fiber: {group: circle, perod: 1}\n"
                   "scenario: {symbol: {expression: p_t*p_s + p_x**2/2, degree: 2}}\n",
-     "unknown top-level keys ['fiber']"),
+     "fiber is an unknown key; the config takes ['chart'"),
     ("propagate", _SYMBOL_RUN + "scenario: {symbol: {expression: p_t*p_s + p_x**2/2, "
                                 "degree: 2.9}}\n",
-     "symbol degree must be an integer, got 2.9"),
+     "scenario.symbol.degree must be an integer of at least 1, got 2.9"),
     ("wave-diagram", "scenario: {builtin: eikonal}\ndiagram: {n: 16.9}\n",
-     "diagram n must be an integer, got 16.9"),
+     "diagram.n must be an integer of at least 1, got 16.9"),
     ("wave-diagram", "scenario: {builtin: eikonal}\ndiagram: {n: 16, bidualty_check: true}\n",
-     "unknown 'diagram' keys ['bidualty_check']"),
+     "diagram.bidualty_check is an unknown key"),
     ("noether-check", "scenario: {builtin: free}\ntau_span: [0, 1]\n"
                       "symmetries: [{v: ['0', '1'], g: x}]\n",
-     "unknown symmetry #0 keys ['g']"),
+     "symmetries[0].g is an unknown key"),
     ("holonomy", "loops: [{centre: [1.0, 0.0], side: 1.0}]\n",
-     "unknown loop #0 keys ['centre']"),
+     "loops[0].centre is an unknown key"),
     ("holonomy", "loops: [{center: [1.0, 0.0], side: 1.0, p_s: 2.0}]\n",
-     "unknown loop #0 keys ['p_s']; allowed: ['center', 'points', 'side']"),
+     "loops[0].p_s is an unknown key; loops[0] takes ['center', 'points', 'side']"),
     ("symbol", "scenario: {builtin: schrodinger}\n"
                "phases: [{poly: [{powers: {x: 2.5}, c: 1.0}]}]\n",
-     "power of 'x' must be a non-negative integer, got 2.5"),
+     "phases[0].poly[0].powers.x must be an integer of at least 0, got 2.5"),
     ("symbol", "scenario: {builtin: schrodinger, builtin_arg: {mass: 2.0}}\n"
                "phases: [{poly: [{powers: {x: 2}, c: 1.0}]}]\n",
-     "unknown 'scenario' keys ['builtin_arg']"),
+     "scenario.builtin_arg is an unknown key"),
     ("propagate", "scenario: {builtin: oscillator, builtin_args: {bund: 30}}\n",
      "unexpected keyword argument 'bund'; allowed: ['bound']"),
 ], ids=["front-ntau", "front-n_tau-1.7", "front-n-16.9", "strip-ps", "fiber-perod",
@@ -513,37 +522,38 @@ _X2 = "[{powers: {x: 2}, c: 1.0}]"
 
 @pytest.mark.parametrize("sub,block,message", [
     ("propagate", "chart: {bounds: [[-5, 5], [-5, 5]]}\n" + _SYMBOL,
-     "missing key 'axes' in the 'chart' block"),
+     "chart.axes is required"),
     ("propagate", "chart: {axes: [t, x]}\n" + _SYMBOL,
-     "missing key 'bounds' in the 'chart' block"),
+     "chart.bounds is required"),
     ("propagate", _SYMBOL_RUN + "scenario: {symbol: {degree: 2}}\n",
-     "missing key 'expression' in the 'symbol' block"),
+     "scenario.symbol.expression is required"),
     ("propagate", _SYMBOL_RUN + "scenario: {symbol: {expression: p_t*p_s + p_x**2/2}}\n",
-     "missing key 'degree' in the 'symbol' block"),
+     "scenario.symbol.degree is required"),
     ("propagate", "scenario: {builtin: free}\nstrips: [{p: [-0.245, 0.7]}]\n",
-     "missing key 'x' in the strip #0 block"),
+     "strips[0].x is required"),
     ("propagate", "scenario: {builtin: free}\nstrips: [{x: [0.0, 0.0]}]\n",
-     "missing key 'p' in the strip #0 block"),
+     "strips[0].p is required"),
     ("wavefront", "scenario: {builtin: eikonal}\nfront: {kind: flat, value: 0.0}\n",
-     "missing key 'axis' in the 'front' block"),
+     "front.axis and front.value are required for a flat front"),
     ("wavefront", "scenario: {builtin: eikonal}\nfront: {kind: flat, axis: x}\n",
-     "missing key 'value' in the 'front' block"),
+     "front.axis and front.value are required for a flat front"),
     ("noether-check", "scenario: {builtin: free}\ntau_span: [0, 1]\nsymmetries: [{f: x}]\n",
-     "missing key 'v' in the symmetry #0 block"),
+     "symmetries[0].v is required"),
     ("symbol", "scenario: {builtin: schrodinger}\nphases: [{poly: [{powers: {x: 2}}]}]\n",
-     "missing key 'c' in the poly term #0 block"),
+     "phases[0].poly[0].c is required"),
     ("symbol", "chart: {axes: [t, x, s], bounds: [[-5, 5], [-5, 5], [-5, 5]]}\n"
                "operator: {terms: [{multi: {x: 2}}]}\n"
                "phases: [{poly: [{powers: {x: 2}, c: 1.0}]}]\n",
-     "missing key 'coeff' in the operator term #0 block"),
-    ("holonomy", "loops: [{center: [0.0, 0.0]}]\n", "missing key 'side' in the loop #0 block"),
+     "operator.terms[0].coeff is required"),
+    ("holonomy", "loops: [{center: [0.0, 0.0]}]\n",
+     "loops[0].side is required without loops[0].points"),
     ("symbol", "scenario: {builtin: schrodinger}\n"
                "phases: [{poly: [{powers: {x: 2}, c: 1.0}], mode: eikonall}]\n",
-     "phase #0 mode must be one of ['scaling', 'eikonal'], got 'eikonall'"),
+     "phases[0].mode must be one of ['scaling', 'eikonal'], got 'eikonall'"),
     ("wavefront", "scenario: {builtin: eikonal}\nfront: {kind: sqare}\n",
-     "'front' kind must be one of ['circle', 'flat'], got 'sqare'"),
+     "front.kind must be one of ['circle', 'flat'], got 'sqare'"),
     ("propagate", _SYMBOL_RUN + "fiber: {group: torus}\n" + _SYMBOL,
-     "unknown top-level keys ['fiber']"),
+     "fiber is an unknown key"),
 ], ids=["chart-axes", "chart-bounds", "symbol-expression", "symbol-degree",
         "strip-x", "strip-p", "front-axis", "front-value", "symmetry-v", "poly-c",
         "operator-coeff", "loop-side", "phase-mode", "front-kind", "fiber-group"])
@@ -562,77 +572,146 @@ def test_cli_missing_key_or_unknown_choice_is_a_config_error(tmp_path, capsys, s
 
 @pytest.mark.parametrize("sub,block,message", [
     ("propagate", "scenario: {builtin: free}\ntau_span: [a, 1.0]\n",
-     "'tau_span' must be a finite number or numbers, got ['a', 1.0]"),
+     "tau_span[0] must be a finite number, got 'a'"),
     ("propagate", "scenario: {builtin: free}\ntau_span: [null, 1.0]\n",
-     "'tau_span' must be a finite number or numbers, got [None, 1.0]"),
+     "tau_span[0] must be a finite number, got None"),
     ("propagate", "scenario: {builtin: free}\ntau_span: [0.0, .inf]\n",
-     "'tau_span' must be a finite number or numbers, got [0.0, inf]"),
+     "tau_span[1] must be a finite number, got inf"),
     ("wavefront", "scenario: {builtin: eikonal}\nfront: {radius: r}\n",
-     "front radius must be a finite number or numbers, got 'r'"),
-    ("holonomy", "loops: [{side: s}]\n", "loop #0 side must be a finite number or numbers"),
+     "front.radius must be a finite number, got 'r'"),
+    ("holonomy", "loops: [{side: s}]\n", "loops[0].side must be a finite number, got 's'"),
     ("wave-diagram", "scenario: {builtin: eikonal}\ndiagram: {at: [a, 0.0]}\n",
-     "diagram at must be a finite number or numbers, got ['a', 0.0]"),
+     "diagram.at[0] must be a finite number, got 'a'"),
     ("symbol", _SCHRO + "lambdas: [2.0, x]\nphases: [{poly: " + _X2 + "}]\n",
-     "lambdas must be a finite number or numbers, got [2.0, 'x']"),
+     "lambdas[1] must be a finite number, got 'x'"),
     ("symbol", _SCHRO + "phases: [{poly: " + _X2 + ", at: [a, 0.7, 0.0]}]\n",
-     "phase #0 at must be a finite number or numbers, got ['a', 0.7, 0.0]"),
+     "phases[0].at[0] must be a finite number, got 'a'"),
     ("symbol", _SCHRO + "phases: [{poly: " + _X2 + ", mode: eikonal, points: [[a, 0.3, 0.0]]}]\n",
-     "phase #0 points must be a finite number or numbers, got ['a', 0.3, 0.0]"),
+     "phases[0].points[0][0] must be a finite number, got 'a'"),
     ("symbol", _SCHRO + "phases: [{poly: " + _X2 + ", s_weight: w}]\n",
-     "phase #0 s_weight must be a finite number or numbers, got 'w'"),
+     "phases[0].s_weight must be a finite number, got 'w'"),
     ("symbol", _SCHRO + "phases: [{poly: " + _X2 + ", s_weight: [1.0, 2.0]}]\n",
-     "phase #0 s_weight must be one number, got [1.0, 2.0]"),
+     "phases[0].s_weight must be a finite number, got [1.0, 2.0]"),
     ("symbol", _SCHRO + "phases: [{poly: [{powers: {x: 2}, c: c}]}]\n",
-     "poly term #0 c must be a finite number or numbers, got 'c'"),
+     "phases[0].poly[0].c must be a finite number, got 'c'"),
     ("symbol", "chart: {axes: [t, x, s], bounds: [[-5, 5], [-5, 5], [-5, 5]]}\n"
                "operator: {terms: [{multi: {x: 2}, coeff: k}]}\nphases: [{poly: " + _X2 + "}]\n",
-     "operator term #0 coeff must be a finite number or numbers, got 'k'"),
+     "operator.terms[0].coeff must be a finite number, got 'k'"),
     ("wavefront", "scenario: {builtin: eikonal}\nfront: {center: [a, 0.0]}\n",
-     "front center must be a finite number or numbers, got ['a', 0.0]"),
+     "front.center[0] must be a finite number, got 'a'"),
     ("wavefront", "scenario: {builtin: eikonal}\nfront: {kind: flat, axis: x, value: 0.0, "
                   "span: [0, .inf]}\n",
-     "front span must be a finite number or numbers, got [0, inf]"),
+     "front.span[1] must be a finite number, got inf"),
     ("holonomy", "loops: [{center: [a, 0.0], side: 1.0}]\n",
-     "loop #0 center must be a finite number or numbers, got ['a', 0.0]"),
+     "loops[0].center[0] must be a finite number, got 'a'"),
     ("holonomy", "loops: [{points: [[a, 0.0], [1.0, 0.0], [1.0, 1.0]]}]\n",
-     "loop #0 points must be a finite number or numbers"),
+     "loops[0].points[0][0] must be a finite number, got 'a'"),
     ("propagate", "chart: {axes: [t, x], bounds: [[a, 5], [-5, 5]]}\n" + _SYMBOL,
-     "chart bounds must be a finite number or numbers, got [['a', 5], [-5, 5]]"),
+     "chart.bounds[0][0] must be a finite number, got 'a'"),
     ("propagate", _SYMBOL_RUN + "constants: {k: a}\n"
                   "scenario: {symbol: {expression: p_t*p_s + k*p_x**2, degree: 2}}\n",
-     "constant 'k' must be a finite number or numbers, got 'a'"),
+     "constants.k must be a finite number, got 'a'"),
     ("propagate", "scenario: {builtin: relativistic, builtin_args: {mass: a}}\n",
-     "builtin_args mass must be a finite number or numbers, got 'a'"),
+     "scenario.builtin_args.mass must be a finite number, got 'a'"),
     ("symbol", "scenario: {builtin: schrodinger, builtin_args: {V: {2: a}}}\n"
                "phases: [{poly: " + _X2 + "}]\n",
-     "builtin_args V[2] must be a finite number or numbers, got 'a'"),
+     "scenario.builtin_args.V.2 must be a finite number, got 'a'"),
     ("propagate", "scenario: {builtin: free, builtin_args: [60.0]}\n",
-     "builtin_args must be a mapping, got [60.0]"),
+     "scenario.builtin_args must be a mapping, got [60.0]"),
     ("symbol", _SCHRO + "lambdas: 2.0\nphases: [{poly: " + _X2 + "}]\n",
-     "lambdas must be numbers of shape (n,), got 2.0"),
+     "lambdas must be a non-empty list, got 2.0"),
     ("wavefront", "scenario: {builtin: eikonal}\nfront: {center: [0.0]}\n",
-     "front center must be numbers of shape (2,), got [0.0]"),
+     "front.center must be a list of 2 items, got [0.0]"),
     ("holonomy", "loops: [{center: [0.0], side: 1.0}]\n",
-     "loop #0 center must be numbers of shape (2,), got [0.0]"),
+     "loops[0].center must be a list of 2 items, got [0.0]"),
     ("symbol", _SCHRO + "phases: [{poly: " + _X2 + ", mode: eikonal, points: 2.0}]\n",
-     "phase #0 points must be numbers of shape (3,), got 2.0"),
+     "phases[0].points must be a non-empty list, got 2.0"),
+    # these exited 2 as numerical failures, or ran off shell
+    ("propagate", "chart: {axes: [t, x], bounds: [[-5, 5]]}\n" + _SYMBOL,
+     "chart.bounds: bounds shape (1, 2) does not match 2 axes"),
+    ("propagate", "chart: {axes: [t, x], bounds: [[5, -5], [-5, 5]]}\n" + _SYMBOL,
+     "chart.bounds: each axis needs lower < upper bound"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {branch: [2, 0]}\n",
+     "front.branch[0] must be one of [1, -1], got 2"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {branch: [1, x]}\n",
+     "front.branch[1] must be an integer of at least 0, got 'x'"),
+    ("propagate", "scenario: {builtin: free}\nstrips: [{x: [0, 0, 0], p: [-0.245, 0.7]}]\n",
+     "strips[0].x must be a list of 2 items, got [0, 0, 0]"),
+    ("propagate", "scenario: {builtin: free}\nstrips: [{x: [0, 0], p: [-0.245, 0.7, 1.0]}]\n",
+     "strips[0].p must be a list of 2 items, got [-0.245, 0.7, 1.0]"),
+    ("noether-check", "scenario: {builtin: free}\ntau_span: [0, 1]\nsymmetries: [{v: ['1']}]\n",
+     "symmetries[0].v must be a list of 2 items, got ['1']"),
 ], ids=["tau_span-a", "tau_span-null", "tau_span-inf", "front-radius", "loop-side",
         "diagram-at", "lambdas", "phase-at", "phase-points", "phase-s_weight",
         "phase-s_weight-list", "poly-c", "operator-coeff", "front-center", "front-span-inf",
         "loop-center", "loop-points", "chart-bounds", "constants", "builtin_args",
         "builtin_args-V", "builtin_args-list", "lambdas-one-number", "front-center-short",
-        "loop-center-short", "phase-points-one-number"])
+        "loop-center-short", "phase-points-one-number", "chart-bounds-shape",
+        "chart-bounds-order", "front-branch-sign", "front-branch-index", "strip-x-long",
+        "strip-p-long", "symmetry-v-short"])
 def test_cli_non_numeric_or_non_finite_number_is_a_config_error(tmp_path, capsys, sub, block,
                                                                  message):
-    # the infinite spans exited 2 as numerical failures, and every other case
-    # ended in a traceback (ValueError, TypeError or UFuncNoLoopError), those
-    # of the wrong shape too
+    # the infinite spans, the chart bounds, the front branches and the
+    # symmetry exited 2 as numerical failures, a long strip read as off shell
+    # (exit 2), and every other case ended in a traceback (ValueError,
+    # TypeError or UFuncNoLoopError), those of the wrong shape too
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("schema_version: 1\n" + block)
     out = tmp_path / "out"
     assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error") and message in err
+    assert not list(out.glob("*.csv")) and not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("sub,block,message", [
+    ("propagate", "chart: {axes: tx, bounds: [[-5, 5], [-5, 5]]}\n" + _SYMBOL,
+     "chart.axes must be a non-empty list, got 'tx'"),
+    ("wave-diagram", "scenario: {builtin: eikonal}\ndiagram: {biduality_check: maybe}\n",
+     "diagram.biduality_check must be one of [False, True], got 'maybe'"),
+    ("propagate", "scenario: {builtin: free}\nintegrator: {n_out: true}\n",
+     "integrator.n_out must be an integer of at least 2, got True"),
+    ("propagate", "scenario: {builtin: free, name: [a]}\n",
+     "scenario.name must be a name, got ['a']"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {n: true}\n",
+     "front.n must be an integer of at least 2, got True"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {n: 1}\n",
+     "front.n must be an integer of at least 2, got 1"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {kind: flat, axis: x, value: 0.0, n: 1}\n",
+     "front.n must be an integer of at least 2, got 1"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {n: -3}\n",
+     "front.n must be an integer of at least 2, got -3"),
+    ("wavefront", "scenario: {builtin: eikonal}\nfront: {n_tau: 0}\n",
+     "front.n_tau must be an integer of at least 1, got 0"),
+    ("wave-diagram", "scenario: {builtin: eikonal}\ndiagram: {n: -1}\n",
+     "diagram.n must be an integer of at least 1, got -1"),
+    ("wave-diagram", "scenario: {builtin: eikonal}\ndiagram: {n: 0}\n",
+     "diagram.n must be an integer of at least 1, got 0"),
+], ids=["chart-axes-string", "diagram-biduality-maybe", "n_out-true", "scenario-name-list",
+        "front-n-true", "front-n-1-circle", "front-n-1-flat", "front-n-negative",
+        "front-n_tau-0", "diagram-n-negative", "diagram-n-0"])
+def test_cli_misread_value_or_count_is_a_config_error(tmp_path, capsys, sub, block, message):
+    # tx read as the axes t and x, maybe ran the check, true read as 1 and
+    # [a] went into report.json, each at exit 0; a one-sample flat front ran
+    # too and is now refused; the other counts ended in an IndexError or
+    # ValueError traceback, and diagram n 0 exited 2
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema_version: 1\n" + block)
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not list(out.glob("*.csv")) and not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("sub,config", [("noether-check", "noether_free.yaml"),
+                                        ("propagate", "free.yaml")])
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, sub, config):
+    # noether-check ended in a ValueError traceback from default_rng, and
+    # propagate wrote -5 into report.json at exit 0
+    out = tmp_path / "out"
+    assert main([sub, "--config", _cfg(config), "--out", str(out), "--seed", "-5"]) == 1
+    assert capsys.readouterr().err.strip() == "config error: --seed must not be negative, got -5"
     assert not list(out.glob("*.csv")) and not (out / "report.json").exists()
 
 
@@ -763,3 +842,104 @@ def test_cli_nested_scenario_connection_is_a_config_error(tmp_path, capsys):
                    "tau_span: [0, 1]\n")
     assert main(["propagate", "--config", str(bad), "--out", str(tmp_path)]) == 1
     assert "connection" in capsys.readouterr().err
+
+
+
+# ------------------------------------------------------------ config fuzz
+
+_BUNDLED = {"eikonal_front.yaml": "wavefront", "free.yaml": "propagate",
+            "holonomy.yaml": "holonomy", "noether_free.yaml": "noether-check",
+            "oscillator.yaml": "propagate", "relativistic.yaml": "propagate",
+            "schrodinger_symbol.yaml": "symbol", "wave_diagram_eikonal.yaml": "wave-diagram",
+            "wave_diagram_rel.yaml": "wave-diagram"}
+# key paths, with [*] for any list index, where a mutation would be valid: lists
+# of any length (a loop's rows need only agree with each other), keys that take
+# any string, maps whose keys are names (the builtin or the chart checks those)
+# and a flag, which takes true
+_ANY_LENGTH = {"strips", "symmetries", "phases", "phases[*].poly", "phases[*].points",
+               "lambdas", "loops", "loops[*].points", "loops[*].points[*]"}
+_ANY_STRING = {"scenario.builtin", "symmetries[*].v[*]", "symmetries[*].f"}
+_NAME_MAPS = {"scenario.builtin_args", "phases[*].poly[*].powers"}
+_FLAGS = {"diagram.biduality_check"}
+# the keys of the bundled configs that their runs need
+_REQUIRED = {"schema_version", "scenario", "scenario.builtin", "front", "strips[*].x",
+             "strips[*].p", "symmetries", "symmetries[*].v", "phases", "phases[*].poly[*].c",
+             "loops", "loops[*].side", "loops[*].points"}
+
+
+def _sites(value, keys=()):
+    """(keys, value) of value and of every value under it, depth first."""
+    yield keys, value
+    if isinstance(value, (dict, list)):
+        for key, sub in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _sites(sub, keys + (key,))
+
+
+def _key_path(keys) -> str:
+    """The path of the config error messages: a.b[0].c."""
+    path = ""
+    for key in keys:
+        path += f"[{key}]" if isinstance(key, int) else f".{key}" if path else key
+    return path
+
+
+def _load_bundled(name):
+    with open(_cfg(name)) as fh:
+        return yaml.safe_load(fh)
+
+
+def _config_mutants():
+    """(config, keys of the mutated site, how, new value, key path the error must
+    name) of every mutant that the fuzz draws from: each is invalid."""
+    bad = {"string": "abc", "null": None, "inf": math.inf, "nan": math.nan, "true": True,
+           "mapping": {"a": 1}}
+    out = []
+    for name in _BUNDLED:
+        for keys, value in _sites(_load_bundled(name)):
+            path = _key_path(keys)
+            pattern = re.sub(r"\[\d+\]", "[*]", path)
+            if isinstance(value, dict) and pattern not in _NAME_MAPS:
+                out.append((name, keys, "add", None, _key_path(keys + ("zzz",))))
+            if not keys:
+                continue
+            if pattern in _REQUIRED:
+                out.append((name, keys, "drop", None, path))
+            longer = value + value[:1] if isinstance(value, list) else [value, value]
+            for how, new in [*bad.items(), ("length", longer)]:
+                if not ((how == "string" and pattern in _ANY_STRING)
+                        or (how == "true" and pattern in _FLAGS)
+                        or (how == "length" and pattern in _ANY_LENGTH)
+                        or (how == "mapping" and isinstance(value, dict))):
+                    out.append((name, keys, how, new, path))
+    return out
+
+
+_CONFIG_MUTANTS = _config_mutants()
+
+
+@given(st.sampled_from(_CONFIG_MUTANTS))
+@settings(derandomize=True, max_examples=len(_CONFIG_MUTANTS), deadline=None)
+def test_config_fuzz_every_invalid_mutant_is_a_config_error_naming_its_key(mutant):
+    """A bundled config with one key dropped or added, or one value replaced by
+    a string, null, .inf, .nan, true, a mapping or a list of the wrong length,
+    exits 1 with a config error that names the mutated key path: no traceback,
+    no run and no numerical failure."""
+    name, keys, how, new, path = mutant
+    cfg = _load_bundled(name)
+    if how == "add":
+        reduce(lambda node, key: node[key], keys, cfg)["zzz"] = 1
+    else:
+        parent = reduce(lambda node, key: node[key], keys[:-1], cfg)
+        if how == "drop":
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = new
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "mutant.yaml")
+        with open(cfg_path, "w") as fh:
+            yaml.safe_dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([_BUNDLED[name], "--config", cfg_path, "--out", os.path.join(tmp, "out")])
+    err = err.getvalue()
+    assert code == 1 and err.startswith("config error: ") and path in err, (name, how, path, err)
