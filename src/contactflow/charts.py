@@ -218,8 +218,9 @@ def scan_roots(f: Callable, grid, n: int = 1, need: int | None = None) -> list[l
         # it and the next one; column 0 is the carried value, whose zero counted already
         hit = np.empty((len(vals), vals.shape[1] + 1), bool)
         np.equal(vals, 0.0, out=hit[:, 1:])
-        hit[:, 1:-1] |= vals[:, :-1] * vals[:, 1:] < 0
-        hit[:, 0] = False if last is None else last * vals[:, 0] < 0
+        neg, pos = vals < 0, vals > 0   # compared, not multiplied: a product can underflow
+        hit[:, 1:-1] |= neg[:, :-1] & pos[:, 1:] | pos[:, :-1] & neg[:, 1:]
+        hit[:, 0] = False if last is None else np.sign(last) * vals[:, 0] < 0
         r, c = divmod(np.flatnonzero(hit), hit.shape[1])
         # the hits come in (row, column) order: keep each row's first need - have
         rank = np.arange(len(r)) - np.searchsorted(r, r)

@@ -25,7 +25,7 @@ from .noether import SymmetryField, check_symmetry, conservation_drift
 from .operators import (LinearDiffOperator, eikonal_residual, poly_phase,
                         symbol_scaling_check)
 from .phase import holonomy, square_loop
-from .scenarios import Scenario, builtin
+from .scenarios import Scenario, builtin, builtin_arguments
 from .strips import CharacteristicState, IntegratorConfig, batch_propagate
 
 SCHEMA_VERSION = 1
@@ -211,7 +211,10 @@ def _scenario_from(cfg: dict) -> Scenario:
     if (spec["builtin"] is None) == (spec["symbol"] is None):
         raise ConfigError("scenario needs one of scenario.builtin and scenario.symbol")
     if spec["builtin"] is not None:   # builtin checks the name and the arguments
-        return _call("scenario", builtin, spec["builtin"], **spec["builtin_args"])
+        name, args = spec["builtin"], spec["builtin_args"]
+        allowed = _call("scenario.builtin", builtin_arguments, name)
+        at = next((f".{key}" for key in args if key not in allowed), "")   # the unknown one
+        return _call("scenario.builtin_args" + at, builtin, name, **args)
     from .exprs import symbol_surface
     chart = _chart_from(cfg, "scenario.symbol")
     E = _call("scenario.symbol", symbol_surface, spec["symbol"]["expression"], chart,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -145,10 +146,12 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec, branch: tuple[int, int] = 
     N /= np.sqrt(dot(N, N))[:, None]
 
     def g(lam, i):
-        p = np.empty((2,) + np.broadcast_shapes(np.shape(lam), np.shape(i)))   # component-major
-        for c in range(2):
-            np.add(P0[i, c], lam * N[i, c], out=p[c])
-        return E.value(X[i], np.moveaxis(p, 0, -1), float(ps_sign))
+        shape = np.broadcast_shapes(np.shape(lam), np.shape(i))
+        p = np.empty((2,) + shape)   # component-major
+        for c in range(2):   # lam N + P0, in place: the bits of P0 + lam N
+            np.multiply(lam, N[i, c], out=p[c])
+            p[c] += P0[i, c]
+        return E.value(X[i], np.moveaxis(p, 0, -1), np.broadcast_to(float(ps_sign), shape))
 
     roots = scan_roots(g, _LIFT_GRID, len(rows), need=root_idx + 1)
     found = np.full(len(U), -1)   # roots per sample (up to need), -1 without a tangent
@@ -173,7 +176,8 @@ class CausticEvent:
 
 @dataclass
 class FrontHistory:
-    """Propagated front: arrays indexed (u, tau)."""
+    """Propagated front: arrays indexed (u, tau).  Its dx/du and determinant
+    signs are computed once, by propagate_front or on first use."""
 
     surface: SymbolSurface
     params: np.ndarray           # (nu,)
@@ -188,17 +192,26 @@ class FrontHistory:
     p_correction: np.ndarray     # (nu, nt) the length of the change it made to p
     closed: bool = False
 
+    @cached_property
+    def x_u(self) -> np.ndarray:
+        """dx/du, (nu, nt, m): _u_derivative of x."""
+        return _u_derivative(self.x, self.params, self.closed)
+
+    @cached_property
+    def det_signs(self) -> np.ndarray:
+        """_det_signs of jacobian_det."""
+        return _det_signs(self.jacobian_det)
+
     def first_caustic_tau(self) -> float | None:
         return min((ev.tau_lo for ev in self.caustics), default=None)
 
     def contact_residual(self) -> float:
         """Max |<p, dx/du> - p_s ds/du| over the interior grid (Legendre condition)."""
-        dx = _u_derivative(self.x, self.params, self.closed)
-        ds = _u_derivative(self.s, self.params, self.closed)
-        res = np.abs(dot(self.p, dx) - self.p_s * ds)
-        scale = np.maximum(np.sqrt(dot(self.p, self.p)) * np.sqrt(dot(dx, dx)), 1.0)
-        r = res / scale
-        return float(np.max(r, where=~np.isnan(r), initial=0.0))
+        dx = self.x_u
+        r = dot(self.p, dx)
+        r -= self.p_s * _u_derivative(self.s, self.params, self.closed)
+        r = np.abs(r, out=r) / np.maximum(np.sqrt(dot(self.p, self.p)) * np.sqrt(dot(dx, dx)), 1.0)
+        return float(np.fmax.reduce(r, axis=None, initial=0.0))   # NaNs skipped
 
 
 def _u_derivative(A: np.ndarray, params: np.ndarray, closed: bool) -> np.ndarray:
@@ -208,12 +221,13 @@ def _u_derivative(A: np.ndarray, params: np.ndarray, closed: bool) -> np.ndarray
     front the two end samples have no centered difference and are NaN.
     """
     n = len(params)
-    d = np.full(A.shape, np.nan)
+    d = np.empty_like(A, dtype=float)   # in A's memory order: the passes run along its rows
     np.subtract(A[2:], A[:-2], out=d[1:-1])
     if closed:
         d[0], d[-1] = A[1] - A[-1], A[0] - A[-2]
         d /= 2.0 * (params[-1] - params[0] + (params[1] - params[0])) / n
     else:
+        d[0] = d[-1] = np.nan
         d[1:-1] /= (params[2:] - params[:-2]).reshape((-1,) + (1,) * (A.ndim - 1))
     return d
 
@@ -252,21 +266,28 @@ def propagate_front(E: SymbolSurface, lift: Lift, taus, integ: IntegratorConfig 
     # the Jacobian columns dx/du and dx/dtau = dG/dp; an open front's end
     # samples have no dx/du, so their determinant is NaN
     du, dtau = _u_derivative(X, lift.u, closed), E.gradient(X, P, PS)[1]
-    J = du[..., 0] * dtau[..., 1] - du[..., 1] * dtau[..., 0]
-    return FrontHistory(E, lift.u, taus, X, S, P, PS, J, _caustic_events(J, taus), G_raw, dP,
-                        closed=closed)
-
-
-def _caustic_events(J: np.ndarray, taus: np.ndarray) -> list[CausticEvent]:
-    """Sign flips of each u sample's determinants along tau, in (u, tau)
-    order.  Consecutive *significant* signs are compared, so a grid point
-    landing exactly on det = 0 still registers as one flip."""
+    J = du[..., 0] * dtau[..., 1]
+    J -= du[..., 1] * dtau[..., 0]
     signs = _det_signs(J)
-    iu, jt = np.nonzero(signs)
-    v = signs[iu, jt]
-    k = np.flatnonzero((iu[1:] == iu[:-1]) & (v[1:] != v[:-1]))
-    return [CausticEvent(*ev) for ev in
-            zip(iu[k].tolist(), taus[jt[k]].tolist(), taus[jt[k + 1]].tolist())]
+    hist = FrontHistory(E, lift.u, taus, X, S, P, PS, J, _caustic_events(signs, taus), G_raw,
+                        dP, closed=closed)
+    hist.x_u, hist.det_signs = du, signs   # for contact_residual and front_action_function
+    return hist
+
+
+def _caustic_events(signs: np.ndarray, taus: np.ndarray) -> list[CausticEvent]:
+    """Sign flips of each u sample's determinant signs (_det_signs) along
+    tau, in (u, tau) order.  Consecutive *significant* signs are compared, so
+    a grid point landing exactly on det = 0 still registers as one flip."""
+    if signs.all():   # every sign is significant: neighbours compare, no gather
+        iu, lo = divmod(np.flatnonzero(signs[:, 1:] != signs[:, :-1]), signs.shape[1] - 1)
+        hi = lo + 1
+    else:
+        iu, jt = np.nonzero(signs)
+        v = signs[iu, jt]
+        k = np.flatnonzero((iu[1:] == iu[:-1]) & (v[1:] != v[:-1]))
+        iu, lo, hi = iu[k], jt[k], jt[k + 1]
+    return [CausticEvent(*ev) for ev in zip(iu.tolist(), taus[lo].tolist(), taus[hi].tolist())]
 
 
 def _require_uniform(params: np.ndarray, period: float | None) -> None:
@@ -287,12 +308,11 @@ def _require_uniform(params: np.ndarray, period: float | None) -> None:
 
 
 def _det_signs(J: np.ndarray) -> np.ndarray:
-    """Significant signs of the (nu, nt) Jacobian determinants: 0 where det
-    is NaN or |det| <= CAUSTIC_DET_TOL times the largest finite |det| of its
-    row (one u sample over all taus)."""
-    absJ = np.where(np.isnan(J), 0.0, np.abs(J))
-    significant = absJ > CAUSTIC_DET_TOL * absJ.max(axis=1, keepdims=True)
-    return np.where(significant, np.sign(J), 0.0)
+    """Significant signs of the (nu, nt) Jacobian determinants, int8: 0 where
+    det is NaN or |det| <= CAUSTIC_DET_TOL times the largest |det| of its row
+    (one u sample over all taus; NaN counts as 0)."""
+    tol = CAUSTIC_DET_TOL * np.fmax.reduce(np.abs(J), axis=1, keepdims=True)   # NaN: no max
+    return (J > tol).view(np.int8) - (J < -tol).view(np.int8)
 
 
 @dataclass
@@ -309,11 +329,12 @@ def front_action_function(history: FrontHistory) -> list[ActionSlice]:
     Pre-caustic slices carry a single branch tag; after a caustic the samples
     are tagged by runs of constant Jacobian sign instead of failing.
     """
-    signs = _det_signs(history.jacobian_det)
+    signs = history.det_signs
     # the tag counts sign flips between consecutive significant samples in u:
-    # carry each column's last significant sign down, then count the flips
-    last = np.maximum.accumulate(np.where(signs != 0, np.arange(len(signs))[:, None], 0))
-    carried = np.take_along_axis(signs, last, axis=0)
+    # carry each column's last significant sign down (if some sign is not),
+    # then count the flips
+    carried = signs if signs.all() else np.take_along_axis(signs, np.maximum.accumulate(
+        np.where(signs != 0, np.arange(len(signs))[:, None], 0)), axis=0)
     branch = np.zeros(signs.shape, dtype=int)
     np.cumsum(signs[1:] * carried[:-1] < 0, axis=0, out=branch[1:])
     return [ActionSlice(float(tau), history.x[:, j], history.s[:, j], branch[:, j])

@@ -334,6 +334,8 @@ def schrodinger_operator(chart: Chart, mass: float = 1.0,
     for ax in ("t", "x", "s"):
         if ax not in chart.axis_names:
             raise ContractViolation(f"chart needs a {ax!r} axis")
+    if mass == 0:
+        raise ContractViolation(f"mass must not be 0, got {mass!r}")
     if not isinstance(V, PolyField):
         V = PolyField.from_const(chart, float(V))
     mono = chart.multi_index

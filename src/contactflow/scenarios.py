@@ -82,14 +82,19 @@ def eikonal_scenario(bound: float = 40.0) -> Scenario:
     """
     chart = Chart(["x", "y"], [(-bound, bound), (-bound, bound)])
 
-    def value(x, p, p_s):   # |p| as sqrt(p_x^2 + p_y^2): np.hypot calls libm per element
+    def norm(p):   # |p| as sqrt(p_x^2 + p_y^2), in place on stacks (np.hypot calls libm)
         p_x, p_y = components(p)
-        return np.sqrt(p_x * p_x + p_y * p_y) - p_s
+        n = p_x * p_x
+        n += p_y * p_y
+        return np.sqrt(n, out=n if p.ndim > 1 else None)
+
+    def value(x, p, p_s):
+        n = norm(p)
+        return np.subtract(n, p_s, out=n if p.ndim > 1 else None)
 
     def grad(x, p, p_s):
-        p_x, p_y = components(p)
-        n = np.sqrt(p_x * p_x + p_y * p_y)
-        return np.zeros(x.shape), stack_last([p_x / n, p_y / n]), -1.0
+        n = norm(p)
+        return np.zeros(x.shape), p / (n if p.ndim == 1 else n[..., None]), -1.0
 
     E = SymbolSurface(chart, value, 1, grad=grad, name="eikonal")
     inits = [CharacteristicState([0.0, 0.0], 0.0, [1.0, 0.0], 1.0)]
@@ -136,16 +141,17 @@ _BUILDERS = {
 }
 
 
+def builtin_arguments(name: str) -> list[str]:
+    """The keyword arguments that builtin(name) takes."""
+    if name not in _BUILDERS:
+        raise ConfigError(f"unknown builtin scenario {name!r}; known: {sorted(_BUILDERS)}")
+    return list(inspect.signature(_BUILDERS[name]).parameters)
+
+
 def builtin(name: str, **kwargs) -> Scenario:
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ConfigError(f"unknown builtin scenario {name!r}; "
-                          f"known: {sorted(_BUILDERS)}") from None
-    sig = inspect.signature(builder)
-    try:
-        sig.bind(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad arguments for builtin {name!r}: {exc}; "
-                          f"allowed: {list(sig.parameters)}") from None
-    return builder(**kwargs)
+    allowed = builtin_arguments(name)
+    for key in kwargs:
+        if key not in allowed:
+            raise ConfigError(f"bad arguments for builtin {name!r}: got an unexpected "
+                              f"keyword argument {key!r}; allowed: {allowed}")
+    return _BUILDERS[name](**kwargs)

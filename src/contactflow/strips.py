@@ -225,8 +225,8 @@ def _onshell_scale(E: SymbolSurface, p, p_s):
 
 
 def check_start(E: SymbolSurface, state: CharacteristicState, tol_onshell: float) -> None:
-    """Require a start state on shell (|G| <= tol_onshell * max(1, |(p, p_s)|^degree)),
-    inside the chart and not degenerate."""
+    """Require a start state on shell (|G| <= tol_onshell * max(1, |(p, p_s)|^degree),
+    a NaN or infinite G is off), inside the chart and not degenerate."""
     Y = _pack(state)[None]
     err = _start_errors(E, Y, state.tau, tol_onshell)[0][0]
     if err is not None:
@@ -240,7 +240,7 @@ def _start_errors(E: SymbolSurface, Y, t0: float, tol_onshell: float) -> tuple[l
     X, P, PS = Y[:, :m], Y[:, m + 1:2 * m + 1], Y[:, 2 * m + 1]
     G = E.value(X, P, PS)
     scale = _onshell_scale(E, P, PS)
-    off = ~(np.abs(G) <= tol_onshell * np.where(scale > 1.0, scale, 1.0))   # NaN is off
+    off = ~(np.abs(G) <= tol_onshell * np.where(scale > 1.0, scale, 1.0)) | np.isinf(G)
     ok = ~off & E.chart.contains(X)
     errors = [None if ok[r] else ContractViolation(
         f"initial state is off-shell: G = {G[r]:.3e}" if off[r]
@@ -401,8 +401,10 @@ def _interpolate(K, y_old, t_old, h, taus, fixed: bool, out=None):
     row) is K's first four stages with cubic weights w_j for RK4, and K^T P
     with w_j = theta^(j + 1) for Dormand-Prince; lead_dot adds both in index
     order, whole components of at most SCAN_BLOCK values at a time, so a wide
-    step stays in cache."""
-    Ks = np.ascontiguousarray(K.transpose(0, 2, 1))   # the row axis innermost
+    step stays in cache.  p_s's row skips the sums: _rhs leaves its stage
+    column +0.0 and a second weight, theta^2 or theta^2 (1 - 2 theta / 3), is
+    not negative on a step, so the sums are +0.0 and the row y_old + 0.0 h."""
+    Ks = np.ascontiguousarray(K[:, :, :-1].transpose(0, 2, 1))   # the row axis innermost
     th = (taus - t_old) / h
     sq = th * th
     cu = sq * th
@@ -412,11 +414,13 @@ def _interpolate(K, y_old, t_old, h, taus, fixed: bool, out=None):
     else:
         M, W = lead_dot(_P45[:, :, None, None], Ks), (th, sq, cu, cu * th)
     n = max(1, SCAN_BLOCK // th.size)
-    out = np.empty((M.shape[1],) + th.shape) if out is None else out
-    for c in range(0, M.shape[1], n):
-        part = lead_dot(W, M[:, c:c + n, None], out=out[c:c + n])
+    out = np.empty((K.shape[2],) + th.shape) if out is None else out
+    body, y_body = out[:-1], y_old.T[:-1]
+    for c in range(0, len(body), n):
+        part = lead_dot(W, M[:, c:c + n, None], out=body[c:c + n])
         part *= h
-        part += y_old.T[c:c + n, None]
+        part += y_body[c:c + n, None]
+    np.add(y_old[:, -1], 0.0 * h, out=out[-1])
     return out
 
 
@@ -671,7 +675,9 @@ def _propagate_stack(E: SymbolSurface, Y0, tau_span, integ: IntegratorConfig | N
     samples, and the samples (taus, X, S, P, PS, G, G_raw, dP) of the strips
     that did not raise (None if no strip ran): G after the projection, G_raw
     before it and dP the length of its change to p.  Any exception raised
-    ends the call."""
+    ends the call.  With every |G_raw| <= tol_onshell / 2 and every p finite,
+    the projection, which would move nothing, and the bound check are
+    skipped: G is G_raw and dP is 0.0, the bits of P - P."""
     integ = integ or IntegratorConfig()
     t0, t1 = float(tau_span[0]), float(tau_span[1])
     if not (np.isfinite(t0) and np.isfinite(t1)):
@@ -687,15 +693,18 @@ def _propagate_stack(E: SymbolSurface, Y0, tau_span, integ: IntegratorConfig | N
     taus, X, S, P, PS = run[0], run[1:m + 1].T, run[m + 1], run[m + 2:-1].T, run[-1]
     # the projection acts sample by sample, so all strips take one call
     tol, P0, G_raw = integ.tol_onshell, P, E.value(X, P, PS)
+    if (np.abs(G_raw) <= 0.5 * tol).all() and np.isfinite(P).all():   # a NaN G is off
+        return stops, counts, (taus, X, S, P, PS, G_raw, G_raw, np.zeros(len(taus)))
     P, G = (P, G_raw) if t0 == t1 else _project_strip(E, X, P, PS, G_raw, tol)
     dP = P - P0
     dP = np.sqrt(dot(dP, dP))
-    # a sample off shell by the start check's bound ends its strip
+    # a sample off shell by the start check's bound (an infinite G too) ends its strip
     off = np.flatnonzero(~(np.abs(G) <= tol))   # the bound's scale only at these
     if off.size:
         bound = tol * np.maximum(_onshell_scale(E, P[off], PS[off]), 1.0)
         rows = np.searchsorted(np.cumsum(counts), off, side="right")
-        for k in np.flatnonzero(~(np.abs(G[off]) <= bound))[::-1]:   # a strip's first wins
+        g = np.abs(G[off])
+        for k in np.flatnonzero(~(g <= bound) | (g == np.inf))[::-1]:   # a strip's first wins
             j = off[k]
             stops[rows[k]] = DegeneracyError(
                 f"projection failed: |G| = {abs(G[j]):.3e} exceeds the on-shell bound "

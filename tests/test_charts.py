@@ -181,6 +181,23 @@ def test_scan_roots_counts_exact_grid_roots_once():
     assert calls.count(2) == 1
 
 
+@given(scale=st.sampled_from([1e-300, 1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e200, 1e300]),
+       root=st.floats(-1.9, 1.9), sign=st.sampled_from([1.0, -1.0]))
+@example(scale=1e-200, root=0.3, sign=1.0)
+@settings(max_examples=100, deadline=None)
+def test_scan_roots_sees_sign_changes_of_tiny_and_huge_values(scale, root, sign):
+    # neighbours of +-1e-200 have a product that underflows to -0.0, which
+    # the scan read as no sign change: f = 1e-200 (t - 0.3) had no root
+    grid = np.linspace(-2.0, 2.0, 9)
+    (got,), = scan_roots(lambda t, i: sign * scale * (t - root) + 0.0 * i, grid)
+    assert got == pytest.approx(root, rel=0.0, abs=1e-12)
+    # values +-1 and +-1e-200 on a 5-point grid, scanned as one stack
+    size = np.array([1.0, 1e-200])
+    roots = scan_roots(lambda t, i: size[i] * np.where(t < 0.1, -1.0, 1.0),
+                       np.linspace(-1.0, 1.0, 5), 2)
+    assert roots[0] == roots[1] and roots[1][0] == pytest.approx(0.1, abs=1e-12)
+
+
 def test_scan_roots_evaluates_the_grid_in_one_call():
     grid = np.linspace(-5.0, 5.0, 77)
     calls = []

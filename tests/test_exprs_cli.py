@@ -943,3 +943,39 @@ def test_config_fuzz_every_invalid_mutant_is_a_config_error_naming_its_key(mutan
             code = main([_BUNDLED[name], "--config", cfg_path, "--out", os.path.join(tmp, "out")])
     err = err.getvalue()
     assert code == 1 and err.startswith("config error: ") and path in err, (name, how, path, err)
+
+
+@pytest.mark.parametrize("sub,block,message", [
+    ("propagate", "scenario: {builtin: abc}\n",
+     "config error: scenario.builtin: unknown builtin scenario 'abc'; known: ['eikonal', "),
+    ("propagate", "scenario: {builtin: relativistic, builtin_args: {mass: 2.0, a: 1}}\n",
+     "config error: scenario.builtin_args.a: bad arguments for builtin 'relativistic': got an "
+     "unexpected keyword argument 'a'; allowed: ['mass', "),
+    ("symbol", "scenario: {builtin: schrodinger, builtin_args: {mass: 0}}\n"
+               "phases: [{poly: " + _X2 + "}]\n",
+     "config error: scenario.builtin_args: mass must not be 0, got 0.0"),
+], ids=["builtin-unknown", "builtin-args-unknown", "schrodinger-mass-0"])
+def test_cli_builtin_refusals_name_their_key(tmp_path, capsys, sub, block, message):
+    # the first two were reported under scenario, and mass 0 ended in a
+    # ZeroDivisionError traceback from the Schroedinger operator
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema_version: 1\n" + block)
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_overflowing_start_is_refused_off_shell(tmp_path, capsys):
+    # G and the on-shell scale were both inf, the start check passed, and the
+    # run ended in brentq's ValueError on a NaN event value
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("schema_version: 1\nscenario: {builtin: free}\n"
+                   "strips: [{x: [0, 0], p: [-0.245, 1e308]}]\n")
+    out = tmp_path / "out"
+    with np.errstate(over="ignore"):
+        assert main(["propagate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure (ContractViolation): initial state is off-shell: "
+                          "G = inf")
+    assert not list(out.glob("*.csv")) and not (out / "report.json").exists()

@@ -508,7 +508,8 @@ def _det_arrays(draw):
 def test_one_pass_scans_equal_the_loops(det):
     nu, nt = det.shape
     taus = np.cumsum(np.linspace(0.5, 1.5, nt))
-    assert repr(fronts._caustic_events(det, taus)) == repr(_caustics_by_loop(det, taus))
+    assert (repr(fronts._caustic_events(fronts._det_signs(det), taus))
+            == repr(_caustics_by_loop(det, taus)))
     hist = cf.FrontHistory(_eik().surface, np.arange(nu, dtype=float), taus,
                            np.zeros((nu, nt, 2)), np.zeros((nu, nt)), np.zeros((nu, nt, 2)),
                            np.ones((nu, nt)), det, [], *np.zeros((2, nu, nt)))
@@ -516,3 +517,64 @@ def test_one_pass_scans_equal_the_loops(det):
     assert len(slices) == nt
     for sl, ref in zip(slices, _branches_by_loop(det)):
         assert sl.branch.dtype == ref.dtype and np.array_equal(sl.branch, ref)
+
+
+def _det_signs_as_floats(det):
+    """_det_signs as it was before it returned int8 signs."""
+    absJ = np.where(np.isnan(det), 0.0, np.abs(det))
+    significant = absJ > fronts.CAUSTIC_DET_TOL * absJ.max(axis=1, keepdims=True)
+    return np.where(significant, np.sign(det), 0.0)
+
+
+@given(det=_det_arrays())
+@settings(max_examples=300, deadline=None)
+def test_int8_det_signs_equal_the_float_signs(det):
+    signs = fronts._det_signs(det)
+    assert signs.dtype == np.int8 and np.array_equal(signs, _det_signs_as_floats(det))
+
+
+# ------------------------------------ what propagate_front keeps on the history
+
+def _contact_residual_afresh(h):
+    """contact_residual as it was before the history kept dx/du."""
+    dx = fronts._u_derivative(h.x, h.params, h.closed)
+    ds = fronts._u_derivative(h.s, h.params, h.closed)
+    res = np.abs(charts.dot(h.p, dx) - h.p_s * ds)
+    scale = np.maximum(np.sqrt(charts.dot(h.p, h.p)) * np.sqrt(charts.dot(dx, dx)), 1.0)
+    r = res / scale
+    return float(np.max(r, where=~np.isnan(r), initial=0.0))
+
+
+@pytest.mark.parametrize("case", ["eikonal-circle-closed", "eikonal-circle-open",
+                                  "oscillator-flat-open"])
+def test_a_front_history_keeps_what_a_fresh_computation_gives(case):
+    # propagate_front hands its dx/du and determinant signs to the history;
+    # the residual, the caustics and the action tags equal those computed
+    # afresh from the history's arrays
+    if case.startswith("eikonal"):
+        sc, closed = _eik(), case.endswith("closed")
+        sigma = cf.circle_front(sc.chart, 0.8, 48, (0.3, -0.2))
+        lift, taus = cf.legendre_lift(sc.surface, sigma, (1, 1)), np.linspace(0.0, 1.1, 23)
+    else:
+        sc, closed = cf.builtin("oscillator"), False
+        sigma = cf.flat_front(sc.chart, "t", 0.0, (-1.0, 1.0), 21)
+        lift, taus = cf.legendre_lift(sc.surface, sigma), np.linspace(0.0, 2 * math.pi, 61)
+    hist = cf.propagate_front(sc.surface, lift, taus, closed=closed)
+    fresh = cf.FrontHistory(hist.surface, hist.params, hist.taus, hist.x, hist.s, hist.p,
+                            hist.p_s, hist.jacobian_det, [], hist.g_raw, hist.p_correction,
+                            closed=closed)
+    assert "x_u" not in vars(fresh) and "det_signs" not in vars(fresh)   # none cached yet
+    assert np.array_equal(hist.x_u, fresh.x_u, equal_nan=True)
+    assert np.array_equal(hist.x_u, fronts._u_derivative(hist.x, hist.params, closed),
+                          equal_nan=True)
+    assert np.array_equal(hist.det_signs, _det_signs_as_floats(hist.jacobian_det))
+    residual = hist.contact_residual()
+    assert residual == fresh.contact_residual() == _contact_residual_afresh(hist)
+    assert 0.0 < residual < 1e-6
+    assert hist.caustics and repr(hist.caustics) == repr(_caustics_by_loop(hist.jacobian_det,
+                                                                            taus))
+    slices, tags = cf.front_action_function(hist), _branches_by_loop(hist.jacobian_det)
+    for sl, fresh_sl, ref in zip(slices, cf.front_action_function(fresh), tags):
+        assert np.array_equal(sl.branch, ref) and np.array_equal(fresh_sl.branch, ref)
+    # an open front's end samples have no dx/du: NaN determinants, no sign
+    assert np.isnan(hist.jacobian_det[[0, -1]]).all() != closed

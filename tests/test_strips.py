@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import contactflow as cf
 from contactflow import strips
-from contactflow.charts import scan_roots
+from contactflow.charts import dot, lead_dot, scan_roots
 from contactflow.strips import (_degeneracy_gap, _onshell_scale, _pack, _project_strip,
                                _step_control, flow_to_event)
 
@@ -730,3 +730,148 @@ def test_adaptive_integration_needs_a_grid(free):
     Y0 = _pack(free.initial_states[0])[None]
     with pytest.raises(cf.ContractViolation, match="tau_eval grid"):
         strips._integrate(free.surface, Y0, 0.0, 1.0, None, cf.IntegratorConfig())
+
+
+# ------------------------------------- skipped projection and the p_s dense row
+
+def _project_every_run(E, Y0, t0, t1, tau_eval, integ):
+    """_propagate_stack as it was before it skipped the projection: the
+    projection and the bound check run on every stack."""
+    stops, run, counts = strips._integrate(E, Y0, t0, t1, tau_eval, integ)
+    m, tol = E.dim, integ.tol_onshell
+    taus, X, S, P, PS = run[0], run[1:m + 1].T, run[m + 1], run[m + 2:-1].T, run[-1]
+    P0, G_raw = P, E.value(X, P, PS)
+    P, G = _project_strip(E, X, P, PS, G_raw, tol)
+    dP = P - P0
+    dP = np.sqrt(dot(dP, dP))
+    off = np.flatnonzero(~(np.abs(G) <= tol))
+    if off.size:
+        bound = tol * np.maximum(_onshell_scale(E, P[off], PS[off]), 1.0)
+        rows = np.searchsorted(np.cumsum(counts), off, side="right")
+        for k in np.flatnonzero(~(np.abs(G[off]) <= bound))[::-1]:
+            stops[rows[k]] = cf.DegeneracyError("projection failed")
+        failed = np.array([isinstance(stop, Exception) for stop in stops])
+        counts, keep = np.where(failed, 0, counts), np.repeat(~failed, counts)
+        taus, X, S, P, PS, G, G_raw, dP = (a[keep] for a in (taus, X, S, P, PS, G, G_raw, dP))
+    return stops, counts, (taus, X, S, P, PS, G, G_raw, dP)
+
+
+def _nan_past(E, x1):
+    """E with G = NaN where x_1 > x1 (its gradient unchanged)."""
+    def value(x, p, p_s):
+        return np.where(x[..., 1] > x1, np.nan, E.value(x, p, p_s))
+    return cf.SymbolSurface(E.chart, value, E.degree, grad=E.gradient)
+
+
+@pytest.mark.parametrize("case", ["on-shell", "some-off-shell", "nan-sample"])
+def test_a_stack_on_shell_skips_the_projection_with_the_same_bits(case, monkeypatch):
+    # the projection, P - P0 and its norm ran on every stack; one whose
+    # samples are all within tol / 2 of the shell (no NaN) now skips them
+    osc = cf.builtin("oscillator").surface
+    E, integ, t1 = osc, cf.IntegratorConfig(), 6.0
+    if case == "some-off-shell":   # G drifts past tol / 2 late in the strips
+        integ = cf.IntegratorConfig(rel_tol=1e-7, abs_tol=1e-9)
+    elif case == "nan-sample":
+        E = _nan_past(osc, 0.55)   # two of the strips swing past x = 0.55
+    inits = [cf.CharacteristicState([0.0, x], 0.0, [-0.5 * px * px - 0.5 * x * x, px], 1.0)
+             for x, px in [(0.0, 1.0), (0.3, -0.5), (-0.2, 0.4), (0.5, 0.2)]]
+    Y0 = np.array([_pack(s) for s in inits])
+    tau_eval = np.linspace(0.0, t1, 41)
+    want_stops, want_counts, want = _project_every_run(E, Y0, 0.0, t1, tau_eval, integ)
+    projected = []
+    monkeypatch.setattr(strips, "_project_strip",
+                        lambda *a: projected.append(1) or _project_strip(*a))
+    stops, counts, got = strips._propagate_stack(E, Y0, (0.0, t1), integ, tau_eval)
+    assert bool(projected) == (case != "on-shell")
+    g_raw = np.abs(want[6])
+    if case == "some-off-shell":
+        assert (g_raw > 0.5 * integ.tol_onshell).any() and (g_raw < 1e-12).any()
+        assert all(isinstance(stop, str) for stop in stops)
+    if case == "nan-sample":
+        assert sum(isinstance(stop, cf.DegeneracyError) for stop in stops) == 2
+    assert [type(s) for s in stops] == [type(s) for s in want_stops]
+    assert np.array_equal(counts, want_counts)
+    for name, a, b in zip(("taus", "x", "s", "p", "p_s", "g", "g_raw", "p_correction"),
+                          got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _interpolate_every_row(K, y_old, t_old, h, taus, fixed):
+    """_interpolate as it was before it wrote the p_s row directly: the
+    weighted sums run over every component."""
+    Ks = np.ascontiguousarray(K.transpose(0, 2, 1))
+    th = (taus - t_old) / h
+    sq = th * th
+    cu = sq * th
+    if fixed:
+        c23 = 2.0 * cu / 3.0
+        M, W = Ks, (th - 1.5 * sq + c23, sq - c23, sq - c23, -0.5 * sq + c23)
+    else:
+        M, W = lead_dot(strips._P45[:, :, None, None], Ks), (th, sq, cu, cu * th)
+    out = lead_dot(W, M[:, :, None])
+    out *= h
+    out += y_old.T[:, None]
+    return out
+
+
+@pytest.mark.parametrize("method", ["adaptive", "fixed"])
+@pytest.mark.parametrize("h", [0.05, -0.05], ids=["forward", "backward"])
+def test_the_p_s_row_of_the_dense_output_has_the_summed_bits(method, h):
+    # p_s is 1, -1, 0.0 and -0.0 (a forward step turns -0.0 into 0.0, as the
+    # sum did); the other rows and the written-in-place output agree too
+    E, fixed = cf.builtin("oscillator").surface, method == "fixed"
+    ps = np.array([1.0, -1.0, 0.0, -0.0, 1.0, -0.0])
+    rng = np.random.default_rng(7)
+    Y = np.column_stack([rng.uniform(-1.0, 1.0, (6, 3)), rng.uniform(0.5, 1.5, (6, 2)), ps])
+    F = strips._rhs(E, Y)
+    H, T = np.full(len(Y), h), rng.uniform(-1.0, 1.0, len(Y))
+    K = strips._rk4_step(E, Y, F, h)[1] if fixed else strips._rk45_step(E, Y, F, H)[1]
+    assert not K[..., -1].any() and not np.signbit(K[..., -1]).any()
+    taus = T[None, :] + H * np.linspace(0.0, 1.0, 11)[:, None]   # each row's step
+    want = _interpolate_every_row(K, Y, T, H, taus, fixed)
+    got = strips._interpolate(K, Y, T, H, taus, fixed)
+    into = np.full_like(want, np.nan)
+    strips._interpolate(K, Y, T, H, taus, fixed, out=into)
+    assert got.tobytes() == want.tobytes() and into.tobytes() == want.tobytes()
+    assert np.signbit(got[-1]).tolist() == [[bool(np.signbit(v)) and (v != 0.0 or h < 0)
+                                             for v in ps]] * 11
+    # one row at a time, as an event's root search evaluates it
+    for r in range(len(Y)):
+        one = strips._interpolate(K[:, [r]], Y[[r]], T[[r]], H[[r]], taus[:, [r]], fixed)
+        assert one.tobytes() == want[:, :, [r]].tobytes()
+
+
+# ---------------------------------------------------- infinite symbol values
+
+def test_an_overflowing_start_is_off_shell(free):
+    # G and the on-shell scale were both inf, and inf <= tol * inf passed the
+    # start check: the strip ran and brentq raised on a NaN event value
+    with np.errstate(over="ignore"):
+        st0 = cf.CharacteristicState([0.0, 0.0], 0.0, [-0.245, 1e308], 1.0)
+        with pytest.raises(cf.ContractViolation, match="initial state is off-shell: G = inf"):
+            cf.propagate(free.surface, st0, (0.0, 1.0))
+        item, = cf.batch_propagate(free.surface, [st0], (0.0, 1.0))
+    assert isinstance(item.error, cf.ContractViolation)
+
+
+def test_a_sample_left_infinite_by_the_projection_ends_its_strip():
+    # |(p, p_s)| ~ 1e160 overflows the on-shell scale, so past x_0 = 0.5,
+    # where G is inf and dG/dp is 0 (the projection cannot move p), the
+    # bound was inf too and the strip kept its samples with G = inf
+    def value(x, p, p_s):
+        return np.hypot(p[..., 0], p[..., 1]) - p_s + np.where(x[..., 0] > 0.5, np.inf, 0.0)
+
+    def grad(x, p, p_s):
+        inside = (np.asarray(x)[..., 0] <= 0.5)[..., None]
+        return (np.zeros(np.shape(x)), inside * p / np.hypot(p[..., 0], p[..., 1])[..., None],
+                -1.0)
+
+    E = cf.SymbolSurface(cf.builtin("eikonal").chart, value, 1, grad=grad, name="big")
+    a = 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        st0 = cf.CharacteristicState([0.0, 0.0], 0.0, [a, a], float(np.hypot(a, a)))
+        with pytest.raises(cf.DegeneracyError, match=r"projection failed: \|G\| = inf exceeds "
+                                                     r"the on-shell bound inf at tau = 0\.7"):
+            cf.propagate(E, st0, (0.0, 1.0), tau_eval=np.linspace(0.0, 1.0, 21))
+        short = cf.propagate(E, st0, (0.0, 0.7), tau_eval=np.linspace(0.0, 0.7, 15))
+    assert np.isfinite(short.g_residual).all() and np.isfinite(short.p).all()
