@@ -25,7 +25,7 @@ from .noether import SymmetryField, check_symmetry, conservation_drift
 from .operators import (LinearDiffOperator, eikonal_residual, poly_phase,
                         symbol_scaling_check)
 from .phase import holonomy, square_loop
-from .scenarios import Scenario, builtin, builtin_arguments
+from .scenarios import Scenario, builtin
 from .strips import CharacteristicState, IntegratorConfig, batch_propagate
 
 SCHEMA_VERSION = 1
@@ -192,11 +192,13 @@ def _checked(raw, sub: str, dim: int | None = None) -> dict:
 
 def _call(path: str, fn, /, *args, **kwargs):
     """fn(*args, **kwargs) on the config values at ``path``; the ValueError
-    (ContractViolation) or ConfigError it raises becomes one that names the path."""
+    (ContractViolation) or ConfigError it raises becomes one that names the
+    path, and below it the ConfigError's ``key`` if it has one."""
     try:
         return fn(*args, **kwargs)
     except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        at = getattr(exc, "key", None)
+        raise ConfigError(f"{path}.{at}: {exc}" if at else f"{path}: {exc}") from exc
 
 
 def _chart_from(cfg: dict, user: str) -> Chart:
@@ -211,10 +213,7 @@ def _scenario_from(cfg: dict) -> Scenario:
     if (spec["builtin"] is None) == (spec["symbol"] is None):
         raise ConfigError("scenario needs one of scenario.builtin and scenario.symbol")
     if spec["builtin"] is not None:   # builtin checks the name and the arguments
-        name, args = spec["builtin"], spec["builtin_args"]
-        allowed = _call("scenario.builtin", builtin_arguments, name)
-        at = next((f".{key}" for key in args if key not in allowed), "")   # the unknown one
-        return _call("scenario.builtin_args" + at, builtin, name, **args)
+        return _call("scenario", builtin, spec["builtin"], **spec["builtin_args"])
     from .exprs import symbol_surface
     chart = _chart_from(cfg, "scenario.symbol")
     E = _call("scenario.symbol", symbol_surface, spec["symbol"]["expression"], chart,

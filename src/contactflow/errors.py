@@ -38,7 +38,12 @@ class DataQualityError(ContactFlowError):
 
 
 class ConfigError(ContactFlowError):
-    """A scenario configuration file failed validation."""
+    """A scenario configuration file failed validation; ``key``, if set, is
+    the key at fault below the block the caller names."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class InternalConsistencyError(ContactFlowError):

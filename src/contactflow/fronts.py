@@ -279,15 +279,11 @@ def _caustic_events(signs: np.ndarray, taus: np.ndarray) -> list[CausticEvent]:
     """Sign flips of each u sample's determinant signs (_det_signs) along
     tau, in (u, tau) order.  Consecutive *significant* signs are compared, so
     a grid point landing exactly on det = 0 still registers as one flip."""
-    if signs.all():   # every sign is significant: neighbours compare, no gather
-        iu, lo = divmod(np.flatnonzero(signs[:, 1:] != signs[:, :-1]), signs.shape[1] - 1)
-        hi = lo + 1
-    else:
-        iu, jt = np.nonzero(signs)
-        v = signs[iu, jt]
-        k = np.flatnonzero((iu[1:] == iu[:-1]) & (v[1:] != v[:-1]))
-        iu, lo, hi = iu[k], jt[k], jt[k + 1]
-    return [CausticEvent(*ev) for ev in zip(iu.tolist(), taus[lo].tolist(), taus[hi].tolist())]
+    iu, jt = np.nonzero(signs)
+    v = signs[iu, jt]
+    k = np.flatnonzero((iu[1:] == iu[:-1]) & (v[1:] != v[:-1]))
+    return [CausticEvent(*ev) for ev in
+            zip(iu[k].tolist(), taus[jt[k]].tolist(), taus[jt[k + 1]].tolist())]
 
 
 def _require_uniform(params: np.ndarray, period: float | None) -> None:
@@ -331,10 +327,9 @@ def front_action_function(history: FrontHistory) -> list[ActionSlice]:
     """
     signs = history.det_signs
     # the tag counts sign flips between consecutive significant samples in u:
-    # carry each column's last significant sign down (if some sign is not),
-    # then count the flips
-    carried = signs if signs.all() else np.take_along_axis(signs, np.maximum.accumulate(
-        np.where(signs != 0, np.arange(len(signs))[:, None], 0)), axis=0)
+    # carry each column's last significant sign down, then count the flips
+    last = np.maximum.accumulate(np.where(signs != 0, np.arange(len(signs))[:, None], 0))
+    carried = np.take_along_axis(signs, last, axis=0)
     branch = np.zeros(signs.shape, dtype=int)
     np.cumsum(signs[1:] * carried[:-1] < 0, axis=0, out=branch[1:])
     return [ActionSlice(float(tau), history.x[:, j], history.s[:, j], branch[:, j])

@@ -141,17 +141,16 @@ _BUILDERS = {
 }
 
 
-def builtin_arguments(name: str) -> list[str]:
-    """The keyword arguments that builtin(name) takes."""
-    if name not in _BUILDERS:
-        raise ConfigError(f"unknown builtin scenario {name!r}; known: {sorted(_BUILDERS)}")
-    return list(inspect.signature(_BUILDERS[name]).parameters)
-
-
 def builtin(name: str, **kwargs) -> Scenario:
-    allowed = builtin_arguments(name)
-    for key in kwargs:
-        if key not in allowed:
-            raise ConfigError(f"bad arguments for builtin {name!r}: got an unexpected "
-                              f"keyword argument {key!r}; allowed: {allowed}")
+    """The builtin scenario ``name`` built with ``kwargs``.  A refused name or
+    argument is a ConfigError whose ``key`` is the scenario block's key at
+    fault: ``builtin`` or ``builtin_args.<argument>``."""
+    if name not in _BUILDERS:
+        raise ConfigError(f"unknown builtin scenario {name!r}; known: {sorted(_BUILDERS)}",
+                          key="builtin")
+    allowed = list(inspect.signature(_BUILDERS[name]).parameters)
+    for arg in kwargs:
+        if arg not in allowed:
+            raise ConfigError(f"bad arguments for builtin {name!r}: got an unexpected keyword "
+                              f"argument {arg!r}; allowed: {allowed}", key=f"builtin_args.{arg}")
     return _BUILDERS[name](**kwargs)

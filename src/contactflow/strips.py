@@ -209,7 +209,7 @@ class Strip:
     s: np.ndarray        # (n,)
     p: np.ndarray        # (n, m)
     p_s: np.ndarray      # (n,)
-    g_residual: np.ndarray     # (n,) G after the on-shell projection
+    g_residual: np.ndarray     # (n,) G after the on-shell projection (may view g_raw)
     g_raw: np.ndarray          # (n,) G as integrated, before it
     p_correction: np.ndarray   # (n,) the length of the change it made to p
     boundary_exit: bool = False
@@ -677,7 +677,8 @@ def _propagate_stack(E: SymbolSurface, Y0, tau_span, integ: IntegratorConfig | N
     before it and dP the length of its change to p.  Any exception raised
     ends the call.  With every |G_raw| <= tol_onshell / 2 and every p finite,
     the projection, which would move nothing, and the bound check are
-    skipped: G is G_raw and dP is 0.0, the bits of P - P."""
+    skipped: G is a read-only view of G_raw, P is the integrator's samples
+    as X and PS are, and dP is 0.0, the bits of P - P."""
     integ = integ or IntegratorConfig()
     t0, t1 = float(tau_span[0]), float(tau_span[1])
     if not (np.isfinite(t0) and np.isfinite(t1)):
@@ -694,7 +695,9 @@ def _propagate_stack(E: SymbolSurface, Y0, tau_span, integ: IntegratorConfig | N
     # the projection acts sample by sample, so all strips take one call
     tol, P0, G_raw = integ.tol_onshell, P, E.value(X, P, PS)
     if (np.abs(G_raw) <= 0.5 * tol).all() and np.isfinite(P).all():   # a NaN G is off
-        return stops, counts, (taus, X, S, P, PS, G_raw, G_raw, np.zeros(len(taus)))
+        G = G_raw.view()
+        G.flags.writeable = False   # G_raw's memory: a write into G fails, not alters G_raw
+        return stops, counts, (taus, X, S, P, PS, G, G_raw, np.zeros(len(taus)))
     P, G = (P, G_raw) if t0 == t1 else _project_strip(E, X, P, PS, G_raw, tol)
     dP = P - P0
     dP = np.sqrt(dot(dP, dP))

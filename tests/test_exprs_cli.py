@@ -499,13 +499,24 @@ def test_cli_projection_failure_is_a_numerical_failure(tmp_path, capsys):
      "scenario.builtin_arg is an unknown key"),
     ("propagate", "scenario: {builtin: oscillator, builtin_args: {bund: 30}}\n",
      "unexpected keyword argument 'bund'; allowed: ['bound']"),
+    ("propagate", "scenario: {builtin: abc}\n",
+     "config error: scenario.builtin: unknown builtin scenario 'abc'; known: ['eikonal', "),
+    ("propagate", "scenario: {builtin: relativistic, builtin_args: {mass: 2.0, a: 1}}\n",
+     "config error: scenario.builtin_args.a: bad arguments for builtin 'relativistic': got an "
+     "unexpected keyword argument 'a'; allowed: ['mass', "),
+    ("symbol", "scenario: {builtin: schrodinger, builtin_args: {mass: 0}}\n"
+               "phases: [{poly: [{powers: {x: 2}, c: 1.0}]}]\n",
+     "config error: scenario: mass must not be 0, got 0.0"),
 ], ids=["front-ntau", "front-n_tau-1.7", "front-n-16.9", "strip-ps", "fiber-perod",
         "symbol-degree-2.9", "diagram-n-16.9", "diagram-bidualty", "symmetry-g",
-        "loop-centre", "loop-p_s", "powers-2.5", "symbol-scenario-key", "builtin-args-bund"])
+        "loop-centre", "loop-p_s", "powers-2.5", "symbol-scenario-key", "builtin-args-bund",
+        "builtin-unknown", "builtin-args-unknown", "schrodinger-mass-0"])
 def test_cli_misspelled_or_truncated_block_is_a_config_error(tmp_path, capsys, sub, block,
                                                               message):
     # each of these ran at exit 0, with the key ignored or the count truncated,
-    # except the unknown builtin argument, which ended in a TypeError traceback
+    # except: the unknown builtin argument ended in a TypeError traceback, an
+    # unknown builtin and an unknown argument of one were reported under
+    # scenario alone, and mass 0 ended in a ZeroDivisionError traceback
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("schema_version: 1\n" + block)
     out = tmp_path / "out"
@@ -943,27 +954,6 @@ def test_config_fuzz_every_invalid_mutant_is_a_config_error_naming_its_key(mutan
             code = main([_BUNDLED[name], "--config", cfg_path, "--out", os.path.join(tmp, "out")])
     err = err.getvalue()
     assert code == 1 and err.startswith("config error: ") and path in err, (name, how, path, err)
-
-
-@pytest.mark.parametrize("sub,block,message", [
-    ("propagate", "scenario: {builtin: abc}\n",
-     "config error: scenario.builtin: unknown builtin scenario 'abc'; known: ['eikonal', "),
-    ("propagate", "scenario: {builtin: relativistic, builtin_args: {mass: 2.0, a: 1}}\n",
-     "config error: scenario.builtin_args.a: bad arguments for builtin 'relativistic': got an "
-     "unexpected keyword argument 'a'; allowed: ['mass', "),
-    ("symbol", "scenario: {builtin: schrodinger, builtin_args: {mass: 0}}\n"
-               "phases: [{poly: " + _X2 + "}]\n",
-     "config error: scenario.builtin_args: mass must not be 0, got 0.0"),
-], ids=["builtin-unknown", "builtin-args-unknown", "schrodinger-mass-0"])
-def test_cli_builtin_refusals_name_their_key(tmp_path, capsys, sub, block, message):
-    # the first two were reported under scenario, and mass 0 ended in a
-    # ZeroDivisionError traceback from the Schroedinger operator
-    cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("schema_version: 1\n" + block)
-    out = tmp_path / "out"
-    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(message)
-    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cli_overflowing_start_is_refused_off_shell(tmp_path, capsys):

@@ -783,6 +783,8 @@ def test_a_stack_on_shell_skips_the_projection_with_the_same_bits(case, monkeypa
                         lambda *a: projected.append(1) or _project_strip(*a))
     stops, counts, got = strips._propagate_stack(E, Y0, (0.0, t1), integ, tau_eval)
     assert bool(projected) == (case != "on-shell")
+    if case == "on-shell":   # G is G_raw's memory: a write into G fails
+        assert np.shares_memory(got[5], got[6]) and not got[5].flags.writeable
     g_raw = np.abs(want[6])
     if case == "some-off-shell":
         assert (g_raw > 0.5 * integ.tol_onshell).any() and (g_raw < 1e-12).any()
