@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import Chart, dot, fd_gradient, scan_roots
+from .charts import Chart, _scan_outward, dot, fd_gradient
 from .errors import ContractViolation, NoLiftError
 from .strips import IntegratorConfig, SymbolSurface, _propagate_stack
 
@@ -28,7 +28,8 @@ CAUSTIC_DET_TOL = 1e-9
 #: central-difference step of the front tangent and dS0/du
 FRONT_FD_STEP = 1e-6
 
-#: conormal scales scanned for on-shell roots when lifting a front sample
+#: conormal scales scanned for on-shell roots when lifting a front sample, from the
+#: middle 101 (+-2.5) outward; a chart with a bound beyond +-20 widens it 0.05 apart
 _LIFT_GRID = np.linspace(-20.0, 20.0, 801)
 
 
@@ -123,10 +124,13 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec, branch: tuple[int, int] = 
     """Lift each front sample to an on-shell state.
 
     The momentum must annihilate the front tangent in the contact sense
-    (<p, x_u> = p_s dS0/du); the remaining conormal scale is fixed by root
-    finding G = 0 along the conormal ray, all samples in one grid scan that
-    stops each sample at its branch root.  ``branch`` is (sign of p_s, root
-    index among the ascending roots).
+    (<p, x_u> = p_s dS0/du); the remaining conormal scale t, the momentum
+    P0 + t N from the particular solution P0 along the unit conormal N, is
+    fixed by root finding G = 0.  ``branch`` is (sign of p_s, root index k):
+    the sample takes the k-th ascending root in the narrowest window
+    |t| <= 2.5 * 2^j of the lift grid that holds k + 1 roots, scanned
+    outward (_scan_outward) up to |t| <= max(20, the chart's largest
+    |bound|); a sample without one there is dropped.
     """
     ps_sign, root_idx = branch
     if ps_sign not in (1, -1):
@@ -153,11 +157,15 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec, branch: tuple[int, int] = 
             p[c] += P0[i, c]
         return E.value(X[i], np.moveaxis(p, 0, -1), np.broadcast_to(float(ps_sign), shape))
 
-    roots = scan_roots(g, _LIFT_GRID, len(rows), need=root_idx + 1)
+    cap = max(20.0, float(np.abs(E.chart.bounds).max()))
+    wide = 20.0 + np.arange(1, math.ceil(20.0 * (cap - 20.0)) + 1) / 20.0   # past +-20
+    grid = np.concatenate([-wide[::-1], _LIFT_GRID, wide])
+    roots = _scan_outward(g, grid, len(rows), root_idx + 1, half=50)
     found = np.full(len(U), -1)   # roots per sample (up to need), -1 without a tangent
     found[rows] = [len(r) for r in roots]
     failures = [(u, "degenerate parametrization (zero tangent)" if k < 0 else
-                 f"no on-shell root (found {k}, wanted index {root_idx})")
+                 f"no on-shell root with |t| <= {grid[-1]:g} (found {k}, wanted index "
+                 f"{root_idx})")
                 for u, k in zip(U.tolist(), found.tolist()) if k <= root_idx]
     ok = found[rows] > root_idx
     if not ok.any():

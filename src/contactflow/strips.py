@@ -165,7 +165,7 @@ class CharacteristicState:
         p = np.asarray(p, dtype=float)
         if x.shape != p.shape:
             raise ContractViolation("x and p must have the same length")
-        if np.linalg.norm(p) == 0.0 and p_s == 0.0:
+        if not p.any() and p_s == 0.0:
             raise ContractViolation("(p, p_s) = 0 is excluded: contact elements are projective")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "s", float(s))
@@ -238,8 +238,9 @@ def _start_errors(E: SymbolSurface, Y, t0: float, tol_onshell: float) -> tuple[l
     raises, and the right-hand side at the rows that pass (NaN elsewhere)."""
     m = E.dim
     X, P, PS = Y[:, :m], Y[:, m + 1:2 * m + 1], Y[:, 2 * m + 1]
-    G = E.value(X, P, PS)
-    scale = _onshell_scale(E, P, PS)
+    with np.errstate(over="ignore", invalid="ignore"):   # an inf or NaN G is refused below
+        G = E.value(X, P, PS)
+        scale = _onshell_scale(E, P, PS)
     off = ~(np.abs(G) <= tol_onshell * np.where(scale > 1.0, scale, 1.0)) | np.isinf(G)
     ok = ~off & E.chart.contains(X)
     errors = [None if ok[r] else ContractViolation(

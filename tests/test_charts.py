@@ -275,6 +275,73 @@ def test_blocked_scan_equals_one_call(family):
         assert calls.count(2) == -(-len(grid) // max(1, block // n))
 
 
+@st.composite
+def _outward_families(draw):
+    """A symmetric grid of 2c + 1 values, the first window's half-width, n
+    polynomials as in _polynomial_families (some roots on the grid, some
+    past its ends) and need."""
+    c = draw(st.integers(1, 20))
+    grid = np.linspace(-3.0, 3.0, 2 * c + 1)
+    n, degree = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    root = st.one_of(st.sampled_from(grid.tolist()), st.floats(-4.0, 4.0))
+    R = np.array(draw(st.lists(st.lists(root, min_size=degree, max_size=degree),
+                               min_size=n, max_size=n)))
+    assume((np.diff(np.sort(R), axis=1) > 0.01).all())   # brentq needs simple roots
+    a = np.array(draw(st.lists(st.sampled_from([1.0, -0.5, 2.0, 0.0]), min_size=n,
+                               max_size=n)))
+    return grid, draw(st.integers(1, c)), R, a, draw(st.integers(1, degree + 1))
+
+
+@pytest.mark.parametrize("block", [1, 997, 2 ** 15])
+@given(_outward_families())
+@example((np.linspace(-4.0, 4.0, 9), 1, np.array([[-1.5, 1.5], [-1.0, 2.0], [-3.5, 0.25]]),
+          np.ones(3), 2))
+@example((np.linspace(-8.0, 8.0, 17), 1, np.array([[-7.5, -6.5, 0.5]]), np.ones(1), 2))
+@settings(max_examples=200, deadline=None)
+def test_outward_scan_equals_one_scan_of_each_final_window(block, family):
+    # the first example's first window is [-1, 1]: the first row's roots
+    # bracket across both seams of the doubled window, the second's zero at
+    # -1 sits on its seam (counted once) and the third widens to the whole
+    # grid; in the second, the last strip holds both roots the ray takes,
+    # ahead of the one it had
+    grid, half, R, a, need = family
+    c = len(grid) // 2
+
+    def f(t, i):
+        return a[i] * np.prod(np.asarray(t)[..., None] - R[i], axis=-1)
+
+    with mock.patch.object(charts, "SCAN_BLOCK", block):
+        got = charts._scan_outward(f, grid, len(R), need, half)
+    for r in range(len(R)):
+        def one(t, i, r=r):
+            return f(t, np.full(np.shape(i), r))
+
+        w = half   # the narrowest window with need roots, else the whole grid
+        while w < c and len(scan_roots(one, grid[c - w:c + w + 1])[0]) < need:
+            w = min(c, 2 * w)
+        assert got[r] == scan_roots(one, grid[c - w:c + w + 1], need=need)[0], r
+
+
+def test_outward_scan_takes_the_narrowest_window_holding_need_roots():
+    # roots at -15, -1 and 1 on the lift's grid: the first window, +-2.5,
+    # holds -1 and 1; a ray that wants a third root widens to +-20, where the
+    # left strip gives it -15 and its right strip is not scanned
+    grid = np.linspace(-20.0, 20.0, 801)
+    calls = []
+
+    def f(t, i):
+        calls.append(np.shape(t))
+        return (t + 15.0) * (t + 1.0) * (t - 1.0) + 0.0 * i
+
+    for need, want in [(1, [-1.0]), (2, [-1.0, 1.0]), (3, [-15.0, -1.0, 1.0]),
+                       (4, [-15.0, -1.0, 1.0])]:
+        calls.clear()
+        got, = charts._scan_outward(f, grid, 1, need, 50)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+        scanned = sum(math.prod(s) for s in calls if len(s) == 2)
+        assert scanned == {1: 101, 2: 101, 3: 601, 4: 801}[need]
+
+
 # ------------------------------------------------------------------ brentq
 
 EPS = np.finfo(float).eps

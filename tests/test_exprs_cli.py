@@ -958,14 +958,22 @@ def test_config_fuzz_every_invalid_mutant_is_a_config_error_naming_its_key(mutan
 
 def test_cli_overflowing_start_is_refused_off_shell(tmp_path, capsys):
     # G and the on-shell scale were both inf, the start check passed, and the
-    # run ended in brentq's ValueError on a NaN event value
+    # run ended in brentq's ValueError on a NaN event value; then the refusal
+    # came after three of numpy's overflow warnings (the zero-covector check's
+    # norm, G and the on-shell scale), which pytest's filter makes errors here
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("schema_version: 1\nscenario: {builtin: free}\n"
                    "strips: [{x: [0, 0], p: [-0.245, 1e308]}]\n")
     out = tmp_path / "out"
-    with np.errstate(over="ignore"):
-        assert main(["propagate", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure (ContractViolation): initial state is off-shell: "
-                          "G = inf")
+    assert main(["propagate", "--config", str(cfg), "--out", str(out)]) == 2
+    message = "numerical failure (ContractViolation): initial state is off-shell: G = inf"
+    assert capsys.readouterr().err.strip() == message
     assert not list(out.glob("*.csv")) and not (out / "report.json").exists()
+    # the installed command's stderr, under Python's default warning filters
+    src = os.path.dirname(os.path.dirname(cf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-c", "import sys; from contactflow.cli import main; "
+                           "sys.exit(main())", "propagate", "--config", str(cfg), "--out",
+                           str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (2, message + "\n")

@@ -233,14 +233,46 @@ def test_legendre_lift_in_blocks_equals_the_one_block_lift(front, branch, droppe
 
 
 def test_legendre_lift_scans_only_up_to_its_branch_root(monkeypatch):
-    # each inward sample's second root sits near grid value 420 of 801
+    # each inward sample's roots sit at -1 and 1, inside the first window of
+    # 101 grid values (+-2.5): the scan is one (256, 101) call (it was four
+    # blocks, 131,072 values, ascending from -20), and the rest are the
+    # polish's 1-D calls, at most both roots of every ray
     E = _eik().surface
-    seen = []
+    scan, polish = [], []
     real = E.value
-    monkeypatch.setattr(E, "value", lambda *a: seen.append(np.size(r := real(*a))) or r)
+
+    def value(*a):
+        (scan if np.ndim(a[1]) == 3 else polish).append(np.size(r := real(*a)))
+        return r
+
+    monkeypatch.setattr(E, "value", value)
     lift = cf.legendre_lift(E, cf.circle_front(_eik().chart, 1.0, 256), branch=(1, 1))
     assert len(lift) == 256
-    assert sum(seen) < 0.7 * 256 * len(fronts._LIFT_GRID)
+    assert scan == [256 * 101]
+    assert max(polish) <= 2 * 256
+
+
+def test_legendre_lift_widens_to_the_chart_bound():
+    # the oscillator's flat front t = 0 has one root per sample, at
+    # p_t = -(0.245 + x^2 / 2), -50.245 at |x| = 10, on a +-60 chart: the
+    # scan up to +-20 dropped the 16 samples with |x| > 6
+    sc = cf.builtin("oscillator")
+    front = cf.flat_front(sc.chart, "t", 0.0, (-10.0, 10.0), 41, s0=lambda u: 0.7 * u)
+    lift = cf.legendre_lift(sc.surface, front, branch=(1, 0))
+    assert len(lift) == 41 and lift.failures == []
+    x, (p_t, p_x) = lift.x[:, 1], lift.p.T
+    # the finite-difference tangent leaves p_x within 4e-10 of 0.7
+    assert np.allclose(p_t, -(0.245 + x * x / 2), rtol=1e-9, atol=0.0)
+    assert np.allclose(p_t, -(p_x * p_x + x * x) / 2, rtol=1e-12, atol=0.0)
+
+
+def test_a_sample_without_its_root_within_the_cap_says_so():
+    # the unit circle's rays have two roots each; the eikonal chart's bound
+    # is 40, so a third root is sought up to |t| <= 40 before a sample drops
+    sc = _eik()
+    with pytest.raises(cf.NoLiftError) as e:
+        cf.legendre_lift(sc.surface, cf.circle_front(sc.chart, 1.0, 256), branch=(1, 2))
+    assert str(e.value).count("no on-shell root with |t| <= 40 (found 2, wanted index 2)") == 3
 
 
 # --------------------------------------------------------------- propagation
