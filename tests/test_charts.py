@@ -221,7 +221,8 @@ def _scan_roots_in_one_call(f, grid, n):
     grid = np.asarray(grid, dtype=float)
     vals = np.asarray(f(grid[None, :], np.arange(n)[:, None]), dtype=float)
     hit = vals == 0.0
-    hit[:, :-1] |= vals[:, :-1] * vals[:, 1:] < 0
+    neg, pos = vals < 0, vals > 0   # compared: a product of tiny values underflows to -0.0
+    hit[:, :-1] |= neg[:, :-1] & pos[:, 1:] | pos[:, :-1] & neg[:, 1:]
     fi, j = np.nonzero(hit)
     roots = grid[j]
     bracket = vals[fi, j] != 0.0
@@ -253,12 +254,14 @@ def _polynomial_families(draw):
 @example((np.linspace(-2.0, 2.0, 5), np.array([[0.0], [-1.0], [-0.5], [1.5]]), np.ones(4),
           None, 8))
 @example((np.linspace(-2.0, 2.0, 5), np.array([[0.0, -1.0]]), np.ones(1), 1, 2))
+@example((np.linspace(-3.0, 3.0, 11), np.array([[-3.0, 5e-324, -0.5]]), np.ones(1), None, 1))
 @settings(max_examples=300, deadline=None)
 def test_blocked_scan_equals_one_call(family):
     # in the first example blocks of 8 values over 4 functions end after the
     # grid values -1 and 1: exact zeros on either side of the first edge, and
     # a sign change across each edge; the second stops at its first root,
-    # the zero at -1 that ends a block of 2
+    # the zero at -1 that ends a block of 2; in the third f(0) is -1e-323,
+    # whose product with f(-0.6) = 0.144 underflows
     grid, R, a, need, block = family
     n = len(R)
     calls = []
