@@ -207,69 +207,13 @@ def scan_roots(f: Callable, grid, n: int = 1, need: int | None = None) -> list[l
     """
     grid = np.asarray(grid, dtype=float)
     need = len(grid) if need is None else need   # at most one root per grid value
-    fi, j, polish = _scan(f, grid, 0, len(grid), np.arange(n), np.full(n, need))[:3]
-    return _polished(f, grid, fi, j, polish, n)
-
-
-def _scan_outward(f: Callable, grid: np.ndarray, n: int, need: int,
-                  half: int) -> list[list[float]]:
-    """Ascending roots of the n functions t -> f(t, i), each function's in the
-    narrowest window grid[c - w:c + w + 1] (c = len(grid) // 2, w = half,
-    2 half, 4 half, ... up to c) that holds ``need`` of them: its first
-    ``need``, or every root of the grid when it has fewer.  A function's list
-    is scan_roots(t -> f(t, i), its window, need=need)'s, bit for bit.
-
-    Every function scans the first window as scan_roots does; one still short
-    then scans only the two strips that a doubling adds, each ascending: the
-    left one from the new window's start, as many roots as ``need`` (they come
-    first), the right one on from the old window's end, only the roots still
-    missing.  Its values at the old window's ends carry across the seams, so
-    a sign change there brackets a root and an exact zero there counts once.
-    grid has odd length and 1 <= half <= c.
-    """
-    c, rows = len(grid) // 2, np.arange(n)
-    lo, hi = c - half, c + half + 1   # the window grid[lo:hi]
-    # per row still short: its hit count and its values at grid[lo] and grid[hi - 1]
-    *found, have, left, right = _scan(f, grid, lo, hi, rows, np.full(n, need))
-    hits = [found]
-    while lo > 0 and (short := have < need).any():
-        rows, have, left, right = rows[short], have[short], left[short], right[short]
-        wlo, whi = max(0, 2 * lo - c), min(len(grid), 2 * hi - c - 1)   # the doubled window
-        *new, got, first, end = _scan(f, grid, wlo, lo, rows, np.full(len(rows), need))
-        seam = (got < need) & (np.sign(end) * left < 0)   # from grid[lo - 1] to grid[lo]
-        n_seam = np.count_nonzero(seam)
-        hits += [new, (rows[seam], np.full(n_seam, lo - 1), np.ones(n_seam, bool))]
-        have = have + got + seam
-        k = np.flatnonzero(have < need)   # the rows that scan the right strip
-        *new, got, _, right[k] = _scan(f, grid, hi, whi, rows[k], need - have[k], right[k])
-        hits.append(new)
-        have[k] += got
-        lo, hi, left = wlo, whi, first
-    fi, j, polish = (np.concatenate(v) for v in zip(*hits))
-    order = np.lexsort((j, fi))   # each function's hits ascending: keep its first need
-    fi, j, polish = fi[order], j[order], polish[order]
-    keep = np.arange(len(fi)) - np.searchsorted(fi, fi) < need
-    return _polished(f, grid, fi[keep], j[keep], polish[keep], n)
-
-
-def _scan(f: Callable, grid: np.ndarray, lo: int, hi: int, rows: np.ndarray, need: np.ndarray,
-          last: np.ndarray | None = None) -> tuple:
-    """scan_roots' hits of the functions t -> f(t, i), i in rows, on grid[lo:hi]:
-    each row until it has need[k] of them.  ``last`` holds the rows' values at
-    grid[lo - 1], whose zeros counted already, or is None.  Returns the hits
-    (function, grid index j, and whether grid[j], grid[j + 1] bracket a root
-    rather than f(grid[j]) being 0), and per row its hit count and its values
-    at grid[lo] and at grid[hi - 1] (NaN where it stopped before)."""
-    k, have = np.arange(len(rows)), np.zeros(len(rows), int)   # the rows still scanning
-    first, end = np.full(len(rows), np.nan), np.full(len(rows), np.nan)
+    rows, have = np.arange(n), np.zeros(n, int)   # the functions still scanning, roots found
     # per hit: the function, the grid index and whether it brackets (not an exact zero)
     fi, j, polish = [np.arange(0)], [np.arange(0)], [np.zeros(0, bool)]
-    start = lo
-    while lo < hi and k.size:
-        top = min(hi, lo + max(1, SCAN_BLOCK // k.size))
-        vals = np.asarray(f(grid[None, lo:top], rows[k, None]), dtype=float)
-        if lo == start:
-            first[:] = vals[:, 0]
+    lo, last = 0, None   # the next block's start and the scanning rows' values before it
+    while lo < len(grid) and rows.size:
+        hi = min(len(grid), lo + max(1, SCAN_BLOCK // rows.size))
+        vals = np.asarray(f(grid[None, lo:hi], rows[:, None]), dtype=float)
         # hit column c is grid value lo - 1 + c: an exact zero, or a sign change between
         # it and the next one; column 0 is the carried value, whose zero counted already
         hit = np.empty((len(vals), vals.shape[1] + 1), bool)
@@ -280,20 +224,14 @@ def _scan(f: Callable, grid: np.ndarray, lo: int, hi: int, rows: np.ndarray, nee
         r, c = divmod(np.flatnonzero(hit), hit.shape[1])
         # the hits come in (row, column) order: keep each row's first need - have
         rank = np.arange(len(r)) - np.searchsorted(r, r)
-        keep = rank < (need - have)[k[r]]
+        keep = rank < need - have[r]
         r, c = r[keep], c[keep]
         # a carried sign change brackets (its value is not 0)
-        fi.append(rows[k[r]]); j.append(lo - 1 + c); polish.append(vals[r, c - (c > 0)] != 0.0)
-        have[k] += np.bincount(r, minlength=k.size)
-        scan = have[k] < need[k]
-        k, last, lo = k[scan], vals[scan, -1], top
-    end[k] = np.nan if last is None else last   # the rows that scanned to grid[hi - 1]
-    return (*(np.concatenate(v) for v in (fi, j, polish)), have, first, end)
-
-
-def _polished(f: Callable, grid: np.ndarray, fi, j, polish, n: int) -> list[list[float]]:
-    """The n functions' ascending roots from their hits (_scan's): an exact zero
-    is its grid value, and every bracket is polished by one brentq call."""
+        fi.append(rows[r]); j.append(lo - 1 + c); polish.append(vals[r, c - (c > 0)] != 0.0)
+        have += np.bincount(r, minlength=rows.size)
+        scan = have < need
+        rows, have, last, lo = rows[scan], have[scan], vals[scan, -1], hi
+    fi, j, polish = (np.concatenate(v) for v in (fi, j, polish))
     roots = grid[j]
     if polish.any():
         jb = j[polish]
@@ -301,6 +239,25 @@ def _polished(f: Callable, grid: np.ndarray, fi, j, polish, n: int) -> list[list
     roots = roots[np.lexsort((roots, fi))].tolist()
     ends = np.cumsum(np.bincount(fi, minlength=n)).tolist()
     return [roots[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def _scan_outward(f: Callable, window: Callable, n: int, need: int, half: int,
+                  top: int) -> list[list[float]]:
+    """Ascending roots of the n functions t -> f(t, i), each function's in the
+    narrowest of the windows window(w), w = half, 2 half, 4 half, ... up to
+    top, that holds ``need`` of them (window(top) when none does): its list
+    is scan_roots(t -> f(t, i), that window, need=need)'s.  Every function
+    scans the first window, and the ones still short scan the next, whole.
+    """
+    roots, rows, w = [[] for _ in range(n)], np.arange(n), min(half, top)
+    while True:
+        found = scan_roots(lambda t, i: f(t, rows[i]), window(w), len(rows), need)
+        for r, got in zip(rows.tolist(), found):
+            roots[r] = got
+        short = np.array([len(got) < need for got in found], bool)
+        if w == top or not short.any():
+            return roots
+        rows, w = rows[short], min(top, 2 * w)
 
 
 def components(a) -> list:

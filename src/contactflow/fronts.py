@@ -32,6 +32,18 @@ FRONT_FD_STEP = 1e-6
 #: middle 101 (+-2.5) outward; a chart with a bound beyond +-20 widens it 0.05 apart
 _LIFT_GRID = np.linspace(-20.0, 20.0, 801)
 
+#: the widest |t| a lift scans, whatever the chart's bounds: +-2.5 doubled seven times
+_LIFT_CAP = 320.0
+
+
+def _lift_window(w: int) -> np.ndarray:
+    """The 2 w + 1 conormal scales |t| <= w / 20, 0.05 apart: _LIFT_GRID's own
+    values inside +-20."""
+    if w <= 400:
+        return _LIFT_GRID[400 - w:401 + w]
+    wide = 20.0 + np.arange(1, w - 399) / 20.0
+    return np.concatenate([-wide[::-1], _LIFT_GRID, wide])
+
 
 class FrontSpec:
     """Parametrized initial hypersurface: u -> x(u) in M with initial action S0(u).
@@ -130,7 +142,7 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec, branch: tuple[int, int] = 
     the sample takes the k-th ascending root in the narrowest window
     |t| <= 2.5 * 2^j of the lift grid that holds k + 1 roots, scanned
     outward (_scan_outward) up to |t| <= max(20, the chart's largest
-    |bound|); a sample without one there is dropped.
+    |bound|), at most _LIFT_CAP; a sample without one there is dropped.
     """
     ps_sign, root_idx = branch
     if ps_sign not in (1, -1):
@@ -157,14 +169,13 @@ def legendre_lift(E: SymbolSurface, sigma: FrontSpec, branch: tuple[int, int] = 
             p[c] += P0[i, c]
         return E.value(X[i], np.moveaxis(p, 0, -1), np.broadcast_to(float(ps_sign), shape))
 
-    cap = max(20.0, float(np.abs(E.chart.bounds).max()))
-    wide = 20.0 + np.arange(1, math.ceil(20.0 * (cap - 20.0)) + 1) / 20.0   # past +-20
-    grid = np.concatenate([-wide[::-1], _LIFT_GRID, wide])
-    roots = _scan_outward(g, grid, len(rows), root_idx + 1, half=50)
+    cap = min(max(20.0, float(np.abs(E.chart.bounds).max())), _LIFT_CAP)
+    top = math.ceil(20.0 * cap)   # the widest window's half-width in grid steps
+    roots = _scan_outward(g, _lift_window, len(rows), root_idx + 1, 50, top)
     found = np.full(len(U), -1)   # roots per sample (up to need), -1 without a tangent
     found[rows] = [len(r) for r in roots]
     failures = [(u, "degenerate parametrization (zero tangent)" if k < 0 else
-                 f"no on-shell root with |t| <= {grid[-1]:g} (found {k}, wanted index "
+                 f"no on-shell root with |t| <= {top / 20:g} (found {k}, wanted index "
                  f"{root_idx})")
                 for u, k in zip(U.tolist(), found.tolist()) if k <= root_idx]
     ok = found[rows] > root_idx

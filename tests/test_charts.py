@@ -302,11 +302,10 @@ def _outward_families(draw):
 @example((np.linspace(-8.0, 8.0, 17), 1, np.array([[-7.5, -6.5, 0.5]]), np.ones(1), 2))
 @settings(max_examples=200, deadline=None)
 def test_outward_scan_equals_one_scan_of_each_final_window(block, family):
-    # the first example's first window is [-1, 1]: the first row's roots
-    # bracket across both seams of the doubled window, the second's zero at
-    # -1 sits on its seam (counted once) and the third widens to the whole
-    # grid; in the second, the last strip holds both roots the ray takes,
-    # ahead of the one it had
+    # the first example's first window is [-1, 1]: the first row's roots lie
+    # just past both of its ends, the second's zero at -1 sits on its left
+    # end and the third widens to the whole grid; in the second, the whole
+    # grid's first two roots both lie left of the one root the ray had
     grid, half, R, a, need = family
     c = len(grid) // 2
 
@@ -314,7 +313,7 @@ def test_outward_scan_equals_one_scan_of_each_final_window(block, family):
         return a[i] * np.prod(np.asarray(t)[..., None] - R[i], axis=-1)
 
     with mock.patch.object(charts, "SCAN_BLOCK", block):
-        got = charts._scan_outward(f, grid, len(R), need, half)
+        got = charts._scan_outward(f, lambda w: grid[c - w:c + w + 1], len(R), need, half, c)
     for r in range(len(R)):
         def one(t, i, r=r):
             return f(t, np.full(np.shape(i), r))
@@ -327,8 +326,8 @@ def test_outward_scan_equals_one_scan_of_each_final_window(block, family):
 
 def test_outward_scan_takes_the_narrowest_window_holding_need_roots():
     # roots at -15, -1 and 1 on the lift's grid: the first window, +-2.5,
-    # holds -1 and 1; a ray that wants a third root widens to +-20, where the
-    # left strip gives it -15 and its right strip is not scanned
+    # holds -1 and 1; a ray that wants a third root scans +-5, +-10 and +-20
+    # whole, and finds -15 in the last
     grid = np.linspace(-20.0, 20.0, 801)
     calls = []
 
@@ -339,10 +338,10 @@ def test_outward_scan_takes_the_narrowest_window_holding_need_roots():
     for need, want in [(1, [-1.0]), (2, [-1.0, 1.0]), (3, [-15.0, -1.0, 1.0]),
                        (4, [-15.0, -1.0, 1.0])]:
         calls.clear()
-        got, = charts._scan_outward(f, grid, 1, need, 50)
+        got, = charts._scan_outward(f, lambda w: grid[400 - w:401 + w], 1, need, 50, 400)
         assert got == pytest.approx(want, rel=0.0, abs=1e-12)
         scanned = sum(math.prod(s) for s in calls if len(s) == 2)
-        assert scanned == {1: 101, 2: 101, 3: 601, 4: 801}[need]
+        assert scanned == {1: 101, 2: 101, 3: 1504, 4: 1504}[need]
 
 
 # ------------------------------------------------------------------ brentq

@@ -229,6 +229,20 @@ def test_cli_wavefront_reports_caustic(tmp_path):
     assert (out / "front.csv").exists()
 
 
+def test_cli_wavefront_on_a_chart_bound_of_1e12(tmp_path, capsys):
+    # the lift scans at most |t| <= 320, whatever the chart's bound
+    cfg = tmp_path / "big.yaml"
+    for branch, code in [(1, 0), (2, 2)]:
+        cfg.write_text("schema_version: 1\nscenario: {builtin: eikonal, builtin_args: "
+                       "{bound: 1.0e+12}}\ntau_span: [0.0, 1.3]\nfront: {kind: circle, "
+                       f"radius: 1.0, n: 8, n_tau: 5, branch: [1, {branch}]}}\n")
+        assert main(["wavefront", "--config", str(cfg), "--out", str(tmp_path / "wf")]) == code
+    assert (tmp_path / "wf" / "front.csv").exists()
+    assert capsys.readouterr().err.startswith(
+        "numerical failure (NoLiftError): no front sample admitted a lift: [(0.0, 'no on-shell "
+        "root with |t| <= 320 (found 2, wanted index 2)')")
+
+
 @pytest.mark.parametrize("sub,config", [
     ("propagate", "free.yaml"),
     ("propagate", "oscillator.yaml"),

@@ -275,6 +275,30 @@ def test_a_sample_without_its_root_within_the_cap_says_so():
     assert str(e.value).count("no on-shell root with |t| <= 40 (found 2, wanted index 2)") == 3
 
 
+def test_a_chart_bound_past_the_cap_scans_up_to_the_cap(monkeypatch):
+    # the cap is max(20, the largest |bound|) but at most +-320: a chart bound
+    # of 1e12 lifts as the bound-40 chart does, and a ray short of its root
+    # scans the windows +-2.5, +-5, ..., +-320, each whole, 25,508 values
+    big, sc = cf.builtin("eikonal", bound=1e12), _eik()
+    lift = cf.legendre_lift(big.surface, cf.circle_front(big.chart, 1.0, 16), branch=(1, 1))
+    want = cf.legendre_lift(sc.surface, cf.circle_front(sc.chart, 1.0, 16), branch=(1, 1))
+    assert lift.p.tobytes() == want.p.tobytes() and len(lift) == 16
+    scan = []
+    real = big.surface.value
+
+    def value(*a):
+        r = real(*a)
+        if np.ndim(a[1]) == 3:   # a scan block, not a polish call
+            scan.append(np.size(r))
+        return r
+
+    monkeypatch.setattr(big.surface, "value", value)
+    with pytest.raises(cf.NoLiftError) as e:
+        cf.legendre_lift(big.surface, cf.circle_front(big.chart, 1.0, 16), branch=(1, 2))
+    assert str(e.value).count("no on-shell root with |t| <= 320 (found 2, wanted index 2)") == 3
+    assert sum(scan) == 16 * 25508
+
+
 # --------------------------------------------------------------- propagation
 
 def test_outward_circle_front_radius_grows_linearly():
